@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, load_config, parse_overrides
 from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
                    load_dataset, read_data_manifest, split_dataset,
                    synth_generate, write_data_manifest, write_dataset)
@@ -210,20 +210,31 @@ def gradcheck_setup(cfg: RunConfig, n_features: int = 3, n_samples: int = 3):
         samples.append(IrregularSeries(sample_id=f"gc-{i:02d}", steps=tuple(steps),
                                        label=i % 2))
     model = TadaModel(cfg, n_features, 2, "sequence")
+
     # Redraw weights at a generic full-scale point.  The training init keeps
     # attention queries near 0.02 and biases at 0, where score-path gradients
     # sit below central-difference noise and ReLU kinks hug the origin.
-    for name, p in model.params.items():
-        if name == "dla.range_raw":
-            continue
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
         leaf = name.rsplit(".", 1)[-1]
-        if p.data.ndim >= 2:
-            bound = 1.0 / np.sqrt(p.data.shape[0])
+        if len(shape) >= 2:
+            bound = 1.0 / np.sqrt(shape[0])
         elif leaf == "b" or (leaf.startswith("b") and leaf[1:].isdigit()):
             bound = 0.2
         else:
             bound = 0.5
-        p.data = rng.uniform(-bound, bound, size=p.data.shape)
+        return rng.uniform(-bound, bound, size=shape)
+
+    for name, p in model.params.items():
+        if name == "dla.q.w":
+            # head by head, the q block then the k block, as in the weight init
+            k = model.params["dla.k.w"]
+            blocks = [(draw(name, (p.data.shape[0], cfg.attn_dim)),
+                       draw("dla.k.w", (k.data.shape[0], cfg.attn_dim)))
+                      for _ in range(cfg.n_heads)]
+            p.data = np.concatenate([qb for qb, _ in blocks], axis=1)
+            k.data = np.concatenate([kb for _, kb in blocks], axis=1)
+        elif name not in ("dla.range_raw", "dla.k.w"):
+            p.data = draw(name, p.data.shape)
     preps = [model.prepare(s) for s in samples]
     return model, preps
 
@@ -241,9 +252,7 @@ def small_gradcheck_config(**overrides) -> RunConfig:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = small_gradcheck_config(seed=args.seed)
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
+    cfg = small_gradcheck_config(**{"seed": args.seed, **parse_overrides(args.set)})
     model, preps = gradcheck_setup(cfg)
     report = grad_check(lambda: model.batch_loss(preps), model.params, eps=args.eps)
     for label, prefixes in MODULE_GROUPS:

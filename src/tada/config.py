@@ -131,6 +131,24 @@ def _coerce(key: str, raw, from_string: bool):
     raise ConfigError(f"config: unsupported field type for {key}")
 
 
+def coerce_fields(raw, where: str) -> dict:
+    """Type-check a JSON object of RunConfig fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: top level must be an object")
+    return {key: _coerce(key, val, from_string=False) for key, val in raw.items()}
+
+
+def parse_overrides(overrides: list[str] | None) -> dict:
+    """Parse key=value strings into typed RunConfig fields."""
+    values = {}
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} must look like key=value")
+        key, text = item.split("=", 1)
+        values[key.strip()] = _coerce(key.strip(), text.strip(), from_string=True)
+    return values
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus key=value overrides."""
     values: dict = {}
@@ -140,24 +158,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path}: top level must be an object")
-        for key, val in raw.items():
-            values[key] = _coerce(key, val, from_string=False)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must look like key=value")
-        key, text = item.split("=", 1)
-        values[key] = _coerce(key.strip(), text.strip(), from_string=True)
+        values = coerce_fields(raw, f"config {path}")
+    values.update(parse_overrides(overrides))
     return RunConfig(**values).validate()
-
-
-def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Return a copy of cfg with key=value overrides applied and validated."""
-    updates = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must look like key=value")
-        key, text = item.split("=", 1)
-        updates[key.strip()] = _coerce(key.strip(), text.strip(), from_string=True)
-    return dataclasses.replace(cfg, **updates).validate()

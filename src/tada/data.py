@@ -172,13 +172,17 @@ def write_data_manifest(data_dir: str, n_features: int, task: str, n_classes: in
 def normalize_times(series: IrregularSeries) -> IrregularSeries:
     """Affinely map the step times of one sample onto [0, 1].
 
-    A single-step series maps to time 0.  Ordering is preserved.
+    A single-step series maps to time 0.  Ordering is preserved, and the
+    first and last steps land exactly on 0 and 1.  A span too wide for a
+    float raises DataError.
     """
     if len(series.steps) == 1:
         steps = (TimeStep(time=0.0, observations=series.steps[0].observations),)
         return IrregularSeries(series.sample_id, steps, series.label)
     t0 = series.steps[0].time
     span = series.steps[-1].time - t0
+    if not math.isfinite(span):
+        raise DataError(f"sample {series.sample_id}: time span {span} is not finite")
     steps = tuple(TimeStep(time=(s.time - t0) / span, observations=s.observations)
                   for s in series.steps)
     return IrregularSeries(series.sample_id, steps, series.label)

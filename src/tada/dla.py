@@ -1,6 +1,6 @@
 """Dynamic local attention: irregular steps onto a regular anchor grid.
 
-L anchor queries sit at evenly spaced times i * t_total / L (i = 1..L).
+Sample times lie in [0, 1]; L anchor queries sit at i / L (i = 1..L).
 Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
@@ -16,108 +16,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, add, broadcast_to, concat, matmul, mul, reshape,
-                     sigmoid, softplus, transpose, tsum,
-                     weighted_masked_softmax)
+from .tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softplus,
+                     transpose, tsum, weighted_masked_softmax)
 
 
 @dataclass
 class RegularizedGrid:
     grid: Tensor                      # (L, patch_channels)
     anchors: np.ndarray               # (L,)
-    radii: np.ndarray | None          # (D_eff,) current window radii
+    radii: np.ndarray                 # (D_eff,) current window radii
     attention: np.ndarray | None      # (heads, L, T, D_eff) when retained
 
 
-def anchor_times(n_queries: int, t_total: float = 1.0) -> np.ndarray:
-    """Evenly spaced anchor times i * t_total / L for i = 1..L."""
-    if t_total <= 0:
-        raise ValueError(f"anchor_times: t_total must be > 0, got {t_total}")
-    return np.arange(1, n_queries + 1) * (t_total / n_queries)
+def anchor_times(n_queries: int) -> np.ndarray:
+    """Evenly spaced anchor times i / L for i = 1..L."""
+    return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
-def window_gate_values(anchor: float, times: np.ndarray, radius: float,
-                       mode: str, tau: float, t_total: float = 1.0) -> np.ndarray:
-    """Gate in [0, 1] per step for one (anchor, feature radius) pair.
+def _gates(radii: Tensor, prep, cfg, obs_mask3: np.ndarray) -> Tensor:
+    """(L, D_eff, T) window gate x observation mask for (D_eff,) radii.
 
-    Hard mode is the indicator of the clipped interval
-    [max(0, anchor - radius), min(t_total, anchor + radius)].  Soft mode is
-    sigmoid((radius - |t - anchor|) / tau); steps outside [0, t_total] are
-    zeroed so the clip survives in soft mode.
+    Hard mode is the indicator of anchor - radius <= t <= anchor + radius,
+    a constant.  Soft mode is sigmoid((radius - |t - anchor|) / tau) and
+    stays connected to the radii so they can train.
     """
-    times = np.asarray(times, dtype=np.float64)
-    inside = (times >= 0.0) & (times <= t_total)
-    if mode == "hard":
-        lo = max(0.0, anchor - radius)
-        hi = min(t_total, anchor + radius)
-        return ((times >= lo) & (times <= hi) & inside).astype(np.float64)
-    arg = (radius - np.abs(times - anchor)) / tau
-    gate = 1.0 / (1.0 + np.exp(-np.clip(arg, -500, 500)))
-    return gate * inside
-
-
-def _gates(params: dict, prep, cfg, d_eff: int, obs_mask3: np.ndarray) -> Tensor:
-    """(L, D_eff, T) combined window-gate x observation-mask tensor.
-
-    Soft mode keeps the graph connected to range_raw so the radii train;
-    hard mode and the no_learnable_range ablation are constants.
-    """
-    L = cfg.n_queries
-    T = prep.dt3.shape[2]
-    if cfg.no_learnable_range:
-        return Tensor(np.broadcast_to(obs_mask3, (L, d_eff, T)).copy())
     if cfg.window_mode == "hard":
-        radii = np.logaddexp(0.0, params["dla.range_raw"].data)
-        lo = np.maximum(0.0, prep.anchors[:, None] - radii[None, :])      # (L, D)
-        hi = np.minimum(prep.t_total, prep.anchors[:, None] + radii[None, :])
-        t = prep.times[None, None, :]
-        hard = (t >= lo[:, :, None]) & (t <= hi[:, :, None])
-        return Tensor(hard * obs_mask3 * prep.inbounds3)
-    radii3 = reshape(softplus(params["dla.range_raw"]), (1, d_eff, 1))
+        a = prep.anchors[:, None, None]
+        r = radii.data[None, :, None]
+        t = prep.times
+        return Tensor(((t >= a - r) & (t <= a + r)) * obs_mask3)
+    radii3 = reshape(radii, (1, -1, 1))
     arg = mul(add(radii3, Tensor(-prep.dt3)), 1.0 / cfg.gate_temperature)
-    return mul(sigmoid(arg), Tensor(obs_mask3 * prep.inbounds3))
+    return mul(sigmoid(arg), Tensor(obs_mask3))
 
 
 def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
                 keep_attention: bool = False) -> RegularizedGrid:
-    """Aggregate one sample onto the anchor grid; returns (L, patch_channels)."""
-    L = cfg.n_queries
+    """Aggregate one sample onto the anchor grid; returns (L, patch_channels).
+
+    All heads run at once: dla.q.w and dla.k.w hold one column block of
+    width attn_dim per head.
+    """
+    L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     T = prep.dt3.shape[2]
     if cfg.keyvalue_variant == "setting1":
         keys = Tensor(prep.values)            # masked raw values as keys
         values3 = Tensor(prep.values.T[None, :, :])
-        d_eff = prep.values.shape[1]
         obs_mask3 = prep.mask3
     elif cfg.keyvalue_variant == "setting2":
         keys = x_hat                          # step embeddings as keys and values
         values3 = reshape(transpose(x_hat), (1, cfg.embed_dim + 1, T))
-        d_eff = cfg.embed_dim + 1
-        obs_mask3 = np.ones((1, d_eff, T))
+        obs_mask3 = np.ones((1, cfg.embed_dim + 1, T))
     else:
         keys = x_hat
         values3 = Tensor(prep.values.T[None, :, :])
-        d_eff = prep.values.shape[1]
         obs_mask3 = prep.mask3
 
-    gates = _gates(params, prep, cfg, d_eff, obs_mask3)
-    scale = 1.0 / math.sqrt(cfg.attn_dim)
-    head_outs = []
-    maps = [] if keep_attention else None
-    for h in range(cfg.n_heads):
-        q = matmul(params["dla.queries"], params[f"dla.h{h}.q.w"])    # (L, attn_dim)
-        k = matmul(keys, params[f"dla.h{h}.k.w"])                     # (T, attn_dim)
-        scores = mul(matmul(q, transpose(k)), scale)                  # (L, T)
-        scores3 = broadcast_to(reshape(scores, (L, 1, T)), (L, d_eff, T))
-        weights = weighted_masked_softmax(scores3, gates)             # (L, D_eff, T)
-        head_outs.append(tsum(mul(weights, values3), axis=2))         # (L, D_eff)
-        if maps is not None:
-            maps.append(np.transpose(weights.data, (0, 2, 1)))        # (L, T, D_eff)
-    out = add(matmul(concat(head_outs, axis=1), params["dla.out.w"]),
-              params["dla.out.b"])
-    radii = np.logaddexp(0.0, params["dla.range_raw"].data)
+    range_raw = params["dla.range_raw"]
+    if cfg.no_learnable_range:
+        range_raw = range_raw.detach()    # frozen radii keep their windows
+    radii = softplus(range_raw)
+    gates = _gates(radii, prep, cfg, obs_mask3)
+    q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
+                  (1, 0, 2))                                          # (H, L, A)
+    k = transpose(reshape(matmul(keys, params["dla.k.w"]), (T, H, A)),
+                  (1, 2, 0))                                          # (H, A, T)
+    scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (H, L, T)
+    weights = weighted_masked_softmax(reshape(scores, (H, L, 1, T)), gates)
+    head_outs = tsum(mul(weights, values3), axis=3)                   # (H, L, D_eff)
+    stacked = reshape(transpose(head_outs, (1, 0, 2)), (L, -1))       # (L, H * D_eff)
+    out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
     return RegularizedGrid(
         grid=out,
         anchors=prep.anchors,
-        radii=radii,
-        attention=np.stack(maps) if maps is not None else None,
+        radii=radii.data,
+        attention=np.transpose(weights.data, (0, 1, 3, 2)) if keep_attention else None,
     )

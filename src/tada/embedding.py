@@ -18,11 +18,16 @@ from .tensor import (Tensor, broadcast_to, concat, gather, masked_softmax,
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
-    """(N, enc) encoded observation matrix for all observations of a sample."""
+    """(N, enc) [value, feature code] rows for all observations of a sample.
+
+    The feature code is a learned embedding, or the bare feature index in
+    literal mode.
+    """
     if cfg.te_mode == "embedding":
-        emb = gather(params["te.embed"], prep.feat_idx)
-        return concat([Tensor(prep.values_col), emb], axis=1)
-    return Tensor(prep.enc_literal)
+        code = gather(params["te.embed"], prep.feat_idx)
+    else:
+        code = Tensor(prep.feat_idx[:, None])
+    return concat([Tensor(prep.values_col), code], axis=1)
 
 
 def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
@@ -36,7 +41,7 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     h = relu(matmul(x_enc, params["te.fit.w1"]) + params["te.fit.b1"])
     h = matmul(h, params["te.fit.w2"]) + params["te.fit.b2"]
     step_summary = matmul(Tensor(prep.seg_mean), h)            # (T, summary_dim)
-    per_obs_summary = matmul(Tensor(prep.seg_pick), step_summary)
+    per_obs_summary = gather(step_summary, prep.step_of)       # (N, summary_dim)
     keys = matmul(concat([per_obs_summary, x_enc], axis=1), params["te.key.w"])
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
     n_obs = prep.values_col.shape[0]
@@ -45,4 +50,4 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
     if not with_time:
         return attended
-    return concat([Tensor(prep.t_col), attended], axis=1)
+    return concat([Tensor(prep.times[:, None]), attended], axis=1)

@@ -24,16 +24,11 @@ def auroc(scores, labels) -> float:
     n_pos, n_neg = _check_binary(scores, labels, "auroc")
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("auroc undefined: needs at least one positive and one negative")
-    n = scores.size
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each tie group takes the mean of the 1-based ranks it spans
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]
     r_pos = float(ranks[labels == 1].sum())
     return (r_pos - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
@@ -45,28 +40,12 @@ def auprc(scores, labels) -> float:
     n_pos, _ = _check_binary(scores, labels, "auprc")
     if n_pos == 0:
         raise EvaluationError("auprc undefined: needs at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    tp = 0
-    fp = 0
-    ap = 0.0
-    prev_recall = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            if labels[order[k]] == 1:
-                tp += 1
-            else:
-                fp += 1
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    # thresholds in descending score order; cumsum accumulates sequentially
+    _, group = np.unique(-scores, return_inverse=True)
+    tp = np.cumsum(np.bincount(group, weights=labels == 1))
+    seen = np.cumsum(np.bincount(group))
+    recall = tp / n_pos
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * (tp / seen))[-1])
 
 
 def accuracy(predictions, labels) -> float:

@@ -3,7 +3,8 @@
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
 attention query parameters draw from Normal(0, 0.02^2); biases start at 0;
-window radii start at one anchor spacing, t_total / n_queries.
+window radii start at one anchor spacing, 1 / n_queries, because prepared
+times lie in [0, 1].
 
 Model files: magic ``TADA1``, little-endian uint32 header length, UTF-8
 JSON header (config, dataset dims, parameter names and shapes in
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, coerce_fields
 from .data import IrregularSeries, build_value_mask, normalize_times
 from .dla import RegularizedGrid, anchor_times, dla_forward
 from .embedding import te_forward
@@ -35,21 +36,16 @@ MAGIC = b"TADA1"
 class SamplePrep:
     """Constant per-sample arrays reused across epochs."""
     sample_id: str
-    times: np.ndarray          # (T,) normalized step times
-    t_col: np.ndarray          # (T, 1)
+    times: np.ndarray          # (T,) step times normalized onto [0, 1]
     values_col: np.ndarray     # (N, 1) observation values, flattened step order
     feat_idx: np.ndarray       # (N,) feature index per observation
-    enc_literal: np.ndarray    # (N, 2) [value, feature index] encoding
+    step_of: np.ndarray        # (N,) step index per observation
     seg_mask: np.ndarray       # (T, N) bool, observation j belongs to step k
     seg_mean: np.ndarray       # (T, N) row-normalized seg_mask
-    seg_pick: np.ndarray       # (N, T) transpose selector
     values: np.ndarray         # (T, D) zeros where unobserved
-    mask: np.ndarray           # (T, D) bool
-    mask3: np.ndarray          # (1, D, T) float
+    mask3: np.ndarray          # (1, D, T) float observation mask
     dt3: np.ndarray            # (L, 1, T) |t_j - anchor_i|
-    inbounds3: np.ndarray      # (1, 1, T) float, t_j within [0, t_total]
     anchors: np.ndarray        # (L,)
-    t_total: float
     labels: np.ndarray         # (1,) sequence label or (T,) step labels
     out_len: int               # classifier rows: 1 or T
 
@@ -72,8 +68,7 @@ class TadaModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.task = task
-        self.t_total = 1.0
-        self.anchors = anchor_times(cfg.n_queries, self.t_total)
+        self.anchors = anchor_times(cfg.n_queries)
         self.params: dict[str, Tensor] = {}
         self._build_params(rng or np.random.default_rng(cfg.seed))
 
@@ -131,12 +126,13 @@ class TadaModel:
             key_dim = self._key_dim()
             self._add("dla.queries", self._query_init(rng, (cfg.n_queries, d_e + 1)))
             self._add("dla.range_raw",
-                      np.full(d_eff, _inverse_softplus(self.t_total / cfg.n_queries)))
-            for h in range(cfg.n_heads):
-                self._add(f"dla.h{h}.q.w", self._uniform(rng, (d_e + 1, cfg.attn_dim),
-                                                         d_e + 1))
-                self._add(f"dla.h{h}.k.w", self._uniform(rng, (key_dim, cfg.attn_dim),
-                                                         key_dim))
+                      np.full(d_eff, _inverse_softplus(1.0 / cfg.n_queries)))
+            # one column block per head, drawn head by head
+            blocks = [(self._uniform(rng, (d_e + 1, cfg.attn_dim), d_e + 1),
+                       self._uniform(rng, (key_dim, cfg.attn_dim), key_dim))
+                      for _ in range(cfg.n_heads)]
+            self._add("dla.q.w", np.concatenate([q for q, _ in blocks], axis=1))
+            self._add("dla.k.w", np.concatenate([k for _, k in blocks], axis=1))
             self._add("dla.out.w", self._uniform(rng, (cfg.n_heads * d_eff, cfg.patch_channels),
                                                  cfg.n_heads * d_eff))
             self._add("dla.out.b", np.zeros(cfg.patch_channels))
@@ -178,7 +174,8 @@ class TadaModel:
     # per-sample preparation ---------------------------------------------------
 
     def prepare(self, series: IrregularSeries) -> SamplePrep:
-        """Normalize times and precompute every constant the forward pass needs."""
+        """Normalize times onto [0, 1] and precompute every constant the
+        forward pass needs."""
         series = normalize_times(series)
         times = series.times
         T = len(series)
@@ -210,21 +207,15 @@ class TadaModel:
         return SamplePrep(
             sample_id=series.sample_id,
             times=times,
-            t_col=times[:, None].copy(),
             values_col=vals[:, None].copy(),
             feat_idx=feat_idx,
-            enc_literal=np.stack([vals, feat_idx.astype(np.float64)], axis=1),
+            step_of=step_of,
             seg_mask=seg_mask,
             seg_mean=seg_mean,
-            seg_pick=seg_mask.T.astype(np.float64),
             values=values,
-            mask=mask,
             mask3=mask.T[None, :, :].astype(np.float64),
             dt3=dt3,
-            inbounds3=((times >= 0.0) & (times <= self.t_total))
-            .astype(np.float64)[None, None, :],
             anchors=self.anchors,
-            t_total=self.t_total,
             labels=labels,
             out_len=out_len,
         )
@@ -303,9 +294,13 @@ class TadaModel:
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise DataError(f"{path}: corrupt model header") from None
         off += hlen
-        cfg = RunConfig(**header["config"])
-        model = cls(cfg, header["n_features"], header["n_classes"], header["task"])
-        for name, shape in header["params"]:
+        try:
+            cfg = RunConfig(**coerce_fields(header["config"], "model config"))
+            model = cls(cfg, header["n_features"], header["n_classes"], header["task"])
+            layout = header["params"]
+        except (ConfigError, KeyError, TypeError) as e:
+            raise DataError(f"{path}: invalid model header: {e!r}") from None
+        for name, shape in layout:
             if name not in model.params or list(model.params[name].data.shape) != shape:
                 raise DataError(f"{path}: unexpected parameter {name} {shape}")
             size = int(np.prod(shape)) * 8

@@ -12,13 +12,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, TadaError
+from .errors import DimensionError
 
 Array = np.ndarray
-
-# When true, every op output is checked for NaN/Inf.  Off by default for
-# speed; the training loop checks losses and gradients at its own boundary.
-CHECK_FINITE = False
 
 
 class Tensor:
@@ -138,9 +134,7 @@ def _lift(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _node(data: Array, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise TadaError(f"{op}: produced non-finite values")
+def _node(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
     return Tensor(data)
@@ -172,7 +166,7 @@ def add(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _node(out, (a, b), backward, "add")
+    return _node(out, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -187,7 +181,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * b.data, a.data.shape),
                 _unbroadcast(g * a.data, b.data.shape))
 
-    return _node(out, (a, b), backward, "mul")
+    return _node(out, (a, b), backward)
 
 
 def relu(x) -> Tensor:
@@ -198,7 +192,7 @@ def relu(x) -> Tensor:
     def backward(g):
         return (g * keep,)
 
-    return _node(out, (x,), backward, "relu")
+    return _node(out, (x,), backward)
 
 
 def _sigmoid(x: Array) -> Array:
@@ -217,7 +211,7 @@ def sigmoid(x) -> Tensor:
     def backward(g):
         return (g * y * (1.0 - y),)
 
-    return _node(y, (x,), backward, "sigmoid")
+    return _node(y, (x,), backward)
 
 
 def softplus(x) -> Tensor:
@@ -228,7 +222,7 @@ def softplus(x) -> Tensor:
     def backward(g):
         return (g * s,)
 
-    return _node(y, (x,), backward, "softplus")
+    return _node(y, (x,), backward)
 
 
 def exp(x) -> Tensor:
@@ -238,7 +232,7 @@ def exp(x) -> Tensor:
     def backward(g):
         return (g * y,)
 
-    return _node(y, (x,), backward, "exp")
+    return _node(y, (x,), backward)
 
 
 # shape ops -----------------------------------------------------------------
@@ -255,7 +249,7 @@ def reshape(x, shape) -> Tensor:
     def backward(g):
         return (g.reshape(orig),)
 
-    return _node(out, (x,), backward, "reshape")
+    return _node(out, (x,), backward)
 
 
 def transpose(x, axes=None) -> Tensor:
@@ -271,7 +265,7 @@ def transpose(x, axes=None) -> Tensor:
     def backward(g):
         return (np.transpose(g, inv),)
 
-    return _node(out, (x,), backward, "transpose")
+    return _node(out, (x,), backward)
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -286,7 +280,7 @@ def broadcast_to(x, shape) -> Tensor:
     def backward(g):
         return (_unbroadcast(g, orig),)
 
-    return _node(np.ascontiguousarray(out), (x,), backward, "broadcast_to")
+    return _node(np.ascontiguousarray(out), (x,), backward)
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -304,7 +298,7 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     def backward(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, cuts, axis=axis))
 
-    return _node(out, ts, backward, "concat")
+    return _node(out, ts, backward)
 
 
 # reductions ----------------------------------------------------------------
@@ -320,7 +314,7 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _node(out, (x,), backward, "sum")
+    return _node(out, (x,), backward)
 
 
 def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -335,23 +329,28 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape) / n,)
 
-    return _node(out, (x,), backward, "mean")
+    return _node(out, (x,), backward)
 
 
 # linear algebra ------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Matrix product; a 3D right operand needs a 3D left one with the same
+    leading (batch) size, as in (H, L, a) @ (H, a, T)."""
     a, b = _lift(a), _lift(b)
     A, B = a.data, b.data
-    if A.ndim < 1 or B.ndim < 1 or B.ndim > 2:
+    batched = A.ndim == 3 and B.ndim == 3 and A.shape[0] == B.shape[0]
+    if A.ndim < 1 or B.ndim < 1 or (B.ndim > 2 and not batched):
         raise DimensionError(
-            f"matmul: unsupported operand ranks {A.ndim} and {B.ndim}")
-    if A.shape[-1] != B.shape[0]:
+            f"matmul: unsupported operand shapes {A.shape} and {B.shape}")
+    if A.shape[-1] != B.shape[-2 if B.ndim > 1 else 0]:
         raise DimensionError(
             f"matmul: inner axes disagree, {A.shape} @ {B.shape}")
     out = A @ B
 
     def backward(g):
+        if batched:
+            return g @ B.transpose(0, 2, 1), A.transpose(0, 2, 1) @ g
         if A.ndim == 1 and B.ndim == 1:
             return g * B, g * A
         if A.ndim == 1:  # (k,) @ (k,n) -> (n,)
@@ -364,7 +363,7 @@ def matmul(a, b) -> Tensor:
         gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, B.shape[1])
         return ga, gb
 
-    return _node(out, (a, b), backward, "matmul")
+    return _node(out, (a, b), backward)
 
 
 def gather(x, index, axis: int = 0) -> Tensor:
@@ -385,7 +384,7 @@ def gather(x, index, axis: int = 0) -> Tensor:
         np.add.at(np.moveaxis(buf, axis, 0), idx % n, np.moveaxis(g, axis, 0))
         return (buf,)
 
-    return _node(out, (x,), backward, "gather")
+    return _node(out, (x,), backward)
 
 
 # softmax family ------------------------------------------------------------
@@ -416,36 +415,41 @@ def masked_softmax(scores, mask) -> Tensor:
         dot = (g * w).sum(axis=-1, keepdims=True)
         return (w * (g - dot),)
 
-    return _node(w, (s,), backward, "masked_softmax")
+    return _node(w, (s,), backward)
 
 
 def weighted_masked_softmax(scores, gates) -> Tensor:
     """Softmax over the last axis with multiplicative gates in [0, 1].
 
     out_j = gates_j * exp(scores_j) / sum_j' gates_j' * exp(scores_j').
-    Rows whose gates are all zero yield all-zero rows.  Differentiable in
-    both scores and gates, which lets soft window gates learn their width.
+    Rows whose gates are all zero yield all-zero rows.  Scores and gates
+    share the last axis and broadcast over the others, so (H, L, 1, T)
+    scores with (L, D, T) gates give (H, L, D, T) weights.  Differentiable
+    in both scores and gates, which lets soft window gates learn their width.
     """
     s, g_in = _lift(scores), _lift(gates)
-    if s.data.shape != g_in.data.shape:
-        raise DimensionError(
-            f"weighted_masked_softmax: gates shape {g_in.data.shape} != scores shape {s.data.shape}")
-    G = g_in.data
+    S, G = s.data, g_in.data
     live = G > 0.0
-    shifted = np.where(live, s.data, -np.inf)
+    try:
+        if S.shape[-1:] != G.shape[-1:]:
+            raise ValueError
+        shifted = np.where(live, S, -np.inf)
+    except ValueError:
+        raise DimensionError(f"weighted_masked_softmax: gates shape {G.shape} "
+                             f"does not fit scores shape {S.shape}") from None
     c = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
     c = np.where(np.isfinite(c), c, 0.0)
-    e = np.exp(np.where(live, s.data - c, -np.inf))
+    e = np.exp(np.where(live, S - c, -np.inf))
     u = G * e
     z = u.sum(axis=-1, keepdims=True)
     w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
     ez = np.divide(e, z, out=np.zeros_like(e), where=z > 0.0)
 
     def backward(g):
-        dot = (g * w).sum(axis=-1, keepdims=True)
-        return w * (g - dot), ez * (g - dot)
+        centered = g - (g * w).sum(axis=-1, keepdims=True)
+        return _unbroadcast(w * centered, S.shape), _unbroadcast(ez * centered, G.shape)
 
-    return _node(w, (s, g_in), backward, "weighted_masked_softmax")
+    return _node(w, (s, g_in), backward)
 
 
 def cross_entropy_with_logits(logits, labels) -> Tensor:
@@ -477,27 +481,5 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
         p[np.arange(z.shape[0]), y] -= 1.0
         return ((float(g) * p / z.shape[0]).reshape(orig_shape),)
 
-    return _node(out, (x,), backward, "cross_entropy_with_logits")
+    return _node(out, (x,), backward)
 
-
-def required_ops() -> dict:
-    """Capability table: every differentiable op the model layers rely on."""
-    return {
-        "matmul": matmul,
-        "add": add,
-        "mul": mul,
-        "concat": concat,
-        "relu": relu,
-        "sigmoid": sigmoid,
-        "softplus": softplus,
-        "exp": exp,
-        "masked_softmax": masked_softmax,
-        "weighted_masked_softmax": weighted_masked_softmax,
-        "mean": tmean,
-        "sum": tsum,
-        "reshape": reshape,
-        "transpose": transpose,
-        "broadcast_to": broadcast_to,
-        "gather": gather,
-        "cross_entropy_with_logits": cross_entropy_with_logits,
-    }

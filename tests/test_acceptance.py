@@ -138,9 +138,9 @@ def test_2_hard_window_locality():
         radii = model.radii()
         for i, anchor in enumerate(prep.anchors):
             lo = np.maximum(0.0, anchor - radii)
-            hi = np.minimum(prep.t_total, anchor + radii)
+            hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & prep.mask
+                & (prep.mask3[0].T > 0.0)
             sums = w[:, i].sum(axis=1)
             empty = ~inside.any(axis=0)
             if not (np.all(w[:, i][:, ~inside] == 0.0)

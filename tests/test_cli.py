@@ -11,6 +11,7 @@ import pytest
 
 from tada.cli import main
 from tada.data import read_data_manifest
+from test_model_io import rewrite_header
 from test_uci import write_fixture
 
 # small dims so the train commands finish in seconds
@@ -175,6 +176,15 @@ def test_eval_rejects_corrupt_model(data_dir, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_eval_rejects_invalid_model_header(run_dir, data_dir, tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    path.write_bytes(open(os.path.join(run_dir, "model.bin"), "rb").read())
+    rewrite_header(str(path), lambda h: h["config"].update(n_heads="2"))
+    rc = main(["eval", "--model", str(path), "--data", data_dir])
+    assert rc == 2
+    assert "invalid model header" in capsys.readouterr().err
+
+
 def test_eval_empty_split(run_dir, data_dir, tmp_path, capsys):
     import shutil
     empty = tmp_path / "empty"
@@ -201,6 +211,16 @@ def test_gradcheck_threshold_failure(capsys):
     rc = main(["gradcheck", "--threshold", "1e-12"] + small)
     assert rc == 3
     assert "gradcheck FAILED" in capsys.readouterr().err
+
+
+def test_gradcheck_set_seed_overrides_seed_flag(capsys):
+    small = ["--set=" + s for s in ("summary_dim=4", "embed_dim=4", "n_queries=4",
+                                    "attn_dim=4", "patch_channels=4", "n_layers=1")]
+    outs = []
+    for extra in (["--seed", "5", "--set", "seed=0"], [], ["--seed", "5"]):
+        assert main(["gradcheck", "--threshold", "1"] + extra + small) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
 
 
 def read_attention_csv(path):

@@ -171,6 +171,12 @@ def test_normalize_times_affine_property(times):
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def test_normalize_times_rejects_a_span_beyond_float_range():
+    # the span overflows to inf and would map the last step to nan
+    with pytest.raises(DataError, match="span"):
+        normalize_times(make_series("x", 0, [-1e308, 0.0, 1e308]))
+
+
 def test_build_value_mask_example():
     s = parse_events(EXAMPLE_LINE, n_features=3)
     V, M = build_value_mask(s, 3)

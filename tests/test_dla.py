@@ -1,15 +1,15 @@
 """Dynamic local attention: windows, locality, and the anchor grid."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from helpers import build_series, random_series, redraw_params, tiny_model
-from tada.dla import anchor_times, dla_forward, window_gate_values
+from tada.dla import _gates, anchor_times, dla_forward
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
-from tada.tensor import mul, tsum
+from tada.tensor import Tensor, mul, tsum
 
 
 def raw_radius(r):
@@ -26,6 +26,21 @@ def identity_head_model(n_features=4, **overrides):
     return model
 
 
+def gate_row(anchor, times, radius, mode, tau):
+    """The model's gate for one (anchor, radius) pair, all steps observed."""
+    times = np.asarray(times, dtype=np.float64)
+    prep = SimpleNamespace(anchors=np.array([anchor]), times=times,
+                           dt3=np.abs(times - anchor)[None, None, :])
+    cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
+    gates = _gates(Tensor([radius]), prep, cfg, np.ones((1, 1, len(times))))
+    return gates.data[0, 0]
+
+
+def observed(prep):
+    """(T, D) bool observation mask of a prepared sample."""
+    return prep.mask3[0].T > 0.0
+
+
 def forward_grid(model, series, keep_attention=False):
     prep = model.prepare(series)
     x_hat = None
@@ -38,38 +53,30 @@ def forward_grid(model, series, keep_attention=False):
 
 
 def test_anchor_times_formula():
-    np.testing.assert_allclose(anchor_times(4, 1.0), [0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(anchor_times(1, 1.0), [1.0])
-    np.testing.assert_allclose(anchor_times(2, 0.5), [0.25, 0.5])
-    with pytest.raises(ValueError):
-        anchor_times(4, 0.0)
+    np.testing.assert_allclose(anchor_times(4), [0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(anchor_times(1), [1.0])
+    np.testing.assert_array_equal(anchor_times(7), np.arange(1, 8) * (1.0 / 7))
 
 
 def test_hard_window_membership():
     times = np.array([0.1, 0.3, 0.5])
     np.testing.assert_array_equal(
-        window_gate_values(0.3, times, 0.15, "hard", 0.05), [0.0, 1.0, 0.0])
+        gate_row(0.3, times, 0.15, "hard", 0.05), [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(
-        window_gate_values(0.3, times, 0.25, "hard", 0.05), [1.0, 1.0, 1.0])
+        gate_row(0.3, times, 0.25, "hard", 0.05), [1.0, 1.0, 1.0])
 
 
 def test_hard_window_clips_to_the_observation_span():
-    # anchor near the edge: interval clipped at 0, inside points still count
+    # anchor near the edge: the window reaches past 0, inside points still count
     times = np.array([0.0, 0.05, 0.9])
     np.testing.assert_array_equal(
-        window_gate_values(0.1, times, 0.3, "hard", 0.05), [1.0, 1.0, 0.0])
-    # points outside [0, t_total] never pass, whatever the radius
-    outside = np.array([-0.2, 0.5, 1.3])
-    np.testing.assert_array_equal(
-        window_gate_values(0.5, outside, 5.0, "hard", 0.05), [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(
-        window_gate_values(0.5, outside, 5.0, "soft", 0.05), [0.0, 1.0, 0.0])
+        gate_row(0.1, times, 0.3, "hard", 0.05), [1.0, 1.0, 0.0])
 
 
 def test_soft_gate_is_half_at_the_boundary():
     # dyadic times keep |t - anchor| - r exactly zero at the boundary
     times = np.array([0.25, 0.5, 0.75])
-    gate = window_gate_values(0.5, times, 0.25, "soft", 0.05)
+    gate = gate_row(0.5, times, 0.25, "soft", 0.05)
     assert gate[0] == 0.5 and gate[2] == 0.5
     assert gate[1] == 1.0 / (1.0 + math.exp(-5.0))
 
@@ -78,8 +85,8 @@ def test_soft_gate_converges_to_the_hard_indicator():
     rng = np.random.default_rng(6)
     times = np.sort(rng.uniform(0.0, 1.0, size=30))
     for anchor, r in [(0.3, 0.12), (0.8, 0.3), (0.05, 0.07)]:
-        hard = window_gate_values(anchor, times, r, "hard", 0.05)
-        soft = window_gate_values(anchor, times, r, "soft", 1e-4)
+        hard = gate_row(anchor, times, r, "hard", 0.05)
+        soft = gate_row(anchor, times, r, "soft", 1e-4)
         np.testing.assert_allclose(soft, hard, atol=1e-9)
 
 
@@ -91,8 +98,8 @@ def test_window_support_grows_monotonically_with_radius():
         r1 = rng.uniform(0.01, 0.5)
         r2 = r1 + rng.uniform(0.0, 0.5)
         for mode in ("hard", "soft"):
-            g1 = window_gate_values(anchor, times, r1, mode, 0.05)
-            g2 = window_gate_values(anchor, times, r2, mode, 0.05)
+            g1 = gate_row(anchor, times, r1, mode, 0.05)
+            g2 = gate_row(anchor, times, r2, mode, 0.05)
             assert np.all(g2 >= g1)
 
 
@@ -144,7 +151,7 @@ def test_uniform_scores_average_the_window():
     # zero query projection makes scores uniform: each cell is the plain
     # mean of the observed values inside its window
     model = identity_head_model(window_mode="hard")
-    model.params["dla.h0.q.w"].data = np.zeros_like(model.params["dla.h0.q.w"].data)
+    model.params["dla.q.w"].data = np.zeros_like(model.params["dla.q.w"].data)
     rng = np.random.default_rng(9)
     model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.0, size=4)
     s = random_series(rng, n_steps=12, n_features=4)
@@ -154,8 +161,8 @@ def test_uniform_scores_average_the_window():
     for i, anchor in enumerate(prep.anchors):
         for d in range(4):
             lo = max(0.0, anchor - radii[d])
-            hi = min(prep.t_total, anchor + radii[d])
-            member = (prep.times >= lo) & (prep.times <= hi) & prep.mask[:, d]
+            hi = min(1.0, anchor + radii[d])
+            member = (prep.times >= lo) & (prep.times <= hi) & observed(prep)[:, d]
             want = prep.values[member, d].mean() if member.any() else 0.0
             assert abs(grid[i, d] - want) < 1e-12, (i, d)
 
@@ -176,9 +183,9 @@ def test_hard_window_locality_and_weight_sums():
         radii = model.radii()
         for i, anchor in enumerate(prep.anchors):
             lo = np.maximum(0.0, anchor - radii)
-            hi = np.minimum(prep.t_total, anchor + radii)
+            hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & prep.mask
+                & observed(prep)
             assert np.all(w[:, i][:, ~inside] == 0.0)
             sums = w[:, i].sum(axis=1)         # (heads, D)
             empty = ~inside.any(axis=0)
@@ -206,13 +213,89 @@ def test_attention_maps_shape_and_retention():
     assert grid.attention.shape == (model.cfg.n_heads, model.cfg.n_queries, 2, 3)
 
 
+def test_frozen_radii_keep_their_windows():
+    # no_learnable_range stops the radii from training; the windows stay, so
+    # the forward pass equals the learnable model's in both gate modes
+    rng = np.random.default_rng(13)
+    s = random_series(rng, n_steps=9, n_features=3)
+    for mode in ("hard", "soft"):
+        learnable = tiny_model(n_features=3, window_mode=mode)
+        frozen = tiny_model(n_features=3, window_mode=mode, no_learnable_range=True)
+        for model in (learnable, frozen):
+            redraw_params(model, seed=5)
+            model.params["dla.range_raw"].data = np.full(3, raw_radius(0.1))
+        want = forward_grid(learnable, s, keep_attention=True)
+        got = forward_grid(frozen, s, keep_attention=True)
+        np.testing.assert_array_equal(got.attention, want.attention)
+        np.testing.assert_array_equal(got.grid.data, want.grid.data)
+        if mode == "hard":
+            prep = frozen.prepare(s)
+            outside = np.abs(prep.times[None, :] - prep.anchors[:, None]) > 0.1
+            assert outside.any() and np.all(got.attention[:, outside] == 0.0)
+
+
+def per_head_reference(model, prep, x_hat):
+    """Head-by-head DLA in plain numpy from the column blocks of dla.q.w and
+    dla.k.w; returns the (L, patch_channels) grid and (H, L, T, D_eff) maps."""
+    cfg = model.cfg
+    p = {k: v.data for k, v in model.params.items()}
+    if cfg.keyvalue_variant == "setting1":
+        keys, values, mask = prep.values, prep.values, observed(prep)
+    elif cfg.keyvalue_variant == "setting2":
+        keys = values = x_hat
+        mask = np.ones(x_hat.shape, dtype=bool)
+    else:
+        keys, values, mask = x_hat, prep.values, observed(prep)
+    radii = model.radii()
+    t = prep.times[None, :, None]
+    a = prep.anchors[:, None, None]
+    if cfg.window_mode == "hard":
+        gates = ((t >= a - radii) & (t <= a + radii)).astype(np.float64)
+    else:
+        gates = 1.0 / (1.0 + np.exp(-(radii - np.abs(t - a)) / cfg.gate_temperature))
+    gates = gates * mask                                       # (L, T, D_eff)
+    A = cfg.attn_dim
+    heads, maps = [], []
+    for h in range(cfg.n_heads):
+        cols = slice(h * A, (h + 1) * A)
+        q = p["dla.queries"] @ p["dla.q.w"][:, cols]
+        k = keys @ p["dla.k.w"][:, cols]
+        scores = (q @ k.T / math.sqrt(A))[:, :, None]          # (L, T, 1)
+        u = gates * np.exp(scores - scores.max(axis=1, keepdims=True))
+        z = u.sum(axis=1, keepdims=True)
+        w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
+        heads.append((w * values[None]).sum(axis=1))           # (L, D_eff)
+        maps.append(w)
+    grid = np.concatenate(heads, axis=1) @ p["dla.out.w"] + p["dla.out.b"]
+    return grid, np.stack(maps)
+
+
+def test_stacked_heads_match_the_per_head_reference():
+    rng = np.random.default_rng(14)
+    variants = [{"window_mode": "soft", "gate_temperature": 0.05},
+                {"window_mode": "hard"},
+                {"keyvalue_variant": "setting1"},
+                {"keyvalue_variant": "setting2", "gate_temperature": 0.05}]
+    for v, overrides in enumerate(variants):
+        model = tiny_model(n_features=3, n_heads=3, **overrides)
+        redraw_params(model, seed=v)
+        model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.5, size=model.radii().size)
+        for trial in range(5):
+            prep = model.prepare(random_series(rng, int(rng.integers(1, 12)), 3))
+            x_hat = te_forward(model.params, prep, model.cfg)
+            got = dla_forward(model.params, prep, model.cfg, x_hat, keep_attention=True)
+            grid, maps = per_head_reference(model, prep, x_hat.data)
+            for out, ref in ((got.grid.data, grid), (got.attention, maps)):
+                assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (overrides, trial)
+
+
 # key/value variants -------------------------------------------------------------
 
 
 def test_setting1_skips_the_embedding_stage():
     model = tiny_model(n_features=3, keyvalue_variant="setting1")
     # key projection takes raw (T, D) values
-    assert model.params["dla.h0.k.w"].data.shape[0] == 3
+    assert model.params["dla.k.w"].data.shape[0] == 3
     s = build_series([(0.0, [(0, 1.0)]), (0.5, [(1, -1.0)]), (1.0, [(2, 2.0)])])
     grid = forward_grid(model, s)
     assert grid.grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)

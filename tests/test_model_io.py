@@ -1,7 +1,12 @@
 """Model assembly, sample preparation, and the binary model format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import build_series, random_series, tiny_config, tiny_model
 from tada.data import IrregularSeries, Observation, TimeStep
@@ -64,11 +69,28 @@ def test_prepare_precomputes_consistent_arrays():
     np.testing.assert_array_equal(prep.values_col[:, 0], [1.0, -1.0, 4.0, 2.0])
     np.testing.assert_array_equal(prep.seg_mask.sum(axis=1), [2, 1, 1])
     np.testing.assert_allclose(prep.seg_mean.sum(axis=1), 1.0)
-    np.testing.assert_array_equal(prep.seg_pick, prep.seg_mask.T)
-    assert prep.mask.sum() == 4 and prep.values.shape == (3, 3)
+    np.testing.assert_array_equal(prep.step_of, [0, 0, 1, 2])
+    np.testing.assert_array_equal(prep.seg_mask[prep.step_of, np.arange(4)], True)
+    assert prep.mask3.sum() == 4 and prep.values.shape == (3, 3)
+    np.testing.assert_array_equal(prep.mask3[0].T, prep.values != 0.0)
     assert prep.out_len == 1 and prep.labels.tolist() == [0]
     np.testing.assert_allclose(
         prep.dt3[:, 0, :], np.abs(prep.times[None, :] - model.anchors[:, None]))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12, unique=True))
+def test_prepared_times_span_exactly_zero_to_one(times):
+    times = sorted(times)
+    series = build_series([(t, [(0, 1.0)]) for t in times])
+    model = tiny_model()
+    if not np.isfinite(times[-1] - times[0]):
+        with pytest.raises(DataError, match="span"):
+            model.prepare(series)
+        return
+    out = model.prepare(series).times
+    assert out[0] == 0.0 and np.all(np.diff(out) >= 0.0)
+    assert out[-1] == (1.0 if len(times) > 1 else 0.0)
 
 
 def test_forward_is_pure():
@@ -132,6 +154,31 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         TadaModel.load(str(tmp_path / "missing.bin"))
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved model file's JSON header in place."""
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(raw[start:start + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["config"].update(unknown_knob=1),
+    lambda h: h["config"].update(n_queries="4"),
+    lambda h: h.pop("task"),
+], ids=["unknown-key", "string-int", "missing-task"])
+def test_load_rejects_invalid_header_as_data_error(tmp_path, edit):
+    path = str(tmp_path / "model.bin")
+    tiny_model().save(path)
+    rewrite_header(path, edit)
+    with pytest.raises(DataError, match="invalid model header"):
+        TadaModel.load(path)
 
 
 def test_magic_marks_format_version():

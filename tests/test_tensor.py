@@ -17,7 +17,6 @@ from tada.tensor import (
     matmul,
     mul,
     relu,
-    required_ops,
     reshape,
     sigmoid,
     softplus,
@@ -40,18 +39,6 @@ def assert_grads_match(fn, params, tol=1e-6, eps=1e-5):
 # forward values -------------------------------------------------------------
 
 
-def test_required_ops_table_complete():
-    ops = required_ops()
-    expected = {
-        "matmul", "add", "mul", "concat", "relu", "sigmoid", "softplus",
-        "exp", "masked_softmax", "weighted_masked_softmax", "mean", "sum",
-        "reshape", "transpose", "broadcast_to", "gather",
-        "cross_entropy_with_logits",
-    }
-    assert set(ops) == expected
-    assert all(callable(f) for f in ops.values())
-
-
 def test_matmul_hand_values():
     out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
@@ -70,6 +57,10 @@ def test_matmul_batched_3d():
     A = rng.normal(size=(4, 3, 5))
     B = rng.normal(size=(5, 2))
     np.testing.assert_allclose(matmul(Tensor(A), Tensor(B)).data, A @ B)
+    B3 = rng.normal(size=(4, 5, 2))
+    out = matmul(Tensor(A), Tensor(B3)).data
+    for h in range(4):
+        np.testing.assert_allclose(out[h], A[h] @ B3[h], rtol=1e-14)
 
 
 def test_matmul_shape_errors_name_op():
@@ -77,6 +68,8 @@ def test_matmul_shape_errors_name_op():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
     with pytest.raises(DimensionError, match="matmul"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2, 2))))
+    with pytest.raises(DimensionError, match="matmul"):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
 
 
 def test_add_mul_broadcast_values():
@@ -210,6 +203,8 @@ def test_weighted_masked_softmax_values():
     np.testing.assert_array_equal(w, [0.0, 0.0])
     with pytest.raises(DimensionError, match="weighted_masked_softmax"):
         weighted_masked_softmax(Tensor([1.0, 2.0]), Tensor([1.0]))
+    with pytest.raises(DimensionError, match="weighted_masked_softmax"):
+        weighted_masked_softmax(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
 
 
 def test_cross_entropy_hand_values():
@@ -288,7 +283,7 @@ def test_ops_pure_and_deterministic():
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(10)
     cases = [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)),
-             ((2, 3, 4), (4, 2)), ((2, 3, 4), (4,))]
+             ((2, 3, 4), (4, 2)), ((2, 3, 4), (4,)), ((2, 3, 4), (2, 4, 5))]
     for sa, sb in cases:
         a, b = leaf(rng, sa), leaf(rng, sb)
         assert_grads_match(lambda a=a, b=b: tsum(mul(matmul(a, b), 0.7)),
@@ -361,6 +356,23 @@ def test_grad_weighted_masked_softmax_both_inputs():
     s = leaf(rng, (4, 6))
     g = Tensor(rng.uniform(0.2, 0.9, size=(4, 6)), requires_grad=True)
     v = rng.normal(size=(4, 6))
+    assert_grads_match(
+        lambda: tsum(mul(weighted_masked_softmax(s, g), v)), {"s": s, "g": g})
+
+
+def test_weighted_masked_softmax_broadcasts_scores_over_gates():
+    # (H, L, 1, T) scores against (L, D, T) gates: each (h, d) slice is the
+    # unbroadcast softmax, and both gradients reduce to the input shapes
+    rng = np.random.default_rng(19)
+    s = leaf(rng, (2, 3, 1, 5))
+    g = Tensor(rng.uniform(0.2, 0.9, size=(3, 4, 5)), requires_grad=True)
+    w = weighted_masked_softmax(s, g).data
+    assert w.shape == (2, 3, 4, 5)
+    for h in range(2):
+        for d in range(4):
+            ref = weighted_masked_softmax(Tensor(s.data[h, :, 0]), Tensor(g.data[:, d])).data
+            np.testing.assert_array_equal(w[h, :, d], ref)
+    v = rng.normal(size=(2, 3, 4, 5))
     assert_grads_match(
         lambda: tsum(mul(weighted_masked_softmax(s, g), v)), {"s": s, "g": g})
 
