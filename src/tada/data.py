@@ -189,12 +189,18 @@ def normalize_times(series: IrregularSeries) -> IrregularSeries:
 
 
 def build_value_mask(series: IrregularSeries, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (T, D) value matrix with zeros at unobserved slots, plus bool mask."""
+    """Dense (T, D) value matrix with zeros at unobserved slots, plus bool mask.
+
+    A feature index outside [0, n_features) raises DataError.
+    """
     T = len(series.steps)
     values = np.zeros((T, n_features))
     mask = np.zeros((T, n_features), dtype=bool)
     for k, step in enumerate(series.steps):
         for obs in step.observations:
+            if not 0 <= obs.feature < n_features:
+                raise DataError(f"sample {series.sample_id}: feature index {obs.feature} "
+                                f"outside [0, {n_features})")
             values[k, obs.feature] = obs.value
             mask[k, obs.feature] = True
     return values, mask
@@ -227,7 +233,6 @@ def split_dataset(samples: Sequence[IrregularSeries], ratios: Sequence[float],
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)!r}")
     rng = np.random.default_rng(seed)
-    n_parts = sum(1 for r in ratios if r > 0)
     splits: tuple[list, list, list] = ([], [], [])
 
     if stratify:
@@ -236,25 +241,19 @@ def split_dataset(samples: Sequence[IrregularSeries], ratios: Sequence[float],
         by_class: dict[int, list[int]] = {}
         for i, s in enumerate(samples):
             by_class.setdefault(s.label, []).append(i)
-        for label in sorted(by_class):
-            idx = by_class[label]
+        n_parts = sum(1 for r in ratios if r > 0)
+        groups = [idx for _, idx in sorted(by_class.items())]
+        for label, idx in sorted(by_class.items()):
             if len(idx) < n_parts:
                 raise DataError(
                     f"class {label} has {len(idx)} samples, fewer than {n_parts} splits")
-            order = rng.permutation(len(idx))
-            sizes = _largest_remainder(len(idx), ratios)
-            pos = 0
-            for part, size in enumerate(sizes):
-                for j in order[pos:pos + size]:
-                    splits[part].append(samples[idx[j]])
-                pos += size
     else:
-        order = rng.permutation(len(samples))
-        sizes = _largest_remainder(len(samples), ratios)
+        groups = [list(range(len(samples)))]
+    for idx in groups:
+        order = rng.permutation(len(idx))
         pos = 0
-        for part, size in enumerate(sizes):
-            for j in order[pos:pos + size]:
-                splits[part].append(samples[j])
+        for part, size in enumerate(_largest_remainder(len(idx), ratios)):
+            splits[part].extend(samples[idx[j]] for j in order[pos:pos + size])
             pos += size
 
     out = []

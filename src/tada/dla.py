@@ -33,20 +33,21 @@ def anchor_times(n_queries: int) -> np.ndarray:
     return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
-def _gates(radii: Tensor, prep, cfg, obs_mask3: np.ndarray) -> Tensor:
-    """(L, D_eff, T) window gate x observation mask for (D_eff,) radii.
+def _gates(radii: Tensor, times: np.ndarray, anchors: np.ndarray, cfg,
+           obs_mask3: np.ndarray) -> Tensor:
+    """(L, D_eff, T) window gate x observation mask for (D_eff,) radii,
+    (T,) step times and (L,) anchors.
 
     Hard mode is the indicator of anchor - radius <= t <= anchor + radius,
     a constant.  Soft mode is sigmoid((radius - |t - anchor|) / tau) and
     stays connected to the radii so they can train.
     """
     if cfg.window_mode == "hard":
-        a = prep.anchors[:, None, None]
+        a = anchors[:, None, None]
         r = radii.data[None, :, None]
-        t = prep.times
-        return Tensor(((t >= a - r) & (t <= a + r)) * obs_mask3)
-    radii3 = reshape(radii, (1, -1, 1))
-    arg = mul(add(radii3, Tensor(-prep.dt3)), 1.0 / cfg.gate_temperature)
+        return Tensor(((times >= a - r) & (times <= a + r)) * obs_mask3)
+    dt3 = np.abs(times[None, :] - anchors[:, None])[:, None, :]      # (L, 1, T)
+    arg = mul(add(reshape(radii, (1, -1, 1)), Tensor(-dt3)), 1.0 / cfg.gate_temperature)
     return mul(sigmoid(arg), Tensor(obs_mask3))
 
 
@@ -58,7 +59,7 @@ def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
     width attn_dim per head.
     """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
-    T = prep.dt3.shape[2]
+    T = len(prep.times)
     if cfg.keyvalue_variant == "setting1":
         keys = Tensor(prep.values)            # masked raw values as keys
         values3 = Tensor(prep.values.T[None, :, :])
@@ -76,7 +77,8 @@ def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
     if cfg.no_learnable_range:
         range_raw = range_raw.detach()    # frozen radii keep their windows
     radii = softplus(range_raw)
-    gates = _gates(radii, prep, cfg, obs_mask3)
+    anchors = anchor_times(L)
+    gates = _gates(radii, prep.times, anchors, cfg, obs_mask3)
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))                                          # (H, L, A)
     k = transpose(reshape(matmul(keys, params["dla.k.w"]), (T, H, A)),
@@ -88,7 +90,7 @@ def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
     out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
     return RegularizedGrid(
         grid=out,
-        anchors=prep.anchors,
+        anchors=anchors,
         radii=radii.data,
         attention=np.transpose(weights.data, (0, 1, 3, 2)) if keep_attention else None,
     )

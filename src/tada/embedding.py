@@ -2,6 +2,9 @@
 
 Each timestep's observed (value, feature) pairs are encoded, summarized by
 a mean-pooled MLP, and aggregated by attention into one vector per step.
+The step attention is ``weighted_masked_softmax`` with 0/1 gates marking
+which observations belong to which step, the same rule the local-attention
+stage applies with window gates.
 The step's time is prepended unchanged, so row k of the output is
 ``[t_k, attended features]``.  The result is permutation invariant in the
 order of a step's observations.
@@ -13,8 +16,8 @@ import math
 
 import numpy as np
 
-from .tensor import (Tensor, broadcast_to, concat, gather, masked_softmax,
-                     matmul, mul, relu, reshape)
+from .tensor import (Tensor, concat, gather, matmul, mul, relu, reshape,
+                     weighted_masked_softmax)
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
@@ -44,9 +47,8 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     per_obs_summary = gather(step_summary, prep.step_of)       # (N, summary_dim)
     keys = matmul(concat([per_obs_summary, x_enc], axis=1), params["te.key.w"])
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
-    n_obs = prep.values_col.shape[0]
-    tiled = broadcast_to(reshape(scores, (1, n_obs)), (len(prep.times), n_obs))
-    weights = masked_softmax(tiled, prep.seg_mask)             # rows sum to 1
+    step_gates = Tensor(prep.seg_mean > 0.0)                   # (T, N) 0/1
+    weights = weighted_masked_softmax(reshape(scores, (1, -1)), step_gates)  # rows sum to 1
     attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
     if not with_time:
         return attended

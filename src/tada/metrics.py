@@ -10,6 +10,8 @@ from .errors import EvaluationError
 def _check_binary(scores: np.ndarray, labels: np.ndarray, what: str) -> tuple[int, int]:
     if scores.shape != labels.shape or scores.ndim != 1:
         raise EvaluationError(f"{what}: scores and labels must be matching 1D arrays")
+    if not np.isfinite(scores).all():
+        raise EvaluationError(f"{what}: scores must be finite")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos + n_neg != labels.size:

@@ -1,4 +1,4 @@
-"""Model assembly: parameters, per-sample caches, forward pass, file format.
+"""Model assembly: parameters, per-sample arrays, forward pass, file format.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, coerce_fields
 from .data import IrregularSeries, build_value_mask, normalize_times
-from .dla import RegularizedGrid, anchor_times, dla_forward
+from .dla import RegularizedGrid, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
 from .mixer import adaptive_pool_matrix, classify, fuse, run_mixer
@@ -34,20 +34,28 @@ MAGIC = b"TADA1"
 
 @dataclass
 class SamplePrep:
-    """Constant per-sample arrays reused across epochs."""
+    """One sample's own arrays, built once and reused across epochs.
+
+    Everything here depends on the sample alone; what the model owns or
+    derives (anchors, window distances, step gates) is computed in the
+    forward pass.
+    """
     sample_id: str
     times: np.ndarray          # (T,) step times normalized onto [0, 1]
     values_col: np.ndarray     # (N, 1) observation values, flattened step order
     feat_idx: np.ndarray       # (N,) feature index per observation
     step_of: np.ndarray        # (N,) step index per observation
-    seg_mask: np.ndarray       # (T, N) bool, observation j belongs to step k
-    seg_mean: np.ndarray       # (T, N) row-normalized seg_mask
+    seg_mean: np.ndarray       # (T, N) 1/count where observation j belongs to step k
     values: np.ndarray         # (T, D) zeros where unobserved
     mask3: np.ndarray          # (1, D, T) float observation mask
-    dt3: np.ndarray            # (L, 1, T) |t_j - anchor_i|
-    anchors: np.ndarray        # (L,)
     labels: np.ndarray         # (1,) sequence label or (T,) step labels
-    out_len: int               # classifier rows: 1 or T
+
+
+def _is_layout_entry(entry) -> bool:
+    """A model-header params entry: [name, shape] with non-negative int dims."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1]))
 
 
 def _inverse_softplus(y: float) -> float:
@@ -68,7 +76,6 @@ class TadaModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.task = task
-        self.anchors = anchor_times(cfg.n_queries)
         self.params: dict[str, Tensor] = {}
         self._build_params(rng or np.random.default_rng(cfg.seed))
 
@@ -174,8 +181,7 @@ class TadaModel:
     # per-sample preparation ---------------------------------------------------
 
     def prepare(self, series: IrregularSeries) -> SamplePrep:
-        """Normalize times onto [0, 1] and precompute every constant the
-        forward pass needs."""
+        """Normalize times onto [0, 1] and build the sample's own arrays."""
         series = normalize_times(series)
         times = series.times
         T = len(series)
@@ -187,20 +193,19 @@ class TadaModel:
         vals = np.array([v for _, _, v in obs])
         seg_mask = np.zeros((T, N), dtype=bool)
         seg_mask[step_of, np.arange(N)] = True
-        counts = seg_mask.sum(axis=1, keepdims=True)
-        seg_mean = seg_mask / counts
+        seg_mean = seg_mask / seg_mask.sum(axis=1, keepdims=True)
         values, mask = build_value_mask(series, self.n_features)
-        dt3 = np.abs(times[None, :] - self.anchors[:, None])[:, None, :]
         if self.task == "step":
             if not isinstance(series.label, tuple):
                 raise DataError(f"sample {series.sample_id}: step task needs step labels")
             labels = np.array(series.label, dtype=np.int64)
-            out_len = T
+            if len(labels) != T:
+                raise DataError(
+                    f"sample {series.sample_id}: {len(labels)} step labels for {T} steps")
         else:
             if isinstance(series.label, tuple):
                 raise DataError(f"sample {series.sample_id}: sequence task got step labels")
             labels = np.array([series.label], dtype=np.int64)
-            out_len = 1
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise DataError(
                 f"sample {series.sample_id}: label outside [0, {self.n_classes})")
@@ -210,14 +215,10 @@ class TadaModel:
             values_col=vals[:, None].copy(),
             feat_idx=feat_idx,
             step_of=step_of,
-            seg_mask=seg_mask,
             seg_mean=seg_mean,
             values=values,
             mask3=mask.T[None, :, :].astype(np.float64),
-            dt3=dt3,
-            anchors=self.anchors,
             labels=labels,
-            out_len=out_len,
         )
 
     # forward ------------------------------------------------------------------
@@ -243,7 +244,7 @@ class TadaModel:
             grid_tensor = grid.grid
         outs = [grid_tensor] if cfg.no_mixer else run_mixer(grid_tensor, self.params, cfg)
         fused = fuse(outs, self.params, cfg)
-        logits = classify(fused, self.params, prep.out_len)
+        logits = classify(fused, self.params, len(prep.labels))
         return logits, grid
 
     def sample_loss(self, prep: SamplePrep) -> Tensor:
@@ -300,6 +301,9 @@ class TadaModel:
             layout = header["params"]
         except (ConfigError, KeyError, TypeError) as e:
             raise DataError(f"{path}: invalid model header: {e!r}") from None
+        if not isinstance(layout, list) or not all(map(_is_layout_entry, layout)):
+            raise DataError(f"{path}: invalid model header: params must be a list of "
+                            f"[name, shape] pairs")
         for name, shape in layout:
             if name not in model.params or list(model.params[name].data.shape) != shape:
                 raise DataError(f"{path}: unexpected parameter {name} {shape}")

@@ -268,21 +268,6 @@ def transpose(x, axes=None) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = _lift(x)
-    try:
-        out = np.broadcast_to(x.data, shape)
-    except ValueError:
-        raise DimensionError(
-            f"broadcast_to: shape {x.data.shape} does not broadcast to {shape}") from None
-    orig = x.data.shape
-
-    def backward(g):
-        return (_unbroadcast(g, orig),)
-
-    return _node(np.ascontiguousarray(out), (x,), backward)
-
-
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     ts = [_lift(t) for t in tensors]
     if not ts:
@@ -389,43 +374,16 @@ def gather(x, index, axis: int = 0) -> Tensor:
 
 # softmax family ------------------------------------------------------------
 
-def _masked_softmax_values(scores: Array, mask: Array) -> Array:
-    shifted = np.where(mask, scores, -np.inf)
-    c = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
-    c = np.where(np.isfinite(c), c, 0.0)
-    e = np.exp(np.where(mask, scores - c, -np.inf))
-    z = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, z, out=np.zeros_like(e), where=z > 0.0)
-
-
-def masked_softmax(scores, mask) -> Tensor:
-    """Softmax over the last axis restricted to `mask`.
-
-    Masked positions get weight 0.  A row whose mask is entirely false
-    yields an all-zero row rather than an error.
-    """
-    s = _lift(scores)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != s.data.shape:
-        raise DimensionError(
-            f"masked_softmax: mask shape {m.shape} != scores shape {s.data.shape}")
-    w = _masked_softmax_values(s.data, m)
-
-    def backward(g):
-        dot = (g * w).sum(axis=-1, keepdims=True)
-        return (w * (g - dot),)
-
-    return _node(w, (s,), backward)
-
-
 def weighted_masked_softmax(scores, gates) -> Tensor:
     """Softmax over the last axis with multiplicative gates in [0, 1].
 
     out_j = gates_j * exp(scores_j) / sum_j' gates_j' * exp(scores_j').
     Rows whose gates are all zero yield all-zero rows.  Scores and gates
     share the last axis and broadcast over the others, so (H, L, 1, T)
-    scores with (L, D, T) gates give (H, L, D, T) weights.  Differentiable
-    in both scores and gates, which lets soft window gates learn their width.
+    scores with (L, D, T) gates give (H, L, D, T) weights, and (1, N)
+    scores with (T, N) 0/1 gates give a masked softmax per row.
+    Differentiable in both scores and gates, which lets soft window gates
+    learn their width; constant gates get no gradient.
     """
     s, g_in = _lift(scores), _lift(gates)
     S, G = s.data, g_in.data
@@ -443,11 +401,13 @@ def weighted_masked_softmax(scores, gates) -> Tensor:
     u = G * e
     z = u.sum(axis=-1, keepdims=True)
     w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
-    ez = np.divide(e, z, out=np.zeros_like(e), where=z > 0.0)
+    ez = np.divide(e, z, out=np.zeros_like(e), where=z > 0.0) if g_in.requires_grad else None
+    s_shape, g_shape = S.shape, G.shape
 
     def backward(g):
         centered = g - (g * w).sum(axis=-1, keepdims=True)
-        return _unbroadcast(w * centered, S.shape), _unbroadcast(ez * centered, G.shape)
+        g_gates = None if ez is None else _unbroadcast(ez * centered, g_shape)
+        return _unbroadcast(w * centered, s_shape), g_gates
 
     return _node(w, (s, g_in), backward)
 

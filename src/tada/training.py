@@ -37,6 +37,10 @@ class TrainResult:
     best_val_metric: float = float("-inf")
 
 
+def _binary_sequence(model: TadaModel) -> bool:
+    return model.task == "sequence" and model.n_classes == 2
+
+
 def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     """Metrics over prepared samples.
 
@@ -56,7 +60,7 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     y = np.concatenate(labels)
     preds = probs.argmax(axis=1)
     acc = accuracy(preds, y)
-    if model.task == "sequence" and model.n_classes == 2:
+    if _binary_sequence(model):
         return MetricsReport(auroc=auroc(probs[:, 1], (y == 1).astype(np.int64)),
                              auprc=auprc(probs[:, 1], (y == 1).astype(np.int64)),
                              accuracy=acc)
@@ -71,7 +75,7 @@ def evaluate(model: TadaModel, samples: list[IrregularSeries]) -> MetricsReport:
 
 def selection_metric(model: TadaModel, report: MetricsReport) -> float:
     """Model-selection criterion: AUPRC for binary sequences, else accuracy."""
-    if model.task == "sequence" and model.n_classes == 2:
+    if _binary_sequence(model):
         return report.auprc
     return report.accuracy
 
@@ -109,6 +113,9 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
             loss.backward()
             opt.step()
             epoch_loss += value * len(batch)
+        for name, t in model.params.items():
+            if not np.isfinite(t.data).all():
+                raise TrainingError(f"non-finite parameter '{name}' after epoch {epoch}")
         val_report = evaluate_preps(model, val_preps) if val_preps else None
         metric = selection_metric(model, val_report) if val_report else -epoch_loss
         record = {

@@ -133,10 +133,10 @@ def test_2_hard_window_locality():
                           n_features=n_feat, sid=f"acc2-{trial}")
         prep = model.prepare(s)
         x_hat = te_forward(model.params, prep, model.cfg)
-        w = dla_forward(model.params, prep, model.cfg, x_hat,
-                        keep_attention=True).attention
+        grid = dla_forward(model.params, prep, model.cfg, x_hat, keep_attention=True)
+        w = grid.attention
         radii = model.radii()
-        for i, anchor in enumerate(prep.anchors):
+        for i, anchor in enumerate(grid.anchors):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \

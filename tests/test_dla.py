@@ -29,10 +29,9 @@ def identity_head_model(n_features=4, **overrides):
 def gate_row(anchor, times, radius, mode, tau):
     """The model's gate for one (anchor, radius) pair, all steps observed."""
     times = np.asarray(times, dtype=np.float64)
-    prep = SimpleNamespace(anchors=np.array([anchor]), times=times,
-                           dt3=np.abs(times - anchor)[None, None, :])
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
-    gates = _gates(Tensor([radius]), prep, cfg, np.ones((1, 1, len(times))))
+    gates = _gates(Tensor([radius]), times, np.array([anchor]), cfg,
+                   np.ones((1, 1, len(times))))
     return gates.data[0, 0]
 
 
@@ -158,7 +157,7 @@ def test_uniform_scores_average_the_window():
     prep = model.prepare(s)
     grid = forward_grid(model, s).grid.data
     radii = model.radii()
-    for i, anchor in enumerate(prep.anchors):
+    for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
         for d in range(4):
             lo = max(0.0, anchor - radii[d])
             hi = min(1.0, anchor + radii[d])
@@ -181,7 +180,7 @@ def test_hard_window_locality_and_weight_sums():
         grid = forward_grid(model, s, keep_attention=True)
         w = grid.attention                     # (heads, L, T, D)
         radii = model.radii()
-        for i, anchor in enumerate(prep.anchors):
+        for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
@@ -230,7 +229,7 @@ def test_frozen_radii_keep_their_windows():
         np.testing.assert_array_equal(got.grid.data, want.grid.data)
         if mode == "hard":
             prep = frozen.prepare(s)
-            outside = np.abs(prep.times[None, :] - prep.anchors[:, None]) > 0.1
+            outside = np.abs(prep.times[None, :] - got.anchors[:, None]) > 0.1
             assert outside.any() and np.all(got.attention[:, outside] == 0.0)
 
 
@@ -248,7 +247,7 @@ def per_head_reference(model, prep, x_hat):
         keys, values, mask = x_hat, prep.values, observed(prep)
     radii = model.radii()
     t = prep.times[None, :, None]
-    a = prep.anchors[:, None, None]
+    a = anchor_times(model.cfg.n_queries)[:, None, None]
     if cfg.window_mode == "hard":
         gates = ((t >= a - radii) & (t <= a + radii)).astype(np.float64)
     else:

@@ -1,11 +1,14 @@
 """Per-timestep feature attention: hand cases and invariances."""
 
+import math
+
 import numpy as np
 
 from helpers import build_series, random_series, redraw_params, tiny_model
 from tada.embedding import encode_observations, te_forward
 from tada.gradcheck import grad_check
-from tada.tensor import mul, tsum
+from tada.tensor import (Tensor, concat, gather, matmul, mul, relu, reshape,
+                         tsum)
 
 
 def te_params(model):
@@ -133,3 +136,60 @@ def test_te_gradients_match_finite_differences():
         fn = lambda: tsum(mul(te_forward(model.params, prep, model.cfg), coeff))
         rep = grad_check(fn, te_params(model), eps=1e-5)
         assert rep.max_rel_error < 1e-6, (mode, rep.worst())
+
+
+def tiled_masked_softmax(scores, seg_mask):
+    """The earlier step softmax: (N,) scores tiled to a contiguous (T, N)
+    array, softmaxed over each step's observations, gradients summed back
+    over the tiled rows."""
+    S = np.ascontiguousarray(np.broadcast_to(scores.data.reshape(1, -1), seg_mask.shape))
+    shifted = np.where(seg_mask, S, -np.inf)
+    c = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
+    c = np.where(np.isfinite(c), c, 0.0)
+    e = np.exp(np.where(seg_mask, S - c, -np.inf))
+    z = e.sum(axis=-1, keepdims=True)
+    w = np.divide(e, z, out=np.zeros_like(e), where=z > 0.0)
+
+    def backward(g):
+        dot = (g * w).sum(axis=-1, keepdims=True)
+        return ((w * (g - dot)).sum(axis=(0,), keepdims=True).reshape(scores.shape),)
+
+    return Tensor(w, requires_grad=True, parents=(scores,), backward=backward)
+
+
+def reference_te_forward(params, prep, cfg):
+    """te with the tiled masked softmax in place of the gated one."""
+    x_enc = encode_observations(params, prep, cfg)
+    h = relu(matmul(x_enc, params["te.fit.w1"]) + params["te.fit.b1"])
+    h = matmul(h, params["te.fit.w2"]) + params["te.fit.b2"]
+    step_summary = matmul(Tensor(prep.seg_mean), h)
+    keys = matmul(concat([gather(step_summary, prep.step_of), x_enc], axis=1),
+                  params["te.key.w"])
+    scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
+    weights = tiled_masked_softmax(scores, prep.seg_mean > 0.0)
+    attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
+    return concat([Tensor(prep.times[:, None]), attended], axis=1)
+
+
+def test_step_softmax_equals_the_tiled_reference_bit_for_bit():
+    for mode in ("embedding", "literal"):
+        for seed in range(4):
+            model = tiny_model(n_features=4, te_mode=mode)
+            redraw_params(model, seed=seed)
+            rng = np.random.default_rng(seed + 20)
+            prep = model.prepare(random_series(rng, n_steps=int(rng.integers(1, 12)),
+                                               n_features=4))
+            coeff = rng.normal(size=(len(prep.times), model.cfg.embed_dim + 1))
+            results = []
+            for forward in (te_forward, reference_te_forward):
+                for p in model.params.values():
+                    p.grad = None
+                out = forward(model.params, prep, model.cfg)
+                tsum(mul(out, coeff)).backward()
+                results.append((out.data, {k: p.grad for k, p in te_params(model).items()}))
+            (out, grads), (want, want_grads) = results
+            np.testing.assert_array_equal(out, want)
+            assert grads.keys() == want_grads.keys()
+            assert all(g is not None for g in grads.values())
+            for k in grads:
+                np.testing.assert_array_equal(grads[k], want_grads[k], err_msg=(mode, seed, k))

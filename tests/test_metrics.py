@@ -86,6 +86,14 @@ def test_single_class_inputs_are_undefined():
         auroc([0.5, 0.7], [0, 2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ranking_metrics_reject_non_finite_scores(bad):
+    # a NaN used to rank as one tie group and still return a number
+    for metric in (auroc, auprc):
+        with pytest.raises(EvaluationError, match=f"{metric.__name__}: scores must be finite"):
+            metric([0.2, bad, 0.7], [0, 1, 1])
+
+
 def test_softmax_rows_normalizes_and_is_stable():
     probs = softmax_rows(np.array([[1000.0, 999.0], [0.0, 0.0]]))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0)

@@ -57,6 +57,18 @@ def test_prepare_validates_labels():
     step_model = tiny_model(task="step")
     with pytest.raises(DataError, match="step"):
         step_model.prepare(build_series([(0.0, [(0, 1.0)])], label=0))
+    with pytest.raises(DataError, match="1 step labels for 2 steps"):
+        step_model.prepare(build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 2.0)])],
+                                        label=(0,)))
+
+
+@pytest.mark.parametrize("feature", [3, -1], ids=["D", "minus-one"])
+def test_prepare_rejects_feature_index_outside_range(feature):
+    # series built through the Python API skip the parser's range check
+    model = tiny_model(n_features=3)
+    series = build_series([(0.0, [(0, 1.0)]), (1.0, [(feature, 2.0)])], sid="bad-feat")
+    with pytest.raises(DataError, match=r"sample bad-feat: feature index .* outside \[0, 3\)"):
+        model.prepare(series)
 
 
 def test_prepare_precomputes_consistent_arrays():
@@ -67,15 +79,15 @@ def test_prepare_precomputes_consistent_arrays():
     np.testing.assert_array_equal(prep.times, [0.0, 0.5, 1.0])
     np.testing.assert_array_equal(prep.feat_idx, [0, 2, 1, 0])
     np.testing.assert_array_equal(prep.values_col[:, 0], [1.0, -1.0, 4.0, 2.0])
-    np.testing.assert_array_equal(prep.seg_mask.sum(axis=1), [2, 1, 1])
-    np.testing.assert_allclose(prep.seg_mean.sum(axis=1), 1.0)
+    np.testing.assert_array_equal(prep.seg_mean, [[0.5, 0.5, 0.0, 0.0],
+                                                  [0.0, 0.0, 1.0, 0.0],
+                                                  [0.0, 0.0, 0.0, 1.0]])
     np.testing.assert_array_equal(prep.step_of, [0, 0, 1, 2])
-    np.testing.assert_array_equal(prep.seg_mask[prep.step_of, np.arange(4)], True)
     assert prep.mask3.sum() == 4 and prep.values.shape == (3, 3)
     np.testing.assert_array_equal(prep.mask3[0].T, prep.values != 0.0)
-    assert prep.out_len == 1 and prep.labels.tolist() == [0]
-    np.testing.assert_allclose(
-        prep.dt3[:, 0, :], np.abs(prep.times[None, :] - model.anchors[:, None]))
+    assert prep.labels.tolist() == [0]
+    # seg_mean is the one (T, N) array a sample keeps
+    assert [k for k, v in vars(prep).items() if np.shape(v) == (3, 4)] == ["seg_mean"]
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -172,7 +184,11 @@ def rewrite_header(path, edit):
     lambda h: h["config"].update(unknown_knob=1),
     lambda h: h["config"].update(n_queries="4"),
     lambda h: h.pop("task"),
-], ids=["unknown-key", "string-int", "missing-task"])
+    lambda h: h["params"].__setitem__(0, ["te.embed"]),
+    lambda h: h["params"].__setitem__(0, h["params"][0] + [0]),
+    lambda h: h.update(params="te.embed"),
+], ids=["unknown-key", "string-int", "missing-task", "param-missing-shape",
+        "param-three-items", "params-not-a-list"])
 def test_load_rejects_invalid_header_as_data_error(tmp_path, edit):
     path = str(tmp_path / "model.bin")
     tiny_model().save(path)

@@ -8,12 +8,10 @@ from tada.gradcheck import grad_check
 from tada.tensor import (
     Tensor,
     add,
-    broadcast_to,
     concat,
     cross_entropy_with_logits,
     exp,
     gather,
-    masked_softmax,
     matmul,
     mul,
     relu,
@@ -126,10 +124,6 @@ def test_reshape_transpose_broadcast_values():
     np.testing.assert_array_equal(transpose(m).data, [[1.0, 3.0], [2.0, 4.0]])
     with pytest.raises(DimensionError, match="transpose"):
         transpose(m, (0, 2))
-    np.testing.assert_array_equal(
-        broadcast_to(Tensor([1.0, 2.0]), (2, 2)).data, [[1.0, 2.0], [1.0, 2.0]])
-    with pytest.raises(DimensionError, match="broadcast_to"):
-        broadcast_to(Tensor([1.0, 2.0, 3.0]), (2, 2))
 
 
 def test_reductions_values():
@@ -157,6 +151,11 @@ def test_gather_backward_accumulates_duplicates():
     np.testing.assert_array_equal(x.grad, [[4.0, 4.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+def masked_softmax(scores, mask):
+    """A plain masked softmax is the weighted one with 0/1 gates."""
+    return weighted_masked_softmax(scores, Tensor(np.asarray(mask, dtype=np.float64)))
+
+
 def test_masked_softmax_values():
     np.testing.assert_array_equal(
         masked_softmax(Tensor([0.0, 0.0]), [True, True]).data, [0.5, 0.5])
@@ -165,7 +164,7 @@ def test_masked_softmax_values():
     np.testing.assert_array_equal(
         masked_softmax(Tensor([1.0, 2.0, 3.0]), [False, False, False]).data,
         [0.0, 0.0, 0.0])
-    with pytest.raises(DimensionError, match="masked_softmax"):
+    with pytest.raises(DimensionError, match="weighted_masked_softmax"):
         masked_softmax(Tensor([1.0, 2.0]), [True])
 
 
@@ -189,12 +188,11 @@ def test_masked_softmax_extreme_scores_stable():
 
 
 def test_weighted_masked_softmax_values():
-    # binary gates reduce to the plain masked softmax
+    # binary gates reduce to the plain softmax over the live entries
     s = Tensor(np.array([0.3, -1.2, 0.7]))
-    gate = np.array([1.0, 0.0, 1.0])
-    w1 = weighted_masked_softmax(s, Tensor(gate)).data
-    w2 = masked_softmax(s, gate > 0).data
-    np.testing.assert_allclose(w1, w2, atol=1e-15)
+    w = weighted_masked_softmax(s, Tensor([1.0, 0.0, 1.0])).data
+    e = np.exp([0.3 - 0.7, 0.0])
+    np.testing.assert_allclose(w, [e[0] / e.sum(), 0.0, e[1] / e.sum()], atol=1e-15)
     # fractional gates tilt the distribution: g_j e^{s_j} / sum
     w = weighted_masked_softmax(Tensor([0.0, 0.0]), Tensor([1.0, 0.5])).data
     np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0])
@@ -321,8 +319,6 @@ def test_grad_shape_ops():
     assert_grads_match(lambda: tsum(mul(reshape(x, (3, 4)), coeff)), {"x": x})
     y = leaf(rng, (2, 3, 4))
     assert_grads_match(lambda: tsum(mul(transpose(y, (1, 2, 0)), 0.3)), {"y": y})
-    z = leaf(rng, (1, 4))
-    assert_grads_match(lambda: tsum(exp(broadcast_to(z, (3, 4)))), {"z": z})
 
 
 def test_grad_concat_and_gather():
@@ -349,6 +345,30 @@ def test_grad_masked_softmax():
     mask[0] = False  # one dead row must not poison the rest
     v = rng.normal(size=(4, 6))
     assert_grads_match(lambda: tsum(mul(masked_softmax(s, mask), v)), {"s": s})
+    # (1, N) scores shared by every row of (T, N) gates, as te uses them
+    r = leaf(rng, (1, 6))
+    assert_grads_match(lambda: tsum(mul(masked_softmax(r, mask), v)), {"r": r})
+
+
+def test_weighted_masked_softmax_constant_gates_get_no_gradient():
+    rng = np.random.default_rng(18)
+    s = leaf(rng, (4, 6))
+    gate_values = rng.uniform(0.2, 0.9, size=(4, 6)) * (rng.random((4, 6)) < 0.7)
+    v = rng.normal(size=(4, 6))
+    grads = []
+    for learn in (False, True):
+        s.grad = None
+        g = Tensor(gate_values, requires_grad=learn)
+        w = weighted_masked_softmax(s, g)
+        # the backward holds the weights, plus e / z only for learning gates
+        held = [c.cell_contents for c in w._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == (2 if learn else 1)
+        tsum(mul(w, v)).backward()
+        assert (g.grad is None) != learn
+        grads.append(s.grad)
+    # the score gradient does not depend on whether the gates learn
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_grad_weighted_masked_softmax_both_inputs():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tada.training
 from helpers import tiny_config, tiny_model
 from tada.data import SynthConfig, synth_generate
 from tada.errors import EvaluationError, TrainingError
@@ -179,14 +180,25 @@ def test_loss_non_increasing_over_first_steps_for_most_seeds():
     assert ok >= 0.95 * trials, f"{ok}/{trials} monotone trials"
 
 
-def test_divergent_run_raises_training_error_with_epoch():
+def test_divergent_run_raises_training_error_with_epoch(monkeypatch):
     train_samples, val_samples = small_data()
-    # an infinite step blows the parameters up after the first update, so
-    # the next epoch's loss degenerates; the error must name the epoch
+    # an infinite step blows the parameters up in the first update; the
+    # error must name the epoch and come before validation scores a model
+    finite_scores = []
+
+    def spy(metric):
+        def wrapped(scores, labels):
+            finite_scores.append(bool(np.isfinite(scores).all()))
+            return metric(scores, labels)
+        return wrapped
+
+    for name in ("auroc", "auprc", "macro_auroc", "macro_auprc"):
+        monkeypatch.setattr(tada.training, name, spy(getattr(tada.training, name)))
     cfg = tiny_config(lr=float("inf"), max_epochs=5, batch_size=16)
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(TrainingError, match="epoch"):
+        with pytest.raises(TrainingError, match="after epoch 0"):
             train(cfg, train_samples, val_samples, 2, 2, "sequence")
+    assert all(finite_scores)
 
 
 def test_empty_training_set_raises():
