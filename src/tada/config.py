@@ -16,7 +16,6 @@ class RunConfig:
     # per-step feature attention
     te_mode: str = "embedding"         # "embedding" | "literal" feature encoding
     te_feature_dim: int = 8            # embedding width per feature index
-    summary_dim: int = 32              # width of the per-step summary MLP
     embed_dim: int = 32                # attention embedding width
     # dynamic local attention
     n_queries: int = 32                # regular anchor count on the time axis
@@ -31,7 +30,6 @@ class RunConfig:
     merge_factor: int = 2
     n_layers: int = 2
     fusion_mode: str = "multiply"      # "multiply" | "add" | "concat"
-    fusion_tokens: int = 0             # pooled token count; 0 = deepest layer's
     # ablations
     no_dla: bool = False
     no_learnable_range: bool = False
@@ -47,9 +45,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
-        pos_ints = ("te_feature_dim", "summary_dim", "embed_dim", "n_queries",
-                    "n_heads", "attn_dim", "patch_channels", "patch_size",
-                    "merge_factor", "n_layers", "batch_size", "max_epochs")
+        pos_ints = ("te_feature_dim", "embed_dim", "n_queries", "n_heads",
+                    "attn_dim", "patch_channels", "patch_size", "merge_factor",
+                    "n_layers", "batch_size", "max_epochs")
         for name in pos_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"config: {name} must be >= 1")
@@ -68,8 +66,6 @@ class RunConfig:
             raise ConfigError(f"config: keyvalue_variant {self.keyvalue_variant!r} unknown")
         if self.fusion_mode not in ("multiply", "add", "concat"):
             raise ConfigError(f"config: fusion_mode {self.fusion_mode!r} unknown")
-        if self.fusion_tokens < 0:
-            raise ConfigError("config: fusion_tokens must be >= 0")
         if self.n_queries % self.patch_size != 0:
             raise ConfigError(
                 f"config: n_queries {self.n_queries} not divisible by patch_size {self.patch_size}")

@@ -80,7 +80,8 @@ def run_mixer(grid: Tensor, params: dict, cfg) -> list[Tensor]:
 
 
 def fuse(outs: list[Tensor], params: dict, cfg) -> Tensor:
-    """Pool every scale to a shared token length and combine; (l_c, C) out."""
+    """Pool every scale to the deepest layer's token count l_c and combine;
+    (l_c, C) out."""
     flats = []
     for x in outs:
         if x.ndim == 3:
@@ -88,8 +89,11 @@ def fuse(outs: list[Tensor], params: dict, cfg) -> Tensor:
             flats.append(reshape(x, (P * p, C)))
         else:
             flats.append(x)
-    l_c = cfg.fusion_tokens or flats[-1].shape[0]
-    pooled = [matmul(Tensor(adaptive_pool_matrix(f.shape[0], l_c)), f) for f in flats]
+    l_c = flats[-1].shape[0]
+    # the deepest scale already has l_c rows; its pool would be the identity
+    pooled = [f if f.shape[0] == l_c
+              else matmul(Tensor(adaptive_pool_matrix(f.shape[0], l_c)), f)
+              for f in flats]
     if cfg.fusion_mode == "concat":
         combined = concat(pooled, axis=1)
     else:

@@ -9,7 +9,8 @@ times lie in [0, 1].
 Model files: magic ``TADA1``, little-endian uint32 header length, UTF-8
 JSON header (config, dataset dims, parameter names and shapes in
 declaration order), then each parameter's float64 values, little-endian,
-row-major, in that same order.
+row-major, in that same order.  Loading rejects any config key or parameter
+the current model does not declare with DataError.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class SamplePrep:
     values_col: np.ndarray     # (N, 1) observation values, flattened step order
     feat_idx: np.ndarray       # (N,) feature index per observation
     step_of: np.ndarray        # (N,) step index per observation
-    seg_mean: np.ndarray       # (T, N) 1/count where observation j belongs to step k
     values: np.ndarray         # (T, D) zeros where unobserved
     mask3: np.ndarray          # (1, D, T) float observation mask
     labels: np.ndarray         # (1,) sequence label or (T,) step labels
@@ -115,13 +115,7 @@ class TadaModel:
         if cfg.te_mode == "embedding":
             self._add("te.embed", self._uniform(rng, (self.n_features, cfg.te_feature_dim),
                                                 cfg.te_feature_dim))
-        self._add("te.fit.w1", self._uniform(rng, (enc, cfg.summary_dim), enc))
-        self._add("te.fit.b1", np.zeros(cfg.summary_dim))
-        self._add("te.fit.w2", self._uniform(rng, (cfg.summary_dim, cfg.summary_dim),
-                                             cfg.summary_dim))
-        self._add("te.fit.b2", np.zeros(cfg.summary_dim))
-        self._add("te.key.w", self._uniform(rng, (cfg.summary_dim + enc, d_e),
-                                            cfg.summary_dim + enc))
+        self._add("te.key.w", self._uniform(rng, (enc, d_e), enc))
         self._add("te.value.w", self._uniform(rng, (enc, d_e), enc))
         self._add("te.query", self._query_init(rng, (d_e,)))
 
@@ -187,13 +181,9 @@ class TadaModel:
         T = len(series)
         obs = [(k, o.feature, o.value) for k, step in enumerate(series.steps)
                for o in step.observations]
-        N = len(obs)
         step_of = np.array([k for k, _, _ in obs], dtype=np.int64)
         feat_idx = np.array([f for _, f, _ in obs], dtype=np.int64)
         vals = np.array([v for _, _, v in obs])
-        seg_mask = np.zeros((T, N), dtype=bool)
-        seg_mask[step_of, np.arange(N)] = True
-        seg_mean = seg_mask / seg_mask.sum(axis=1, keepdims=True)
         values, mask = build_value_mask(series, self.n_features)
         if self.task == "step":
             if not isinstance(series.label, tuple):
@@ -215,7 +205,6 @@ class TadaModel:
             values_col=vals[:, None].copy(),
             feat_idx=feat_idx,
             step_of=step_of,
-            seg_mean=seg_mean,
             values=values,
             mask3=mask.T[None, :, :].astype(np.float64),
             labels=labels,

@@ -42,14 +42,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> Array:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar output."""
@@ -93,23 +87,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other, dtype=np.float64))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise DimensionError("div: only division by a plain scalar is supported")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -221,16 +198,6 @@ def softplus(x) -> Tensor:
 
     def backward(g):
         return (g * s,)
-
-    return _node(y, (x,), backward)
-
-
-def exp(x) -> Tensor:
-    x = _lift(x)
-    y = np.exp(x.data)
-
-    def backward(g):
-        return (g * y,)
 
     return _node(y, (x,), backward)
 

@@ -73,17 +73,23 @@ def evaluate(model: TadaModel, samples: list[IrregularSeries]) -> MetricsReport:
     return evaluate_preps(model, [model.prepare(s) for s in samples])
 
 
-def selection_metric(model: TadaModel, report: MetricsReport) -> float:
-    """Model-selection criterion: AUPRC for binary sequences, else accuracy."""
+def selection_metric(model: TadaModel, report: MetricsReport) -> tuple[str, float]:
+    """Model-selection criterion as (name, value): AUPRC for binary
+    sequences, else accuracy."""
     if _binary_sequence(model):
-        return report.auprc
-    return report.accuracy
+        return "auprc", report.auprc
+    return "accuracy", report.accuracy
 
 
 def train(cfg: RunConfig, train_samples: list[IrregularSeries],
           val_samples: list[IrregularSeries], n_features: int, n_classes: int,
           task: str, log=None) -> TrainResult:
     """Adam training, keeping the best validation epoch's parameters.
+
+    Selection follows ``selection_metric``.  A validation split whose
+    labels hold one class leaves AUROC undefined, so it selects by the
+    negated validation loss instead; without validation samples, by the
+    negated summed training loss.  Each history record names its metric.
 
     Fully deterministic for a fixed config: one seeded generator drives
     init and batch order, and evaluation is deterministic.
@@ -94,6 +100,7 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
     model = TadaModel(cfg, n_features, n_classes, task, rng)
     train_preps = [model.prepare(s) for s in train_samples]
     val_preps = [model.prepare(s) for s in val_samples]
+    one_class = len({int(c) for p in val_preps for c in p.labels}) == 1
     opt = Adam(model.trainable(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
                eps=cfg.adam_eps)
     result = TrainResult(model=model)
@@ -116,12 +123,19 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
         for name, t in model.params.items():
             if not np.isfinite(t.data).all():
                 raise TrainingError(f"non-finite parameter '{name}' after epoch {epoch}")
-        val_report = evaluate_preps(model, val_preps) if val_preps else None
-        metric = selection_metric(model, val_report) if val_report else -epoch_loss
+        val_report = None
+        if not val_preps:
+            selection, metric = "neg_train_loss", -epoch_loss
+        elif one_class:
+            selection, metric = "neg_val_loss", -model.batch_loss(val_preps).item()
+        else:
+            val_report = evaluate_preps(model, val_preps)
+            selection, metric = selection_metric(model, val_report)
         record = {
             "epoch": epoch,
             "train_loss": epoch_loss / n,
             "val_metric": metric,
+            "selection": selection,
         }
         if val_report is not None:
             record["val_accuracy"] = val_report.accuracy

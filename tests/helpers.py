@@ -28,7 +28,7 @@ def random_series(rng, n_steps, n_features, sid="s", label=0):
 
 
 def tiny_config(**overrides):
-    base = dict(te_feature_dim=3, summary_dim=6, embed_dim=5,
+    base = dict(te_feature_dim=3, embed_dim=5,
                 n_queries=4, n_heads=2, attn_dim=4,
                 patch_channels=6, patch_size=2, merge_factor=2, n_layers=1,
                 seed=0)

@@ -36,7 +36,6 @@ def report(num, ok, detail):
 # 1: gradient correctness -----------------------------------------------------
 
 def _te_check():
-    # seeds picked so no ReLU pre-activation sits within eps of its kink
     worst = 0.0
     for mode, seed in (("embedding", 1), ("literal", 3)):
         model = tiny_model(n_features=4, te_mode=mode)
@@ -284,7 +283,7 @@ def test_9_determinism(tmp_path):
     synth_args = ["--counts", "24,8,8", "--features", "2", "--rates", "3,6",
                   "--seed", "7"]
     train_args = []
-    for s in ("te_feature_dim=3", "summary_dim=6", "embed_dim=5", "n_queries=4",
+    for s in ("te_feature_dim=3", "embed_dim=5", "n_queries=4",
               "attn_dim=4", "patch_channels=6", "patch_size=2", "n_layers=1",
               "max_epochs=3", "batch_size=16", "patience=0"):
         train_args += ["--set", s]

@@ -15,10 +15,9 @@ from test_model_io import rewrite_header
 from test_uci import write_fixture
 
 # small dims so the train commands finish in seconds
-TINY = ("te_feature_dim=3", "summary_dim=6", "embed_dim=5", "n_queries=4",
-        "n_heads=2", "attn_dim=4", "patch_channels=6", "patch_size=2",
-        "merge_factor=2", "n_layers=1", "max_epochs=3", "batch_size=16",
-        "patience=0")
+TINY = ("te_feature_dim=3", "embed_dim=5", "n_queries=4", "n_heads=2",
+        "attn_dim=4", "patch_channels=6", "patch_size=2", "merge_factor=2",
+        "n_layers=1", "max_epochs=3", "batch_size=16", "patience=0")
 
 
 def set_args(pairs):
@@ -135,6 +134,16 @@ def test_train_unknown_override(tmp_path, data_dir, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["summary_dim", "fusion_tokens"])
+def test_train_rejects_removed_config_keys(tmp_path, data_dir, key, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 8}))
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "out"),
+               "--config", str(config)])
+    assert rc == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_train_missing_split_file(tmp_path, data_dir, capsys):
     import shutil
     broken = tmp_path / "broken"
@@ -185,6 +194,29 @@ def test_eval_rejects_invalid_model_header(run_dir, data_dir, tmp_path, capsys):
     assert "invalid model header" in capsys.readouterr().err
 
 
+def _with_step_summary(header):
+    """The layout of a model file from before the step summary was removed."""
+    header["config"]["summary_dim"] = 6
+    at = [name for name, _ in header["params"]].index("te.key.w")
+    header["params"][at:at] = [["te.fit.w1", [4, 6]], ["te.fit.b1", [6]],
+                               ["te.fit.w2", [6, 6]], ["te.fit.b2", [6]]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_with_step_summary, "unknown key 'summary_dim'"),
+    (lambda h: h["params"].insert(1, ["te.fit.w1", [4, 6]]),
+     "unexpected parameter te.fit.w1"),
+], ids=["old-layout", "te-fit-param"])
+def test_eval_rejects_model_with_step_summary(run_dir, data_dir, tmp_path, edit,
+                                              message, capsys):
+    path = tmp_path / "model.bin"
+    path.write_bytes(open(os.path.join(run_dir, "model.bin"), "rb").read())
+    rewrite_header(str(path), edit)
+    rc = main(["eval", "--model", str(path), "--data", data_dir])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eval_empty_split(run_dir, data_dir, tmp_path, capsys):
     import shutil
     empty = tmp_path / "empty"
@@ -205,17 +237,24 @@ def test_gradcheck_passes_and_reports_modules(capsys):
     assert "end-to-end: max rel err" in out and "gradcheck OK" in out
 
 
+def test_gradcheck_passes_in_hard_window_mode(capsys):
+    # window edges drawn off the anchor lattice stay clear of the step times
+    assert main(["gradcheck", "--set", "window_mode=hard"]) == 0
+    assert "gradcheck OK" in capsys.readouterr().out
+
+
 def test_gradcheck_threshold_failure(capsys):
-    small = ["--set=" + s for s in ("summary_dim=4", "embed_dim=4", "n_queries=4",
-                                    "attn_dim=4", "patch_channels=4", "n_layers=1")]
-    rc = main(["gradcheck", "--threshold", "1e-12"] + small)
+    small = ["--set=" + s for s in ("embed_dim=4", "n_queries=4", "attn_dim=4",
+                                    "patch_channels=4", "n_layers=1")]
+    # a coarse step leaves truncation error far above the threshold
+    rc = main(["gradcheck", "--threshold", "1e-12", "--eps", "1e-2"] + small)
     assert rc == 3
     assert "gradcheck FAILED" in capsys.readouterr().err
 
 
 def test_gradcheck_set_seed_overrides_seed_flag(capsys):
-    small = ["--set=" + s for s in ("summary_dim=4", "embed_dim=4", "n_queries=4",
-                                    "attn_dim=4", "patch_channels=4", "n_layers=1")]
+    small = ["--set=" + s for s in ("embed_dim=4", "n_queries=4", "attn_dim=4",
+                                    "patch_channels=4", "n_layers=1")]
     outs = []
     for extra in (["--seed", "5", "--set", "seed=0"], [], ["--seed", "5"]):
         assert main(["gradcheck", "--threshold", "1"] + extra + small) == 0

@@ -1,8 +1,12 @@
 """The finite-difference verifier itself."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import tada.tensor
+from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
 from tada.gradcheck import grad_check
 from tada.tensor import Tensor, mul, relu, tsum
@@ -32,6 +36,22 @@ def test_dead_relu_region_passes():
     p = Tensor(np.array([-1.0, -2.0]), requires_grad=True)
     rep = grad_check(lambda: tsum(relu(p)), {"p": p})
     assert rep.max_rel_error == 0.0
+
+
+def test_rounding_noise_on_a_tiny_gradient_passes():
+    # f is about 1e3, so each evaluation carries rounding near 1e-13 and the
+    # central difference carries noise near 1e-8, far above the 1e-10 slope
+    p = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    rep = grad_check(lambda: tsum(mul(p, 1e-10)) + 1e3, {"p": p})
+    assert rep.max_rel_error < 1e-6
+
+
+def test_kink_within_one_step_is_rechecked_at_a_tenth_of_it():
+    # relu's kink lies 0.4 steps below the point: the eps difference
+    # straddles it, the eps / 10 difference does not
+    p = Tensor(np.array([4e-6, 1.0]), requires_grad=True)
+    rep = grad_check(lambda: tsum(relu(p)), {"p": p}, eps=1e-5)
+    assert rep.max_rel_error < 1e-9
 
 
 def test_params_restored_after_check():
@@ -82,3 +102,48 @@ def test_detects_a_wrong_gradient():
 
     rep = grad_check(forward, {"p": p})
     assert rep.max_rel_error > 0.99
+
+
+# engine mutants --------------------------------------------------------------
+
+def _with_backward(op, fault):
+    """``op`` whose nodes route their backward through ``fault(inner, g, args)``."""
+    def mutated(*args, **kwargs):
+        out = op(*args, **kwargs)
+        if out._backward is not None:
+            inner = out._backward
+            out._backward = lambda g: fault(inner, g, args)
+        return out
+    return mutated
+
+
+def _gather_assigning(inner, g, args):
+    # assignment keeps one of several duplicate indices' contributions
+    x, index = args[0], np.asarray(args[1])
+    buf = np.zeros(x.shape)
+    buf[index % x.shape[0]] = g
+    return (buf,)
+
+
+MUTANTS = {
+    "relu-zeroed": ("relu", lambda inner, g, args: (np.zeros_like(g),)),
+    "mul-flipped": ("mul", lambda inner, g, args: (-inner(g)[0], inner(g)[1])),
+    "softmax-gate-dropped": ("weighted_masked_softmax",
+                             lambda inner, g, args: (inner(g)[0], None)),
+    "gather-assigns": ("gather", _gather_assigning),
+    "matmul-scaled": ("matmul",
+                      lambda inner, g, args: tuple(x * (1 + 1e-3) for x in inner(g))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_end_to_end_check_fails_every_engine_mutant(mutant, monkeypatch):
+    name, fault = MUTANTS[mutant]
+    original = getattr(tada.tensor, name)
+    mutated = _with_backward(original, fault)
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "tada"]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutated)
+    model, preps = gradcheck_setup(small_gradcheck_config())
+    rep = grad_check(lambda: model.batch_loss(preps), model.params, eps=3e-5)
+    assert rep.max_rel_error > 1e-4, rep.worst()

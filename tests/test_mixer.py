@@ -195,14 +195,6 @@ def test_fusion_modes_agree_in_shape_but_not_value():
     assert not np.allclose(outs["multiply"], outs["add"])
 
 
-def test_fusion_tokens_override():
-    rng = np.random.default_rng(30)
-    cfg = RunConfig(patch_channels=4, fusion_tokens=3).validate()
-    params = fusion_params(rng, 4)
-    out = fuse([Tensor(rng.normal(size=(2, 3, 4)))], params, cfg)
-    assert out.shape == (3, 4)
-
-
 def test_classify_pools_to_task_length():
     rng = np.random.default_rng(31)
     params = {"head.w": Tensor(rng.normal(size=(4, 2))),

@@ -79,15 +79,12 @@ def test_prepare_precomputes_consistent_arrays():
     np.testing.assert_array_equal(prep.times, [0.0, 0.5, 1.0])
     np.testing.assert_array_equal(prep.feat_idx, [0, 2, 1, 0])
     np.testing.assert_array_equal(prep.values_col[:, 0], [1.0, -1.0, 4.0, 2.0])
-    np.testing.assert_array_equal(prep.seg_mean, [[0.5, 0.5, 0.0, 0.0],
-                                                  [0.0, 0.0, 1.0, 0.0],
-                                                  [0.0, 0.0, 0.0, 1.0]])
     np.testing.assert_array_equal(prep.step_of, [0, 0, 1, 2])
     assert prep.mask3.sum() == 4 and prep.values.shape == (3, 3)
     np.testing.assert_array_equal(prep.mask3[0].T, prep.values != 0.0)
     assert prep.labels.tolist() == [0]
-    # seg_mean is the one (T, N) array a sample keeps
-    assert [k for k, v in vars(prep).items() if np.shape(v) == (3, 4)] == ["seg_mean"]
+    # a sample keeps no (T, N) array: te derives its step gates from step_of
+    assert not [k for k, v in vars(prep).items() if np.shape(v) == (3, 4)]
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),

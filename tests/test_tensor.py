@@ -10,7 +10,6 @@ from tada.tensor import (
     add,
     concat,
     cross_entropy_with_logits,
-    exp,
     gather,
     matmul,
     mul,
@@ -100,10 +99,6 @@ def test_softplus_values_and_stability():
     big = softplus(Tensor([-1000.0, 1000.0])).data
     assert np.all(np.isfinite(big))
     assert big[0] == 0.0 and big[1] == 1000.0
-
-
-def test_exp_values():
-    np.testing.assert_allclose(exp(Tensor([0.0, 1.0])).data, [1.0, np.e])
 
 
 def test_concat_values_and_error():
@@ -247,13 +242,8 @@ def test_operator_sugar():
     b = Tensor([3.0, 4.0])
     np.testing.assert_array_equal((a + b).data, [4.0, 6.0])
     np.testing.assert_array_equal((a * b).data, [3.0, 8.0])
-    np.testing.assert_array_equal((a - b).data, [-2.0, -2.0])
-    np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
-    np.testing.assert_array_equal((a / 2.0).data, [0.5, 1.0])
-    np.testing.assert_array_equal((Tensor([[1.0, 0.0]]) @ Tensor([[2.0], [5.0]])).data,
-                                  [[2.0]])
-    with pytest.raises(DimensionError, match="div"):
-        a / b
+    np.testing.assert_array_equal((2.0 + a).data, [3.0, 4.0])
+    np.testing.assert_array_equal((2.0 * a).data, [2.0, 4.0])
 
 
 def test_grad_pruned_when_not_required():
@@ -303,7 +293,6 @@ def test_grad_pointwise_ops():
     y = leaf(rng, (3, 3), lo=-2.0, hi=2.0)
     assert_grads_match(lambda: tsum(sigmoid(y)), {"y": y})
     assert_grads_match(lambda: tsum(softplus(y)), {"y": y})
-    assert_grads_match(lambda: tsum(exp(y)), {"y": y})
 
 
 def test_grad_dead_relu_region_is_exactly_zero():
@@ -324,17 +313,17 @@ def test_grad_shape_ops():
 def test_grad_concat_and_gather():
     rng = np.random.default_rng(14)
     a, b = leaf(rng, (2, 3)), leaf(rng, (4, 3))
-    assert_grads_match(lambda: tsum(exp(concat([a, b], axis=0))), {"a": a, "b": b})
+    assert_grads_match(lambda: tsum(sigmoid(concat([a, b], axis=0))), {"a": a, "b": b})
     x = leaf(rng, (5, 3))
     idx = np.array([0, 4, 0, 2])
-    assert_grads_match(lambda: tsum(exp(gather(x, idx))), {"x": x})
+    assert_grads_match(lambda: tsum(sigmoid(gather(x, idx))), {"x": x})
 
 
 def test_grad_reductions():
     rng = np.random.default_rng(15)
     x = leaf(rng, (3, 4))
-    assert_grads_match(lambda: tsum(exp(tmean(x, axis=0))), {"x": x})
-    assert_grads_match(lambda: tsum(exp(tsum(x, axis=1, keepdims=True))), {"x": x})
+    assert_grads_match(lambda: tsum(sigmoid(tmean(x, axis=0))), {"x": x})
+    assert_grads_match(lambda: tsum(sigmoid(tsum(x, axis=1, keepdims=True))), {"x": x})
     assert_grads_match(lambda: tmean(mul(x, x)), {"x": x})
 
 

@@ -102,8 +102,8 @@ def test_evaluate_real_model_matches_manual_metrics():
 
 def test_selection_metric_rule():
     report = MetricsReport(auroc=0.7, auprc=0.6, accuracy=0.9)
-    assert selection_metric(tiny_model(), report) == 0.6
-    assert selection_metric(tiny_model(n_classes=3), report) == 0.9
+    assert selection_metric(tiny_model(), report) == ("auprc", 0.6)
+    assert selection_metric(tiny_model(n_classes=3), report) == ("accuracy", 0.9)
 
 
 # training --------------------------------------------------------------------
@@ -126,7 +126,9 @@ def test_history_records_epoch_loss_and_validation():
     res = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     assert [h["epoch"] for h in res.history] == [0, 1, 2]
     for h in res.history:
-        assert set(h) == {"epoch", "train_loss", "val_metric", "val_accuracy"}
+        assert set(h) == {"epoch", "train_loss", "val_metric", "selection",
+                          "val_accuracy"}
+        assert h["selection"] == "auprc"
         assert np.isfinite(h["train_loss"])
     best = max(h["val_metric"] for h in res.history)
     assert res.best_val_metric == best
@@ -138,7 +140,7 @@ def test_best_epoch_parameters_are_restored():
     res = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     # the returned model must reproduce the best recorded validation metric
     report = evaluate(res.model, val_samples)
-    assert selection_metric(res.model, report) == res.best_val_metric
+    assert selection_metric(res.model, report) == ("auprc", res.best_val_metric)
     assert res.history[res.best_epoch]["val_metric"] == res.best_val_metric
 
 
@@ -199,6 +201,27 @@ def test_divergent_run_raises_training_error_with_epoch(monkeypatch):
         with pytest.raises(TrainingError, match="after epoch 0"):
             train(cfg, train_samples, val_samples, 2, 2, "sequence")
     assert all(finite_scores)
+
+
+def test_single_class_validation_selects_by_validation_loss():
+    train_samples, val_samples = small_data()
+    negatives = [s for s in train_samples + val_samples if s.label == 0]
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=8)
+    res = train(cfg, train_samples, negatives, 2, 2, "sequence")
+    assert [h["selection"] for h in res.history] == ["neg_val_loss"] * 3
+    # the restored parameters are the best epoch's: their validation loss
+    # is the recorded metric
+    preps = [res.model.prepare(s) for s in negatives]
+    val_loss = np.mean([res.model.sample_loss(p).item() for p in preps])
+    assert res.best_val_metric == max(h["val_metric"] for h in res.history)
+    assert res.best_val_metric == pytest.approx(-val_loss, rel=1e-12)
+
+
+def test_no_validation_split_selects_by_training_loss():
+    train_samples, _ = small_data()
+    cfg = tiny_config(max_epochs=1, patience=0, batch_size=8)
+    res = train(cfg, train_samples, [], 2, 2, "sequence")
+    assert res.history[0]["selection"] == "neg_train_loss"
 
 
 def test_empty_training_set_raises():
