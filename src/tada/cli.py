@@ -130,11 +130,16 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
     result = train(cfg, splits["train"], splits["val"], manifest["D"],
                    manifest["n_classes"], manifest["task"],
                    log=print if verbose else None)
-    report = evaluate(result.model, splits["test"])
+    model_path = os.path.join(out_dir, "model.bin")
+    result.model.save(model_path)
+    try:
+        report = evaluate(result.model, splits["test"])
+    except EvaluationError as e:
+        raise EvaluationError(f"test split: {e} (the trained model is saved in "
+                              f"{model_path})") from None
     wall = time.monotonic() - started
     counts = {f"n_{k}": len(v) for k, v in splits.items()}
     manifest_obj = run_manifest(cfg, result.model, result, report, counts)
-    result.model.save(os.path.join(out_dir, "model.bin"))
     _write_json(os.path.join(out_dir, "manifest.json"), manifest_obj)
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.csv_line() + "\n")

@@ -55,6 +55,16 @@ class ParseStats:
     lines: int = 0
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number that is a finite float64; bools and huge ints are not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def parse_events(line: str, n_features: int, line_no: int = 0,
                  stats: ParseStats | None = None) -> IrregularSeries:
     """Parse one JSON line into an IrregularSeries.
@@ -68,6 +78,8 @@ def parse_events(line: str, n_features: int, line_no: int = 0,
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"{where}: invalid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:   # an over-long integer, deep nesting
+        raise DataError(f"{where}: invalid JSON ({e})") from None
     if not isinstance(obj, dict) or set(obj) != {"id", "label", "events"}:
         raise DataError(f"{where}: expected keys id/label/events")
     sid = obj["id"]
@@ -82,12 +94,12 @@ def parse_events(line: str, n_features: int, line_no: int = 0,
         if (not isinstance(ev, (list, tuple))) or len(ev) != 3:
             raise DataError(f"{where}: event {k} must be [time, feature, value]")
         t, f, v = ev
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        if not _is_finite_number(t):
             raise DataError(f"{where}: event {k} has non-finite time")
         if isinstance(f, bool) or not isinstance(f, int) or not (0 <= f < n_features):
             raise DataError(
                 f"{where}: event {k} feature index {f!r} outside [0, {n_features})")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_finite_number(v):
             raise DataError(f"{where}: event {k} has non-finite value")
         key = (float(t), f)
         if key in merged and stats is not None:
@@ -133,10 +145,13 @@ def load_dataset(path: str, n_features: int,
                  stats: ParseStats | None = None) -> list[IrregularSeries]:
     """Read a JSONL file; result is sorted by sample_id for determinism."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                samples.append(parse_events(line, n_features, line_no=i, stats=stats))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for i, line in enumerate(fh, start=1):
+                if line.strip():
+                    samples.append(parse_events(line, n_features, line_no=i, stats=stats))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     samples.sort(key=lambda s: s.sample_id)
     return samples
 

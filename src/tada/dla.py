@@ -5,8 +5,11 @@ Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
 features; the window gate and the observation mask select which steps a
-given (anchor, feature) pair may attend to.  Head outputs concatenate and
-project to the mixer's channel width.
+given (anchor, feature) pair may attend to.  ``gated_attention_pool``
+contracts each head's (L, T) scores with the (L, D, T) gates and values
+directly, so the (heads, L, D, T) attention weights are formed only when
+``keep_attention`` asks for them.  Head outputs concatenate and project to
+the mixer's channel width.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, add, matmul, mul, reshape, sigmoid, softplus,
-                     transpose, tsum, weighted_masked_softmax)
+from .tensor import (Tensor, add, gated_attention_pool, gated_attention_weights,
+                     matmul, mul, reshape, sigmoid, softplus, transpose)
 
 
 @dataclass
@@ -84,13 +87,13 @@ def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
     k = transpose(reshape(matmul(keys, params["dla.k.w"]), (T, H, A)),
                   (1, 2, 0))                                          # (H, A, T)
     scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (H, L, T)
-    weights = weighted_masked_softmax(reshape(scores, (H, L, 1, T)), gates)
-    head_outs = tsum(mul(weights, values3), axis=3)                   # (H, L, D_eff)
+    head_outs = gated_attention_pool(scores, gates, values3)          # (H, L, D_eff)
     stacked = reshape(transpose(head_outs, (1, 0, 2)), (L, -1))       # (L, H * D_eff)
     out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
     return RegularizedGrid(
         grid=out,
         anchors=anchors,
         radii=radii.data,
-        attention=np.transpose(weights.data, (0, 1, 3, 2)) if keep_attention else None,
+        attention=np.transpose(gated_attention_weights(scores.data, gates.data), (0, 1, 3, 2))
+        if keep_attention else None,
     )

@@ -3,9 +3,10 @@
 Each timestep's observed (value, feature) pairs are encoded and aggregated
 by attention into one fixed-size vector per step.  An observation's score
 is a learned query against a linear key of its own encoding.  The step
-attention is ``weighted_masked_softmax`` with 0/1 gates marking which
-observations belong to which step, the same rule the local-attention stage
-applies with window gates.
+attention is a segment softmax over each step's own observations, and the
+step's vector is the segment sum of its weighted encodings, projected by
+the value matrix.  Both cost O(N) in the N observations; no (T, N) array
+is formed.
 The step's time is prepended unchanged, so row k of the output is
 ``[t_k, attended features]``.  The result is permutation invariant in the
 order of a step's observations.
@@ -15,10 +16,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .tensor import (Tensor, concat, gather, matmul, mul, reshape,
-                     weighted_masked_softmax)
+from .tensor import (Tensor, concat, gather, matmul, mul, reshape, segment_softmax,
+                     segment_sum)
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
@@ -44,9 +43,10 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     x_enc = encode_observations(params, prep, cfg)
     keys = matmul(x_enc, params["te.key.w"])
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
-    step_gates = Tensor(prep.step_of[None, :] == np.arange(len(prep.times))[:, None])  # (T, N) 0/1
-    weights = weighted_masked_softmax(reshape(scores, (1, -1)), step_gates)  # rows sum to 1
-    attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
+    T = len(prep.times)
+    weights = segment_softmax(scores, prep.step_of, T)   # each step's weights sum to 1
+    pooled = segment_sum(mul(reshape(weights, (-1, 1)), x_enc), prep.step_of, T)
+    attended = matmul(pooled, params["te.value.w"])
     if not with_time:
         return attended
     return concat([Tensor(prep.times[:, None]), attended], axis=1)

@@ -7,10 +7,11 @@ window radii start at one anchor spacing, 1 / n_queries, because prepared
 times lie in [0, 1].
 
 Model files: magic ``TADA1``, little-endian uint32 header length, UTF-8
-JSON header (config, dataset dims, parameter names and shapes in
-declaration order), then each parameter's float64 values, little-endian,
-row-major, in that same order.  Loading rejects any config key or parameter
-the current model does not declare with DataError.
+JSON header (format version, config, dataset dims, parameter names and
+shapes in declaration order), then each parameter's float64 values,
+little-endian, row-major, in that same order.  Loading rejects any other
+format version, and any config key or parameter the current model does not
+declare, with DataError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .mixer import adaptive_pool_matrix, classify, fuse, run_mixer
 from .tensor import Tensor, concat, cross_entropy_with_logits, matmul, reshape, tmean
 
 MAGIC = b"TADA1"
+FORMAT = 1
 
 
 @dataclass
@@ -188,17 +190,18 @@ class TadaModel:
         if self.task == "step":
             if not isinstance(series.label, tuple):
                 raise DataError(f"sample {series.sample_id}: step task needs step labels")
-            labels = np.array(series.label, dtype=np.int64)
-            if len(labels) != T:
+            raw_labels = series.label
+            if len(raw_labels) != T:
                 raise DataError(
-                    f"sample {series.sample_id}: {len(labels)} step labels for {T} steps")
+                    f"sample {series.sample_id}: {len(raw_labels)} step labels for {T} steps")
         else:
             if isinstance(series.label, tuple):
                 raise DataError(f"sample {series.sample_id}: sequence task got step labels")
-            labels = np.array([series.label], dtype=np.int64)
-        if labels.min() < 0 or labels.max() >= self.n_classes:
+            raw_labels = (series.label,)
+        if not all(0 <= y < self.n_classes for y in raw_labels):
             raise DataError(
                 f"sample {series.sample_id}: label outside [0, {self.n_classes})")
+        labels = np.array(raw_labels, dtype=np.int64)
         return SamplePrep(
             sample_id=series.sample_id,
             times=times,
@@ -252,7 +255,7 @@ class TadaModel:
 
     def save(self, path: str) -> None:
         header = {
-            "format": 1,
+            "format": FORMAT,
             "config": self.cfg.to_dict(),
             "n_features": self.n_features,
             "n_classes": self.n_classes,
@@ -285,6 +288,9 @@ class TadaModel:
             raise DataError(f"{path}: corrupt model header") from None
         off += hlen
         try:
+            if header["format"] != FORMAT:
+                raise DataError(f"{path}: invalid model header: format "
+                                f"{header['format']!r}, expected {FORMAT}")
             cfg = RunConfig(**coerce_fields(header["config"], "model config"))
             model = cls(cfg, header["n_features"], header["n_classes"], header["task"])
             layout = header["params"]

@@ -339,44 +339,148 @@ def gather(x, index, axis: int = 0) -> Tensor:
     return _node(out, (x,), backward)
 
 
-# softmax family ------------------------------------------------------------
+# attention aggregation -------------------------------------------------------
 
-def weighted_masked_softmax(scores, gates) -> Tensor:
-    """Softmax over the last axis with multiplicative gates in [0, 1].
+def _segments(step_of, n_steps: int, n: int, op: str) -> Array:
+    seg = np.asarray(step_of, dtype=np.int64)
+    if seg.shape != (n,):
+        raise DimensionError(f"{op}: step_of shape {seg.shape} does not fit {n} rows")
+    if n and (seg.min() < 0 or seg.max() >= n_steps):
+        raise DimensionError(f"{op}: step index out of range for {n_steps} steps")
+    return seg
 
-    out_j = gates_j * exp(scores_j) / sum_j' gates_j' * exp(scores_j').
-    Rows whose gates are all zero yield all-zero rows.  Scores and gates
-    share the last axis and broadcast over the others, so (H, L, 1, T)
-    scores with (L, D, T) gates give (H, L, D, T) weights, and (1, N)
-    scores with (T, N) 0/1 gates give a masked softmax per row.
-    Differentiable in both scores and gates, which lets soft window gates
-    learn their width; constant gates get no gradient.
+
+def segment_softmax(scores, step_of, n_steps: int) -> Tensor:
+    """Softmax of (N,) scores over each step's observations.
+
+    ``step_of[i]`` names the step of observation i; the weights of every
+    step's observations sum to 1.  Each step is shifted by its own maximum.
     """
-    s, g_in = _lift(scores), _lift(gates)
-    S, G = s.data, g_in.data
-    live = G > 0.0
-    try:
-        if S.shape[-1:] != G.shape[-1:]:
-            raise ValueError
-        shifted = np.where(live, S, -np.inf)
-    except ValueError:
-        raise DimensionError(f"weighted_masked_softmax: gates shape {G.shape} "
-                             f"does not fit scores shape {S.shape}") from None
-    c = shifted.max(axis=-1, keepdims=True, initial=-np.inf)
-    c = np.where(np.isfinite(c), c, 0.0)
-    e = np.exp(np.where(live, S - c, -np.inf))
-    u = G * e
-    z = u.sum(axis=-1, keepdims=True)
-    w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
-    ez = np.divide(e, z, out=np.zeros_like(e), where=z > 0.0) if g_in.requires_grad else None
-    s_shape, g_shape = S.shape, G.shape
+    s = _lift(scores)
+    if s.data.ndim != 1:
+        raise DimensionError(f"segment_softmax: scores must be 1D, got {s.data.shape}")
+    seg = _segments(step_of, n_steps, s.data.size, "segment_softmax")
+    c = np.full(n_steps, -np.inf)
+    np.maximum.at(c, seg, s.data)
+    e = np.exp(s.data - c[seg])
+    w = e / np.bincount(seg, weights=e, minlength=n_steps)[seg]
 
     def backward(g):
-        centered = g - (g * w).sum(axis=-1, keepdims=True)
-        g_gates = None if ez is None else _unbroadcast(ez * centered, g_shape)
-        return _unbroadcast(w * centered, s_shape), g_gates
+        gw = g * w
+        return (gw - w * np.bincount(seg, weights=gw, minlength=n_steps)[seg],)
 
-    return _node(w, (s, g_in), backward)
+    return _node(w, (s,), backward)
+
+
+def segment_sum(x, step_of, n_steps: int) -> Tensor:
+    """(T, k) sums of the (N, k) rows of ``x`` per step; empty steps give zero rows."""
+    x = _lift(x)
+    if x.data.ndim != 2:
+        raise DimensionError(f"segment_sum: x must be 2D, got {x.data.shape}")
+    n, k = x.data.shape
+    seg = _segments(step_of, n_steps, n, "segment_sum")
+    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
+    out = np.bincount(flat, weights=x.data.reshape(-1), minlength=n_steps * k)
+
+    def backward(g):
+        return (g[seg],)
+
+    return _node(out.reshape(n_steps, k), (x,), backward)
+
+
+# Below this a normalizer may hold subnormal terms whose rounding, up to
+# 2^-1075 each, reaches its last bit.
+_POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def _pool_exponents(S: Array, G: Array):
+    """Shifted exponents and normalizers of a gated attention pool.
+
+    e = exp(S - c) with one shift c per (h, l): the maximum score over the
+    steps any of the anchor's gates leaves live.  The normalizers are
+    den[h, l, d] = sum_t e[h, l, t] G[l, d, t].  A row (h, l, d) whose own
+    live scores all sit far below c underflows there, so every row with a
+    live gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its
+    own shift: ``redo`` indexes those rows, ``e_redo`` (R, T) holds their
+    exponents, and ``den`` their normalizers.
+    """
+    live = G > 0.0                                               # (L, D, T)
+    step_live = live.any(axis=1)                                 # (L, T)
+    c = np.where(step_live, S, -np.inf).max(axis=-1, keepdims=True)
+    c = np.where(np.isfinite(c), c, 0.0)
+    e = np.exp(np.where(step_live, S - c, -np.inf))             # (H, L, T)
+    den = np.matmul(e.transpose(1, 0, 2), G.transpose(0, 2, 1)).transpose(1, 0, 2)
+    redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1))
+    h, l, d = redo
+    s_redo = np.where(live[l, d], S[h, l], -np.inf)              # (R, T)
+    e_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True))
+    den[redo] = (e_redo * G[l, d]).sum(axis=-1)
+    return e, den, redo, e_redo
+
+
+def gated_attention_pool(scores, gates, values) -> Tensor:
+    """Attention pooling of shared scores under per-row gates.
+
+    out[h, l, d] = sum_t e G V / sum_t e G with e = exp(scores[h, l, t]),
+    gates G (L, D, T) in [0, 1] and values V (1, D, T): each (h, l, d) row
+    is a softmax of the anchor's scores, tilted by that row's gates, applied
+    to that feature's values.  Rows whose gates are all zero give 0, and
+    zero gates act as masks: they get no gradient.  Both sums are batched
+    contractions over t, so no (H, L, D, T) array exists in forward or
+    backward.  Scores always get a gradient; gates and values get one only
+    when they require it.
+    """
+    s, gt, v = _lift(scores), _lift(gates), _lift(values)
+    S, G, V = s.data, gt.data, v.data
+    if S.ndim != 3 or G.ndim != 3 or S.shape[1:] != (G.shape[0], G.shape[2]) \
+            or V.shape != (1,) + G.shape[1:]:
+        raise DimensionError(f"gated_attention_pool: scores {S.shape}, gates {G.shape} "
+                             f"and values {V.shape} are not (H, L, T), (L, D, T), (1, D, T)")
+    D = G.shape[1]
+    e, den, redo, e_redo = _pool_exponents(S, G)
+    h, l, d = redo
+    GV = G * V
+    eL = e.transpose(1, 0, 2)                                     # (L, H, T)
+    num = np.matmul(eL, GV.transpose(0, 2, 1)).transpose(1, 0, 2)
+    num[redo] = (e_redo * GV[l, d]).sum(axis=-1)
+    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+    def backward(g):
+        # d out / d e[h, l, t] G[l, d, t] = (V[d, t] - out[h, l, d]) / den[h, l, d]
+        a = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
+        b = a * out
+        a_redo, b_redo = a[redo][:, None], b[redo][:, None]
+        a[redo] = 0.0
+        b[redo] = 0.0
+        aL, bL = a.transpose(1, 0, 2), b.transpose(1, 0, 2)     # (L, H, D)
+        g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))        # (L, H, T)
+        g_s = g_s.transpose(1, 0, 2)
+        np.add.at(g_s, (h, l), e_redo * (a_redo * GV[l, d] - b_redo * G[l, d]))
+        g_g = g_v = None
+        if gt.requires_grad or v.requires_grad:
+            both = np.matmul(np.concatenate([aL, bL], axis=2).transpose(0, 2, 1), eL)
+            sum_ae, sum_be = both[:, :D], both[:, D:]           # (L, D, T) sums over h
+        if gt.requires_grad:
+            g_g = sum_ae * V
+            g_g -= sum_be
+            g_g *= G > 0.0                                      # zero gates are masks
+            np.add.at(g_g, (l, d), e_redo * (a_redo * V[0, d] - b_redo))
+        if v.requires_grad:
+            g_v = (sum_ae * G).sum(axis=0, keepdims=True)
+            np.add.at(g_v[0], d, a_redo * e_redo * G[l, d])
+        return g_s, g_g, g_v
+
+    return _node(out, (s, gt, v), backward)
+
+
+def gated_attention_weights(scores: Array, gates: Array) -> Array:
+    """(H, L, D, T) weights of ``gated_attention_pool``: its output is the
+    weighted sum of the values over t.  Builds the dense map; only attention
+    export needs it."""
+    e, den, redo, e_redo = _pool_exponents(scores, gates)
+    u = e[:, :, None, :] * gates
+    u[redo] = e_redo * gates[redo[1], redo[2]]
+    return np.divide(u, den[..., None], out=np.zeros_like(u), where=den[..., None] > 0.0)
 
 
 def cross_entropy_with_logits(logits, labels) -> Tensor:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import tada
 from tada.cli import main
 from tada.data import read_data_manifest
 from test_model_io import rewrite_header
@@ -125,6 +126,24 @@ def test_train_multi_seed_aggregates(tmp_path, data_dir, capsys):
     assert agg["seeds"] == [0, 1] and set(agg["per_seed"]) == {"0", "1"}
     seen = [agg["per_seed"][s]["auroc"] for s in ("0", "1")]
     assert np.isclose(agg["auroc"]["mean"], np.mean(seen))
+
+
+@pytest.mark.parametrize("keep", ["one-class", "empty"])
+def test_train_keeps_the_model_when_the_test_split_cannot_be_scored(tmp_path, data_dir,
+                                                                   run_dir, keep, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    lines = (data / "test.jsonl").read_text().splitlines()
+    kept = [ln for ln in lines if json.loads(ln)["label"] == 0] if keep == "one-class" else []
+    (data / "test.jsonl").write_text("".join(ln + "\n" for ln in kept))
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(out)] + set_args(TINY))
+    assert rc == 2
+    assert "test split" in capsys.readouterr().err
+    # the trained model is saved, and it is the one a scorable run saves
+    with open(os.path.join(run_dir, "model.bin"), "rb") as fh:
+        assert (out / "model.bin").read_bytes() == fh.read()
 
 
 def test_train_unknown_override(tmp_path, data_dir, capsys):
@@ -327,10 +346,14 @@ def test_export_attention_unknown_sample(run_dir, data_dir, tmp_path, capsys):
 
 
 def test_real_process_invocation(tmp_path):
+    # the child imports tada from where this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tada.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = tmp_path / "synth"
     proc = subprocess.run(
         [sys.executable, "-m", "tada.cli", "synth", "--out", str(out),
          "--counts", "12,4,4", "--features", "2", "--rates", "3,6", "--seed", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "synth: wrote 12/4/4" in proc.stdout

@@ -77,6 +77,52 @@ def test_parse_rejects_malformed_records():
             parse_events(line, n_features=3)
 
 
+@pytest.mark.parametrize("line", [
+    '{"id":"a","label":1,"events":[[1%s,0,1.0]]}' % ("0" * 400),
+    '{"id":"a","label":1,"events":[[0.0,0,1%s]]}' % ("0" * 400),
+    '{"id":"a","label":%s,"events":[[0.0,0,1.0]]}' % ("1" * 5000),
+    "[" * 100000,
+], ids=["int-time-beyond-float", "int-value-beyond-float", "int-beyond-digit-limit",
+        "deep-nesting"])
+def test_parse_rejects_what_json_parses_but_python_cannot_hold(line):
+    with pytest.raises(DataError):
+        parse_events(line, n_features=3)
+
+
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+json_values = st.recursive(
+    json_leaves, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+events_like = st.lists(st.lists(json_values, min_size=3, max_size=3) | json_values,
+                       max_size=4)
+
+
+def parses_or_data_error(line):
+    try:
+        series = parse_events(line, n_features=3)
+    except DataError:
+        return
+    assert isinstance(series, IrregularSeries) and len(series) >= 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_values, json_values, events_like | json_values)
+def test_parse_fuzzed_records_load_or_raise_data_error(sid, label, events):
+    parses_or_data_error(json.dumps({"id": sid, "label": label, "events": events}))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_parse_fuzzed_text_loads_or_raises_data_error(data):
+    line = EXAMPLE_LINE
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(line)))
+        cut = data.draw(st.integers(0, 3))
+        line = line[:i] + data.draw(st.text(max_size=3)) + line[i + cut:]
+    parses_or_data_error(line)
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(DataError, match="line 7"):
         parse_events("{", n_features=3, line_no=7)
@@ -121,6 +167,13 @@ def test_load_dataset_sorted_and_line_numbered(tmp_path):
     assert [s.sample_id for s in samples] == ["a", "b"]
     path.write_text("\n\n{bad\n")
     with pytest.raises(DataError, match="line 3"):
+        load_dataset(str(path), n_features=1)
+
+
+def test_load_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"id":"a","label":1,"events":[[0.0,0,2.0]]}\n\xff\xfe\n')
+    with pytest.raises(DataError, match="not UTF-8"):
         load_dataset(str(path), n_features=1)
 
 

@@ -4,8 +4,12 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+import tada.model
 from helpers import build_series, random_series, redraw_params, tiny_model
+from reference import dense_dla_forward, dense_te_forward
+from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import _gates, anchor_times, dla_forward
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
@@ -356,3 +360,46 @@ def test_dla_gradients_match_finite_differences():
 
     rep = grad_check(fn, dla_params(model), eps=3e-5)
     assert rep.max_rel_error < 1e-6, rep.worst()
+
+
+# the dense reference path ----------------------------------------------------------
+
+MODES = {"soft": {}, "hard": {"window_mode": "hard"},
+         "setting1": {"keyvalue_variant": "setting1"},
+         "setting2": {"keyvalue_variant": "setting2"}, "literal": {"te_mode": "literal"},
+         "no_dla": {"no_dla": True}, "frozen-radii": {"no_learnable_range": True}}
+
+
+def model_outputs(model, preps):
+    """te output, logits and attention map of every sample, and every
+    parameter gradient of the batch loss."""
+    for p in model.params.values():
+        p.grad = None
+    model.batch_loss(preps).backward()
+    grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
+    arrays = []
+    for prep in preps:
+        logits, grid = model.forward(prep, keep_attention=not model.cfg.no_dla)
+        arrays.append(tada.model.te_forward(model.params, prep, model.cfg).data)
+        arrays.append(logits.data)
+        if grid is not None:
+            arrays.append(grid.attention)
+    return arrays, grads
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_model_matches_the_dense_reference_path(mode, monkeypatch):
+    # steps with several observations, so te's softmax does real work
+    for seed in range(3):
+        model, preps = gradcheck_setup(small_gradcheck_config(seed=seed, **MODES[mode]))
+        arrays, grads = model_outputs(model, preps)
+        with monkeypatch.context() as m:
+            m.setattr(tada.model, "te_forward", dense_te_forward)
+            m.setattr(tada.model, "dla_forward", dense_dla_forward)
+            want_arrays, want_grads = model_outputs(model, preps)
+        assert len(arrays) == len(want_arrays) and grads.keys() == want_grads.keys()
+        for got, want in zip(arrays, want_arrays):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (mode, seed)
+        for k in grads:
+            assert np.abs(grads[k] - want_grads[k]).max() \
+                <= 1e-12 * np.abs(want_grads[k]).max(), (mode, seed, k)

@@ -107,17 +107,17 @@ def test_detects_a_wrong_gradient():
 # engine mutants --------------------------------------------------------------
 
 def _with_backward(op, fault):
-    """``op`` whose nodes route their backward through ``fault(inner, g, args)``."""
+    """``op`` whose nodes route their backward through ``fault(inner, g, args, out)``."""
     def mutated(*args, **kwargs):
         out = op(*args, **kwargs)
         if out._backward is not None:
             inner = out._backward
-            out._backward = lambda g: fault(inner, g, args)
+            out._backward = lambda g: fault(inner, g, args, out)
         return out
     return mutated
 
 
-def _gather_assigning(inner, g, args):
+def _gather_assigning(inner, g, args, out):
     # assignment keeps one of several duplicate indices' contributions
     x, index = args[0], np.asarray(args[1])
     buf = np.zeros(x.shape)
@@ -125,14 +125,30 @@ def _gather_assigning(inner, g, args):
     return (buf,)
 
 
+def _pool_normalizer_dropped(inner, g, args, out):
+    # the backward of sum_t e G V / sum_t e G with the normalizer held
+    # constant: add back the terms its gradient contributes
+    S, G = args[0].data, args[1].data
+    e, den, _, _ = tada.tensor._pool_exponents(S, G)
+    b = np.divide(g * out.data, den, out=np.zeros_like(den), where=den > 0.0)
+    g_s, g_g, g_v = inner(g)
+    g_s = g_s + e * np.einsum("hld,ldt->hlt", b, G)
+    if g_g is not None:
+        g_g = g_g + np.where(G > 0.0, np.einsum("hld,hlt->ldt", b, e), 0.0)
+    return g_s, g_g, g_v
+
+
 MUTANTS = {
-    "relu-zeroed": ("relu", lambda inner, g, args: (np.zeros_like(g),)),
-    "mul-flipped": ("mul", lambda inner, g, args: (-inner(g)[0], inner(g)[1])),
-    "softmax-gate-dropped": ("weighted_masked_softmax",
-                             lambda inner, g, args: (inner(g)[0], None)),
+    "relu-zeroed": ("relu", lambda inner, g, args, out: (np.zeros_like(g),)),
+    "mul-flipped": ("mul", lambda inner, g, args, out: (-inner(g)[0], inner(g)[1])),
+    "softmax-gate-dropped": ("gated_attention_pool",
+                             lambda inner, g, args, out: (inner(g)[0], None, inner(g)[2])),
+    "segment-softmax-uncentered": ("segment_softmax",
+                                   lambda inner, g, args, out: (g * out.data,)),
+    "pool-normalizer-dropped": ("gated_attention_pool", _pool_normalizer_dropped),
     "gather-assigns": ("gather", _gather_assigning),
     "matmul-scaled": ("matmul",
-                      lambda inner, g, args: tuple(x * (1 + 1e-3) for x in inner(g))),
+                      lambda inner, g, args, out: tuple(x * (1 + 1e-3) for x in inner(g))),
 }
 
 

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_series, random_series, tiny_config, tiny_model
@@ -60,6 +60,14 @@ def test_prepare_validates_labels():
     with pytest.raises(DataError, match="1 step labels for 2 steps"):
         step_model.prepare(build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 2.0)])],
                                         label=(0,)))
+
+
+def test_prepare_rejects_a_label_beyond_int64():
+    model = tiny_model()
+    with pytest.raises(DataError, match="label outside"):
+        model.prepare(build_series([(0.0, [(0, 1.0)])], label=10 ** 30))
+    with pytest.raises(DataError, match="label outside"):
+        tiny_model(task="step").prepare(build_series([(0.0, [(0, 1.0)])], label=(-10 ** 30,)))
 
 
 @pytest.mark.parametrize("feature", [3, -1], ids=["D", "minus-one"])
@@ -184,8 +192,10 @@ def rewrite_header(path, edit):
     lambda h: h["params"].__setitem__(0, ["te.embed"]),
     lambda h: h["params"].__setitem__(0, h["params"][0] + [0]),
     lambda h: h.update(params="te.embed"),
+    lambda h: h.update(format=2),
+    lambda h: h.pop("format"),
 ], ids=["unknown-key", "string-int", "missing-task", "param-missing-shape",
-        "param-three-items", "params-not-a-list"])
+        "param-three-items", "params-not-a-list", "other-format", "missing-format"])
 def test_load_rejects_invalid_header_as_data_error(tmp_path, edit):
     path = str(tmp_path / "model.bin")
     tiny_model().save(path)
@@ -196,3 +206,63 @@ def test_load_rejects_invalid_header_as_data_error(tmp_path, edit):
 
 def test_magic_marks_format_version():
     assert MAGIC == b"TADA1"
+
+
+# fuzzed model files --------------------------------------------------------------
+
+def saved_model_bytes():
+    import os
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        tiny_model().save(path)
+        return open(path, "rb").read()
+
+
+MODEL_BYTES = saved_model_bytes()
+HEADER_AT = len(MAGIC) + 4
+
+
+def loads_or_data_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    path.write_bytes(raw)
+    try:
+        model = TadaModel.load(str(path))
+    except DataError:
+        return
+    assert set(model.params) == set(tiny_model().params)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, len(MODEL_BYTES) - 1))
+def test_fuzz_truncated_model_raises_data_error(tmp_path_factory, n):
+    loads_or_data_error(tmp_path_factory, MODEL_BYTES[:n])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, len(MODEL_BYTES) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_fuzz_flipped_model_bytes_load_or_raise_data_error(tmp_path_factory, flips):
+    raw = bytearray(MODEL_BYTES)
+    for i, x in flips:
+        raw[i] ^= x
+    loads_or_data_error(tmp_path_factory, bytes(raw))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.permutations(range(len(tiny_model().params))))
+def test_fuzz_reordered_model_params_load_or_raise_data_error(tmp_path_factory, order):
+    (hlen,) = struct.unpack_from("<I", MODEL_BYTES, len(MAGIC))
+    header = json.loads(MODEL_BYTES[HEADER_AT:HEADER_AT + hlen])
+    header["params"] = [header["params"][i] for i in order]
+    blob = json.dumps(header).encode("utf-8")
+    loads_or_data_error(tmp_path_factory, MAGIC + struct.pack("<I", len(blob)) + blob
+                        + MODEL_BYTES[HEADER_AT + hlen:])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 2 ** 32 - 1))
+def test_fuzz_oversized_header_length_raises_data_error(tmp_path_factory, extra):
+    (hlen,) = struct.unpack_from("<I", MODEL_BYTES, len(MAGIC))
+    size = struct.pack("<I", min(hlen + extra, 2 ** 32 - 1))
+    loads_or_data_error(tmp_path_factory, MAGIC + size + MODEL_BYTES[HEADER_AT:])

@@ -1,0 +1,28 @@
+"""The benchmark's hooks and checks run against this tree.
+
+perfbench wraps tada's functions by name and checks gradients, losses and
+streamed outputs; a refactor that breaks either shows here, not only in a
+benchmark run.
+"""
+
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    return workloads
+
+
+def test_traced_eval_stream_runs_clean(workloads, tmp_path):
+    out = workloads.run("eval_stream", 0, 1, str(tmp_path), trace=True)
+    assert out.problems == []
+    assert out.attempted > 0 and out.failed == 0
+    assert out.metrics["dla.forward_calls"][0] > 0
+    assert out.metrics["embedding.te_forward_calls"][0] > 0

@@ -1,8 +1,13 @@
 """Forward values and finite-difference gradients for every tensor op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import dense_pool, weighted_masked_softmax
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
@@ -10,17 +15,20 @@ from tada.tensor import (
     add,
     concat,
     cross_entropy_with_logits,
+    gated_attention_pool,
+    gated_attention_weights,
     gather,
     matmul,
     mul,
     relu,
     reshape,
+    segment_softmax,
+    segment_sum,
     sigmoid,
     softplus,
     tmean,
     transpose,
     tsum,
-    weighted_masked_softmax,
 )
 
 
@@ -147,7 +155,7 @@ def test_gather_backward_accumulates_duplicates():
 
 
 def masked_softmax(scores, mask):
-    """A plain masked softmax is the weighted one with 0/1 gates."""
+    """A plain masked softmax is the reference weighted one with 0/1 gates."""
     return weighted_masked_softmax(scores, Tensor(np.asarray(mask, dtype=np.float64)))
 
 
@@ -391,3 +399,198 @@ def test_grad_cross_entropy():
     x = leaf(rng, (5, 3))
     labels = np.array([0, 2, 1, 1, 0])
     assert_grads_match(lambda: cross_entropy_with_logits(x, labels), {"x": x})
+
+
+# segment ops -----------------------------------------------------------------
+
+# observations per step: empty, single-observation and many-observation steps
+step_counts = st.lists(st.sampled_from([0, 1, 1, 2, 3, 7]), min_size=1, max_size=12)
+
+
+def ragged(counts):
+    """(N,) step index per observation, observations stored in step order."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+@settings(deadline=None, max_examples=40)
+@given(step_counts, st.integers(0, 2**32 - 1))
+def test_segment_softmax_closed_form_and_gradient(counts, seed):
+    rng = np.random.default_rng(seed)
+    step_of, T = ragged(counts), len(counts)
+    s = leaf(rng, (step_of.size,), lo=-3.0, hi=3.0)
+    w = segment_softmax(s, step_of, T).data
+    # w_i = 1 / sum over i's step of exp(s_j - s_i)
+    same = step_of[:, None] == step_of[None, :]
+    want = 1.0 / np.where(same, np.exp(s.data[None, :] - s.data[:, None]), 0.0).sum(axis=1)
+    np.testing.assert_allclose(w, want, rtol=1e-13, atol=0.0)
+    if step_of.size:
+        v = rng.normal(size=step_of.size)
+        assert_grads_match(lambda: tsum(mul(segment_softmax(s, step_of, T), v)), {"s": s})
+
+
+@settings(deadline=None, max_examples=40)
+@given(step_counts, st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_segment_sum_closed_form_and_gradient(counts, k, seed):
+    rng = np.random.default_rng(seed)
+    step_of, T = ragged(counts), len(counts)
+    x = leaf(rng, (step_of.size, k))
+    out = segment_sum(x, step_of, T).data
+    want = np.array([x.data[step_of == t].sum(axis=0) for t in range(T)])
+    assert out.shape == (T, k)
+    np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-15)
+    if step_of.size:
+        v = rng.normal(size=(T, k))
+        assert_grads_match(lambda: tsum(mul(segment_sum(x, step_of, T), v)), {"x": x})
+
+
+def test_segment_softmax_extreme_scores_stable():
+    w = segment_softmax(Tensor([1000.0, 999.0, -1000.0, -2000.0]), [0, 0, 0, 1], 2).data
+    assert np.all(np.isfinite(w))
+    np.testing.assert_allclose(w[:3].sum(), 1.0)
+    assert w[0] > w[1] > w[2] and w[3] == 1.0
+
+
+def test_segment_ops_reject_bad_step_indices():
+    for op, x in ((segment_softmax, Tensor([1.0, 2.0])),
+                  (segment_sum, Tensor(np.ones((2, 3))))):
+        name = op.__name__
+        with pytest.raises(DimensionError, match=name):
+            op(x, [0, 3], 3)
+        with pytest.raises(DimensionError, match=name):
+            op(x, [-1, 0], 3)
+        with pytest.raises(DimensionError, match=name):
+            op(x, [0, 0, 1], 3)
+    with pytest.raises(DimensionError, match="segment_softmax"):
+        segment_softmax(Tensor(np.ones((2, 1))), [0, 1], 2)
+    with pytest.raises(DimensionError, match="segment_sum"):
+        segment_sum(Tensor([1.0, 2.0]), [0, 1], 2)
+
+
+# gated attention pool ----------------------------------------------------------
+
+
+def pool_inputs(rng, mode, learn_gates, value_grad, H=2, L=3, D=4, T=6):
+    """(H, L, T) scores, (L, D, T) gates and (1, D, T) values; one dead row."""
+    scores = leaf(rng, (H, L, T), lo=-2.0, hi=2.0)
+    if mode == "hard":
+        gates = (rng.random((L, D, T)) < 0.5).astype(np.float64)
+    else:
+        gates = rng.uniform(0.05, 1.0, size=(L, D, T)) * (rng.random((L, D, T)) < 0.7)
+    gates[0, 0] = 0.0
+    values = Tensor(rng.normal(size=(1, D, T)), requires_grad=value_grad)
+    return scores, Tensor(gates, requires_grad=learn_gates), values
+
+
+def max_rel_diff(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def pool_results(pool, scores, gates, values, coeff):
+    for t in (scores, gates, values):
+        t.grad = None
+    out = pool(scores, gates, values)
+    tsum(mul(out, coeff)).backward()
+    return out.data, [None if t.grad is None else t.grad.copy()
+                      for t in (scores, gates, values)]
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("learn_gates", [False, True])
+@pytest.mark.parametrize("value_grad", [False, True])
+def test_gated_attention_pool_matches_the_dense_reference(mode, learn_gates, value_grad):
+    rng = np.random.default_rng(20)
+    for trial in range(5):
+        scores, gates, values = pool_inputs(rng, mode, learn_gates, value_grad)
+        coeff = rng.normal(size=(2, 3, 4))
+        out, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
+        want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
+        assert max_rel_diff(out, want) <= 1e-12
+        np.testing.assert_array_equal(out[:, 0, 0], 0.0)
+        # gates and values get a gradient exactly when they require one
+        assert [g is None for g in grads] == [False, not learn_gates, not value_grad]
+        for g, w in zip(grads, want_grads):
+            if g is not None:
+                assert max_rel_diff(g, w) <= 1e-12, (mode, learn_gates, value_grad, trial)
+        weights = gated_attention_weights(scores.data, gates.data)
+        ref = weighted_masked_softmax(Tensor(scores.data[:, :, None, :]), gates).data
+        assert max_rel_diff(weights, ref) <= 1e-12
+
+
+def test_grad_gated_attention_pool_all_inputs():
+    rng = np.random.default_rng(21)
+    scores, _, values = pool_inputs(rng, "soft", True, True)
+    # zero gates are masks with no gradient, so every gate stays live here
+    gates = Tensor(rng.uniform(0.05, 1.0, size=(3, 4, 6)), requires_grad=True)
+    coeff = rng.normal(size=(2, 3, 4))
+    assert_grads_match(lambda: tsum(mul(gated_attention_pool(scores, gates, values), coeff)),
+                       {"scores": scores, "gates": gates, "values": values})
+
+
+def test_gated_attention_pool_rejects_mismatched_shapes():
+    s, g, v = Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 4, 5))), Tensor(np.ones((1, 4, 5)))
+    gated_attention_pool(s, g, v)
+    for bad in ((Tensor(np.ones((2, 3, 4))), g, v), (s, Tensor(np.ones((2, 4, 5))), v),
+                (s, g, Tensor(np.ones((4, 5)))), (Tensor(np.ones((3, 5))), g, v)):
+        with pytest.raises(DimensionError, match="gated_attention_pool"):
+            gated_attention_pool(*bad)
+
+
+def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
+    # Feature 0 lives only at step 0, whose score sets the shift of every
+    # (h, l).  Features 1 and 2 live only at steps scoring `gap` lower, where
+    # that shift underflows their normalizers to zero (gap 1000) or to
+    # subnormals (gap 720).  Each such row must come out as its own softmax.
+    rng = np.random.default_rng(22)
+    H, L, D, T = 2, 2, 3, 5
+    for gap in (1000.0, 720.0):
+        s = np.zeros((H, L, T))
+        s[..., 1:] = -gap + rng.uniform(-1.0, 1.0, size=(H, L, T - 1))
+        g = np.zeros((L, D, T))
+        g[:, 0, 0] = 1.0
+        g[:, 1:, 1:] = rng.uniform(0.1, 1.0, size=(L, D - 1, T - 1))
+        v = np.full((1, D, T), 2.0)
+        out = gated_attention_pool(Tensor(s), Tensor(g), Tensor(v)).data
+        np.testing.assert_allclose(out, 2.0, rtol=1e-15)
+        scores = Tensor(s, requires_grad=True)
+        gates = Tensor(g, requires_grad=True)
+        values = Tensor(rng.normal(size=(1, D, T)), requires_grad=True)
+        coeff = rng.normal(size=(H, L, D))
+        got, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
+        want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
+        assert max_rel_diff(got, want) <= 1e-12, gap
+        for k, (a, b) in enumerate(zip(grads, want_grads)):
+            assert max_rel_diff(a, b) <= 1e-12, (gap, k)
+        ref = weighted_masked_softmax(Tensor(s[:, :, None, :]), Tensor(g)).data
+        assert max_rel_diff(gated_attention_weights(s, g), ref) <= 1e-12, gap
+
+
+def _held_arrays(fn):
+    """Every ndarray a closure holds, also inside tuples such as index sets."""
+    held = []
+    for cell in fn.__closure__:
+        items = cell.cell_contents
+        for item in items if isinstance(items, tuple) else (items,):
+            if isinstance(item, np.ndarray):
+                held.append(item)
+    return held
+
+
+def test_gated_attention_pool_forms_no_head_anchor_feature_step_array():
+    rng = np.random.default_rng(23)
+    H, L, D, T = 3, 4, 5, 7
+    scores, gates, values = pool_inputs(rng, "soft", True, True, H, L, D, T)
+    out = gated_attention_pool(scores, gates, values)
+    held = _held_arrays(out._backward)
+    assert held and all(a.size < H * L * D * T for a in held)
+    # transient arrays too: forward plus backward peaks below one float64
+    # (H, L, D, T) array, which the dense pool allocates several times over
+    H, L, D, T = 16, 16, 8, 400
+    scores, gates, values = pool_inputs(rng, "soft", True, True, H, L, D, T)
+    dense_bytes = H * L * D * T * 8
+    peaks = []
+    for pool in (gated_attention_pool, dense_pool):
+        tracemalloc.start()
+        tsum(pool(scores, gates, values)).backward()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < dense_bytes < peaks[1], peaks
