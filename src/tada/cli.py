@@ -22,7 +22,7 @@ from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
 from .errors import (ConfigError, DataError, EvaluationError, TadaError,
                      TrainingError, VerificationError)
 from .gradcheck import grad_check
-from .model import TadaModel
+from .model import TadaModel, collate
 from .training import evaluate, run_manifest, train
 from .uci import convert_uci_activity
 
@@ -291,18 +291,19 @@ def cmd_export_attention(args) -> int:
             raise EvaluationError(f"export-attention: split {args.split!r} is empty")
         sample = samples[0]
     prep = model.prepare(sample)
-    _, grid = model.forward(prep, keep_attention=True)
+    _, grid = model.forward(collate([prep]), keep_attention=True, params=model.detached())
     radii = grid.radii
+    attention = grid.attention[0]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("head,query_index,anchor_time,time_index,time,feature,weight,window_radius\n")
-        n_heads, L, T, d_eff = grid.attention.shape
+        n_heads, L, T, d_eff = attention.shape
         for h in range(n_heads):
             for i in range(L):
                 for j in range(T):
                     for d in range(d_eff):
                         fh.write(f"{h},{i},{float(grid.anchors[i])!r},{j},"
                                  f"{float(prep.times[j])!r},{d},"
-                                 f"{float(grid.attention[h, i, j, d])!r},"
+                                 f"{float(attention[h, i, j, d])!r},"
                                  f"{float(radii[d])!r}\n")
     print(f"export-attention: wrote {n_heads * L * T * d_eff} rows for "
           f"sample {sample.sample_id} to {args.out}")

@@ -5,9 +5,11 @@ Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
 features; the window gate and the observation mask select which steps a
-given (anchor, feature) pair may attend to.  ``gated_attention_pool``
-contracts each head's (L, T) scores with the (L, D, T) gates and values
-directly, so the (heads, L, D, T) attention weights are formed only when
+given (anchor, feature) pair may attend to.  A batch runs at once on a
+(B, T_max) padded layout: padded steps get a zero gate, which masks them
+out of every sample's softmax.  ``gated_attention_pool`` contracts each
+head's (B, L, T) scores with the (B, L, D, T) gates and values directly,
+so the (B, heads, L, D, T) attention weights are formed only when
 ``keep_attention`` asks for them.  Head outputs concatenate and project to
 the mixer's channel width.
 """
@@ -20,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, add, gated_attention_pool, gated_attention_weights,
-                     matmul, mul, reshape, sigmoid, softplus, transpose)
+                     matmul, mul, reshape, segment_sum, sigmoid, softplus, transpose)
 
 
 @dataclass
 class RegularizedGrid:
-    grid: Tensor                      # (L, patch_channels)
-    anchors: np.ndarray               # (L,)
-    radii: np.ndarray                 # (D_eff,) current window radii
-    attention: np.ndarray | None      # (heads, L, T, D_eff) when retained
+    grid: Tensor                        # (B, L, patch_channels)
+    anchors: np.ndarray                 # (L,)
+    radii: np.ndarray                   # (D_eff,) current window radii
+    attention: list[np.ndarray] | None  # per sample (heads, L, T_b, D_eff), if retained
 
 
 def anchor_times(n_queries: int) -> np.ndarray:
@@ -37,63 +39,69 @@ def anchor_times(n_queries: int) -> np.ndarray:
 
 
 def _gates(radii: Tensor, times: np.ndarray, anchors: np.ndarray, cfg,
-           obs_mask3: np.ndarray) -> Tensor:
-    """(L, D_eff, T) window gate x observation mask for (D_eff,) radii,
-    (T,) step times and (L,) anchors.
+           obs_mask: np.ndarray) -> Tensor:
+    """(B, L, D_eff, T) window gate x observation mask for (D_eff,) radii,
+    (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask.
 
     Hard mode is the indicator of anchor - radius <= t <= anchor + radius,
     a constant.  Soft mode is sigmoid((radius - |t - anchor|) / tau) and
     stays connected to the radii so they can train.
     """
+    t = times[:, None, None, :]                                      # (B, 1, 1, T)
     if cfg.window_mode == "hard":
         a = anchors[:, None, None]
-        r = radii.data[None, :, None]
-        return Tensor(((times >= a - r) & (times <= a + r)) * obs_mask3)
-    dt3 = np.abs(times[None, :] - anchors[:, None])[:, None, :]      # (L, 1, T)
-    arg = mul(add(reshape(radii, (1, -1, 1)), Tensor(-dt3)), 1.0 / cfg.gate_temperature)
-    return mul(sigmoid(arg), Tensor(obs_mask3))
+        r = radii.data[:, None]
+        return Tensor(((t >= a - r) & (t <= a + r)) * obs_mask)
+    dt = np.abs(t - anchors[:, None, None])                          # (B, L, 1, T)
+    arg = mul(add(reshape(radii, (-1, 1)), Tensor(-dt)), 1.0 / cfg.gate_temperature)
+    return mul(sigmoid(arg), Tensor(obs_mask))
 
 
-def dla_forward(params: dict, prep, cfg, x_hat: Tensor | None,
+def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
                 keep_attention: bool = False) -> RegularizedGrid:
-    """Aggregate one sample onto the anchor grid; returns (L, patch_channels).
+    """Aggregate a batch onto the anchor grid; returns (B, L, patch_channels).
 
+    ``X`` is a ``Batch`` and ``x_hat`` te's (S, embed_dim + 1) ragged step
+    rows.  Keys and values are padded to (B, T_max); a padded step gets a
+    zero gate in every mode, so each sample pools over its own steps only.
     All heads run at once: dla.q.w and dla.k.w hold one column block of
     width attn_dim per head.
     """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
-    T = len(prep.times)
+    B, T = len(X.lengths), X.t_max
     if cfg.keyvalue_variant == "setting1":
-        keys = Tensor(prep.values)            # masked raw values as keys
-        values3 = Tensor(prep.values.T[None, :, :])
-        obs_mask3 = prep.mask3
-    elif cfg.keyvalue_variant == "setting2":
-        keys = x_hat                          # step embeddings as keys and values
-        values3 = reshape(transpose(x_hat), (1, cfg.embed_dim + 1, T))
-        obs_mask3 = np.ones((1, cfg.embed_dim + 1, T))
+        keys = values = Tensor(X.padded(X.values))   # masked raw values as keys
+        obs_mask = X.padded(X.mask)
     else:
-        keys = x_hat
-        values3 = Tensor(prep.values.T[None, :, :])
-        obs_mask3 = prep.mask3
+        # padding x_hat's rows is a segment sum with one row per slot
+        keys = reshape(segment_sum(x_hat, X.slot, B * T), (B, T, -1))
+        if cfg.keyvalue_variant == "setting2":
+            values = keys                     # step embeddings as keys and values
+            obs_mask = X.padded(np.ones((len(X.times), 1), dtype=bool))
+        else:
+            values = Tensor(X.padded(X.values))
+            obs_mask = X.padded(X.mask)
+    obs_mask = obs_mask.transpose(0, 2, 1)[:, None]                  # (B, 1, D_eff or 1, T)
+    values4 = transpose(values, (0, 2, 1))
+    values4 = reshape(values4, (B, 1) + values4.shape[1:])           # (B, 1, D_eff, T)
 
     range_raw = params["dla.range_raw"]
     if cfg.no_learnable_range:
         range_raw = range_raw.detach()    # frozen radii keep their windows
     radii = softplus(range_raw)
     anchors = anchor_times(L)
-    gates = _gates(radii, prep.times, anchors, cfg, obs_mask3)
+    gates = _gates(radii, X.padded(X.times), anchors, cfg, obs_mask)
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))                                          # (H, L, A)
-    k = transpose(reshape(matmul(keys, params["dla.k.w"]), (T, H, A)),
-                  (1, 2, 0))                                          # (H, A, T)
-    scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (H, L, T)
-    head_outs = gated_attention_pool(scores, gates, values3)          # (H, L, D_eff)
-    stacked = reshape(transpose(head_outs, (1, 0, 2)), (L, -1))       # (L, H * D_eff)
+    k = transpose(reshape(matmul(keys, params["dla.k.w"]), (B, T, H, A)),
+                  (0, 2, 3, 1))                                       # (B, H, A, T)
+    scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (B, H, L, T)
+    head_outs = gated_attention_pool(scores, gates, values4)          # (B, H, L, D_eff)
+    stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
     out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
-    return RegularizedGrid(
-        grid=out,
-        anchors=anchors,
-        radii=radii.data,
-        attention=np.transpose(gated_attention_weights(scores.data, gates.data), (0, 1, 3, 2))
-        if keep_attention else None,
-    )
+    attention = None
+    if keep_attention:
+        weights = gated_attention_weights(scores.data, gates.data)    # (B, H, L, D, T)
+        attention = [np.transpose(w[..., :n], (0, 1, 3, 2))
+                     for w, n in zip(weights, X.lengths)]
+    return RegularizedGrid(grid=out, anchors=anchors, radii=radii.data, attention=attention)

@@ -6,7 +6,9 @@ is a learned query against a linear key of its own encoding.  The step
 attention is a segment softmax over each step's own observations, and the
 step's vector is the segment sum of its weighted encodings, projected by
 the value matrix.  Both cost O(N) in the N observations; no (T, N) array
-is formed.
+is formed.  A batch runs ragged: its samples' observations are
+concatenated and ``step_of`` numbers their steps across the batch, so no
+padding is needed.
 The step's time is prepended unchanged, so row k of the output is
 ``[t_k, attended features]``.  The result is permutation invariant in the
 order of a step's observations.
@@ -21,7 +23,8 @@ from .tensor import (Tensor, concat, gather, matmul, mul, reshape, segment_softm
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
-    """(N, enc) [value, feature code] rows for all observations of a sample.
+    """(N, enc) [value, feature code] rows for all observations of a sample
+    or batch.
 
     The feature code is a learned embedding, or the bare feature index in
     literal mode.
@@ -34,7 +37,8 @@ def encode_observations(params: dict, prep, cfg) -> Tensor:
 
 
 def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
-    """Embed one sample's steps; returns (T, embed_dim + 1).
+    """Embed the steps of a sample or a ``Batch``; returns (T, embed_dim + 1),
+    with T the total step count of a batch.
 
     with_time=False skips the time column and returns the bare attended
     feature embeddings (T, embed_dim); the time concat belongs to the

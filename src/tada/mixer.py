@@ -1,11 +1,13 @@
 """Hierarchical MLP mixer over the anchor grid.
 
-The (L, C) grid splits into L/p patches of p tokens.  Each layer mixes
-channels, then patch positions, then channels again around a residual, and
-finally shrinks every patch by the merge factor m before regrouping m
-adjacent patches into one, halving (for m=2) the token count per layer.
-Every layer's pre-merge activations feed the fusion block, which pools each
-scale to a common token length, combines them, and maps through an MLP.
+Every stage carries a leading batch axis: the (B, L, C) grids of a batch
+go through the same weights at once.  Each (L, C) grid splits into L/p
+patches of p tokens.  Each layer mixes channels, then patch positions,
+then channels again around a residual, and finally shrinks every patch by
+the merge factor m before regrouping m adjacent patches into one, halving
+(for m=2) the token count per layer.  Every layer's pre-merge activations
+feed the fusion block, which pools each scale to a common token length,
+combines them, and maps through an MLP.
 """
 
 from __future__ import annotations
@@ -32,22 +34,34 @@ def adaptive_pool_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
+def pool_stack(shapes: list[tuple[int, int]]) -> np.ndarray:
+    """(B, max n_out, max n_in) stack of ``adaptive_pool_matrix(n_in, n_out)``
+    for each sample's (n_in, n_out), zero-padded: per-sample pools for a
+    padded batch."""
+    out = np.zeros((len(shapes), max(o for _, o in shapes), max(i for i, _ in shapes)))
+    for mat, (i, o) in zip(out, shapes):
+        mat[:o, :i] = adaptive_pool_matrix(i, o)
+    return out
+
+
 def patchify(grid: Tensor, patch_size: int) -> Tensor:
-    """(L, C) -> (L / patch_size, patch_size, C), consecutive rows per patch."""
-    L, C = grid.shape
+    """(..., L, C) -> (..., L / patch_size, patch_size, C), consecutive rows
+    per patch."""
+    L, C = grid.shape[-2:]
     if L % patch_size != 0:
         raise DimensionError(f"patchify: {L} rows not divisible by patch size {patch_size}")
-    return reshape(grid, (L // patch_size, patch_size, C))
+    return reshape(grid, grid.shape[:-2] + (L // patch_size, patch_size, C))
 
 
 def mixer_block(x: Tensor, w_in: Tensor, w_across: Tensor, w_out: Tensor) -> Tensor:
-    """relu(x + mix(x)): channel mix, patch-axis mix, channel mix, residual.
+    """relu(x + mix(x)) on (..., P, p, C): channel mix, patch-axis mix,
+    channel mix, residual.
 
     With all three weights zero this is the identity on non-negative input.
     """
-    P, p, C = x.shape
+    lead, (P, p, C) = x.shape[:-3], x.shape[-3:]
     t = matmul(x, w_in)                                   # channels
-    t = reshape(matmul(w_across, reshape(t, (P, p * C))), (P, p, C))  # across patches
+    t = reshape(matmul(w_across, reshape(t, lead + (P, p * C))), x.shape)  # across patches
     t = matmul(t, w_out)                                  # channels
     return relu(add(x, t))
 
@@ -55,19 +69,21 @@ def mixer_block(x: Tensor, w_in: Tensor, w_across: Tensor, w_out: Tensor) -> Ten
 def patch_merge(x: Tensor, w_pool: Tensor, merge_factor: int) -> Tensor:
     """Shrink each patch p -> p/m, then regroup m adjacent patches into one.
 
-    (P, p, C) -> (P/m, p, C); token count drops by the merge factor.
+    (..., P, p, C) -> (..., P/m, p, C); token count drops by the merge factor.
     """
-    P, p, C = x.shape
+    lead, (P, p, C) = x.shape[:-3], x.shape[-3:]
     if P % merge_factor != 0:
         raise DimensionError(
             f"patch_merge: {P} patches not divisible by merge factor {merge_factor}")
-    t = matmul(transpose(x, (0, 2, 1)), w_pool)           # (P, C, p/m)
-    t = transpose(t, (0, 2, 1))                           # (P, p/m, C)
-    return reshape(t, (P // merge_factor, p, C))
+    swap = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
+    t = matmul(transpose(x, swap), w_pool)                # (..., P, C, p/m)
+    t = transpose(t, swap)                                # (..., P, p/m, C)
+    return reshape(t, lead + (P // merge_factor, p, C))
 
 
 def run_mixer(grid: Tensor, params: dict, cfg) -> list[Tensor]:
-    """Apply the layer stack; returns each layer's pre-merge activations."""
+    """Apply the layer stack to a (..., L, C) grid; returns each layer's
+    pre-merge activations."""
     x = patchify(grid, cfg.patch_size)
     outs = []
     for layer in range(cfg.n_layers):
@@ -80,22 +96,20 @@ def run_mixer(grid: Tensor, params: dict, cfg) -> list[Tensor]:
 
 
 def fuse(outs: list[Tensor], params: dict, cfg) -> Tensor:
-    """Pool every scale to the deepest layer's token count l_c and combine;
-    (l_c, C) out."""
-    flats = []
-    for x in outs:
-        if x.ndim == 3:
-            P, p, C = x.shape
-            flats.append(reshape(x, (P * p, C)))
-        else:
-            flats.append(x)
-    l_c = flats[-1].shape[0]
+    """Pool every scale to the deepest layer's token count l_c and combine.
+
+    Each scale is a (B, P, p, C) mixer output or a (B, L, C) grid; (B, l_c, C)
+    out.
+    """
+    flats = [x if x.ndim == 3 else reshape(x, x.shape[:-3] + (-1, x.shape[-1]))
+             for x in outs]
+    l_c = flats[-1].shape[-2]
     # the deepest scale already has l_c rows; its pool would be the identity
-    pooled = [f if f.shape[0] == l_c
-              else matmul(Tensor(adaptive_pool_matrix(f.shape[0], l_c)), f)
+    pooled = [f if f.shape[-2] == l_c
+              else matmul(Tensor(adaptive_pool_matrix(f.shape[-2], l_c)), f)
               for f in flats]
     if cfg.fusion_mode == "concat":
-        combined = concat(pooled, axis=1)
+        combined = concat(pooled, axis=-1)
     else:
         combined = pooled[0]
         for q in pooled[1:]:
@@ -104,7 +118,11 @@ def fuse(outs: list[Tensor], params: dict, cfg) -> Tensor:
     return add(matmul(h, params["fusion.w2"]), params["fusion.b2"])
 
 
-def classify(fused: Tensor, params: dict, out_len: int) -> Tensor:
-    """Pool fused tokens to out_len rows and apply the linear head."""
-    pooled = matmul(Tensor(adaptive_pool_matrix(fused.shape[0], out_len)), fused)
+def classify(fused: Tensor, params: dict, out_lens) -> Tensor:
+    """Pool each sample's (l_c, C) fused tokens to its own row count and
+    apply the linear head: (B, max out_lens, n_classes), zero-pooled padding
+    rows after each sample's own."""
+    l_c = fused.shape[-2]
+    pool = pool_stack([(l_c, int(n)) for n in out_lens])
+    pooled = matmul(Tensor(pool), fused)
     return add(matmul(pooled, params["head.w"]), params["head.b"])

@@ -1,4 +1,11 @@
-"""Model assembly: parameters, per-sample arrays, forward pass, file format.
+"""Model assembly: parameters, per-sample arrays, batching, forward pass,
+file format.
+
+The forward pass takes a mini-batch and builds one autodiff graph for it;
+a single sample is a batch of one.  te runs on the batch's observations
+concatenated, DLA and the pools on a (B, T_max) padded layout whose padded
+steps get zero gates, and the mixer, fusion and head carry a leading batch
+axis.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -28,8 +35,8 @@ from .data import IrregularSeries, build_value_mask, normalize_times
 from .dla import RegularizedGrid, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
-from .mixer import adaptive_pool_matrix, classify, fuse, run_mixer
-from .tensor import Tensor, concat, cross_entropy_with_logits, matmul, reshape, tmean
+from .mixer import classify, fuse, pool_stack, run_mixer
+from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape, segment_sum
 
 MAGIC = b"TADA1"
 FORMAT = 1
@@ -49,8 +56,66 @@ class SamplePrep:
     feat_idx: np.ndarray       # (N,) feature index per observation
     step_of: np.ndarray        # (N,) step index per observation
     values: np.ndarray         # (T, D) zeros where unobserved
-    mask3: np.ndarray          # (1, D, T) float observation mask
+    mask: np.ndarray           # (T, D) bool observation mask
     labels: np.ndarray         # (1,) sequence label or (T,) step labels
+
+
+@dataclass
+class Batch:
+    """A mini-batch of prepared samples in the two layouts the forward uses.
+
+    Ragged: the samples' steps and observations are concatenated, so
+    ``times``, ``values`` and ``mask`` hold S = sum T_b rows and
+    ``step_of`` numbers every observation's step across the whole batch.
+    te runs on this layout as if the batch were one long sample.  Padded:
+    DLA, the no_dla pool and the step-task head work on (B, T_max) arrays,
+    and ``slot`` maps ragged row k of sample b to b * T_max + k.
+    """
+    times: np.ndarray          # (S,)
+    values_col: np.ndarray     # (N, 1)
+    feat_idx: np.ndarray       # (N,)
+    step_of: np.ndarray        # (N,) global step index
+    values: np.ndarray         # (S, D)
+    mask: np.ndarray           # (S, D) bool
+    lengths: np.ndarray        # (B,) steps per sample
+    t_max: int                 # longest sample's step count
+    slot: np.ndarray           # (S,) padded position of each step
+    labels: np.ndarray         # (B, R_max) labels, zero-padded
+    label_counts: np.ndarray   # (B,) label rows per sample: 1, or T_b for steps
+
+    def padded(self, rows: np.ndarray) -> np.ndarray:
+        """(S, ...) ragged rows as (B, T_max, ...), zeros after each sample."""
+        shape = (len(self.lengths), self.t_max) + rows.shape[1:]
+        out = np.zeros((shape[0] * shape[1],) + shape[2:], dtype=rows.dtype)
+        out[self.slot] = rows
+        return out.reshape(shape)
+
+
+def collate(preps: list[SamplePrep]) -> Batch:
+    """Stack prepared samples into one ``Batch``, in list order."""
+    if not preps:
+        raise DataError("batch: no samples")
+    lengths = np.array([len(p.times) for p in preps], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    t_max = int(lengths.max())
+    steps = np.arange(int(starts[-1] + lengths[-1]))
+    counts = np.array([len(p.labels) for p in preps], dtype=np.int64)
+    labels = np.zeros((len(preps), int(counts.max())), dtype=np.int64)
+    for row, p in zip(labels, preps):
+        row[:len(p.labels)] = p.labels
+    return Batch(
+        times=np.concatenate([p.times for p in preps]),
+        values_col=np.concatenate([p.values_col for p in preps]),
+        feat_idx=np.concatenate([p.feat_idx for p in preps]),
+        step_of=np.concatenate([p.step_of + s for p, s in zip(preps, starts)]),
+        values=np.concatenate([p.values for p in preps]),
+        mask=np.concatenate([p.mask for p in preps]),
+        lengths=lengths,
+        t_max=t_max,
+        slot=steps + np.repeat(np.arange(len(preps)) * t_max - starts, lengths),
+        labels=labels,
+        label_counts=counts,
+    )
 
 
 def _is_layout_entry(entry) -> bool:
@@ -209,47 +274,66 @@ class TadaModel:
             feat_idx=feat_idx,
             step_of=step_of,
             values=values,
-            mask3=mask.T[None, :, :].astype(np.float64),
+            mask=mask,
             labels=labels,
         )
 
     # forward ------------------------------------------------------------------
 
-    def forward(self, prep: SamplePrep, keep_attention: bool = False
+    def forward(self, X: Batch, keep_attention: bool = False, params: dict | None = None
                 ) -> tuple[Tensor, RegularizedGrid | None]:
+        """One graph for the whole batch: (B, R_max, n_classes) logits, where
+        sample b's rows past ``X.label_counts[b]`` are padding.
+
+        ``params`` replaces the model's own parameters, as detached copies
+        do for inference.
+        """
         cfg = self.cfg
+        params = self.params if params is None else params
         if cfg.no_dla:
             # Mixer directly over the per-step feature embeddings, pooled to a
             # fixed token count.  The time concat is part of the local-attention
             # key construction and goes away with that stage.
-            embeds = te_forward(self.params, prep, cfg, with_time=False)
-            pool = adaptive_pool_matrix(len(prep.times), cfg.n_queries)
-            grid_tensor = matmul(Tensor(pool), embeds)
-            grid_tensor = matmul(grid_tensor, self.params["grid.proj.w"]) \
-                + self.params["grid.proj.b"]
+            embeds = te_forward(params, X, cfg, with_time=False)
+            B, T = len(X.lengths), X.t_max
+            padded = reshape(segment_sum(embeds, X.slot, B * T), (B, T, -1))
+            pool = Tensor(pool_stack([(int(n), cfg.n_queries) for n in X.lengths]))
+            grid_tensor = matmul(matmul(pool, padded), params["grid.proj.w"]) \
+                + params["grid.proj.b"]
             grid = None
         else:
             x_hat = None
             if cfg.keyvalue_variant != "setting1":
-                x_hat = te_forward(self.params, prep, cfg)
-            grid = dla_forward(self.params, prep, cfg, x_hat, keep_attention)
+                x_hat = te_forward(params, X, cfg)
+            grid = dla_forward(params, X, cfg, x_hat, keep_attention)
             grid_tensor = grid.grid
-        outs = [grid_tensor] if cfg.no_mixer else run_mixer(grid_tensor, self.params, cfg)
-        fused = fuse(outs, self.params, cfg)
-        logits = classify(fused, self.params, len(prep.labels))
+        outs = [grid_tensor] if cfg.no_mixer else run_mixer(grid_tensor, params, cfg)
+        fused = fuse(outs, params, cfg)
+        logits = classify(fused, params, X.label_counts)
         return logits, grid
 
-    def sample_loss(self, prep: SamplePrep) -> Tensor:
-        logits, _ = self.forward(prep)
-        return cross_entropy_with_logits(logits, prep.labels)
-
     def batch_loss(self, preps: list[SamplePrep]) -> Tensor:
-        losses = [reshape(self.sample_loss(p), (1,)) for p in preps]
-        return tmean(concat(losses, axis=0))
+        """Mean over the samples of each sample's mean cross-entropy."""
+        X = collate(preps)
+        logits, _ = self.forward(X)
+        return cross_entropy_with_logits(logits, X.labels, X.label_counts)
+
+    def sample_loss(self, prep: SamplePrep) -> Tensor:
+        return self.batch_loss([prep])
+
+    def detached(self) -> dict[str, Tensor]:
+        """The parameters as constants: a forward on them builds no graph, so
+        each intermediate array is freed as soon as the next op has used it."""
+        return {k: p.detach() for k, p in self.params.items()}
+
+    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
+        """Every sample's logit rows, stacked in list order."""
+        X = collate(preps)
+        out, _ = self.forward(X, params=self.detached())
+        return out.data[np.arange(out.shape[1]) < X.label_counts[:, None]]
 
     def logits(self, prep: SamplePrep) -> np.ndarray:
-        out, _ = self.forward(prep)
-        return out.data
+        return self.batch_logits([prep])
 
     # serialization --------------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every op builds a graph node holding a backward closure; calling
-``backward()`` on a scalar output accumulates gradients into ``grad``
-buffers in reverse topological order.  Arrays are always float64 and
-row-major.  Ops never mutate their inputs.
+``backward()`` on a scalar output accumulates gradients into the ``grad``
+buffers of the leaves in reverse topological order, freeing each
+intermediate gradient once used.  An op on operands that need no gradient
+builds no node.  Arrays are always float64 and row-major.  Ops never
+mutate their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +49,11 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar output."""
+        """Run reverse-mode accumulation from this scalar output.
+
+        Leaves (tensors no op produced) accumulate into ``grad``; every
+        intermediate gradient is dropped once its node's backward has run.
+        """
         if self.data.size != 1:
             raise DimensionError(
                 f"backward: output must be a scalar, got shape {self.data.shape}")
@@ -69,12 +76,16 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
+            grads = node._backward(node.grad)
+            node.grad = None            # only leaves keep their gradient
+            for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # a copy: ops such as add hand one array to both parents
+                    parent.grad = np.array(g, dtype=np.float64)
+                else:
+                    parent.grad += g
 
     # operator sugar -------------------------------------------------------
 
@@ -112,8 +123,9 @@ def _lift(x) -> Tensor:
 
 
 def _node(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
     return Tensor(data)
 
 
@@ -141,7 +153,8 @@ def add(a, b) -> Tensor:
             f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), backward)
 
@@ -155,8 +168,8 @@ def mul(a, b) -> Tensor:
             f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), backward)
 
@@ -173,11 +186,17 @@ def relu(x) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+
+    e never overflows, and nothing is clipped, so tiny gates stay nonzero.
+    Computed in place: gate arrays are large.
+    """
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -226,11 +245,11 @@ def transpose(x, axes=None) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose: axes {axes} invalid for ndim {x.data.ndim}")
-    out = np.transpose(x.data, axes)
-    inv = tuple(np.argsort(axes))
+    out = x.data.transpose(axes)
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
-        return (np.transpose(g, inv),)
+        return (g.transpose(inv),)
 
     return _node(out, (x,), backward)
 
@@ -287,33 +306,44 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra ------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; a 3D right operand needs a 3D left one with the same
-    leading (batch) size, as in (H, L, a) @ (H, a, T)."""
+    """Matrix product under numpy's rules: a 1D operand is a row (left) or
+    column (right) vector, and leading axes broadcast, as in
+    (H, L, A) @ (B, H, A, T) -> (B, H, L, T)."""
     a, b = _lift(a), _lift(b)
     A, B = a.data, b.data
-    batched = A.ndim == 3 and B.ndim == 3 and A.shape[0] == B.shape[0]
-    if A.ndim < 1 or B.ndim < 1 or (B.ndim > 2 and not batched):
+    if A.ndim < 1 or B.ndim < 1:
         raise DimensionError(
             f"matmul: unsupported operand shapes {A.shape} and {B.shape}")
     if A.shape[-1] != B.shape[-2 if B.ndim > 1 else 0]:
         raise DimensionError(
             f"matmul: inner axes disagree, {A.shape} @ {B.shape}")
-    out = A @ B
+    try:
+        out = np.matmul(A, B)
+    except ValueError:
+        raise DimensionError(
+            f"matmul: leading axes of {A.shape} and {B.shape} do not broadcast") from None
 
     def backward(g):
-        if batched:
-            return g @ B.transpose(0, 2, 1), A.transpose(0, 2, 1) @ g
-        if A.ndim == 1 and B.ndim == 1:
-            return g * B, g * A
-        if A.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            return B @ g, np.outer(A, g)
-        if B.ndim == 1:  # (..,m,k) @ (k,) -> (..,m)
-            ga = g[..., None] * B
-            gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1)
-            return ga, gb
-        ga = g @ B.T
-        gb = A.reshape(-1, A.shape[-1]).T @ g.reshape(-1, B.shape[1])
-        return ga, gb
+        # vectors as a (1, k) row on the left, a (k, 1) column on the right
+        A2 = A[None, :] if A.ndim == 1 else A
+        B2 = B[:, None] if B.ndim == 1 else B
+        g2 = g[..., None] if B.ndim == 1 else g
+        g2 = g2[..., None, :] if A.ndim == 1 else g2
+        ga = gb = None
+        if B2.ndim == 2:
+            # a shared right matrix: one product over all rows of A
+            if a.requires_grad:
+                ga = g2 @ B2.T
+            if b.requires_grad:
+                rows = math.prod(A2.shape[:-1])
+                gb = A2.reshape(rows, A2.shape[-1]).T @ g2.reshape(rows, B2.shape[1])
+        else:
+            if a.requires_grad:
+                ga = g2 @ np.swapaxes(B2, -1, -2)
+            if b.requires_grad:
+                gb = np.swapaxes(A2, -1, -2) @ g2
+        return (None if ga is None else _unbroadcast(ga, A2.shape).reshape(A.shape),
+                None if gb is None else _unbroadcast(gb, B2.shape).reshape(B.shape))
 
     return _node(out, (a, b), backward)
 
@@ -396,121 +426,139 @@ _POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 def _pool_exponents(S: Array, G: Array):
     """Shifted exponents and normalizers of a gated attention pool.
 
-    e = exp(S - c) with one shift c per (h, l): the maximum score over the
-    steps any of the anchor's gates leaves live.  The normalizers are
-    den[h, l, d] = sum_t e[h, l, t] G[l, d, t].  A row (h, l, d) whose own
+    e = exp(S - c) with one shift c per (b, h, l): the maximum score over
+    the steps any of the anchor's gates leaves live.  The normalizers are
+    den[b, h, l, d] = sum_t e[b, h, l, t] G[b, l, d, t].  A row whose own
     live scores all sit far below c underflows there, so every row with a
     live gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its
-    own shift: ``redo`` indexes those rows, ``e_redo`` (R, T) holds their
-    exponents, and ``den`` their normalizers.
+    own shift: ``redo`` indexes those (b, h, l, d) rows, ``e_redo`` (R, T)
+    holds their exponents, and ``den`` their normalizers.
     """
-    live = G > 0.0                                               # (L, D, T)
-    step_live = live.any(axis=1)                                 # (L, T)
+    live = G > 0.0                                               # (B, L, D, T)
+    step_live = live.any(axis=2)[:, None]                        # (B, 1, L, T)
     c = np.where(step_live, S, -np.inf).max(axis=-1, keepdims=True)
     c = np.where(np.isfinite(c), c, 0.0)
-    e = np.exp(np.where(step_live, S - c, -np.inf))             # (H, L, T)
-    den = np.matmul(e.transpose(1, 0, 2), G.transpose(0, 2, 1)).transpose(1, 0, 2)
-    redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1))
-    h, l, d = redo
-    s_redo = np.where(live[l, d], S[h, l], -np.inf)              # (R, T)
+    e = np.exp(np.where(step_live, S - c, -np.inf))             # (B, H, L, T)
+    den = np.matmul(e.transpose(0, 2, 1, 3), G.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+    redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1)[:, None])
+    b, h, l, d = redo
+    s_redo = np.where(live[b, l, d], S[b, h, l], -np.inf)        # (R, T)
     e_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True))
-    den[redo] = (e_redo * G[l, d]).sum(axis=-1)
+    den[redo] = (e_redo * G[b, l, d]).sum(axis=-1)
     return e, den, redo, e_redo
 
 
 def gated_attention_pool(scores, gates, values) -> Tensor:
-    """Attention pooling of shared scores under per-row gates.
+    """Attention pooling of shared scores under per-row gates, per sample.
 
-    out[h, l, d] = sum_t e G V / sum_t e G with e = exp(scores[h, l, t]),
-    gates G (L, D, T) in [0, 1] and values V (1, D, T): each (h, l, d) row
-    is a softmax of the anchor's scores, tilted by that row's gates, applied
-    to that feature's values.  Rows whose gates are all zero give 0, and
-    zero gates act as masks: they get no gradient.  Both sums are batched
-    contractions over t, so no (H, L, D, T) array exists in forward or
+    out[b, h, l, d] = sum_t e G V / sum_t e G with e = exp(scores[b, h, l, t]),
+    gates G (B, L, D, T) in [0, 1] and values V (B, 1, D, T): each
+    (b, h, l, d) row is a softmax of the anchor's scores, tilted by that
+    row's gates, applied to that feature's values.  Rows whose gates are
+    all zero give 0, and zero gates act as masks: they get no gradient, so
+    a padded step with zero gates adds nothing.  Both sums are batched
+    contractions over t, so no (B, H, L, D, T) array exists in forward or
     backward.  Scores always get a gradient; gates and values get one only
     when they require it.
     """
     s, gt, v = _lift(scores), _lift(gates), _lift(values)
     S, G, V = s.data, gt.data, v.data
-    if S.ndim != 3 or G.ndim != 3 or S.shape[1:] != (G.shape[0], G.shape[2]) \
-            or V.shape != (1,) + G.shape[1:]:
+    if S.ndim != 4 or G.ndim != 4 or S.shape[0] != G.shape[0] \
+            or S.shape[2:] != (G.shape[1], G.shape[3]) \
+            or V.shape != (G.shape[0], 1) + G.shape[2:]:
         raise DimensionError(f"gated_attention_pool: scores {S.shape}, gates {G.shape} "
-                             f"and values {V.shape} are not (H, L, T), (L, D, T), (1, D, T)")
-    D = G.shape[1]
+                             f"and values {V.shape} are not (B, H, L, T), (B, L, D, T), "
+                             f"(B, 1, D, T)")
+    D = G.shape[2]
     e, den, redo, e_redo = _pool_exponents(S, G)
-    h, l, d = redo
+    b, h, l, d = redo
     GV = G * V
-    eL = e.transpose(1, 0, 2)                                     # (L, H, T)
-    num = np.matmul(eL, GV.transpose(0, 2, 1)).transpose(1, 0, 2)
-    num[redo] = (e_redo * GV[l, d]).sum(axis=-1)
+    eL = e.transpose(0, 2, 1, 3)                                  # (B, L, H, T)
+    num = np.matmul(eL, GV.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+    num[redo] = (e_redo * GV[b, l, d]).sum(axis=-1)
     out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
     def backward(g):
-        # d out / d e[h, l, t] G[l, d, t] = (V[d, t] - out[h, l, d]) / den[h, l, d]
-        a = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
-        b = a * out
-        a_redo, b_redo = a[redo][:, None], b[redo][:, None]
-        a[redo] = 0.0
-        b[redo] = 0.0
-        aL, bL = a.transpose(1, 0, 2), b.transpose(1, 0, 2)     # (L, H, D)
-        g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))        # (L, H, T)
-        g_s = g_s.transpose(1, 0, 2)
-        np.add.at(g_s, (h, l), e_redo * (a_redo * GV[l, d] - b_redo * G[l, d]))
+        # d out / d e[b, h, l, t] G[b, l, d, t] = (V[b, d, t] - out[b, h, l, d]) / den
+        ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
+        gb = ga * out
+        a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
+        ga[redo] = 0.0
+        gb[redo] = 0.0
+        aL, bL = ga.transpose(0, 2, 1, 3), gb.transpose(0, 2, 1, 3)   # (B, L, H, D)
+        g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))             # (B, L, H, T)
+        g_s = g_s.transpose(0, 2, 1, 3)
+        np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G[b, l, d]))
         g_g = g_v = None
         if gt.requires_grad or v.requires_grad:
-            both = np.matmul(np.concatenate([aL, bL], axis=2).transpose(0, 2, 1), eL)
-            sum_ae, sum_be = both[:, :D], both[:, D:]           # (L, D, T) sums over h
+            both = np.matmul(np.concatenate([aL, bL], axis=3).transpose(0, 1, 3, 2), eL)
+            sum_ae, sum_be = both[:, :, :D], both[:, :, D:]     # (B, L, D, T) sums over h
         if gt.requires_grad:
             g_g = sum_ae * V
             g_g -= sum_be
             g_g *= G > 0.0                                      # zero gates are masks
-            np.add.at(g_g, (l, d), e_redo * (a_redo * V[0, d] - b_redo))
+            np.add.at(g_g, (b, l, d), e_redo * (a_redo * V[b, 0, d] - b_redo))
         if v.requires_grad:
-            g_v = (sum_ae * G).sum(axis=0, keepdims=True)
-            np.add.at(g_v[0], d, a_redo * e_redo * G[l, d])
+            g_v = (sum_ae * G).sum(axis=1, keepdims=True)
+            np.add.at(g_v, (b, 0, d), a_redo * e_redo * G[b, l, d])
         return g_s, g_g, g_v
 
     return _node(out, (s, gt, v), backward)
 
 
 def gated_attention_weights(scores: Array, gates: Array) -> Array:
-    """(H, L, D, T) weights of ``gated_attention_pool``: its output is the
+    """(B, H, L, D, T) weights of ``gated_attention_pool``: its output is the
     weighted sum of the values over t.  Builds the dense map; only attention
     export needs it."""
     e, den, redo, e_redo = _pool_exponents(scores, gates)
-    u = e[:, :, None, :] * gates
-    u[redo] = e_redo * gates[redo[1], redo[2]]
+    u = e[:, :, :, None, :] * gates[:, None]
+    u[redo] = e_redo * gates[redo[0], redo[2], redo[3]]
     return np.divide(u, den[..., None], out=np.zeros_like(u), where=den[..., None] > 0.0)
 
 
-def cross_entropy_with_logits(logits, labels) -> Tensor:
+def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:
     """Mean cross-entropy between rows of logits and integer labels.
 
     Accepts (n, C) logits with (n,) labels, or a single (C,) row with a
-    scalar label.  Stabilized by per-row max subtraction.
+    scalar label, and averages over the rows.  A padded batch passes
+    (B, R, C) logits, (B, R) labels and (B,) row counts: the loss is the
+    mean over samples b of the mean over b's first ``counts[b]`` rows, and
+    the padding rows after them get no gradient.  Stabilized by per-row max
+    subtraction.
     """
     x = _lift(logits)
-    z = x.data.reshape(1, -1) if x.data.ndim == 1 else x.data
-    if z.ndim != 2:
-        raise DimensionError(f"cross_entropy: logits must be 1D or 2D, got {x.data.shape}")
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if y.shape != (z.shape[0],):
+    if x.data.ndim == 3:
+        z = x.data
+    elif x.data.ndim in (1, 2) and counts is None:
+        z = x.data.reshape(1, -1, x.data.shape[-1])
+    else:
+        raise DimensionError(f"cross_entropy: logits must be 1D or 2D, or 3D with row "
+                             f"counts, got {x.data.shape}")
+    n_b, n_r, n_c = z.shape
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.shape != (n_b * n_r,):
         raise DimensionError(
-            f"cross_entropy: {z.shape[0]} logit rows but labels shape {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= z.shape[1]):
+            f"cross_entropy: {n_b * n_r} logit rows but labels shape {np.shape(labels)}")
+    if y.size and (y.min() < 0 or y.max() >= n_c):
         raise DimensionError(
-            f"cross_entropy: label out of range for {z.shape[1]} classes")
-    m = z.max(axis=1, keepdims=True)
+            f"cross_entropy: label out of range for {n_c} classes")
+    n = np.full(n_b, n_r) if counts is None else np.asarray(counts, dtype=np.int64)
+    if n.shape != (n_b,) or np.any(n < 1) or np.any(n > n_r):
+        raise DimensionError(f"cross_entropy: row counts {n} do not fit {n_b} x {n_r} rows")
+    y = y.reshape(n_b, n_r)
+    live = np.arange(n_r) < n[:, None]                          # (B, R)
+    m = z.max(axis=2, keepdims=True)
     zs = z - m
-    lse = np.log(np.exp(zs).sum(axis=1))
-    picked = zs[np.arange(z.shape[0]), y]
-    out = np.asarray((lse - picked).mean())
+    lse = np.log(np.exp(zs).sum(axis=2))
+    picked = np.take_along_axis(zs, y[..., None], axis=2)[..., 0]
+    out = np.asarray((np.where(live, lse - picked, 0.0).sum(axis=1) / n).mean())
     orig_shape = x.data.shape
 
     def backward(g):
-        p = np.exp(zs - lse[:, None])
-        p[np.arange(z.shape[0]), y] -= 1.0
-        return ((float(g) * p / z.shape[0]).reshape(orig_shape),)
+        p = np.exp(zs - lse[..., None])
+        np.put_along_axis(p, y[..., None], np.take_along_axis(p, y[..., None], axis=2) - 1.0,
+                          axis=2)
+        grad = np.where(live[..., None], float(g) * p / (n_b * n)[:, None, None], 0.0)
+        return (grad.reshape(orig_shape),)
 
     return _node(out, (x,), backward)
-

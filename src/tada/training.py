@@ -41,6 +41,36 @@ def _binary_sequence(model: TadaModel) -> bool:
     return model.task == "sequence" and model.n_classes == 2
 
 
+# Padded steps per evaluation chunk.  A batch's forward holds a few
+# (B, L, D, T_max) arrays, so its memory follows B * T_max, not B alone.
+CHUNK_STEPS = 4096
+
+
+def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
+    """Consecutive runs of at most ``size`` samples that pad to at most
+    ``CHUNK_STEPS`` steps (a longer sample goes alone): evaluation memory
+    stays bounded however large the split and however long its series."""
+    chunks: list[list[SamplePrep]] = []
+    t_max = 0
+    for p in preps:
+        t = len(p.times)
+        if chunks and len(chunks[-1]) < size \
+                and (len(chunks[-1]) + 1) * max(t_max, t) <= CHUNK_STEPS:
+            chunks[-1].append(p)
+            t_max = max(t_max, t)
+        else:
+            chunks.append([p])
+            t_max = t
+    return chunks
+
+
+def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
+    """Mean per-sample loss over ``preps``, one batch at a time."""
+    total = sum(model.batch_loss(chunk).item() * len(chunk)
+                for chunk in _chunks(preps, model.cfg.batch_size))
+    return total / len(preps)
+
+
 def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     """Metrics over prepared samples.
 
@@ -50,14 +80,10 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     """
     if not preps:
         raise EvaluationError("evaluate: empty evaluation set")
-    rows = []
-    labels = []
-    for p in preps:
-        logits = model.logits(p)
-        rows.append(softmax_rows(logits))
-        labels.append(p.labels)
+    rows = [softmax_rows(model.batch_logits(chunk))
+            for chunk in _chunks(preps, model.cfg.batch_size)]
     probs = np.concatenate(rows, axis=0)
-    y = np.concatenate(labels)
+    y = np.concatenate([p.labels for p in preps])
     preds = probs.argmax(axis=1)
     acc = accuracy(preds, y)
     if _binary_sequence(model):
@@ -127,7 +153,7 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
         if not val_preps:
             selection, metric = "neg_train_loss", -epoch_loss
         elif one_class:
-            selection, metric = "neg_val_loss", -model.batch_loss(val_preps).item()
+            selection, metric = "neg_val_loss", -_mean_loss(model, val_preps)
         else:
             val_report = evaluate_preps(model, val_preps)
             selection, metric = selection_metric(model, val_report)

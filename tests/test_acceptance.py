@@ -22,6 +22,7 @@ from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.metrics import auprc, auroc
 from tada.mixer import classify, fuse, mixer_block, run_mixer
+from tada.model import collate
 from tada.tensor import Tensor, mul, tsum
 from tada.training import evaluate, train
 from tada.uci import convert_uci_activity
@@ -62,7 +63,7 @@ def _dla_check():
     x_hat = te_forward(model.params, prep, model.cfg)
     params = {k: p for k, p in model.params.items() if k.startswith("dla.")}
     rep = grad_check(
-        lambda: tsum(mul(dla_forward(model.params, prep, model.cfg, x_hat).grid,
+        lambda: tsum(mul(dla_forward(model.params, collate([prep]), model.cfg, x_hat).grid,
                          coeff)),
         params, eps=3e-5)
     return rep.max_rel_error
@@ -84,14 +85,14 @@ def _stack_check():
                        patch_channels=4, n_features=3)
     redraw_params(model, seed=6)
     rng = np.random.default_rng(32)
-    grid = Tensor(rng.uniform(0.2, 1.0, size=(8, 4)))
+    grid = Tensor(rng.uniform(0.2, 1.0, size=(1, 8, 4)))
     params = {k: model.params[k] for k in model.params
               if k.startswith(("mixer.", "fusion.", "head."))}
-    coeff = rng.normal(size=(1, 2))
+    coeff = rng.normal(size=(1, 1, 2))
 
     def fn():
         outs = run_mixer(grid, model.params, model.cfg)
-        logits = classify(fuse(outs, model.params, model.cfg), model.params, 1)
+        logits = classify(fuse(outs, model.params, model.cfg), model.params, [1])
         return tsum(mul(logits, coeff))
 
     rep = grad_check(fn, params)
@@ -132,14 +133,15 @@ def test_2_hard_window_locality():
                           n_features=n_feat, sid=f"acc2-{trial}")
         prep = model.prepare(s)
         x_hat = te_forward(model.params, prep, model.cfg)
-        grid = dla_forward(model.params, prep, model.cfg, x_hat, keep_attention=True)
-        w = grid.attention
+        grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat,
+                           keep_attention=True)
+        w = grid.attention[0]
         radii = model.radii()
         for i, anchor in enumerate(grid.anchors):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & (prep.mask3[0].T > 0.0)
+                & prep.mask
             sums = w[:, i].sum(axis=1)
             empty = ~inside.any(axis=0)
             if not (np.all(w[:, i][:, ~inside] == 0.0)

@@ -114,6 +114,17 @@ def test_train_rerun_is_byte_identical(tmp_path, data_dir):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_train_rerun_with_partial_chunks_is_byte_identical(tmp_path, data_dir):
+    # batches of 5: training, validation (8) and test (8) all end on a
+    # partial batch
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["train", "--data", data_dir] + set_args(TINY + ("batch_size=5",))
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    for name in ("model.bin", "manifest.json", "metrics.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_train_multi_seed_aggregates(tmp_path, data_dir, capsys):
     rc = main(["train", "--data", data_dir, "--out", str(tmp_path),
                "--seeds", "0,1"] + set_args(TINY))

@@ -1,19 +1,21 @@
 """Dynamic local attention: windows, locality, and the anchor grid."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import tada.model
+import reference
 from helpers import build_series, random_series, redraw_params, tiny_model
-from reference import dense_dla_forward, dense_te_forward
+from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import _gates, anchor_times, dla_forward
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
-from tada.tensor import Tensor, mul, tsum
+from tada.model import collate
+from tada.tensor import Tensor, mul, reshape, tsum
 
 
 def raw_radius(r):
@@ -34,14 +36,22 @@ def gate_row(anchor, times, radius, mode, tau):
     """The model's gate for one (anchor, radius) pair, all steps observed."""
     times = np.asarray(times, dtype=np.float64)
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
-    gates = _gates(Tensor([radius]), times, np.array([anchor]), cfg,
-                   np.ones((1, 1, len(times))))
-    return gates.data[0, 0]
+    gates = _gates(Tensor([radius]), times[None], np.array([anchor]), cfg,
+                   np.ones((1, 1, 1, len(times))))
+    return gates.data[0, 0, 0]
 
 
 def observed(prep):
     """(T, D) bool observation mask of a prepared sample."""
-    return prep.mask3[0].T > 0.0
+    return prep.mask
+
+
+def sample_dla(model, prep, x_hat, keep_attention=False):
+    """DLA on a batch of one, as that sample's (L, C) grid and (H, L, T, D) map."""
+    grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat, keep_attention)
+    return dataclasses.replace(
+        grid, grid=reshape(grid.grid, grid.grid.shape[1:]),
+        attention=None if grid.attention is None else grid.attention[0])
 
 
 def forward_grid(model, series, keep_attention=False):
@@ -49,7 +59,7 @@ def forward_grid(model, series, keep_attention=False):
     x_hat = None
     if model.cfg.keyvalue_variant != "setting1":
         x_hat = te_forward(model.params, prep, model.cfg)
-    return dla_forward(model.params, prep, model.cfg, x_hat, keep_attention)
+    return sample_dla(model, prep, x_hat, keep_attention)
 
 
 # anchors and window gates -----------------------------------------------------
@@ -286,7 +296,7 @@ def test_stacked_heads_match_the_per_head_reference():
         for trial in range(5):
             prep = model.prepare(random_series(rng, int(rng.integers(1, 12)), 3))
             x_hat = te_forward(model.params, prep, model.cfg)
-            got = dla_forward(model.params, prep, model.cfg, x_hat, keep_attention=True)
+            got = sample_dla(model, prep, x_hat, keep_attention=True)
             grid, maps = per_head_reference(model, prep, x_hat.data)
             for out, ref in ((got.grid.data, grid), (got.attention, maps)):
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (overrides, trial)
@@ -302,8 +312,7 @@ def test_setting1_skips_the_embedding_stage():
     s = build_series([(0.0, [(0, 1.0)]), (0.5, [(1, -1.0)]), (1.0, [(2, 2.0)])])
     grid = forward_grid(model, s)
     assert grid.grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
-    logits, _ = model.forward(model.prepare(s))
-    assert logits.shape == (1, 2)
+    assert model.logits(model.prepare(s)).shape == (1, 2)
 
 
 def test_setting2_attends_over_embeddings():
@@ -355,14 +364,14 @@ def test_dla_gradients_match_finite_differences():
     x_hat_const = te_forward(model.params, prep, model.cfg)
 
     def fn():
-        grid = dla_forward(model.params, prep, model.cfg, x_hat_const)
+        grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat_const)
         return tsum(mul(grid.grid, coeff))
 
     rep = grad_check(fn, dla_params(model), eps=3e-5)
     assert rep.max_rel_error < 1e-6, rep.worst()
 
 
-# the dense reference path ----------------------------------------------------------
+# the per-sample dense reference ------------------------------------------------------
 
 MODES = {"soft": {}, "hard": {"window_mode": "hard"},
          "setting1": {"keyvalue_variant": "setting1"},
@@ -370,36 +379,55 @@ MODES = {"soft": {}, "hard": {"window_mode": "hard"},
          "no_dla": {"no_dla": True}, "frozen-radii": {"no_learnable_range": True}}
 
 
-def model_outputs(model, preps):
-    """te output, logits and attention map of every sample, and every
-    parameter gradient of the batch loss."""
+def batched_outputs(model, preps):
+    """te output, logits and attention map of every sample from one batched
+    forward, and every parameter gradient of the batch loss."""
     for p in model.params.values():
         p.grad = None
     model.batch_loss(preps).backward()
     grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
+    X = collate(preps)
+    logits, grid = model.forward(X, keep_attention=not model.cfg.no_dla)
+    te_rows = np.split(te_forward(model.params, X, model.cfg).data, np.cumsum(X.lengths)[:-1])
+    arrays = []
+    for b, prep in enumerate(preps):
+        arrays += [te_rows[b], logits.data[b, :len(prep.labels)]]
+        if grid is not None:
+            arrays.append(grid.attention[b])
+    return arrays, grads
+
+
+def reference_outputs(model, preps):
+    """The same, one dense per-sample graph at a time."""
+    for p in model.params.values():
+        p.grad = None
+    reference.batch_loss(model, preps, dense=True).backward()
+    grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
     arrays = []
     for prep in preps:
-        logits, grid = model.forward(prep, keep_attention=not model.cfg.no_dla)
-        arrays.append(tada.model.te_forward(model.params, prep, model.cfg).data)
-        arrays.append(logits.data)
+        logits, grid = reference.forward(model, prep, keep_attention=not model.cfg.no_dla,
+                                         dense=True)
+        arrays += [dense_te_forward(model.params, prep, model.cfg).data, logits.data]
         if grid is not None:
             arrays.append(grid.attention)
     return arrays, grads
 
 
+def assert_matches_reference(model, preps, tag):
+    arrays, grads = batched_outputs(model, preps)
+    want_arrays, want_grads = reference_outputs(model, preps)
+    assert len(arrays) == len(want_arrays) and grads.keys() == want_grads.keys(), tag
+    for got, want in zip(arrays, want_arrays):
+        assert got.shape == want.shape, tag
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tag
+    for k in grads:
+        assert np.abs(grads[k] - want_grads[k]).max() \
+            <= 1e-12 * np.abs(want_grads[k]).max(), (tag, k)
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_model_matches_the_dense_reference_path(mode, monkeypatch):
+def test_model_matches_the_dense_reference_path(mode):
     # steps with several observations, so te's softmax does real work
     for seed in range(3):
         model, preps = gradcheck_setup(small_gradcheck_config(seed=seed, **MODES[mode]))
-        arrays, grads = model_outputs(model, preps)
-        with monkeypatch.context() as m:
-            m.setattr(tada.model, "te_forward", dense_te_forward)
-            m.setattr(tada.model, "dla_forward", dense_dla_forward)
-            want_arrays, want_grads = model_outputs(model, preps)
-        assert len(arrays) == len(want_arrays) and grads.keys() == want_grads.keys()
-        for got, want in zip(arrays, want_arrays):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (mode, seed)
-        for k in grads:
-            assert np.abs(grads[k] - want_grads[k]).max() \
-                <= 1e-12 * np.abs(want_grads[k]).max(), (mode, seed, k)
+        assert_matches_reference(model, preps, (mode, seed))

@@ -132,9 +132,9 @@ def _pool_normalizer_dropped(inner, g, args, out):
     e, den, _, _ = tada.tensor._pool_exponents(S, G)
     b = np.divide(g * out.data, den, out=np.zeros_like(den), where=den > 0.0)
     g_s, g_g, g_v = inner(g)
-    g_s = g_s + e * np.einsum("hld,ldt->hlt", b, G)
+    g_s = g_s + e * np.einsum("bhld,bldt->bhlt", b, G)
     if g_g is not None:
-        g_g = g_g + np.where(G > 0.0, np.einsum("hld,hlt->ldt", b, e), 0.0)
+        g_g = g_g + np.where(G > 0.0, np.einsum("bhld,bhlt->bldt", b, e), 0.0)
     return g_s, g_g, g_v
 
 
@@ -148,7 +148,8 @@ MUTANTS = {
     "pool-normalizer-dropped": ("gated_attention_pool", _pool_normalizer_dropped),
     "gather-assigns": ("gather", _gather_assigning),
     "matmul-scaled": ("matmul",
-                      lambda inner, g, args, out: tuple(x * (1 + 1e-3) for x in inner(g))),
+                      lambda inner, g, args, out: tuple(None if x is None else x * (1 + 1e-3)
+                                                        for x in inner(g))),
 }
 
 

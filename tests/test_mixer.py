@@ -162,21 +162,21 @@ def test_single_scale_fusion_is_pool_plus_mlp():
     rng = np.random.default_rng(27)
     cfg = RunConfig(patch_channels=4, fusion_mode="multiply").validate()
     params = fusion_params(rng, 4)
-    x = rng.normal(size=(2, 3, 4))
+    x = rng.normal(size=(2, 2, 3, 4))
     out = fuse([Tensor(x)], params, cfg)
-    flat = x.reshape(6, 4)
+    flat = x.reshape(2, 6, 4)
     h = np.maximum(flat @ params["fusion.w1"].data + params["fusion.b1"].data, 0.0)
     want = h @ params["fusion.w2"].data + params["fusion.b2"].data
     np.testing.assert_allclose(out.data, want, atol=1e-14)
-    assert out.shape == (6, 4)
+    assert out.shape == (2, 6, 4)
 
 
 def test_multiply_by_all_ones_scale_is_identity():
     rng = np.random.default_rng(28)
     cfg = RunConfig(patch_channels=4, fusion_mode="multiply").validate()
     params = fusion_params(rng, 4)
-    x = rng.normal(size=(1, 4, 4))
-    ones = np.ones((1, 4, 4))
+    x = rng.normal(size=(1, 1, 4, 4))
+    ones = np.ones((1, 1, 4, 4))
     with_ones = fuse([Tensor(x), Tensor(ones)], params, cfg).data
     alone = fuse([Tensor(x)], params, cfg).data
     np.testing.assert_allclose(with_ones, alone, atol=1e-14)
@@ -184,14 +184,14 @@ def test_multiply_by_all_ones_scale_is_identity():
 
 def test_fusion_modes_agree_in_shape_but_not_value():
     rng = np.random.default_rng(29)
-    scales = [Tensor(rng.normal(size=(4, 2, 5))), Tensor(rng.normal(size=(2, 2, 5)))]
+    scales = [Tensor(rng.normal(size=(1, 4, 2, 5))), Tensor(rng.normal(size=(1, 2, 2, 5)))]
     outs = {}
     for mode in ("multiply", "add", "concat"):
         cfg = RunConfig(patch_channels=5, fusion_mode=mode).validate()
         params = fusion_params(rng, 5, n_scales=2, mode=mode)
         outs[mode] = fuse(scales, params, cfg).data
         # pooled to the deepest scale's token count by default
-        assert outs[mode].shape == (4, 5)
+        assert outs[mode].shape == (1, 4, 5)
     assert not np.allclose(outs["multiply"], outs["add"])
 
 
@@ -199,20 +199,26 @@ def test_classify_pools_to_task_length():
     rng = np.random.default_rng(31)
     params = {"head.w": Tensor(rng.normal(size=(4, 2))),
               "head.b": Tensor(rng.normal(size=(2,)))}
-    fused = Tensor(rng.normal(size=(6, 4)))
-    seq = classify(fused, params, out_len=1)
-    assert seq.shape == (1, 2)
+    fused = Tensor(rng.normal(size=(3, 6, 4)))
+    seq = classify(fused, params, [1, 1, 1])
+    assert seq.shape == (3, 1, 2)
     np.testing.assert_allclose(
-        seq.data[0],
-        fused.data.mean(axis=0) @ params["head.w"].data + params["head.b"].data,
+        seq.data[:, 0],
+        fused.data.mean(axis=1) @ params["head.w"].data + params["head.b"].data,
         atol=1e-14)
     params7 = {"head.w": Tensor(rng.normal(size=(4, 7))),
                "head.b": Tensor(rng.normal(size=(7,)))}
-    step = classify(Tensor(rng.normal(size=(50, 4))), params7, out_len=50)
-    assert step.shape == (50, 7)
+    tokens = Tensor(rng.normal(size=(2, 50, 4)))
+    step = classify(tokens, params7, [50, 20])
+    assert step.shape == (2, 50, 7)
+    # each sample pools to its own length; the rows after it are padding
+    np.testing.assert_allclose(step.data[1, :20], classify(tokens, params7, [20, 20]).data[1],
+                               atol=1e-14)
+    np.testing.assert_array_equal(step.data[1, 20:], np.broadcast_to(params7["head.b"].data,
+                                                                     (30, 7)))
     # purity: identical input gives identical logits
     np.testing.assert_array_equal(
-        classify(fused, params, 1).data, classify(fused, params, 1).data)
+        classify(fused, params, [1] * 3).data, classify(fused, params, [1] * 3).data)
 
 
 def test_mixer_stack_gradients_through_fusion_and_head():
@@ -220,15 +226,15 @@ def test_mixer_stack_gradients_through_fusion_and_head():
                        patch_channels=4, n_features=3)
     redraw_params(model, seed=6)
     rng = np.random.default_rng(32)
-    grid = Tensor(rng.uniform(0.2, 1.0, size=(8, 4)))
+    grid = Tensor(rng.uniform(0.2, 1.0, size=(2, 8, 4)))
     names = [k for k in model.params
              if k.startswith(("mixer.", "fusion.", "head."))]
     params = {k: model.params[k] for k in names}
-    coeff = rng.normal(size=(1, 2))
+    coeff = rng.normal(size=(2, 3, 2))
 
     def fn():
         outs = run_mixer(grid, model.params, model.cfg)
-        logits = classify(fuse(outs, model.params, model.cfg), model.params, 1)
+        logits = classify(fuse(outs, model.params, model.cfg), model.params, [1, 3])
         return tsum(mul(logits, coeff))
 
     rep = grad_check(fn, params)

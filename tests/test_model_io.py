@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import build_series, random_series, tiny_config, tiny_model
 from tada.data import IrregularSeries, Observation, TimeStep
 from tada.errors import ConfigError, DataError
-from tada.model import MAGIC, TadaModel
+from tada.model import MAGIC, TadaModel, collate
 
 
 def test_parameter_set_matches_architecture():
@@ -88,8 +88,8 @@ def test_prepare_precomputes_consistent_arrays():
     np.testing.assert_array_equal(prep.feat_idx, [0, 2, 1, 0])
     np.testing.assert_array_equal(prep.values_col[:, 0], [1.0, -1.0, 4.0, 2.0])
     np.testing.assert_array_equal(prep.step_of, [0, 0, 1, 2])
-    assert prep.mask3.sum() == 4 and prep.values.shape == (3, 3)
-    np.testing.assert_array_equal(prep.mask3[0].T, prep.values != 0.0)
+    assert prep.mask.sum() == 4 and prep.values.shape == (3, 3)
+    np.testing.assert_array_equal(prep.mask, prep.values != 0.0)
     assert prep.labels.tolist() == [0]
     # a sample keeps no (T, N) array: te derives its step gates from step_of
     assert not [k for k, v in vars(prep).items() if np.shape(v) == (3, 4)]
@@ -114,9 +114,28 @@ def test_forward_is_pure():
     model = tiny_model()
     rng = np.random.default_rng(41)
     prep = model.prepare(random_series(rng, 6, 3))
-    a, _ = model.forward(prep)
-    b, _ = model.forward(prep)
+    a, _ = model.forward(collate([prep]))
+    b, _ = model.forward(collate([prep]))
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_collate_builds_the_ragged_and_padded_layouts():
+    model = tiny_model(n_features=3, task="step")
+    long = build_series([(0.0, [(0, 1.0), (2, -1.0)]), (5.0, [(1, 4.0)]),
+                         (10.0, [(0, 2.0)])], label=(0, 1, 1))
+    short = build_series([(0.0, [(1, 3.0)]), (1.0, [])], label=(1, 0))
+    preps = [model.prepare(s) for s in (short, long)]
+    X = collate(preps)
+    np.testing.assert_array_equal(X.lengths, [2, 3])
+    np.testing.assert_array_equal(X.step_of, [0, 2, 2, 3, 4])
+    np.testing.assert_array_equal(X.slot, [0, 1, 3, 4, 5])
+    np.testing.assert_array_equal(X.times, [0.0, 1.0, 0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(X.padded(X.times), [[0.0, 1.0, 0.0], [0.0, 0.5, 1.0]])
+    np.testing.assert_array_equal(X.padded(X.mask)[0, 2], False)
+    np.testing.assert_array_equal(X.labels, [[1, 0, 0], [0, 1, 1]])
+    np.testing.assert_array_equal(X.label_counts, [2, 3])
+    with pytest.raises(DataError, match="batch"):
+        collate([])
 
 
 def test_save_load_round_trip_preserves_everything(tmp_path):

@@ -26,3 +26,13 @@ def test_traced_eval_stream_runs_clean(workloads, tmp_path):
     assert out.attempted > 0 and out.failed == 0
     assert out.metrics["dla.forward_calls"][0] > 0
     assert out.metrics["embedding.te_forward_calls"][0] > 0
+
+
+def test_traced_train_short_runs_clean(workloads, tmp_path):
+    # the first-batch checks: batch_loss against the mean sample_loss,
+    # batch gradients against the mean per-sample gradients, and the
+    # directional finite-difference check
+    out = workloads.run("train_short", 0, 1, str(tmp_path), trace=True)
+    assert out.problems == []
+    assert out.attempted > 0 and out.failed == 0
+    assert out.metrics["tensor.backward_calls"][0] > 0

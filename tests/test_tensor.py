@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import dense_pool, weighted_masked_softmax
+from reference import dense_pool, reference_backward, reference_sigmoid, weighted_masked_softmax
+from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
@@ -66,6 +67,10 @@ def test_matmul_batched_3d():
     out = matmul(Tensor(A), Tensor(B3)).data
     for h in range(4):
         np.testing.assert_allclose(out[h], A[h] @ B3[h], rtol=1e-14)
+    # leading axes broadcast as in numpy: (H, L, A) @ (B, H, A, T)
+    B4 = rng.normal(size=(2, 4, 5, 3))
+    np.testing.assert_allclose(matmul(Tensor(A), Tensor(B4)).data, A @ B4, rtol=1e-14)
+    np.testing.assert_allclose(matmul(Tensor(A[0]), Tensor(B4)).data, A[0] @ B4, rtol=1e-14)
 
 
 def test_matmul_shape_errors_name_op():
@@ -100,6 +105,22 @@ def test_sigmoid_values_and_stability():
     big = sigmoid(Tensor([-1000.0, 1000.0])).data
     assert np.all(np.isfinite(big))
     assert big[0] == 0.0 and big[1] == 1.0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                          st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                           745.2, -745.2, 746.0, -746.0, 1e308, -1e308])),
+                min_size=1, max_size=40))
+def test_sigmoid_is_bit_identical_to_the_reference(xs):
+    # no tanh or clipping: gates below ~1e-17 must stay nonzero, because the
+    # attention pool reads exact zeros as masks
+    x = np.array(xs)
+    with np.errstate(invalid="ignore"):
+        want = reference_sigmoid(x)
+    assert np.array_equal(sigmoid(Tensor(x)).data, want, equal_nan=True)
+    assert np.array_equal(sigmoid(Tensor(x.reshape(-1, 1, 1))).data, want.reshape(-1, 1, 1),
+                          equal_nan=True)
 
 
 def test_softplus_values_and_stability():
@@ -237,6 +258,72 @@ def test_cross_entropy_errors():
         cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0])
     with pytest.raises(DimensionError, match="cross_entropy"):
         cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 3])
+    with pytest.raises(DimensionError, match="cross_entropy"):
+        cross_entropy_with_logits(Tensor(np.zeros((2, 3, 2))), np.zeros((2, 3)), [1, 4])
+    with pytest.raises(DimensionError, match="cross_entropy"):
+        cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 1], [2])
+
+
+def test_padded_cross_entropy_is_the_mean_of_per_sample_means():
+    rng = np.random.default_rng(3)
+    rows = [rng.normal(size=(n, 4)) for n in (1, 3, 2)]
+    labels = [rng.integers(0, 4, size=n) for n in (1, 3, 2)]
+    logits = Tensor(np.zeros((3, 3, 4)), requires_grad=True)
+    padded_labels = np.zeros((3, 3), dtype=np.int64)
+    for b, (z, y) in enumerate(zip(rows, labels)):
+        logits.data[b, :len(z)] = z
+        logits.data[b, len(z):] = rng.normal(size=(3 - len(z), 4))
+        padded_labels[b, :len(y)] = y
+    loss = cross_entropy_with_logits(logits, padded_labels, [1, 3, 2])
+    loss.backward()
+    parts = [Tensor(z, requires_grad=True) for z in rows]
+    want = [cross_entropy_with_logits(z, y) for z, y in zip(parts, labels)]
+    assert abs(loss.item() - np.mean([w.item() for w in want])) < 1e-15
+    for b, (part, w) in enumerate(zip(parts, want)):
+        w.backward()
+        n = len(rows[b])
+        np.testing.assert_allclose(logits.grad[b, :n], part.grad / 3, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(logits.grad[b, n:], 0.0)   # padding rows
+
+
+def _graph_nodes(root):
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+@pytest.mark.parametrize("overrides", [{}, {"window_mode": "hard"},
+                                       {"keyvalue_variant": "setting2"}, {"no_dla": True}])
+def test_backward_keeps_gradients_on_leaves_only(overrides):
+    model, preps = gradcheck_setup(small_gradcheck_config(**overrides))
+    loss = model.batch_loss(preps)
+    loss.backward()
+    nodes = _graph_nodes(loss)
+    assert any(n._backward is not None and n.requires_grad for n in nodes)
+    assert all(n.grad is None for n in nodes if n._backward is not None)
+    got = {k: p.grad for k, p in model.params.items() if p.grad is not None}
+    # the earlier accumulation, which zero-fills and keeps every gradient
+    for p in model.params.values():
+        p.grad = None
+    reference_backward(model.batch_loss(preps))
+    want = {k: p.grad for k, p in model.params.items() if p.grad is not None}
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.abs(got[k] - want[k]).max() <= 1e-14 * np.abs(want[k]).max(), k
+
+
+def test_backward_accumulates_into_existing_leaf_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    tsum(mul(add(x, x), 3.0)).backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+    tsum(mul(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [8.0, 10.0])
 
 
 def test_backward_requires_scalar():
@@ -279,7 +366,9 @@ def test_ops_pure_and_deterministic():
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(10)
     cases = [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)),
-             ((2, 3, 4), (4, 2)), ((2, 3, 4), (4,)), ((2, 3, 4), (2, 4, 5))]
+             ((2, 3, 4), (4, 2)), ((2, 3, 4), (4,)), ((2, 3, 4), (2, 4, 5)),
+             ((3, 4), (2, 4, 5)), ((4,), (2, 4, 3)), ((2, 3, 4), (3, 2, 4, 5)),
+             ((3, 1, 2, 4), (2, 4, 5)), ((2, 1, 3, 4), (4,))]
     for sa, sb in cases:
         a, b = leaf(rng, sa), leaf(rng, sb)
         assert_grads_match(lambda a=a, b=b: tsum(mul(matmul(a, b), 0.7)),
@@ -469,15 +558,17 @@ def test_segment_ops_reject_bad_step_indices():
 # gated attention pool ----------------------------------------------------------
 
 
-def pool_inputs(rng, mode, learn_gates, value_grad, H=2, L=3, D=4, T=6):
-    """(H, L, T) scores, (L, D, T) gates and (1, D, T) values; one dead row."""
-    scores = leaf(rng, (H, L, T), lo=-2.0, hi=2.0)
+def pool_inputs(rng, mode, learn_gates, value_grad, B=2, H=2, L=3, D=4, T=6):
+    """(B, H, L, T) scores, (B, L, D, T) gates and (B, 1, D, T) values; one
+    dead row per sample, and the last sample's last two steps are padding."""
+    scores = leaf(rng, (B, H, L, T), lo=-2.0, hi=2.0)
     if mode == "hard":
-        gates = (rng.random((L, D, T)) < 0.5).astype(np.float64)
+        gates = (rng.random((B, L, D, T)) < 0.5).astype(np.float64)
     else:
-        gates = rng.uniform(0.05, 1.0, size=(L, D, T)) * (rng.random((L, D, T)) < 0.7)
-    gates[0, 0] = 0.0
-    values = Tensor(rng.normal(size=(1, D, T)), requires_grad=value_grad)
+        gates = rng.uniform(0.05, 1.0, size=(B, L, D, T)) * (rng.random((B, L, D, T)) < 0.7)
+    gates[:, 0, 0] = 0.0
+    gates[-1, ..., -2:] = 0.0
+    values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=value_grad)
     return scores, Tensor(gates, requires_grad=learn_gates), values
 
 
@@ -501,18 +592,19 @@ def test_gated_attention_pool_matches_the_dense_reference(mode, learn_gates, val
     rng = np.random.default_rng(20)
     for trial in range(5):
         scores, gates, values = pool_inputs(rng, mode, learn_gates, value_grad)
-        coeff = rng.normal(size=(2, 3, 4))
+        coeff = rng.normal(size=(2, 2, 3, 4))
         out, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
         want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
         assert max_rel_diff(out, want) <= 1e-12
-        np.testing.assert_array_equal(out[:, 0, 0], 0.0)
+        np.testing.assert_array_equal(out[:, :, 0, 0], 0.0)
         # gates and values get a gradient exactly when they require one
         assert [g is None for g in grads] == [False, not learn_gates, not value_grad]
         for g, w in zip(grads, want_grads):
             if g is not None:
                 assert max_rel_diff(g, w) <= 1e-12, (mode, learn_gates, value_grad, trial)
         weights = gated_attention_weights(scores.data, gates.data)
-        ref = weighted_masked_softmax(Tensor(scores.data[:, :, None, :]), gates).data
+        ref = weighted_masked_softmax(Tensor(scores.data[:, :, :, None, :]),
+                                      Tensor(gates.data[:, None])).data
         assert max_rel_diff(weights, ref) <= 1e-12
 
 
@@ -520,17 +612,19 @@ def test_grad_gated_attention_pool_all_inputs():
     rng = np.random.default_rng(21)
     scores, _, values = pool_inputs(rng, "soft", True, True)
     # zero gates are masks with no gradient, so every gate stays live here
-    gates = Tensor(rng.uniform(0.05, 1.0, size=(3, 4, 6)), requires_grad=True)
-    coeff = rng.normal(size=(2, 3, 4))
+    gates = Tensor(rng.uniform(0.05, 1.0, size=(2, 3, 4, 6)), requires_grad=True)
+    coeff = rng.normal(size=(2, 2, 3, 4))
     assert_grads_match(lambda: tsum(mul(gated_attention_pool(scores, gates, values), coeff)),
                        {"scores": scores, "gates": gates, "values": values})
 
 
 def test_gated_attention_pool_rejects_mismatched_shapes():
-    s, g, v = Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 4, 5))), Tensor(np.ones((1, 4, 5)))
+    s, g = Tensor(np.ones((1, 2, 3, 5))), Tensor(np.ones((1, 3, 4, 5)))
+    v = Tensor(np.ones((1, 1, 4, 5)))
     gated_attention_pool(s, g, v)
-    for bad in ((Tensor(np.ones((2, 3, 4))), g, v), (s, Tensor(np.ones((2, 4, 5))), v),
-                (s, g, Tensor(np.ones((4, 5)))), (Tensor(np.ones((3, 5))), g, v)):
+    for bad in ((Tensor(np.ones((1, 2, 3, 4))), g, v), (s, Tensor(np.ones((1, 2, 4, 5))), v),
+                (s, g, Tensor(np.ones((1, 4, 5)))), (Tensor(np.ones((2, 3, 5))), g, v),
+                (Tensor(np.ones((2, 2, 3, 5))), g, v)):
         with pytest.raises(DimensionError, match="gated_attention_pool"):
             gated_attention_pool(*bad)
 
@@ -541,26 +635,26 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
     # that shift underflows their normalizers to zero (gap 1000) or to
     # subnormals (gap 720).  Each such row must come out as its own softmax.
     rng = np.random.default_rng(22)
-    H, L, D, T = 2, 2, 3, 5
+    B, H, L, D, T = 1, 2, 2, 3, 5
     for gap in (1000.0, 720.0):
-        s = np.zeros((H, L, T))
-        s[..., 1:] = -gap + rng.uniform(-1.0, 1.0, size=(H, L, T - 1))
-        g = np.zeros((L, D, T))
-        g[:, 0, 0] = 1.0
-        g[:, 1:, 1:] = rng.uniform(0.1, 1.0, size=(L, D - 1, T - 1))
-        v = np.full((1, D, T), 2.0)
+        s = np.zeros((B, H, L, T))
+        s[..., 1:] = -gap + rng.uniform(-1.0, 1.0, size=(B, H, L, T - 1))
+        g = np.zeros((B, L, D, T))
+        g[:, :, 0, 0] = 1.0
+        g[:, :, 1:, 1:] = rng.uniform(0.1, 1.0, size=(B, L, D - 1, T - 1))
+        v = np.full((B, 1, D, T), 2.0)
         out = gated_attention_pool(Tensor(s), Tensor(g), Tensor(v)).data
         np.testing.assert_allclose(out, 2.0, rtol=1e-15)
         scores = Tensor(s, requires_grad=True)
         gates = Tensor(g, requires_grad=True)
-        values = Tensor(rng.normal(size=(1, D, T)), requires_grad=True)
-        coeff = rng.normal(size=(H, L, D))
+        values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=True)
+        coeff = rng.normal(size=(B, H, L, D))
         got, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
         want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
         assert max_rel_diff(got, want) <= 1e-12, gap
         for k, (a, b) in enumerate(zip(grads, want_grads)):
             assert max_rel_diff(a, b) <= 1e-12, (gap, k)
-        ref = weighted_masked_softmax(Tensor(s[:, :, None, :]), Tensor(g)).data
+        ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(g[:, None])).data
         assert max_rel_diff(gated_attention_weights(s, g), ref) <= 1e-12, gap
 
 
@@ -577,16 +671,16 @@ def _held_arrays(fn):
 
 def test_gated_attention_pool_forms_no_head_anchor_feature_step_array():
     rng = np.random.default_rng(23)
-    H, L, D, T = 3, 4, 5, 7
-    scores, gates, values = pool_inputs(rng, "soft", True, True, H, L, D, T)
+    B, H, L, D, T = 2, 3, 4, 5, 7
+    scores, gates, values = pool_inputs(rng, "soft", True, True, B, H, L, D, T)
     out = gated_attention_pool(scores, gates, values)
     held = _held_arrays(out._backward)
-    assert held and all(a.size < H * L * D * T for a in held)
+    assert held and all(a.size < B * H * L * D * T for a in held)
     # transient arrays too: forward plus backward peaks below one float64
-    # (H, L, D, T) array, which the dense pool allocates several times over
-    H, L, D, T = 16, 16, 8, 400
-    scores, gates, values = pool_inputs(rng, "soft", True, True, H, L, D, T)
-    dense_bytes = H * L * D * T * 8
+    # (B, H, L, D, T) array, which the dense pool allocates several times over
+    B, H, L, D, T = 1, 16, 16, 8, 400
+    scores, gates, values = pool_inputs(rng, "soft", True, True, B, H, L, D, T)
+    dense_bytes = B * H * L * D * T * 8
     peaks = []
     for pool in (gated_attention_pool, dense_pool):
         tracemalloc.start()

@@ -1,16 +1,18 @@
 """Training loop determinism, selection, ablations, and run manifests."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import reference
 import tada.training
-from helpers import tiny_config, tiny_model
+from helpers import random_series, redraw_params, tiny_config, tiny_model
 from tada.data import SynthConfig, synth_generate
 from tada.errors import EvaluationError, TrainingError
-from tada.metrics import accuracy, auprc, auroc
+from tada.metrics import accuracy, auprc, auroc, softmax_rows
 from tada.training import (
     MetricsReport,
     evaluate,
@@ -30,13 +32,16 @@ def small_data():
 
 
 def stub_model(logits_by_id, task="sequence", n_classes=2):
+    # batches of 4, so six samples take a full and a partial chunk
     return SimpleNamespace(
-        task=task, n_classes=n_classes,
-        logits=lambda prep: np.asarray(logits_by_id[prep.sample_id], dtype=float))
+        task=task, n_classes=n_classes, cfg=SimpleNamespace(batch_size=4),
+        batch_logits=lambda preps: np.concatenate(
+            [np.asarray(logits_by_id[p.sample_id], dtype=float) for p in preps]))
 
 
 def stub_prep(sid, labels):
-    return SimpleNamespace(sample_id=sid, labels=np.asarray(labels))
+    return SimpleNamespace(sample_id=sid, labels=np.asarray(labels),
+                           times=np.zeros(np.size(labels)))
 
 
 # evaluation ------------------------------------------------------------------
@@ -80,6 +85,46 @@ def test_evaluate_empty_set_raises():
         evaluate_preps(stub_model({}), [])
     with pytest.raises(EvaluationError, match="empty"):
         evaluate(tiny_model(), [])
+
+
+def per_sample_report(model, preps):
+    """evaluate_preps's metrics from the per-sample reference, one sample a chunk."""
+    stub = SimpleNamespace(task=model.task, n_classes=model.n_classes,
+                           cfg=SimpleNamespace(batch_size=1),
+                           batch_logits=lambda chunk: reference.forward(model, chunk[0])[0].data)
+    return evaluate_preps(stub, preps)
+
+
+@pytest.mark.parametrize("task", ["sequence", "step"])
+def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
+    # 13 samples in batches of 5, with a step cap that splits the long ones
+    monkeypatch.setattr(tada.training, "CHUNK_STEPS", 24)
+    rng = np.random.default_rng(8)
+    model = tiny_model(n_features=3, task=task, batch_size=5)
+    redraw_params(model, seed=8)
+    preps = []
+    for i, n in enumerate([2, 3, 1, 9, 4, 2, 12, 5, 3, 3, 7, 1, 2]):
+        s = random_series(rng, n, 3, sid=f"c{i}", label=i % 2)
+        if task == "step":
+            s = dataclasses.replace(s, label=tuple(int(k) for k in rng.integers(0, 2, n)))
+        preps.append(model.prepare(s))
+    calls = []
+    monkeypatch.setattr(tada.training, "softmax_rows",
+                        lambda z: calls.append(softmax_rows(z)) or calls[-1])
+    got = evaluate_preps(model, preps)
+    chunks = tada.training._chunks(preps, 5)
+    assert len(calls) == len(chunks) > 13 // 5 + 1
+    assert [p for c in chunks for p in c] == preps
+    assert all(len(c) <= 5 and (len(c) == 1 or len(c) * max(len(p.times) for p in c) <= 24)
+               for c in chunks)
+    want_rows = np.concatenate([softmax_rows(reference.forward(model, p)[0].data)
+                                for p in preps])
+    assert np.abs(np.concatenate(calls) - want_rows).max() <= 1e-12
+    want = per_sample_report(model, preps)
+    for key, value in want.as_dict().items():
+        assert abs(got.as_dict()[key] - value) <= 1e-12, key
+    loss = tada.training._mean_loss(model, preps)
+    assert abs(loss - reference.batch_loss(model, preps).item()) <= 1e-12 * abs(loss)
 
 
 def test_evaluate_real_model_matches_manual_metrics():
