@@ -7,8 +7,10 @@ Exit codes: 0 success, 2 usage/config/data problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -37,6 +39,15 @@ MODULE_GROUPS = (
     ("mixer", ("mixer.",)),
     ("fusion-classifier", ("fusion.", "head.")),
 )
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while creating or writing ``path`` as exit 2."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _write_json(path: str, obj) -> None:
@@ -70,6 +81,12 @@ def _load_splits(data_dir: str):
     return manifest, splits
 
 
+def _write_splits(out: str, tr, va, te) -> None:
+    os.makedirs(out, exist_ok=True)
+    for name, samples in (("train", tr), ("val", va), ("test", te)):
+        write_dataset(os.path.join(out, f"{name}.jsonl"), samples)
+
+
 # synth -----------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -90,12 +107,10 @@ def cmd_synth(args) -> int:
                       freqs=freqs, offset_scale=args.offset_scale)
     samples, meta = synth_generate(cfg)
     tr, va, te = split_dataset(samples, ratios, seed=cfg.seed, stratify=True)
-    os.makedirs(args.out, exist_ok=True)
-    write_dataset(os.path.join(args.out, "train.jsonl"), tr)
-    write_dataset(os.path.join(args.out, "val.jsonl"), va)
-    write_dataset(os.path.join(args.out, "test.jsonl"), te)
-    write_data_manifest(args.out, n_feat, "sequence", args.classes)
-    _write_json(os.path.join(args.out, "gen_meta.json"), meta)
+    with _writing(args.out):
+        _write_splits(args.out, tr, va, te)
+        write_data_manifest(args.out, n_feat, "sequence", args.classes)
+        _write_json(os.path.join(args.out, "gen_meta.json"), meta)
     print(f"synth: wrote {len(tr)}/{len(va)}/{len(te)} samples to {args.out}")
     return 0
 
@@ -106,18 +121,16 @@ def cmd_convert(args) -> int:
     samples, manifest = convert_uci_activity(args.csv, window=args.window)
     ratios = _floats(args.ratios)
     tr, va, te = split_dataset(samples, ratios, seed=args.seed, stratify=False)
-    os.makedirs(args.out, exist_ok=True)
-    write_dataset(os.path.join(args.out, "train.jsonl"), tr)
-    write_dataset(os.path.join(args.out, "val.jsonl"), va)
-    write_dataset(os.path.join(args.out, "test.jsonl"), te)
-    write_data_manifest(args.out, manifest["D"], manifest["task"], manifest["n_classes"])
-    _write_json(os.path.join(args.out, "convert_info.json"), {
-        "source": os.path.basename(args.csv),
-        "window_steps": args.window,
-        "split_ratios": list(ratios),
-        "split_seed": args.seed,
-        "n_samples": len(samples),
-    })
+    with _writing(args.out):
+        _write_splits(args.out, tr, va, te)
+        write_data_manifest(args.out, manifest["D"], manifest["task"], manifest["n_classes"])
+        _write_json(os.path.join(args.out, "convert_info.json"), {
+            "source": os.path.basename(args.csv),
+            "window_steps": args.window,
+            "split_ratios": list(ratios),
+            "split_seed": args.seed,
+            "n_samples": len(samples),
+        })
     print(f"convert: {len(samples)} windows -> {len(tr)}/{len(va)}/{len(te)} in {args.out}")
     return 0
 
@@ -125,7 +138,8 @@ def cmd_convert(args) -> int:
 # train -----------------------------------------------------------------------
 
 def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
     result = train(cfg, splits["train"], splits["val"], manifest["D"],
                    manifest["n_classes"], manifest["task"],
@@ -187,7 +201,7 @@ def cmd_eval(args) -> int:
     line = report.csv_line()
     print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
     return 0
 
@@ -253,6 +267,11 @@ def small_gradcheck_config(**overrides) -> RunConfig:
 
 
 def cmd_gradcheck(args) -> int:
+    # a step that moves nothing or a threshold no error can exceed checks nothing
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        raise ConfigError(f"--eps must be finite and > 0, got {args.eps}")
+    if not (math.isfinite(args.threshold) and args.threshold >= 0.0):
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     cfg = small_gradcheck_config(**{"seed": args.seed, **parse_overrides(args.set)})
     model, preps = gradcheck_setup(cfg)
     report = grad_check(lambda: model.batch_loss(preps), model.params, eps=args.eps)
@@ -294,7 +313,7 @@ def cmd_export_attention(args) -> int:
     _, grid = model.forward(collate([prep]), keep_attention=True, params=model.detached())
     radii = grid.radii
     attention = grid.attention[0]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
         fh.write("head,query_index,anchor_time,time_index,time,feature,weight,window_radius\n")
         n_heads, L, T, d_eff = attention.shape
         for h in range(n_heads):

@@ -280,6 +280,12 @@ def split_dataset(samples: Sequence[IrregularSeries], ratios: Sequence[float],
 
 # synthetic frequency task ----------------------------------------------------
 
+# A sample draws about sum(rates) events, already seconds of generation per
+# sample at this rate.
+MAX_SYNTH_RATE = 1e6
+MAX_SYNTH_REDRAWS = 10_000
+
+
 @dataclass
 class SynthConfig:
     """Sinusoid frequency discrimination with per-feature Poisson sampling.
@@ -298,6 +304,23 @@ class SynthConfig:
     freqs: tuple[float, ...] | None = None  # default: 3 + 2c per class c
     offset_scale: float = 2.0
 
+    def validate(self) -> "SynthConfig":
+        """Refuse settings the generator cannot finish on, with ConfigError."""
+        for ok, problem in (
+                (self.n_features >= 1, f"need n_features >= 1, got {self.n_features}"),
+                (len(self.rates) == self.n_features,
+                 f"{len(self.rates)} rates for {self.n_features} features"),
+                (all(0.0 < r <= MAX_SYNTH_RATE for r in self.rates),
+                 f"rates must lie in (0, {MAX_SYNTH_RATE:g}], got {self.rates}"),
+                (self.n_classes >= 2, "need at least 2 classes"),
+                (math.isfinite(self.noise) and self.noise >= 0.0,
+                 f"noise must be finite and >= 0, got {self.noise}"),
+                (all(map(math.isfinite, self.resolved_freqs())), f"freqs {self.freqs} not finite"),
+                (math.isfinite(self.offset_scale), f"offset_scale {self.offset_scale} not finite")):
+            if not ok:
+                raise ConfigError(f"synth: {problem}")
+        return self
+
     def resolved_freqs(self) -> tuple[float, ...]:
         if self.freqs is not None:
             if len(self.freqs) != self.n_classes:
@@ -310,13 +333,12 @@ class SynthConfig:
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[list[IrregularSeries], dict]:
-    """Generate the synthetic task; bit-identical for a fixed seed."""
-    if len(cfg.rates) != cfg.n_features:
-        raise ConfigError(
-            f"synth: {len(cfg.rates)} rates for {cfg.n_features} features")
-    if cfg.n_classes < 2:
-        raise ConfigError("synth: need at least 2 classes")
-    freqs = cfg.resolved_freqs()
+    """Generate the synthetic task; bit-identical for a fixed seed.
+
+    A sample whose features all draw no event in [0, 1) is redrawn, at most
+    ``MAX_SYNTH_REDRAWS`` times.
+    """
+    freqs = cfg.validate().resolved_freqs()
     rng = np.random.default_rng(cfg.seed)
     samples: list[IrregularSeries] = []
     meta: dict = {"freqs": list(freqs), "config": dataclasses.asdict(cfg),
@@ -325,7 +347,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[IrregularSeries], dict]:
         label = i % cfg.n_classes
         f = freqs[label]
         events: list[tuple[float, int, float]] = []
-        while not events:
+        for _ in range(MAX_SYNTH_REDRAWS):
             for d in range(cfg.n_features):
                 t = rng.exponential(1.0 / cfg.rates[d])
                 while t < 1.0:
@@ -334,6 +356,11 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[IrregularSeries], dict]:
                         v += rng.normal(0.0, cfg.noise)
                     events.append((t, d, v))
                     t += rng.exponential(1.0 / cfg.rates[d])
+            if events:
+                break
+        else:
+            raise ConfigError(f"synth: no events in [0, 1) after {MAX_SYNTH_REDRAWS} draws; "
+                              f"rates {cfg.rates} are too low")
         events.sort(key=lambda e: e[0])
         by_time: dict[float, list[Observation]] = {}
         for t, d, v in events:

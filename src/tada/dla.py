@@ -7,9 +7,12 @@ can learn wider windows.  Scaled dot-product scores are shared across
 features; the window gate and the observation mask select which steps a
 given (anchor, feature) pair may attend to.  A batch runs at once on a
 (B, T_max) padded layout: padded steps get a zero gate, which masks them
-out of every sample's softmax.  ``gated_attention_pool`` contracts each
-head's (B, L, T) scores with the (B, L, D, T) gates and values directly,
-so the (B, heads, L, D, T) attention weights are formed only when
+out of every sample's softmax.  The gates are one plain (B, L, D, T)
+array, evaluated only at the observed (b, d, t) entries; they build no
+graph node.  ``gated_attention_pool`` contracts each head's (B, L, T)
+scores with those gates and the values directly and forms the radii's
+gradient itself, so neither the (B, heads, L, D, T) attention weights nor
+a (B, L, D, T) gate gradient exists; the weights are formed only when
 ``keep_attention`` asks for them.  Head outputs concatenate and project to
 the mixer's channel width.
 """
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, add, gated_attention_pool, gated_attention_weights,
-                     matmul, mul, reshape, segment_sum, sigmoid, softplus, transpose)
+from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gated_attention_weights,
+                     matmul, mul, reshape, segment_sum, softplus, transpose)
 
 
 @dataclass
@@ -38,23 +41,27 @@ def anchor_times(n_queries: int) -> np.ndarray:
     return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
-def _gates(radii: Tensor, times: np.ndarray, anchors: np.ndarray, cfg,
-           obs_mask: np.ndarray) -> Tensor:
+def _gates(radii: np.ndarray, times: np.ndarray, anchors: np.ndarray, cfg,
+           obs_mask: np.ndarray) -> np.ndarray:
     """(B, L, D_eff, T) window gate x observation mask for (D_eff,) radii,
     (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask.
 
-    Hard mode is the indicator of anchor - radius <= t <= anchor + radius,
-    a constant.  Soft mode is sigmoid((radius - |t - anchor|) / tau) and
-    stays connected to the radii so they can train.
+    Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
+    soft mode is sigmoid((radius - |t - anchor|) / tau).  Either is
+    evaluated only at the (b, d, t) entries the mask keeps, for all anchors
+    at once; every other entry is zero.  A plain array: the pool gives the
+    radii their gradient.
     """
-    t = times[:, None, None, :]                                      # (B, 1, 1, T)
+    (B, T), L, D = times.shape, len(anchors), len(radii)
+    b, d, t = np.nonzero(obs_mask[:, 0] & np.ones((D, 1), dtype=bool))   # mask to D_eff
+    tt, r, a = times[b, t], radii[d], anchors[:, None]                # (K,), (K,), (L, 1)
     if cfg.window_mode == "hard":
-        a = anchors[:, None, None]
-        r = radii.data[:, None]
-        return Tensor(((t >= a - r) & (t <= a + r)) * obs_mask)
-    dt = np.abs(t - anchors[:, None, None])                          # (B, L, 1, T)
-    arg = mul(add(reshape(radii, (-1, 1)), Tensor(-dt)), 1.0 / cfg.gate_temperature)
-    return mul(sigmoid(arg), Tensor(obs_mask))
+        kept = (tt >= a - r) & (tt <= a + r)
+    else:
+        kept = _sigmoid((r + (-np.abs(tt - a))) * (1.0 / cfg.gate_temperature))
+    G = np.zeros((B, L, D * T))
+    G[b, :, d * T + t] = kept.T
+    return G.reshape(B, L, D, T)
 
 
 def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
@@ -90,18 +97,19 @@ def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
         range_raw = range_raw.detach()    # frozen radii keep their windows
     radii = softplus(range_raw)
     anchors = anchor_times(L)
-    gates = _gates(radii, X.padded(X.times), anchors, cfg, obs_mask)
+    gates = _gates(radii.data, X.padded(X.times), anchors, cfg, obs_mask)
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))                                          # (H, L, A)
     k = transpose(reshape(matmul(keys, params["dla.k.w"]), (B, T, H, A)),
                   (0, 2, 3, 1))                                       # (B, H, A, T)
     scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (B, H, L, T)
-    head_outs = gated_attention_pool(scores, gates, values4)          # (B, H, L, D_eff)
+    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
+    head_outs = gated_attention_pool(scores, gates, values4, radii, tau)  # (B, H, L, D_eff)
     stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
     out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
     attention = None
     if keep_attention:
-        weights = gated_attention_weights(scores.data, gates.data)    # (B, H, L, D, T)
+        weights = gated_attention_weights(scores.data, gates)         # (B, H, L, D, T)
         attention = [np.transpose(w[..., :n], (0, 1, 3, 2))
                      for w, n in zip(weights, X.lengths)]
     return RegularizedGrid(grid=out, anchors=anchors, radii=radii.data, attention=attention)

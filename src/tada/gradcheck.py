@@ -43,16 +43,21 @@ def _element_error(fn, flat: np.ndarray, i: int, analytic: float, eps: float) ->
     at most c * eps_mach * max|f| / h with c = 2.  That slack is subtracted
     before dividing, so a partial near zero is judged by its error above
     rounding noise instead of against a fixed denominator floor.  h is the
-    step actually representable at x.
+    step actually representable at x.  An element with no finite quotient
+    to judge by (h lost in rounding, or a non-finite value) fails as inf.
     """
     orig = flat[i]
     up_x, down_x = orig + eps, orig - eps
+    h = 0.5 * (up_x - down_x)
+    if not (h > 0.0 and np.isfinite(h)):
+        return np.inf
     flat[i] = up_x
     up, _ = _eval_scalar(fn)
     flat[i] = down_x
     down, _ = _eval_scalar(fn)
     flat[i] = orig
-    h = 0.5 * (up_x - down_x)
+    if not np.isfinite([up, down, analytic]).all():
+        return np.inf
     numeric = (up - down) / (2.0 * h)
     slack = 2.0 * np.finfo(np.float64).eps * max(abs(up), abs(down)) / h
     excess = abs(analytic - numeric) - slack

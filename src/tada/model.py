@@ -169,12 +169,6 @@ class TadaModel:
         return self.n_features if self.cfg.keyvalue_variant == "setting1" \
             else self.cfg.embed_dim + 1
 
-    def _mixer_out_tokens(self) -> list[int]:
-        cfg = self.cfg
-        if cfg.no_mixer:
-            return [cfg.n_queries]
-        return [cfg.n_queries // cfg.merge_factor ** layer for layer in range(cfg.n_layers)]
-
     def _build_params(self, rng) -> None:
         cfg = self.cfg
         enc = self._enc_dim()

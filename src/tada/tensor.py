@@ -3,9 +3,10 @@
 Every op builds a graph node holding a backward closure; calling
 ``backward()`` on a scalar output accumulates gradients into the ``grad``
 buffers of the leaves in reverse topological order, freeing each
-intermediate gradient once used.  An op on operands that need no gradient
-builds no node.  Arrays are always float64 and row-major.  Ops never
-mutate their inputs.
+intermediate gradient once used.  A backward never returns two gradients
+that share memory, so a parent adopts its first gradient without a copy.
+An op on operands that need no gradient builds no node.  Arrays are always
+float64 and row-major.  Ops never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    # a copy: ops such as add hand one array to both parents
-                    parent.grad = np.array(g, dtype=np.float64)
+                    parent.grad = g     # adopted: no two returned gradients share memory
                 else:
                     parent.grad += g
 
@@ -153,8 +153,11 @@ def add(a, b) -> Tensor:
             f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
     def backward(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        if ga is not None and gb is not None and np.may_share_memory(ga, gb):
+            gb = gb.copy()      # backward adopts each parent's first gradient
+        return ga, gb
 
     return _node(out, (a, b), backward)
 
@@ -198,16 +201,6 @@ def _sigmoid(x: Array) -> Array:
     e += 1.0
     out /= e
     return out
-
-
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    y = _sigmoid(x.data)
-
-    def backward(g):
-        return (g * y * (1.0 - y),)
-
-    return _node(y, (x,), backward)
 
 
 def softplus(x) -> Tensor:
@@ -448,21 +441,29 @@ def _pool_exponents(S: Array, G: Array):
     return e, den, redo, e_redo
 
 
-def gated_attention_pool(scores, gates, values) -> Tensor:
+def gated_attention_pool(scores, gates: Array, values, radii=None,
+                         temperature: float | None = None) -> Tensor:
     """Attention pooling of shared scores under per-row gates, per sample.
 
     out[b, h, l, d] = sum_t e G V / sum_t e G with e = exp(scores[b, h, l, t]),
-    gates G (B, L, D, T) in [0, 1] and values V (B, 1, D, T): each
-    (b, h, l, d) row is a softmax of the anchor's scores, tilted by that
-    row's gates, applied to that feature's values.  Rows whose gates are
-    all zero give 0, and zero gates act as masks: they get no gradient, so
-    a padded step with zero gates adds nothing.  Both sums are batched
-    contractions over t, so no (B, H, L, D, T) array exists in forward or
-    backward.  Scores always get a gradient; gates and values get one only
-    when they require it.
+    gates G (B, L, D, T) in [0, 1], a plain array, and values V (B, 1, D, T):
+    each (b, h, l, d) row is a softmax of the anchor's scores, tilted by that
+    row's gates, applied to that feature's values.  Rows whose gates are all
+    zero give 0, and zero gates act as masks, so a padded step with zero
+    gates adds nothing.  Both sums are batched contractions over t, so no
+    (B, H, L, D, T) array exists in forward or backward.
+
+    Soft windows pass the (D,) ``radii`` the gates were built from and their
+    ``temperature`` tau: G = sigmoid((r_d - |t - a_l|) / tau) m with a 0/1
+    mask m, so dG / dr_d = G' / tau with G' = G (1 - G) exactly.  The radii
+    then get their gradient here, by two more contractions over t:
+    g_r[d] = sum over b, h, l of (ga (e @ (G' V)^T) - ga out (e @ G'^T)) / tau
+    with ga = g / den, and no gradient of G is formed.  Hard windows pass no
+    temperature and their radii get no gradient.  Scores always get a
+    gradient; values and radii only when they require one.
     """
-    s, gt, v = _lift(scores), _lift(gates), _lift(values)
-    S, G, V = s.data, gt.data, v.data
+    s, v = _lift(scores), _lift(values)
+    S, G, V = s.data, np.asarray(gates, dtype=np.float64), v.data
     if S.ndim != 4 or G.ndim != 4 or S.shape[0] != G.shape[0] \
             or S.shape[2:] != (G.shape[1], G.shape[3]) \
             or V.shape != (G.shape[0], 1) + G.shape[2:]:
@@ -470,6 +471,11 @@ def gated_attention_pool(scores, gates, values) -> Tensor:
                              f"and values {V.shape} are not (B, H, L, T), (B, L, D, T), "
                              f"(B, 1, D, T)")
     D = G.shape[2]
+    r = None if radii is None or temperature is None else _lift(radii)
+    if r is not None and r.data.shape != (D,):
+        raise DimensionError(f"gated_attention_pool: radii {r.data.shape} do not fit "
+                             f"{D} gate features")
+    learn_r = r is not None and r.requires_grad
     e, den, redo, e_redo = _pool_exponents(S, G)
     b, h, l, d = redo
     GV = G * V
@@ -489,21 +495,24 @@ def gated_attention_pool(scores, gates, values) -> Tensor:
         g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))             # (B, L, H, T)
         g_s = g_s.transpose(0, 2, 1, 3)
         np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G[b, l, d]))
-        g_g = g_v = None
-        if gt.requires_grad or v.requires_grad:
-            both = np.matmul(np.concatenate([aL, bL], axis=3).transpose(0, 1, 3, 2), eL)
-            sum_ae, sum_be = both[:, :, :D], both[:, :, D:]     # (B, L, D, T) sums over h
-        if gt.requires_grad:
-            g_g = sum_ae * V
-            g_g -= sum_be
-            g_g *= G > 0.0                                      # zero gates are masks
-            np.add.at(g_g, (b, l, d), e_redo * (a_redo * V[b, 0, d] - b_redo))
+        g_v = g_r = None
         if v.requires_grad:
+            sum_ae = np.matmul(aL.transpose(0, 1, 3, 2), eL)          # (B, L, D, T)
             g_v = (sum_ae * G).sum(axis=1, keepdims=True)
             np.add.at(g_v, (b, 0, d), a_redo * e_redo * G[b, l, d])
-        return g_s, g_g, g_v
+        if learn_r:
+            slope = 1.0 - G
+            slope *= G                                            # G' = G (1 - G)
+            rows = (e_redo * slope[b, l, d] * (a_redo * V[b, 0, d] - b_redo)).sum(axis=-1)
+            den_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))    # (B, L, H, D)
+            slope *= V
+            num_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))
+            g_r = (aL * num_r).sum(axis=(0, 1, 2)) - (bL * den_r).sum(axis=(0, 1, 2))
+            g_r += np.bincount(d, weights=rows, minlength=D)
+            g_r *= 1.0 / temperature
+        return (g_s, g_v, g_r) if learn_r else (g_s, g_v)
 
-    return _node(out, (s, gt, v), backward)
+    return _node(out, (s, v, r) if learn_r else (s, v), backward)
 
 
 def gated_attention_weights(scores: Array, gates: Array) -> Array:

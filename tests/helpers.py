@@ -51,3 +51,16 @@ def redraw_params(model, seed=0, keep=("dla.range_raw",)):
         if name in keep:
             continue
         p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+
+
+def graph_nodes(root):
+    """Every tensor of the graph behind ``root``, ``root`` included."""
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes

@@ -9,8 +9,11 @@ is ``dense_te_forward``, whose step attention runs through
 ``weighted_masked_softmax`` with (T, N) 0/1 step gates, and DLA pooled
 with (H, L, D, T) weights, each (h, l, d) row shifted by its own live
 maximum.  ``reference_backward`` and ``reference_sigmoid`` are the earlier
-gradient accumulation and sigmoid.  All of it is slow and exists only so
-tests can compare the model against it.
+gradient accumulation and sigmoid.  ``chain_gates`` and
+``chain_gated_attention_pool`` are DLA's window gates as a graph chain
+through the ``sigmoid`` op and the batched pool that gave such gates a
+gradient.  All of it is slow and exists only so tests can compare the
+model against it.
 """
 
 import math
@@ -21,8 +24,8 @@ from tada.dla import RegularizedGrid, anchor_times
 from tada.embedding import encode_observations, te_forward
 from tada.errors import DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
-from tada.tensor import (Tensor, _lift, _node, _unbroadcast, add, concat,
-                         cross_entropy_with_logits, matmul, mul, relu, reshape, sigmoid,
+from tada.tensor import (Tensor, _lift, _node, _pool_exponents, _sigmoid, _unbroadcast, add,
+                         concat, cross_entropy_with_logits, matmul, mul, relu, reshape,
                          softplus, tmean, transpose, tsum)
 
 
@@ -62,6 +65,90 @@ def reference_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def sigmoid(x) -> Tensor:
+    """The sigmoid op the gate chain used."""
+    x = _lift(x)
+    y = _sigmoid(x.data)
+
+    def backward(g):
+        return (g * y * (1.0 - y),)
+
+    return _node(y, (x,), backward)
+
+
+def chain_gates(radii, times, anchors, cfg, obs_mask) -> Tensor:
+    """(B, L, D_eff, T) gates as a graph chain from the radii Tensor, as the
+    model built them before the pool formed the radius gradient: every
+    entry evaluated, masked entries included, and the radii's gradient taken
+    through ``sigmoid``, ``mul`` and ``add``."""
+    t = times[:, None, None, :]
+    if cfg.window_mode == "hard":
+        a = anchors[:, None, None]
+        r = radii.data[:, None]
+        return Tensor(((t >= a - r) & (t <= a + r)) * obs_mask)
+    dt = np.abs(t - anchors[:, None, None])
+    arg = mul(add(reshape(radii, (-1, 1)), Tensor(-dt)), 1.0 / cfg.gate_temperature)
+    return mul(sigmoid(arg), Tensor(obs_mask))
+
+
+def chain_gated_attention_pool(scores, gates, values) -> Tensor:
+    """The pool as it was, taking a gate Tensor and giving it a gradient.
+
+    out[b, h, l, d] = sum_t e G V / sum_t e G with e = exp(scores[b, h, l, t]),
+    gates G (B, L, D, T) in [0, 1] and values V (B, 1, D, T): each
+    (b, h, l, d) row is a softmax of the anchor's scores, tilted by that
+    row's gates, applied to that feature's values.  Rows whose gates are
+    all zero give 0, and zero gates act as masks: they get no gradient, so
+    a padded step with zero gates adds nothing.  Both sums are batched
+    contractions over t, so no (B, H, L, D, T) array exists in forward or
+    backward.  Scores always get a gradient; gates and values get one only
+    when they require it.
+    """
+    s, gt, v = _lift(scores), _lift(gates), _lift(values)
+    S, G, V = s.data, gt.data, v.data
+    if S.ndim != 4 or G.ndim != 4 or S.shape[0] != G.shape[0] \
+            or S.shape[2:] != (G.shape[1], G.shape[3]) \
+            or V.shape != (G.shape[0], 1) + G.shape[2:]:
+        raise DimensionError(f"gated_attention_pool: scores {S.shape}, gates {G.shape} "
+                             f"and values {V.shape} are not (B, H, L, T), (B, L, D, T), "
+                             f"(B, 1, D, T)")
+    D = G.shape[2]
+    e, den, redo, e_redo = _pool_exponents(S, G)
+    b, h, l, d = redo
+    GV = G * V
+    eL = e.transpose(0, 2, 1, 3)                                  # (B, L, H, T)
+    num = np.matmul(eL, GV.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+    num[redo] = (e_redo * GV[b, l, d]).sum(axis=-1)
+    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+    def backward(g):
+        # d out / d e[b, h, l, t] G[b, l, d, t] = (V[b, d, t] - out[b, h, l, d]) / den
+        ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
+        gb = ga * out
+        a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
+        ga[redo] = 0.0
+        gb[redo] = 0.0
+        aL, bL = ga.transpose(0, 2, 1, 3), gb.transpose(0, 2, 1, 3)   # (B, L, H, D)
+        g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))             # (B, L, H, T)
+        g_s = g_s.transpose(0, 2, 1, 3)
+        np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G[b, l, d]))
+        g_g = g_v = None
+        if gt.requires_grad or v.requires_grad:
+            both = np.matmul(np.concatenate([aL, bL], axis=3).transpose(0, 1, 3, 2), eL)
+            sum_ae, sum_be = both[:, :, :D], both[:, :, D:]     # (B, L, D, T) sums over h
+        if gt.requires_grad:
+            g_g = sum_ae * V
+            g_g -= sum_be
+            g_g *= G > 0.0                                      # zero gates are masks
+            np.add.at(g_g, (b, l, d), e_redo * (a_redo * V[b, 0, d] - b_redo))
+        if v.requires_grad:
+            g_v = (sum_ae * G).sum(axis=1, keepdims=True)
+            np.add.at(g_v, (b, 0, d), a_redo * e_redo * G[b, l, d])
+        return g_s, g_g, g_v
+
+    return _node(out, (s, gt, v), backward)
 
 
 def weighted_masked_softmax(scores, gates) -> Tensor:

@@ -82,6 +82,63 @@ def test_synth_rejects_mismatched_rates(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--rates", "0,0"], ["--rates=-1,2"], ["--rates", "nan,1"],
+                                  ["--noise=-1"], ["--noise", "nan"], ["--freqs", "3,inf"],
+                                  ["--offset-scale", "nan"]])
+def test_synth_rejects_generator_settings_that_crash(tmp_path, capsys, args):
+    # tracebacks or silently accepted before; none of these can loop
+    rc = main(["synth", "--out", str(tmp_path), "--features", "2", "--rates", "3,6",
+               "--counts", "4,2,2"] + args)
+    assert rc == 2
+    assert "error: synth:" in capsys.readouterr().err
+
+
+def run_cli(args, timeout=120):
+    """``python -m tada.cli`` in a child process importing this tada."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tada.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "tada.cli"] + args, capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("args", [["--features", "0"], ["--features", "2", "--rates", "1,inf"],
+                                  ["--features", "2", "--rates", "1e-300,1e-300"]])
+def test_synth_settings_that_hang_exit_2(tmp_path, args):
+    # these used to loop forever, so they run in a child with a timeout
+    proc = run_cli(["synth", "--out", str(tmp_path), "--counts", "4,2,2"] + args, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: synth:")
+
+
+def _unwritable_args(command, tmp_path, data_dir, run_dir):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    nodir = tmp_path / "nodir"
+    model = os.path.join(run_dir, "model.bin")
+    if command == "convert":
+        csv_path = tmp_path / "activity.csv"
+        write_fixture(csv_path, n_steps=200)
+        return ["convert", "--csv", str(csv_path), "--out", str(afile / "d")], afile / "d"
+    return {
+        "synth": (["synth", "--out", str(afile / "d"), "--counts", "4,2,2", "--features", "2",
+                   "--rates", "3,6"], afile / "d"),
+        "train": (["train", "--data", data_dir, "--out", str(afile / "run")] + set_args(TINY),
+                  afile / "run"),
+        "eval": (["eval", "--model", model, "--data", data_dir, "--out",
+                  str(nodir / "m.csv")], nodir / "m.csv"),
+        "export-attention": (["export-attention", "--model", model, "--data", data_dir,
+                              "--out", str(nodir / "x.csv")], nodir / "x.csv"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "convert", "train", "eval", "export-attention"])
+def test_unwritable_out_exits_2(command, tmp_path, data_dir, run_dir, capsys):
+    args, target = _unwritable_args(command, tmp_path, data_dir, run_dir)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
 def test_convert_splits_windows(tmp_path, capsys):
     csv_path = tmp_path / "activity.csv"
     write_fixture(csv_path, n_steps=500)
@@ -282,6 +339,13 @@ def test_gradcheck_threshold_failure(capsys):
     assert "gradcheck FAILED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=nan", "--eps=-1e-5", "--eps=inf",
+                                  "--threshold=nan", "--threshold=-1", "--threshold=inf"])
+def test_gradcheck_rejects_a_step_or_threshold_that_checks_nothing(flag, capsys):
+    assert main(["gradcheck", flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag.split('=')[0]} ")
+
+
 def test_gradcheck_set_seed_overrides_seed_flag(capsys):
     small = ["--set=" + s for s in ("embed_dim=4", "n_queries=4", "attn_dim=4",
                                     "patch_channels=4", "n_layers=1")]
@@ -358,13 +422,8 @@ def test_export_attention_unknown_sample(run_dir, data_dir, tmp_path, capsys):
 
 def test_real_process_invocation(tmp_path):
     # the child imports tada from where this process found it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tada.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = tmp_path / "synth"
-    proc = subprocess.run(
-        [sys.executable, "-m", "tada.cli", "synth", "--out", str(out),
-         "--counts", "12,4,4", "--features", "2", "--rates", "3,6", "--seed", "0"],
-        capture_output=True, text=True, env=env)
+    proc = run_cli(["synth", "--out", str(out), "--counts", "12,4,4", "--features", "2",
+                    "--rates", "3,6", "--seed", "0"])
     assert proc.returncode == 0, proc.stderr
     assert "synth: wrote 12/4/4" in proc.stdout

@@ -371,5 +371,22 @@ def test_synth_config_errors():
         SynthConfig(freqs=(1.0,)).resolved_freqs()
 
 
+@pytest.mark.parametrize("changes,match", [
+    ({"n_features": 0, "rates": ()}, "n_features"),       # looped forever
+    ({"rates": (1.0, math.inf, 1.0, 1.0)}, "rates"),       # looped forever, growing
+    ({"rates": (1.0, 1e7, 1.0, 1.0)}, "rates"),            # days of generation
+    ({"rates": (0.0, 0.0, 0.0, 0.0)}, "rates"),            # ZeroDivisionError
+    ({"rates": (-1.0, 2.0, 1.0, 1.0)}, "rates"),           # ValueError
+    ({"rates": (math.nan, 1.0, 1.0, 1.0)}, "rates"),       # accepted silently
+    ({"noise": -1.0}, "noise"), ({"noise": math.nan}, "noise"),
+    ({"freqs": (3.0, math.inf)}, "freqs"), ({"offset_scale": math.nan}, "offset_scale"),
+])
+def test_synth_config_validation_refuses_what_the_generator_cannot_finish(changes, match):
+    # the validator alone, so a missing check fails here instead of hanging
+    with pytest.raises(ConfigError, match=match):
+        SynthConfig(**changes).validate()
+    assert SynthConfig().validate() == SynthConfig()
+
+
 def test_synth_default_freqs_scale_with_classes():
     assert SynthConfig(n_classes=4).resolved_freqs() == (3.0, 5.0, 7.0, 9.0)

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from helpers import build_series, random_series, redraw_params, tiny_model
+from helpers import build_series, graph_nodes, random_series, redraw_params, tiny_model
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import _gates, anchor_times, dla_forward
@@ -36,9 +38,9 @@ def gate_row(anchor, times, radius, mode, tau):
     """The model's gate for one (anchor, radius) pair, all steps observed."""
     times = np.asarray(times, dtype=np.float64)
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
-    gates = _gates(Tensor([radius]), times[None], np.array([anchor]), cfg,
-                   np.ones((1, 1, 1, len(times))))
-    return gates.data[0, 0, 0]
+    gates = _gates(np.array([radius]), times[None], np.array([anchor]), cfg,
+                   np.ones((1, 1, 1, len(times)), dtype=bool))
+    return gates[0, 0, 0]
 
 
 def observed(prep):
@@ -114,6 +116,32 @@ def test_window_support_grows_monotonically_with_radius():
             g1 = gate_row(anchor, times, r1, mode, 0.05)
             g2 = gate_row(anchor, times, r2, mode, 0.05)
             assert np.all(g2 >= g1)
+
+
+@st.composite
+def gate_inputs(draw):
+    """(B, T) sorted times in [0, 1], (D,) radii, a (B, 1, D or 1, T) mask and
+    the anchors of 1 to 8 queries; a one-feature mask is setting2's."""
+    B, T, D = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    d_mask = draw(st.sampled_from([1, D]))
+    unit = st.floats(0.0, 1.0)
+    times = np.sort(np.array(draw(st.lists(unit, min_size=B * T, max_size=B * T))).reshape(B, T))
+    radii = np.array(draw(st.lists(unit, min_size=D, max_size=D)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=B * d_mask * T,
+                                  max_size=B * d_mask * T))).reshape(B, 1, d_mask, T)
+    return times, radii, mask, anchor_times(draw(st.integers(1, 8)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(gate_inputs(), st.sampled_from(["hard", "soft"]), st.sampled_from([0.01, 0.05]))
+def test_gates_are_the_chain_gates_at_observed_entries(inputs, mode, tau):
+    # the gates evaluated at the observed entries only equal, bit for bit, the
+    # dense chain that evaluated every entry and multiplied by the mask
+    times, radii, mask, anchors = inputs
+    cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
+    got = _gates(radii, times, anchors, cfg, mask)
+    want = reference.chain_gates(Tensor(radii), times, anchors, cfg, mask).data
+    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 # grid construction -------------------------------------------------------------
@@ -353,6 +381,19 @@ def test_range_gradient_nonzero_in_soft_mode_only():
     assert "dla.range_raw" in frozen.params
 
 
+@pytest.mark.parametrize("variant", ["default", "setting2"])
+def test_soft_batch_graph_has_no_gate_shaped_node(variant):
+    # the window gates are a plain array and the radii get their gradient
+    # inside the pool, so no (B, L, D_eff, T_max) node is built or backpropagated
+    model, preps = gradcheck_setup(small_gradcheck_config(keyvalue_variant=variant))
+    loss = model.batch_loss(preps)
+    gate_shape = (len(preps), model.cfg.n_queries, model.radii().size,
+                  collate(preps).t_max)
+    assert all(n.shape != gate_shape for n in graph_nodes(loss))
+    loss.backward()
+    assert np.all(model.params["dla.range_raw"].grad != 0.0)
+
+
 def test_dla_gradients_match_finite_differences():
     # gate temperature kept moderate: sharper gates saturate the sigmoid and
     # push its gradient under the difference-quotient noise floor
@@ -373,7 +414,7 @@ def test_dla_gradients_match_finite_differences():
 
 # the per-sample dense reference ------------------------------------------------------
 
-MODES = {"soft": {}, "hard": {"window_mode": "hard"},
+MODES = {"soft": {}, "soft-sharp": {"gate_temperature": 0.01}, "hard": {"window_mode": "hard"},
          "setting1": {"keyvalue_variant": "setting1"},
          "setting2": {"keyvalue_variant": "setting2"}, "literal": {"te_mode": "literal"},
          "no_dla": {"no_dla": True}, "frozen-radii": {"no_learnable_range": True}}

@@ -85,23 +85,35 @@ def test_non_scalar_output_refused():
         grad_check(lambda: mul(p, p), {"p": p})
 
 
+def zero_gradient(p, value=lambda x: (x * x).sum()):
+    """A scalar function of ``p`` whose backward wrongly returns zeros."""
+    def forward():
+        return Tensor(value(p.data), requires_grad=True, parents=(p,),
+                      backward=lambda g: (np.zeros_like(p.data),))
+    return forward
+
+
 def test_detects_a_wrong_gradient():
     # a deliberately broken backward: report must flag a large error
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-
-    def forward():
-        out = tsum(mul(p, p))
-
-        def bad_backward(g):
-            return (np.zeros_like(p.data),)
-
-        out._backward = lambda g: None  # detach the real graph
-        broken = Tensor(out.data, requires_grad=True, parents=(p,),
-                        backward=bad_backward)
-        return broken
-
-    rep = grad_check(forward, {"p": p})
+    rep = grad_check(zero_gradient(p), {"p": p})
     assert rep.max_rel_error > 0.99
+
+
+@pytest.mark.parametrize("eps", [0.0, np.nan, 1e-300, np.inf, -np.inf])
+def test_a_step_that_moves_nothing_fails_every_element(eps):
+    # a step that is 0, NaN, infinite or lost in rounding at x gives no
+    # difference quotient, so neither a wrong nor a right gradient is shown
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    assert grad_check(zero_gradient(p), {"p": p}, eps=eps).max_rel_error == np.inf
+    assert grad_check(lambda: tsum(mul(p, p)), {"p": p}, eps=eps).max_rel_error == np.inf
+
+
+def test_a_non_finite_evaluation_beside_the_point_fails():
+    # finite at x and above it, NaN below it: the wrong gradient must not pass
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    fn = zero_gradient(p, lambda x: x[0] ** 2 if x[0] >= 1.0 else np.nan)
+    assert grad_check(fn, {"p": p}).max_rel_error == np.inf
 
 
 # engine mutants --------------------------------------------------------------
@@ -125,27 +137,46 @@ def _gather_assigning(inner, g, args, out):
     return (buf,)
 
 
+def _radius_gradient_dropped(inner, g, args, out):
+    # the radius gradient the pool forms, lost
+    return inner(g)[:2] + (None,) * (len(out._parents) - 2)
+
+
 def _pool_normalizer_dropped(inner, g, args, out):
     # the backward of sum_t e G V / sum_t e G with the normalizer held
     # constant: add back the terms its gradient contributes
-    S, G = args[0].data, args[1].data
+    S, G = args[0].data, args[1]
     e, den, _, _ = tada.tensor._pool_exponents(S, G)
     b = np.divide(g * out.data, den, out=np.zeros_like(den), where=den > 0.0)
-    g_s, g_g, g_v = inner(g)
-    g_s = g_s + e * np.einsum("bhld,bldt->bhlt", b, G)
-    if g_g is not None:
-        g_g = g_g + np.where(G > 0.0, np.einsum("bhld,bhlt->bldt", b, e), 0.0)
-    return g_s, g_g, g_v
+    grads = list(inner(g))
+    grads[0] = grads[0] + e * np.einsum("bhld,bldt->bhlt", b, G)
+    if len(grads) == 3:         # the radii's share, through dG / dr = G (1 - G) / tau
+        grads[2] = grads[2] + np.einsum("bhld,bhlt,bldt->d", b, e, G * (1.0 - G)) / args[4]
+    return tuple(grads)
+
+
+def _gate_slope_wrong(inner, g, args, out):
+    # the radius gradient with G in place of its slope G (1 - G) = tau dG / dr:
+    # add the difference G^2, outside the underflow-redo rows
+    S, G, V = args[0].data, args[1], args[2].data
+    e, den, _, _ = tada.tensor._pool_exponents(S, G)
+    a = np.divide(g, den, out=np.zeros_like(den), where=den > 0.0)
+    grads = list(inner(g))
+    if len(grads) == 3:
+        extra = np.einsum("bhld,bhlt,bldt->d", a, e, G * G * V) \
+            - np.einsum("bhld,bhlt,bldt->d", a * out.data, e, G * G)
+        grads[2] = grads[2] + extra / args[4]
+    return tuple(grads)
 
 
 MUTANTS = {
     "relu-zeroed": ("relu", lambda inner, g, args, out: (np.zeros_like(g),)),
     "mul-flipped": ("mul", lambda inner, g, args, out: (-inner(g)[0], inner(g)[1])),
-    "softmax-gate-dropped": ("gated_attention_pool",
-                             lambda inner, g, args, out: (inner(g)[0], None, inner(g)[2])),
+    "softmax-gate-dropped": ("gated_attention_pool", _radius_gradient_dropped),
     "segment-softmax-uncentered": ("segment_softmax",
                                    lambda inner, g, args, out: (g * out.data,)),
     "pool-normalizer-dropped": ("gated_attention_pool", _pool_normalizer_dropped),
+    "gate-slope-wrong": ("gated_attention_pool", _gate_slope_wrong),
     "gather-assigns": ("gather", _gather_assigning),
     "matmul-scaled": ("matmul",
                       lambda inner, g, args, out: tuple(None if x is None else x * (1 + 1e-3)

@@ -1,18 +1,24 @@
 """Forward values and finite-difference gradients for every tensor op."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import dense_pool, reference_backward, reference_sigmoid, weighted_masked_softmax
+from helpers import graph_nodes
+from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
+                       weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
+from tada.dla import _gates, anchor_times
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
     Tensor,
+    _pool_exponents,
+    _sigmoid,
     add,
     concat,
     cross_entropy_with_logits,
@@ -25,7 +31,6 @@ from tada.tensor import (
     reshape,
     segment_softmax,
     segment_sum,
-    sigmoid,
     softplus,
     tmean,
     transpose,
@@ -101,8 +106,8 @@ def test_relu_values():
 
 
 def test_sigmoid_values_and_stability():
-    assert sigmoid(Tensor(0.0)).item() == 0.5
-    big = sigmoid(Tensor([-1000.0, 1000.0])).data
+    assert _sigmoid(np.array(0.0)) == 0.5
+    big = _sigmoid(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(big))
     assert big[0] == 0.0 and big[1] == 1.0
 
@@ -118,8 +123,8 @@ def test_sigmoid_is_bit_identical_to_the_reference(xs):
     x = np.array(xs)
     with np.errstate(invalid="ignore"):
         want = reference_sigmoid(x)
-    assert np.array_equal(sigmoid(Tensor(x)).data, want, equal_nan=True)
-    assert np.array_equal(sigmoid(Tensor(x.reshape(-1, 1, 1))).data, want.reshape(-1, 1, 1),
+    assert np.array_equal(_sigmoid(x), want, equal_nan=True)
+    assert np.array_equal(_sigmoid(x.reshape(-1, 1, 1)), want.reshape(-1, 1, 1),
                           equal_nan=True)
 
 
@@ -286,25 +291,13 @@ def test_padded_cross_entropy_is_the_mean_of_per_sample_means():
         np.testing.assert_array_equal(logits.grad[b, n:], 0.0)   # padding rows
 
 
-def _graph_nodes(root):
-    seen, stack, nodes = {id(root)}, [root], []
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        for p in node._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return nodes
-
-
 @pytest.mark.parametrize("overrides", [{}, {"window_mode": "hard"},
                                        {"keyvalue_variant": "setting2"}, {"no_dla": True}])
 def test_backward_keeps_gradients_on_leaves_only(overrides):
     model, preps = gradcheck_setup(small_gradcheck_config(**overrides))
     loss = model.batch_loss(preps)
     loss.backward()
-    nodes = _graph_nodes(loss)
+    nodes = graph_nodes(loss)
     assert any(n._backward is not None and n.requires_grad for n in nodes)
     assert all(n.grad is None for n in nodes if n._backward is not None)
     got = {k: p.grad for k, p in model.params.items() if p.grad is not None}
@@ -324,6 +317,30 @@ def test_backward_accumulates_into_existing_leaf_gradients():
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
     tsum(mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, [8.0, 10.0])
+
+
+def test_backward_matches_the_reference_where_add_shares_its_gradient():
+    # add hands one array to both operands and backward adopts each parent's
+    # first gradient as is, so no two parents may end up holding one buffer
+    rng = np.random.default_rng(3)
+    x, y = leaf(rng, (3, 4)), leaf(rng, (4,))
+    c = rng.normal(size=(3, 4))
+    graphs = {
+        "same tensor": lambda: tsum(mul(add(x, x), c)),
+        "shared parent": lambda: tsum(mul(add(transpose(transpose(x)), reshape(x, (3, 4))), c)),
+        "broadcast": lambda: tsum(mul(add(x, y), add(y, mul(x, c)))),
+        "nested": lambda: tsum(mul(add(add(x, y), add(x, x)), add(c, y))),
+    }
+    for name, fn in graphs.items():
+        grads = []
+        for run in (Tensor.backward, reference_backward):
+            x.grad = y.grad = None
+            run(fn())
+            grads.append([x.grad, y.grad])
+        for got, want in zip(*grads):
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
 def test_backward_requires_scalar():
@@ -388,7 +405,6 @@ def test_grad_pointwise_ops():
                requires_grad=True)
     assert_grads_match(lambda: tsum(relu(x)), {"x": x})
     y = leaf(rng, (3, 3), lo=-2.0, hi=2.0)
-    assert_grads_match(lambda: tsum(sigmoid(y)), {"y": y})
     assert_grads_match(lambda: tsum(softplus(y)), {"y": y})
 
 
@@ -410,17 +426,17 @@ def test_grad_shape_ops():
 def test_grad_concat_and_gather():
     rng = np.random.default_rng(14)
     a, b = leaf(rng, (2, 3)), leaf(rng, (4, 3))
-    assert_grads_match(lambda: tsum(sigmoid(concat([a, b], axis=0))), {"a": a, "b": b})
+    assert_grads_match(lambda: tsum(softplus(concat([a, b], axis=0))), {"a": a, "b": b})
     x = leaf(rng, (5, 3))
     idx = np.array([0, 4, 0, 2])
-    assert_grads_match(lambda: tsum(sigmoid(gather(x, idx))), {"x": x})
+    assert_grads_match(lambda: tsum(softplus(gather(x, idx))), {"x": x})
 
 
 def test_grad_reductions():
     rng = np.random.default_rng(15)
     x = leaf(rng, (3, 4))
-    assert_grads_match(lambda: tsum(sigmoid(tmean(x, axis=0))), {"x": x})
-    assert_grads_match(lambda: tsum(sigmoid(tsum(x, axis=1, keepdims=True))), {"x": x})
+    assert_grads_match(lambda: tsum(softplus(tmean(x, axis=0))), {"x": x})
+    assert_grads_match(lambda: tsum(softplus(tsum(x, axis=1, keepdims=True))), {"x": x})
     assert_grads_match(lambda: tmean(mul(x, x)), {"x": x})
 
 
@@ -558,73 +574,96 @@ def test_segment_ops_reject_bad_step_indices():
 # gated attention pool ----------------------------------------------------------
 
 
-def pool_inputs(rng, mode, learn_gates, value_grad, B=2, H=2, L=3, D=4, T=6):
-    """(B, H, L, T) scores, (B, L, D, T) gates and (B, 1, D, T) values; one
-    dead row per sample, and the last sample's last two steps are padding."""
+def window(mode, tau=0.05):
+    return SimpleNamespace(window_mode=mode, gate_temperature=tau)
+
+
+def pool_inputs(rng, learn_radii=True, value_grad=True, B=2, H=2, L=3, D=4, T=6):
+    """(B, H, L, T) scores, (B, 1, D, T) values and (D,) radii, with the
+    (B, T) times and (B, 1, D, T) mask their window gates are built from.
+    Feature 0 is never observed, so its rows are dead, and the last
+    sample's last two steps are padding."""
     scores = leaf(rng, (B, H, L, T), lo=-2.0, hi=2.0)
-    if mode == "hard":
-        gates = (rng.random((B, L, D, T)) < 0.5).astype(np.float64)
-    else:
-        gates = rng.uniform(0.05, 1.0, size=(B, L, D, T)) * (rng.random((B, L, D, T)) < 0.7)
-    gates[:, 0, 0] = 0.0
-    gates[-1, ..., -2:] = 0.0
     values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=value_grad)
-    return scores, Tensor(gates, requires_grad=learn_gates), values
+    radii = Tensor(rng.uniform(0.1, 0.4, size=D), requires_grad=learn_radii)
+    times = np.sort(rng.uniform(0.0, 1.0, size=(B, T)), axis=1)
+    mask = rng.random((B, 1, D, T)) < 0.7
+    mask[:, :, 0] = False
+    mask[-1, ..., -2:] = False
+    return scores, values, radii, times, mask
+
+
+def window_pools(scores, values, radii, times, mask, cfg):
+    """The pool under the window gates of ``radii``, and the dense reference
+    under the same gates built as a graph chain from the radii."""
+    anchors = anchor_times(scores.shape[2])
+    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
+
+    def pool():
+        gates = _gates(radii.data, times, anchors, cfg, mask)
+        return gated_attention_pool(scores, gates, values, radii, tau)
+
+    def reference():
+        return dense_pool(scores, chain_gates(radii, times, anchors, cfg, mask), values)
+
+    return pool, reference
 
 
 def max_rel_diff(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-def pool_results(pool, scores, gates, values, coeff):
-    for t in (scores, gates, values):
+def pool_results(pool, inputs, coeff):
+    for t in inputs:
         t.grad = None
-    out = pool(scores, gates, values)
+    out = pool()
     tsum(mul(out, coeff)).backward()
-    return out.data, [None if t.grad is None else t.grad.copy()
-                      for t in (scores, gates, values)]
+    return out.data, [None if t.grad is None else t.grad.copy() for t in inputs]
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
-@pytest.mark.parametrize("learn_gates", [False, True])
+@pytest.mark.parametrize("learn_radii", [False, True])
 @pytest.mark.parametrize("value_grad", [False, True])
-def test_gated_attention_pool_matches_the_dense_reference(mode, learn_gates, value_grad):
+def test_gated_attention_pool_matches_the_dense_reference(mode, learn_radii, value_grad):
     rng = np.random.default_rng(20)
-    for trial in range(5):
-        scores, gates, values = pool_inputs(rng, mode, learn_gates, value_grad)
+    for trial in range(6):
+        tau = (0.01, 0.05)[trial % 2]
+        scores, values, radii, times, mask = inputs = pool_inputs(rng, learn_radii, value_grad)
+        pool, reference = window_pools(*inputs, window(mode, tau))
         coeff = rng.normal(size=(2, 2, 3, 4))
-        out, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
-        want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
+        out, grads = pool_results(pool, (scores, values, radii), coeff)
+        want, want_grads = pool_results(reference, (scores, values, radii), coeff)
         assert max_rel_diff(out, want) <= 1e-12
-        np.testing.assert_array_equal(out[:, :, 0, 0], 0.0)
-        # gates and values get a gradient exactly when they require one
-        assert [g is None for g in grads] == [False, not learn_gates, not value_grad]
+        np.testing.assert_array_equal(out[..., 0], 0.0)
+        # values get a gradient when they require one, radii under soft windows only
+        learns = learn_radii and mode == "soft"
+        assert [g is None for g in grads] == [False, not value_grad, not learns]
         for g, w in zip(grads, want_grads):
             if g is not None:
-                assert max_rel_diff(g, w) <= 1e-12, (mode, learn_gates, value_grad, trial)
-        weights = gated_attention_weights(scores.data, gates.data)
+                assert max_rel_diff(g, w) <= 1e-12, (mode, tau, value_grad, trial)
+        gates = _gates(radii.data, times, anchor_times(3), window(mode, tau), mask)
+        weights = gated_attention_weights(scores.data, gates)
         ref = weighted_masked_softmax(Tensor(scores.data[:, :, :, None, :]),
-                                      Tensor(gates.data[:, None])).data
+                                      Tensor(gates[:, None])).data
         assert max_rel_diff(weights, ref) <= 1e-12
 
 
 def test_grad_gated_attention_pool_all_inputs():
     rng = np.random.default_rng(21)
-    scores, _, values = pool_inputs(rng, "soft", True, True)
-    # zero gates are masks with no gradient, so every gate stays live here
-    gates = Tensor(rng.uniform(0.05, 1.0, size=(2, 3, 4, 6)), requires_grad=True)
+    scores, values, radii, times, mask = inputs = pool_inputs(rng)
+    pool, _ = window_pools(*inputs, window("soft"))
     coeff = rng.normal(size=(2, 2, 3, 4))
-    assert_grads_match(lambda: tsum(mul(gated_attention_pool(scores, gates, values), coeff)),
-                       {"scores": scores, "gates": gates, "values": values})
+    assert_grads_match(lambda: tsum(mul(pool(), coeff)),
+                       {"scores": scores, "values": values, "radii": radii})
 
 
 def test_gated_attention_pool_rejects_mismatched_shapes():
-    s, g = Tensor(np.ones((1, 2, 3, 5))), Tensor(np.ones((1, 3, 4, 5)))
-    v = Tensor(np.ones((1, 1, 4, 5)))
-    gated_attention_pool(s, g, v)
-    for bad in ((Tensor(np.ones((1, 2, 3, 4))), g, v), (s, Tensor(np.ones((1, 2, 4, 5))), v),
+    s, g = Tensor(np.ones((1, 2, 3, 5))), np.ones((1, 3, 4, 5))
+    v, r = Tensor(np.ones((1, 1, 4, 5))), Tensor(np.ones(4))
+    gated_attention_pool(s, g, v, r, 0.05)
+    for bad in ((Tensor(np.ones((1, 2, 3, 4))), g, v), (s, np.ones((1, 2, 4, 5)), v),
                 (s, g, Tensor(np.ones((1, 4, 5)))), (Tensor(np.ones((2, 3, 5))), g, v),
-                (Tensor(np.ones((2, 2, 3, 5))), g, v)):
+                (Tensor(np.ones((2, 2, 3, 5))), g, v), (s, g, v, Tensor(np.ones(3)), 0.05)):
         with pytest.raises(DimensionError, match="gated_attention_pool"):
             gated_attention_pool(*bad)
 
@@ -633,9 +672,11 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
     # Feature 0 lives only at step 0, whose score sets the shift of every
     # (h, l).  Features 1 and 2 live only at steps scoring `gap` lower, where
     # that shift underflows their normalizers to zero (gap 1000) or to
-    # subnormals (gap 720).  Each such row must come out as its own softmax.
+    # subnormals (gap 720).  Each such row must come out as its own softmax,
+    # and the radius gradient of features 1 and 2 comes from these rows alone.
     rng = np.random.default_rng(22)
     B, H, L, D, T = 1, 2, 2, 3, 5
+    cfg = window("soft")
     for gap in (1000.0, 720.0):
         s = np.zeros((B, H, L, T))
         s[..., 1:] = -gap + rng.uniform(-1.0, 1.0, size=(B, H, L, T - 1))
@@ -643,19 +684,26 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         g[:, :, 0, 0] = 1.0
         g[:, :, 1:, 1:] = rng.uniform(0.1, 1.0, size=(B, L, D - 1, T - 1))
         v = np.full((B, 1, D, T), 2.0)
-        out = gated_attention_pool(Tensor(s), Tensor(g), Tensor(v)).data
+        out = gated_attention_pool(Tensor(s), g, Tensor(v)).data
         np.testing.assert_allclose(out, 2.0, rtol=1e-15)
-        scores = Tensor(s, requires_grad=True)
-        gates = Tensor(g, requires_grad=True)
-        values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=True)
-        coeff = rng.normal(size=(B, H, L, D))
-        got, grads = pool_results(gated_attention_pool, scores, gates, values, coeff)
-        want, want_grads = pool_results(dense_pool, scores, gates, values, coeff)
-        assert max_rel_diff(got, want) <= 1e-12, gap
-        for k, (a, b) in enumerate(zip(grads, want_grads)):
-            assert max_rel_diff(a, b) <= 1e-12, (gap, k)
         ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(g[:, None])).data
         assert max_rel_diff(gated_attention_weights(s, g), ref) <= 1e-12, gap
+        # window gates with the same live entries
+        times = np.linspace(0.1, 0.9, T)[None]
+        mask = g[:, :1] > 0.0
+        scores = Tensor(s, requires_grad=True)
+        values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=True)
+        radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
+        gates = _gates(radii.data, times, anchor_times(L), cfg, mask)
+        assert _pool_exponents(s, gates)[2][3].tolist() == [1, 2] * (H * L)
+        pool, reference = window_pools(scores, values, radii, times, mask, cfg)
+        coeff = rng.normal(size=(B, H, L, D))
+        got, grads = pool_results(pool, (scores, values, radii), coeff)
+        want, want_grads = pool_results(reference, (scores, values, radii), coeff)
+        assert max_rel_diff(got, want) <= 1e-12, gap
+        assert np.all(want_grads[2][1:] != 0.0)
+        for k, (a, b) in enumerate(zip(grads, want_grads)):
+            assert max_rel_diff(a, b) <= 1e-12, (gap, k)
 
 
 def _held_arrays(fn):
@@ -672,19 +720,19 @@ def _held_arrays(fn):
 def test_gated_attention_pool_forms_no_head_anchor_feature_step_array():
     rng = np.random.default_rng(23)
     B, H, L, D, T = 2, 3, 4, 5, 7
-    scores, gates, values = pool_inputs(rng, "soft", True, True, B, H, L, D, T)
-    out = gated_attention_pool(scores, gates, values)
-    held = _held_arrays(out._backward)
+    pool, _ = window_pools(*pool_inputs(rng, B=B, H=H, L=L, D=D, T=T), window("soft"))
+    held = _held_arrays(pool()._backward)
     assert held and all(a.size < B * H * L * D * T for a in held)
-    # transient arrays too: forward plus backward peaks below one float64
-    # (B, H, L, D, T) array, which the dense pool allocates several times over
+    # transient arrays too: gates, forward and backward peak below one
+    # float64 (B, H, L, D, T) array, which the dense pool allocates several
+    # times over
     B, H, L, D, T = 1, 16, 16, 8, 400
-    scores, gates, values = pool_inputs(rng, "soft", True, True, B, H, L, D, T)
+    pools = window_pools(*pool_inputs(rng, B=B, H=H, L=L, D=D, T=T), window("soft"))
     dense_bytes = B * H * L * D * T * 8
     peaks = []
-    for pool in (gated_attention_pool, dense_pool):
+    for pool in pools:
         tracemalloc.start()
-        tsum(pool(scores, gates, values)).backward()
+        tsum(pool()).backward()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] < dense_bytes < peaks[1], peaks
