@@ -1,6 +1,17 @@
 """Irregular time-series classification via attention onto a regular grid
 followed by a hierarchical MLP mixer."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before anything
+# imports numpy: the matrices are small, so a second thread buys nothing in
+# one process, and with training's shard worker on the second core it
+# would make both processes slower (see shards.py).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .config import RunConfig, load_config
 from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
                    build_value_mask, load_dataset, normalize_times,

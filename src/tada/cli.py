@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .config import RunConfig, load_config, parse_overrides
-from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
+from .data import (MAX_SYNTH_RATE, IrregularSeries, Observation, SynthConfig, TimeStep,
                    load_dataset, read_data_manifest, split_dataset,
                    synth_generate, write_data_manifest, write_dataset)
 from .errors import (ConfigError, DataError, EvaluationError, TadaError,
@@ -32,6 +32,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 GRADCHECK_THRESHOLD = 1e-4
+# features whose default synth rates, 2 * 2^d, all stay within MAX_SYNTH_RATE
+MAX_DEFAULT_RATE_FEATURES = int(math.log2(MAX_SYNTH_RATE))
 
 MODULE_GROUPS = (
     ("temporal-embedding", ("te.",)),
@@ -91,6 +93,10 @@ def _write_splits(out: str, tr, va, te) -> None:
 
 def cmd_synth(args) -> int:
     n_feat = args.features
+    if not args.rates and n_feat > MAX_DEFAULT_RATE_FEATURES:
+        raise ConfigError(f"synth: the default rates serve at most "
+                          f"{MAX_DEFAULT_RATE_FEATURES} features; give --rates "
+                          f"for {n_feat}")
     rates = _floats(args.rates) if args.rates else tuple(2.0 * 2 ** d for d in range(n_feat))
     freqs = _floats(args.freqs) if args.freqs else None
     if args.counts:

@@ -307,6 +307,7 @@ class SynthConfig:
     def validate(self) -> "SynthConfig":
         """Refuse settings the generator cannot finish on, with ConfigError."""
         for ok, problem in (
+                (self.n_samples >= 1, f"need n_samples >= 1, got {self.n_samples}"),
                 (self.n_features >= 1, f"need n_features >= 1, got {self.n_features}"),
                 (len(self.rates) == self.n_features,
                  f"{len(self.rates)} rates for {self.n_features} features"),

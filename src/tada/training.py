@@ -14,6 +14,7 @@ from .metrics import (accuracy, auprc, auroc, macro_auprc, macro_auroc,
                       softmax_rows)
 from .model import SamplePrep, TadaModel
 from .optim import Adam
+from .shards import ShardedStep
 
 
 @dataclass
@@ -117,8 +118,13 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
     negated validation loss instead; without validation samples, by the
     negated summed training loss.  Each history record names its metric.
 
-    Fully deterministic for a fixed config: one seeded generator drives
-    init and batch order, and evaluation is deterministic.
+    Each step's loss and gradient combine the batch's two shards
+    (``ShardedStep``), with a forked worker computing the second where the
+    host allows.  Fully deterministic for a fixed config, and byte-identical
+    on one or two processes: one seeded generator drives init and batch
+    order, the shards combine in a fixed order, and evaluation is
+    deterministic.  A numerical failure raises TrainingError naming the
+    epoch.
     """
     if not train_samples:
         raise TrainingError("train: empty training set")
@@ -133,51 +139,60 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
     best_state: dict[str, np.ndarray] | None = None
     bad_epochs = 0
     n = len(train_preps)
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = [train_preps[i] for i in order[start:start + cfg.batch_size]]
-            loss = model.batch_loss(batch)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            epoch_loss += value * len(batch)
-        for name, t in model.params.items():
-            if not np.isfinite(t.data).all():
-                raise TrainingError(f"non-finite parameter '{name}' after epoch {epoch}")
-        val_report = None
-        if not val_preps:
-            selection, metric = "neg_train_loss", -epoch_loss
-        elif one_class:
-            selection, metric = "neg_val_loss", -_mean_loss(model, val_preps)
-        else:
-            val_report = evaluate_preps(model, val_preps)
-            selection, metric = selection_metric(model, val_report)
-        record = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / n,
-            "val_metric": metric,
-            "selection": selection,
-        }
-        if val_report is not None:
-            record["val_accuracy"] = val_report.accuracy
-        result.history.append(record)
-        if log:
-            log(f"epoch {epoch}: train_loss {epoch_loss / n:.4f} val {metric:.4f}")
-        if metric > result.best_val_metric:
-            result.best_val_metric = metric
-            result.best_epoch = epoch
-            best_state = {k: t.data.copy() for k, t in model.params.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            # patience 0 disables early stopping
-            if cfg.patience > 0 and bad_epochs >= cfg.patience:
-                break
+    with ShardedStep(model, train_preps) as step:
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                indices = order[start:start + cfg.batch_size]
+                try:
+                    value = step(indices)
+                    if not math.isfinite(value):
+                        raise TrainingError("non-finite loss")
+                    opt.step()
+                except TrainingError as e:
+                    raise TrainingError(f"{e} at epoch {epoch}") from None
+                epoch_loss += value * len(indices)
+            for name, t in model.params.items():
+                if not np.isfinite(t.data).all():
+                    raise TrainingError(
+                        f"non-finite parameter '{name}' after epoch {epoch}")
+            val_report = None
+            if not val_preps:
+                selection, metric = "neg_train_loss", -epoch_loss
+            elif one_class:
+                selection, metric = "neg_val_loss", -_mean_loss(model, val_preps)
+            else:
+                # with two classes present, the metrics fail only on
+                # non-finite scores: finite parameters whose logits overflow
+                try:
+                    val_report = evaluate_preps(model, val_preps)
+                except EvaluationError as e:
+                    raise TrainingError(f"validation at epoch {epoch}: {e}") from None
+                selection, metric = selection_metric(model, val_report)
+            if not math.isfinite(metric):
+                raise TrainingError(f"non-finite validation {selection} at epoch {epoch}")
+            record = {
+                "epoch": epoch,
+                "train_loss": epoch_loss / n,
+                "val_metric": metric,
+                "selection": selection,
+            }
+            if val_report is not None:
+                record["val_accuracy"] = val_report.accuracy
+            result.history.append(record)
+            if log:
+                log(f"epoch {epoch}: train_loss {epoch_loss / n:.4f} val {metric:.4f}")
+            if metric > result.best_val_metric:
+                result.best_val_metric = metric
+                result.best_epoch = epoch
+                best_state = {k: t.data.copy() for k, t in model.params.items()}
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                # patience 0 disables early stopping
+                if cfg.patience > 0 and bad_epochs >= cfg.patience:
+                    break
     if best_state is not None:
         for k, t in model.params.items():
             t.data = best_state[k]

@@ -416,3 +416,15 @@ def sample_loss(model, prep, dense=False):
 def batch_loss(model, preps, dense=False):
     """The mean of the per-sample losses, one graph per sample."""
     return tmean(concat([reshape(sample_loss(model, p, dense), (1,)) for p in preps], axis=0))
+
+
+def one_graph_gradients(model, preps):
+    """The batch's loss and trainable gradients from one ``batch_loss`` graph
+    over the whole batch, as a training step formed them before it split
+    the batch into shards."""
+    params = model.trainable()
+    for p in params.values():
+        p.grad = None
+    loss = model.batch_loss(preps)
+    loss.backward()
+    return loss.item(), {k: p.grad for k, p in params.items()}

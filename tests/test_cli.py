@@ -12,6 +12,7 @@ import pytest
 import tada
 from tada.cli import main
 from tada.data import read_data_manifest
+from tada.model import TadaModel
 from test_model_io import rewrite_header
 from test_uci import write_fixture
 
@@ -93,6 +94,20 @@ def test_synth_rejects_generator_settings_that_crash(tmp_path, capsys, args):
     assert "error: synth:" in capsys.readouterr().err
 
 
+def test_synth_many_features_without_rates_exits_2(tmp_path, capsys):
+    # the default rates 2 * 2^d overflowed a float at 1024 features
+    rc = main(["synth", "--out", str(tmp_path), "--features", "1100", "--counts", "4,2,2"])
+    assert rc == 2
+    assert "give --rates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_synth_refuses_no_samples(tmp_path, capsys, n):
+    rc = main(["synth", "--out", str(tmp_path), "--n", n, "--features", "2", "--rates", "3,6"])
+    assert rc == 2
+    assert "error: synth: need n_samples >= 1" in capsys.readouterr().err
+
+
 def run_cli(args, timeout=120):
     """``python -m tada.cli`` in a child process importing this tada."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tada.__file__)))
@@ -160,6 +175,15 @@ def test_train_writes_artifacts(run_dir, data_dir, capsys):
     assert man["dataset"]["n_train"] == 24 and man["dataset"]["n_test"] == 8
     assert len(man["history"]) == man["epochs_run"] == 3
     assert set(man["metrics"]) == {"auroc", "auprc", "accuracy"}
+
+
+def test_train_validation_overflow_exits_3(tmp_path, data_dir, monkeypatch, capsys):
+    from test_training import overflowing_logits
+    monkeypatch.setattr(TadaModel, "batch_logits", overflowing_logits)
+    with np.errstate(invalid="ignore"):
+        rc = main(["train", "--data", data_dir, "--out", str(tmp_path)] + set_args(TINY))
+    assert rc == 3
+    assert "validation at epoch 0" in capsys.readouterr().err
 
 
 def test_train_rerun_is_byte_identical(tmp_path, data_dir):

@@ -2,17 +2,22 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference
+import tada.shards
 import tada.training
 from helpers import random_series, redraw_params, tiny_config, tiny_model
 from tada.data import SynthConfig, synth_generate
 from tada.errors import EvaluationError, TrainingError
 from tada.metrics import accuracy, auprc, auroc, softmax_rows
+from tada.model import TadaModel
+from tada.tensor import _node
 from tada.training import (
     MetricsReport,
     evaluate,
@@ -246,6 +251,66 @@ def test_divergent_run_raises_training_error_with_epoch(monkeypatch):
         with pytest.raises(TrainingError, match="after epoch 0"):
             train(cfg, train_samples, val_samples, 2, 2, "sequence")
     assert all(finite_scores)
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_non_finite_gradient_names_its_epoch(where, monkeypatch):
+    # from epoch 1 on, each poisoned shard adds a zero to its loss whose
+    # gradient for head.b is infinite; as the worker's shard, only the
+    # worker poisons
+    if where == "worker" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    train_samples, val_samples = small_data()
+    monkeypatch.setattr(tada.shards, "shard_processes", lambda: 1 + (where == "worker"))
+    for var in tada.shards.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    parent = os.getpid()
+    # 16 samples in batches of 8: two steps of two shards per epoch
+    first_poisoned = 2 if where == "worker" else 4
+    calls = []
+    batch_loss = TadaModel.batch_loss
+
+    def poisoned(self, preps):
+        loss = batch_loss(self, preps)
+        if (os.getpid() != parent) != (where == "worker"):
+            return loss
+        calls.append(None)
+        if len(calls) <= first_poisoned:
+            return loss
+        b = self.params["head.b"]
+        return loss + _node(np.zeros(()), (b,), lambda g: (np.full(b.shape, np.inf),))
+
+    monkeypatch.setattr(TadaModel, "batch_loss", poisoned)
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=8)
+    with pytest.raises(TrainingError,
+                       match="^non-finite gradient for parameter 'head.b' at epoch 1$"):
+        train(cfg, train_samples, val_samples, 2, 2, "sequence")
+
+
+def overflowing_logits(self, preps):
+    # what finite parameters give once a logit overflows float64
+    return np.tile([np.inf, 0.0], (len(preps), 1))
+
+
+def test_validation_overflow_raises_training_error_with_epoch(monkeypatch):
+    # the metrics refuse non-finite scores with EvaluationError (exit 2);
+    # a run whose validation overflows failed numerically, so exit 3
+    train_samples, val_samples = small_data()
+    monkeypatch.setattr(TadaModel, "batch_logits", overflowing_logits)
+    cfg = tiny_config(max_epochs=3, batch_size=8)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingError, match="validation at epoch 0: auroc"):
+            train(cfg, train_samples, val_samples, 2, 2, "sequence")
+
+
+def test_non_finite_validation_loss_raises_training_error_with_epoch(monkeypatch):
+    # a one-class validation split selects by its loss, which must be finite
+    train_samples, val_samples = small_data()
+    negatives = [s for s in train_samples + val_samples if s.label == 0]
+    monkeypatch.setattr(tada.training, "_mean_loss", lambda model, preps: float("nan"))
+    cfg = tiny_config(max_epochs=3, batch_size=8)
+    with pytest.raises(TrainingError, match="non-finite validation neg_val_loss at epoch 0"):
+        train(cfg, train_samples, negatives, 2, 2, "sequence")
 
 
 def test_single_class_validation_selects_by_validation_loss():
