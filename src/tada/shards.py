@@ -11,6 +11,16 @@ computes both shards in order or a forked worker computes shard 1 while
 the parent computes shard 0; the gradient reduction keeps a fixed order as
 in PyTorch's DDP (Li et al. 2020, arXiv:2006.15704).
 
+The worker also holds the validation preps, and computes about half of each
+epoch's validation chunks.  ``split_chunks`` assigns the chunks from their
+padded steps alone; every chunk's logits (or loss) come from the same
+``batch_logits`` (``batch_loss``) call on the same inputs wherever it runs,
+and the parent puts them back in chunk order, so validation is
+byte-identical on one or two processes too.  ``chunk_values`` finds the
+worker through the step entered now (``_entered``): only a call on the
+very list the worker holds uses it, and every other evaluation runs in
+this process and starts nothing.
+
 A training step allocates and frees tens of MB of temporaries.  With
 glibc's default thresholds the freed heap top goes back to the kernel and
 every step page-faults it back in (about 11 000 faults per train_long step),
@@ -50,6 +60,9 @@ from .tensor import Tensor
 N_SHARDS = 2
 
 Grads = dict[str, "np.ndarray | None"]
+
+# the ShardedStep entered now, whose worker ``chunk_values`` may use
+_entered: "ShardedStep | None" = None
 
 
 # glibc mallopt parameters, and the values ``_retain_heap`` sets: only
@@ -129,6 +142,40 @@ def split_batch(indices: np.ndarray) -> list[np.ndarray]:
     return [indices[:half], indices[half:]]
 
 
+def split_chunks(steps: list[int]) -> list[list[int]]:
+    """Chunk indices for [this process, the worker], each ascending, from each
+    chunk's padded steps (samples times its longest series): the longest
+    chunk first, each to the side with fewer steps so far, a tie to this
+    process."""
+    sides: list[list[int]] = [[], []]
+    load = [0, 0]
+    for i in sorted(range(len(steps)), key=lambda i: -steps[i]):
+        side = int(load[1] < load[0])
+        sides[side].append(i)
+        load[side] += steps[i]
+    return [sorted(side) for side in sides]
+
+
+def chunk_value(model: TadaModel, chunk: list[SamplePrep], what: str):
+    """A chunk's logit rows (``what`` "logits") or its mean loss ("loss")."""
+    if what == "logits":
+        return model.batch_logits(chunk)
+    return model.batch_loss(chunk).item()
+
+
+def chunk_values(model: TadaModel, preps: list[SamplePrep],
+                 chunks: list[list[SamplePrep]], what: str) -> list:
+    """``chunk_value`` of each chunk, in chunk order; ``chunks`` are
+    consecutive runs of ``preps``.  Where the entered step's worker holds
+    this very ``preps`` list for this model, it computes its share
+    (``split_chunks``); otherwise every chunk runs here, in order."""
+    step = _entered
+    if step is not None and step._proc is not None \
+            and preps is step.val_preps and model is step.model:
+        return step.chunk_values(chunks, what)
+    return [chunk_value(model, c, what) for c in chunks]
+
+
 def shard_gradients(model: TadaModel, params: dict[str, Tensor],
                     preps: list[SamplePrep]) -> tuple[float, Grads]:
     """One shard's loss and the gradients its backward leaves in ``params``,
@@ -173,10 +220,23 @@ def _load(params: dict[str, Tensor], flat: np.ndarray) -> None:
         off += size
 
 
+def _work(model: TadaModel, params: dict[str, Tensor], preps: list[SamplePrep],
+          val_preps: list[SamplePrep] | None, request: tuple):
+    """One request: ("step", parameters, shard indices) gives the shard's
+    (loss, gradients); ("chunks", parameters, what, [(start, stop), ...])
+    gives ``chunk_value`` of each validation chunk ``val_preps[start:stop]``."""
+    kind, flat, *args = request
+    _load(params, flat)
+    if kind == "step":
+        return shard_gradients(model, params, [preps[i] for i in args[0]])
+    what, spans = args
+    return [chunk_value(model, val_preps[a:b], what) for a, b in spans]
+
+
 def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
-           cpus: set[int] | None) -> None:
-    """The worker's loop: parameters and shard indices in, (loss, gradients)
-    out, until the parent closes the pipe.
+           val_preps: list[SamplePrep] | None, cpus: set[int] | None) -> None:
+    """The worker's loop: a request in (``_work``), its result out, until
+    the parent closes the pipe.
 
     Ctrl-C reaches the whole process group; the parent handles it and
     closes the worker, so the worker ignores it.  Errors go back to the
@@ -188,12 +248,11 @@ def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
     params = model.trainable()
     while True:
         try:
-            flat, indices = conn.recv()
+            request = conn.recv()
         except (EOFError, OSError):
             return
-        _load(params, flat)
         try:
-            reply = ("ok", *shard_gradients(model, params, [preps[i] for i in indices]))
+            reply = ("ok", _work(model, params, preps, val_preps, request))
         except TadaError as e:
             reply = ("tada", type(e), str(e))
         except Exception:           # a bug: the parent raises it with this traceback
@@ -205,23 +264,28 @@ def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
 
 
 class ShardedStep:
-    """Computes a batch's combined loss and gradients from its two shards.
+    """Computes a batch's combined loss and gradients from its two shards,
+    and validation chunks over ``val_preps`` (``chunk_values``).
 
     A context manager: entering forks the shard-1 worker when one may run
-    (it holds the model and ``preps`` copy-on-write), leaving closes and
-    joins it, on return, on any exception and on Ctrl-C.  Without a worker
-    the shards run in order in this process, with the same result.
+    (it holds the model, ``preps`` and ``val_preps`` copy-on-write), leaving
+    closes and joins it, on return, on any exception and on Ctrl-C.  Without
+    a worker the shards and chunks run in order in this process, with the
+    same result.
     """
 
-    def __init__(self, model: TadaModel, preps: list[SamplePrep]):
+    def __init__(self, model: TadaModel, preps: list[SamplePrep],
+                 val_preps: list[SamplePrep] | None = None):
         self.model = model
         self.preps = preps
+        self.val_preps = val_preps
         self.params = model.trainable()
         self._conn = None
         self._proc = None
         self._affinity: set[int] | None = None
 
     def __enter__(self) -> "ShardedStep":
+        global _entered
         _retain_heap()
         if shard_processes() == N_SHARDS and _may_fork():
             halves = _cpu_halves()
@@ -229,16 +293,19 @@ class ShardedStep:
             parent_end, child_end = ctx.Pipe()
             proc = ctx.Process(target=_serve, name="tada-shard-1", daemon=True,
                                args=(child_end, parent_end, self.model, self.preps,
-                                     halves and halves[1]))
+                                     self.val_preps, halves and halves[1]))
             proc.start()
             child_end.close()
             self._conn, self._proc = parent_end, proc
             if halves is not None:
                 self._affinity = os.sched_getaffinity(0)
                 _pin(halves[0])
+        _entered = self
         return self
 
     def __exit__(self, exc_type, *_) -> None:
+        global _entered
+        _entered = None
         if self._proc is None:
             return
         self._conn.close()          # an idle worker reads EOF and returns
@@ -254,11 +321,7 @@ class ShardedStep:
         shards = split_batch(indices)
         remote = self._proc is not None and len(shards) == N_SHARDS
         if remote:
-            flat = np.concatenate([p.data.ravel() for p in self.params.values()])
-            try:
-                self._conn.send((flat, shards[1]))
-            except OSError:
-                raise self._died() from None
+            self._send("step", shards[1])
         results = [shard_gradients(self.model, self.params, self._take(shards[0]))]
         if len(shards) == N_SHARDS:
             results.append(self._receive() if remote else
@@ -268,16 +331,40 @@ class ShardedStep:
             p.grad = grads[k]
         return loss
 
+    def chunk_values(self, chunks: list[list[SamplePrep]], what: str) -> list:
+        """``chunk_value`` of each chunk of ``val_preps``, in chunk order: the
+        worker computes ``split_chunks``'s second set while this process
+        computes the first."""
+        here, there = split_chunks([len(c) * max(len(p.times) for p in c) for c in chunks])
+        if there:
+            starts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+            self._send("chunks", what, [(starts[i], starts[i + 1]) for i in there])
+        values = [None] * len(chunks)
+        for i in here:
+            values[i] = chunk_value(self.model, chunks[i], what)
+        if there:
+            for i, v in zip(there, self._receive()):
+                values[i] = v
+        return values
+
     def _take(self, indices: np.ndarray) -> list[SamplePrep]:
         return [self.preps[i] for i in indices]
 
-    def _receive(self) -> tuple[float, Grads]:
+    def _send(self, kind: str, *args) -> None:
+        """A request to the worker, with the current parameters as one flat buffer."""
+        flat = np.concatenate([p.data.ravel() for p in self.params.values()])
+        try:
+            self._conn.send((kind, flat, *args))
+        except OSError:
+            raise self._died() from None
+
+    def _receive(self):
         try:
             reply = self._conn.recv()
         except (EOFError, OSError):
             raise self._died() from None
         if reply[0] == "ok":
-            return reply[1], reply[2]
+            return reply[1]
         if reply[0] == "tada":
             raise reply[1](reply[2])
         raise RuntimeError(f"shard worker failed:\n{reply[1]}")

@@ -14,7 +14,7 @@ from .metrics import (accuracy, auprc, auroc, macro_auprc, macro_auroc,
                       softmax_rows)
 from .model import SamplePrep, TadaModel
 from .optim import Adam
-from .shards import ShardedStep
+from .shards import ShardedStep, chunk_values
 
 
 @dataclass
@@ -67,8 +67,9 @@ def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
 
 def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
     """Mean per-sample loss over ``preps``, one batch at a time."""
-    total = sum(model.batch_loss(chunk).item() * len(chunk)
-                for chunk in _chunks(preps, model.cfg.batch_size))
+    chunks = _chunks(preps, model.cfg.batch_size)
+    total = sum(loss * len(chunk)
+                for chunk, loss in zip(chunks, chunk_values(model, preps, chunks, "loss")))
     return total / len(preps)
 
 
@@ -81,8 +82,8 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     """
     if not preps:
         raise EvaluationError("evaluate: empty evaluation set")
-    rows = [softmax_rows(model.batch_logits(chunk))
-            for chunk in _chunks(preps, model.cfg.batch_size)]
+    chunks = _chunks(preps, model.cfg.batch_size)
+    rows = [softmax_rows(z) for z in chunk_values(model, preps, chunks, "logits")]
     probs = np.concatenate(rows, axis=0)
     y = np.concatenate([p.labels for p in preps])
     preds = probs.argmax(axis=1)
@@ -120,11 +121,14 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
 
     Each step's loss and gradient combine the batch's two shards
     (``ShardedStep``), with a forked worker computing the second where the
-    host allows.  Fully deterministic for a fixed config, and byte-identical
-    on one or two processes: one seeded generator drives init and batch
-    order, the shards combine in a fixed order, and evaluation is
-    deterministic.  A numerical failure raises TrainingError naming the
-    epoch.
+    host allows; the same worker computes about half of each epoch's
+    validation chunks, found by ``evaluate_preps`` and ``_mean_loss``
+    because ``val_preps`` is the list it holds.  Fully deterministic for a
+    fixed config, and byte-identical on one or two processes: one seeded
+    generator drives init and batch order, the shards combine in a fixed
+    order, and every validation chunk comes from the same call wherever it
+    runs, back in chunk order.  A numerical failure raises TrainingError
+    naming the epoch, and numpy prints no warnings on the way.
     """
     if not train_samples:
         raise TrainingError("train: empty training set")
@@ -139,7 +143,10 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
     best_state: dict[str, np.ndarray] | None = None
     bad_epochs = 0
     n = len(train_preps)
-    with ShardedStep(model, train_preps) as step:
+    # every loss, gradient, parameter and validation metric is checked
+    # below, so numpy's warnings on a diverging run would only print ahead
+    # of the TrainingError; the worker forks inside and inherits the state
+    with np.errstate(all="ignore"), ShardedStep(model, train_preps, val_preps) as step:
         for epoch in range(cfg.max_epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
@@ -158,18 +165,20 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
                     raise TrainingError(
                         f"non-finite parameter '{name}' after epoch {epoch}")
             val_report = None
-            if not val_preps:
-                selection, metric = "neg_train_loss", -epoch_loss
-            elif one_class:
-                selection, metric = "neg_val_loss", -_mean_loss(model, val_preps)
-            else:
+            try:
+                if not val_preps:
+                    selection, metric = "neg_train_loss", -epoch_loss
+                elif one_class:
+                    selection, metric = "neg_val_loss", -_mean_loss(model, val_preps)
+                else:
+                    val_report = evaluate_preps(model, val_preps)
+                    selection, metric = selection_metric(model, val_report)
+            except TrainingError as e:      # the shard worker died
+                raise TrainingError(f"{e} at epoch {epoch}") from None
+            except EvaluationError as e:
                 # with two classes present, the metrics fail only on
                 # non-finite scores: finite parameters whose logits overflow
-                try:
-                    val_report = evaluate_preps(model, val_preps)
-                except EvaluationError as e:
-                    raise TrainingError(f"validation at epoch {epoch}: {e}") from None
-                selection, metric = selection_metric(model, val_report)
+                raise TrainingError(f"validation at epoch {epoch}: {e}") from None
             if not math.isfinite(metric):
                 raise TrainingError(f"non-finite validation {selection} at epoch {epoch}")
             record = {

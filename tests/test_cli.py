@@ -186,6 +186,26 @@ def test_train_validation_overflow_exits_3(tmp_path, data_dir, monkeypatch, caps
     assert "validation at epoch 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch_size, failure", [
+    (1, "non-finite loss"), (2, "non-finite gradient for parameter 'te.embed'")])
+def test_diverging_train_prints_no_numpy_warnings(tmp_path, batch_size, failure, monkeypatch,
+                                                  capfd):
+    # beta2 = 0 makes Adam's step m/|g|: the run diverges within epoch 0.
+    # Batches of one never reach the shard worker; batches of two do.
+    import tada.shards
+    monkeypatch.setattr(tada.shards, "shard_processes", lambda: 2)
+    for var in tada.shards.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "96"]) == 0
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+              + set_args(("beta2=0", "keyvalue_variant=setting2", f"batch_size={batch_size}",
+                          "n_layers=3", "max_epochs=3")))
+    err = capfd.readouterr().err
+    assert rc == 3
+    assert err == f"error: {failure} at epoch 0\n"
+
+
 def test_train_rerun_is_byte_identical(tmp_path, data_dir):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["train", "--data", data_dir] + set_args(TINY)

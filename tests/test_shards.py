@@ -1,10 +1,13 @@
-"""The two-shard gradient step against one graph over the whole batch, and
-the shard worker's lifecycle: training is byte-identical on one or two
-processes, no worker outlives ``train``, and a worker's error is raised in
-the parent.  Tests that need the worker force the process count through
-``shard_processes``; they run on any host with fork, one CPU included.
+"""The two-shard gradient step against one graph over the whole batch,
+validation chunks on the shard worker, and the worker's lifecycle: training
+and its validation are byte-identical on one or two processes, no worker
+outlives ``train``, and a worker's error is raised in the parent, in a step
+or in validation.  Tests that need the worker force the process count
+through ``shard_processes``; they run on any host with fork, one CPU
+included.
 """
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -14,11 +17,14 @@ import pytest
 import reference
 import tada.shards
 from helpers import random_series, redraw_params, tiny_config, tiny_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tada.errors import DataError, TrainingError
+from tada.metrics import softmax_rows
 from tada.model import TadaModel
 from tada.optim import Adam
-from tada.shards import ShardedStep, shard_processes, split_batch
-from tada.training import train
+from tada.shards import ShardedStep, shard_processes, split_batch, split_chunks
+from tada.training import _chunks, evaluate_preps, train
 from test_training import small_data
 
 TOL = 1e-12
@@ -47,6 +53,25 @@ def test_split_batch_puts_the_larger_half_first():
     assert [list(s) for s in split_batch(np.arange(7))] == [[0, 1, 2, 3], [4, 5, 6]]
     assert [list(s) for s in split_batch(np.arange(6))] == [[0, 1, 2], [3, 4, 5]]
     assert [list(s) for s in split_batch(np.array([5]))] == [[5]]
+
+
+def test_split_chunks_balances_padded_steps():
+    # train_long's validation chunks: alternation would give 9170 and 7871
+    assert split_chunks([4020, 4035, 3960, 3836, 1190]) == [[1, 3, 4], [0, 2]]
+    assert split_chunks([64 * 30] * 8) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert split_chunks([100]) == [[0], []]
+    assert split_chunks([]) == [[], []]
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.lists(st.integers(1, 4096), max_size=12))
+def test_split_chunks_covers_every_chunk_once(steps):
+    here, there = split_chunks(steps)
+    assert sorted(here + there) == list(range(len(steps)))
+    assert here == sorted(here) and there == sorted(there)
+    loads = [sum(steps[i] for i in side) for side in (here, there)]
+    # each chunk went to the lighter side, so the sides differ by at most one chunk
+    assert abs(loads[0] - loads[1]) <= max(steps, default=0)
 
 
 @pytest.mark.parametrize("n_procs", [1, pytest.param(2, marks=needs_fork)])
@@ -191,14 +216,15 @@ def test_no_worker_outlives_train(processes, monkeypatch):
         assert os.sched_getaffinity(0) == cpus
 
 
-def in_worker(parent_pid, action):
-    """``TadaModel.batch_loss`` that runs ``action`` first in the worker only."""
-    batch_loss = TadaModel.batch_loss
+def in_worker(parent_pid, action, method="batch_loss"):
+    """``TadaModel.<method>`` that runs ``action`` first in the worker only.
+    Training steps never call ``batch_logits``; validation does."""
+    original = getattr(TadaModel, method)
 
     def patched(self, preps):
         if os.getpid() != parent_pid:
             action()
-        return batch_loss(self, preps)
+        return original(self, preps)
     return patched
 
 
@@ -242,3 +268,195 @@ def test_worker_death_is_a_training_error_naming_the_epoch(processes, monkeypatc
         train(tiny_config(max_epochs=1, batch_size=8), train_samples, val_samples,
               2, 2, "sequence")
     assert multiprocessing.active_children() == []
+
+
+# validation on the worker ------------------------------------------------------
+
+
+def recording(path, method):
+    """``method`` that first appends the calling pid and the chunk's first
+    sample id to ``path``, from either process."""
+    def patched(self, preps):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {preps[0].sample_id}\n")
+        return method(self, preps)
+    return patched
+
+
+def computed_by(path):
+    """{pid: [first sample id of each chunk it computed]} from ``recording``."""
+    by_pid = {}
+    with open(path) as fh:
+        for line in fh:
+            pid, sid = line.split()
+            by_pid.setdefault(int(pid), []).append(sid)
+    return by_pid
+
+
+def one_class(samples):
+    return [dataclasses.replace(s, label=0) for s in samples]
+
+
+@needs_fork
+@pytest.mark.parametrize("selection", ["auprc", "neg_val_loss"])
+def test_validation_is_byte_identical_on_one_or_two_processes(selection, processes,
+                                                              monkeypatch, tmp_path):
+    train_samples, val_samples = small_data()
+    method = "batch_logits"
+    if selection == "neg_val_loss":
+        val_samples, method = one_class(val_samples), "batch_loss"
+    # 8 validation samples in chunks of 3: chunks of 3, 3 and 2
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=3)
+    probe = tmp_path / "calls"
+    monkeypatch.setattr(TadaModel, method, recording(probe, getattr(TadaModel, method)))
+    runs, workers = {}, {}
+    for n in (1, 2):
+        processes(n)
+        probe.write_text("")
+        runs[n] = train(cfg, train_samples, val_samples, 2, 2, "sequence")
+        workers[n] = {pid: sids for pid, sids in computed_by(probe).items()
+                      if pid != os.getpid()}
+    assert [r["selection"] for r in runs[1].history] == [selection] * 3
+    assert repr(runs[1].history) == repr(runs[2].history)
+    for k, p in runs[1].model.params.items():
+        assert p.data.tobytes() == runs[2].model.params[k].data.tobytes(), k
+    assert workers[1] == {}
+    # each epoch the worker computed split_chunks's second set; training
+    # steps call batch_loss too, so only calls on validation samples count
+    chunks = _chunks(val_samples, 3)
+    there = split_chunks([len(c) * max(len(s.times) for s in c) for c in chunks])[1]
+    assert there
+    (worker_sids,) = workers[2].values()
+    val_ids = {s.sample_id for s in val_samples}
+    assert [s for s in worker_sids if s in val_ids] == [chunks[i][0].sample_id
+                                                       for i in there] * 3
+
+
+@needs_fork
+def test_validation_metric_keeps_its_arithmetic(processes):
+    # one epoch keeps its own parameters, so the recorded metrics are those
+    # of the final model, computed chunk by chunk in this process
+    processes(2)
+    train_samples, val_samples = small_data()
+    cfg = tiny_config(max_epochs=1, batch_size=3)
+    result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
+    model = result.model
+    preps = [model.prepare(s) for s in val_samples]
+    chunks = _chunks(preps, 3)
+    rows = np.concatenate([softmax_rows(model.batch_logits(c)) for c in chunks])
+    report = evaluate_preps(model, preps)
+    assert result.history[0]["val_metric"] == report.auprc
+    assert result.history[0]["val_accuracy"] == report.accuracy
+    assert report.accuracy == np.mean(rows.argmax(axis=1) == [s.label for s in val_samples])
+
+    val_samples = one_class(val_samples)
+    result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
+    preps = [result.model.prepare(s) for s in val_samples]
+    total = sum(result.model.batch_loss(c).item() * len(c) for c in _chunks(preps, 3))
+    assert result.history[0]["val_metric"] == -(total / len(preps))
+
+
+def no_process(*args, **kwargs):
+    raise AssertionError("evaluation started a process")
+
+
+@needs_fork
+def test_evaluation_off_the_held_list_stays_in_process(processes, monkeypatch):
+    processes(2)
+    train_samples, val_samples = small_data()
+    model = tiny_model(batch_size=3)
+    redraw_params(model, seed=2)
+    train_preps = [model.prepare(s) for s in train_samples]
+    val_preps = [model.prepare(s) for s in val_samples]
+    want = np.concatenate([softmax_rows(model.batch_logits(c)) for c in _chunks(val_preps, 3)])
+    rows = []
+    monkeypatch.setattr(tada.training, "softmax_rows",
+                        lambda z: rows.append(softmax_rows(z)) or rows[-1])
+
+    def evaluated(preps):
+        rows.clear()
+        evaluate_preps(model, preps)
+        return np.concatenate(rows)
+
+    monkeypatch.setattr(ShardedStep, "_send", no_process)
+    # outside any step
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", no_process)
+        m.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        assert np.array_equal(evaluated(val_preps), want)
+    with ShardedStep(model, train_preps, val_preps) as step:
+        assert step._proc is not None
+        # an equal list the worker does not hold, and the held list for
+        # another model
+        assert np.array_equal(evaluated(list(val_preps)), want)
+        other = tiny_model(batch_size=3)
+        evaluate_preps(other, val_preps)
+    assert tada.shards._entered is None
+    assert multiprocessing.active_children() == []
+
+
+def train_with_validation_chunks():
+    train_samples, val_samples = small_data()
+    return train(tiny_config(max_epochs=2, batch_size=4), train_samples, val_samples,
+                 2, 2, "sequence")
+
+
+@needs_fork
+def test_worker_tada_error_in_validation_is_raised_in_the_parent(processes, monkeypatch,
+                                                                 capfd):
+    processes(2)
+
+    def refuse():
+        raise DataError("validation refused")
+
+    monkeypatch.setattr(TadaModel, "batch_logits", in_worker(os.getpid(), refuse, "batch_logits"))
+    with pytest.raises(DataError, match="^validation refused$"):
+        train_with_validation_chunks()
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@needs_fork
+def test_worker_bug_in_validation_is_raised_with_its_traceback(processes, monkeypatch):
+    processes(2)
+
+    def fail():
+        raise ZeroDivisionError("in validation")
+
+    monkeypatch.setattr(TadaModel, "batch_logits", in_worker(os.getpid(), fail, "batch_logits"))
+    with pytest.raises(RuntimeError,
+                       match="(?s)shard worker failed:.*ZeroDivisionError: in validation"):
+        train_with_validation_chunks()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_death_in_validation_names_the_epoch(processes, monkeypatch):
+    processes(2)
+    monkeypatch.setattr(TadaModel, "batch_logits",
+                        in_worker(os.getpid(), lambda: os._exit(9), "batch_logits"))
+    with pytest.raises(TrainingError, match=r"^shard worker died \(exit code 9\) at epoch 0$"):
+        train_with_validation_chunks()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_ctrl_c_in_validation_leaves_no_worker(processes, monkeypatch):
+    processes(2)
+    parent = os.getpid()
+    workers = []
+    batch_logits = TadaModel.batch_logits
+
+    def interrupted(self, preps):
+        # the parent's first chunk, while the worker computes its own
+        if os.getpid() == parent:
+            workers.append(len(multiprocessing.active_children()))
+            raise KeyboardInterrupt
+        return batch_logits(self, preps)
+
+    monkeypatch.setattr(TadaModel, "batch_logits", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        train_with_validation_chunks()
+    assert workers == [1]
+    assert multiprocessing.active_children() == []
+    assert tada.shards._entered is None
