@@ -184,41 +184,70 @@ def write_data_manifest(data_dir: str, n_features: int, task: str, n_classes: in
         fh.write("\n")
 
 
-def normalize_times(series: IrregularSeries) -> IrregularSeries:
-    """Affinely map the step times of one sample onto [0, 1].
+def unit_times(series: IrregularSeries) -> np.ndarray:
+    """The step times of one sample, affinely mapped onto [0, 1].
 
     A single-step series maps to time 0.  Ordering is preserved, and the
-    first and last steps land exactly on 0 and 1.  A span too wide for a
-    float raises DataError.
+    first and last steps land exactly on 0 and 1.  Step times that repeat,
+    fall or are NaN, and a span too wide for a float, raise DataError.
     """
-    if len(series.steps) == 1:
-        steps = (TimeStep(time=0.0, observations=series.steps[0].observations),)
-        return IrregularSeries(series.sample_id, steps, series.label)
-    t0 = series.steps[0].time
-    span = series.steps[-1].time - t0
+    times = series.times
+    if len(times) == 0:
+        raise DataError(f"sample {series.sample_id}: no steps")
+    if len(times) == 1:
+        return np.zeros(1)
+    if not np.all(times[1:] > times[:-1]):
+        raise DataError(f"sample {series.sample_id}: step times must increase strictly")
+    span = float(times[-1]) - float(times[0])     # a Python float: overflow is inf, unwarned
     if not math.isfinite(span):
         raise DataError(f"sample {series.sample_id}: time span {span} is not finite")
-    steps = tuple(TimeStep(time=(s.time - t0) / span, observations=s.observations)
-                  for s in series.steps)
+    return (times - times[0]) / span
+
+
+def normalize_times(series: IrregularSeries) -> IrregularSeries:
+    """The series with its step times mapped onto [0, 1] by ``unit_times``."""
+    steps = tuple(TimeStep(time=float(t), observations=s.observations)
+                  for t, s in zip(unit_times(series), series.steps))
     return IrregularSeries(series.sample_id, steps, series.label)
 
 
-def build_value_mask(series: IrregularSeries, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (T, D) value matrix with zeros at unobserved slots, plus bool mask.
+def observation_arrays(series: IrregularSeries, n_features: int):
+    """Every observation in step order as (step_of, feat_idx, values) (N,)
+    arrays, plus the dense (T, D) value matrix with zeros at unobserved
+    slots and its bool mask.
 
-    A feature index outside [0, n_features) raises DataError.
+    A feature index that is not an integer, lies outside [0, n_features)
+    or repeats within a step raises DataError.
     """
+    obs = [o for step in series.steps for o in step.observations]
+    step_of = np.repeat(np.arange(len(series.steps), dtype=np.int64),
+                        [len(step.observations) for step in series.steps])
+    feat_idx = np.array([o.feature for o in obs])
+    if obs and feat_idx.dtype.kind not in "iu":
+        raise DataError(f"sample {series.sample_id}: feature indices must be integers "
+                        f"in [0, {n_features})")
+    feat_idx = feat_idx.astype(np.int64, copy=False)
+    vals = np.fromiter((o.value for o in obs), dtype=np.float64, count=len(obs))
+    outside = (feat_idx < 0) | (feat_idx >= n_features)
+    if outside.any():
+        raise DataError(f"sample {series.sample_id}: feature index "
+                        f"{obs[int(outside.argmax())].feature} outside [0, {n_features})")
     T = len(series.steps)
     values = np.zeros((T, n_features))
     mask = np.zeros((T, n_features), dtype=bool)
-    for k, step in enumerate(series.steps):
-        for obs in step.observations:
-            if not 0 <= obs.feature < n_features:
-                raise DataError(f"sample {series.sample_id}: feature index {obs.feature} "
-                                f"outside [0, {n_features})")
-            values[k, obs.feature] = obs.value
-            mask[k, obs.feature] = True
-    return values, mask
+    values[step_of, feat_idx] = vals
+    mask[step_of, feat_idx] = True
+    if np.count_nonzero(mask) < len(obs):
+        k = next(k for k, step in enumerate(series.steps)
+                 if len({o.feature for o in step.observations}) < len(step.observations))
+        raise DataError(f"sample {series.sample_id}: step {k} repeats a feature")
+    return step_of, feat_idx, vals, values, mask
+
+
+def build_value_mask(series: IrregularSeries, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (T, D) value matrix with zeros at unobserved slots, plus bool
+    mask, from ``observation_arrays``."""
+    return observation_arrays(series, n_features)[3:]
 
 
 # splitting -------------------------------------------------------------------

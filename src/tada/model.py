@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, coerce_fields
-from .data import IrregularSeries, build_value_mask, normalize_times
+from .data import IrregularSeries, observation_arrays, unit_times
 from .dla import RegularizedGrid, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
@@ -237,15 +237,9 @@ class TadaModel:
 
     def prepare(self, series: IrregularSeries) -> SamplePrep:
         """Normalize times onto [0, 1] and build the sample's own arrays."""
-        series = normalize_times(series)
-        times = series.times
-        T = len(series)
-        obs = [(k, o.feature, o.value) for k, step in enumerate(series.steps)
-               for o in step.observations]
-        step_of = np.array([k for k, _, _ in obs], dtype=np.int64)
-        feat_idx = np.array([f for _, f, _ in obs], dtype=np.int64)
-        vals = np.array([v for _, _, v in obs])
-        values, mask = build_value_mask(series, self.n_features)
+        times = unit_times(series)
+        step_of, feat_idx, vals, values, mask = observation_arrays(series, self.n_features)
+        T = len(times)
         if self.task == "step":
             if not isinstance(series.label, tuple):
                 raise DataError(f"sample {series.sample_id}: step task needs step labels")
@@ -264,7 +258,7 @@ class TadaModel:
         return SamplePrep(
             sample_id=series.sample_id,
             times=times,
-            values_col=vals[:, None].copy(),
+            values_col=vals[:, None],
             feat_idx=feat_idx,
             step_of=step_of,
             values=values,
@@ -320,11 +314,20 @@ class TadaModel:
         each intermediate array is freed as soon as the next op has used it."""
         return {k: p.detach() for k, p in self.params.items()}
 
-    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
-        """Every sample's logit rows, stacked in list order."""
+    def _detached_forward(self, preps: list[SamplePrep]) -> tuple[Batch, Tensor]:
         X = collate(preps)
         out, _ = self.forward(X, params=self.detached())
+        return X, out
+
+    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
+        """Every sample's logit rows, stacked in list order."""
+        X, out = self._detached_forward(preps)
         return out.data[np.arange(out.shape[1]) < X.label_counts[:, None]]
+
+    def batch_loss_value(self, preps: list[SamplePrep]) -> float:
+        """``batch_loss``'s value, from a forward that builds no graph."""
+        X, out = self._detached_forward(preps)
+        return cross_entropy_with_logits(out, X.labels, X.label_counts).item()
 
     def logits(self, prep: SamplePrep) -> np.ndarray:
         return self.batch_logits([prep])

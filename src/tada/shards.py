@@ -14,18 +14,23 @@ in PyTorch's DDP (Li et al. 2020, arXiv:2006.15704).
 The worker also holds the validation preps, and computes about half of each
 epoch's validation chunks.  ``split_chunks`` assigns the chunks from their
 padded steps alone; every chunk's logits (or loss) come from the same
-``batch_logits`` (``batch_loss``) call on the same inputs wherever it runs,
-and the parent puts them back in chunk order, so validation is
+``batch_logits`` (``batch_loss_value``) call on the same inputs wherever
+it runs, and the parent puts them back in chunk order, so validation is
 byte-identical on one or two processes too.  ``chunk_values`` finds the
-worker through the step entered now (``_entered``): only a call on the
-very list the worker holds uses it, and every other evaluation runs in
-this process and starts nothing.
+worker through the step entered now (``_entered``): inside ``train()``
+only a call on the very list the worker holds uses it.  An evaluation
+outside any step enters a step of its own for that one call, whose worker
+holds the evaluated list, when the worker's share holds at least one full
+chunk: forking, one round trip and closing cost one to two chunks'
+compute, so every smaller evaluation runs in this process and starts
+nothing.
 
 A training step allocates and frees tens of MB of temporaries.  With
 glibc's default thresholds the freed heap top goes back to the kernel and
 every step page-faults it back in (about 11 000 faults per train_long step),
 which costs a fifth of a step and keeps two processes from scaling, so
-entering a ``ShardedStep`` keeps freed memory in the heap (``_retain_heap``).
+entering a ``ShardedStep`` keeps freed memory in the heap (``_retain_heap``),
+for training and for an evaluation large enough to fork alike.
 
 The parent and the worker run on disjoint halves of the CPUs this process
 may use.  Left free, the kernel wakes the worker on the CPU of the parent
@@ -134,6 +139,10 @@ def _may_fork() -> bool:
             and _threads() == 1)
 
 
+def _worker_may_run() -> bool:
+    return shard_processes() == N_SHARDS and _may_fork()
+
+
 def split_batch(indices: np.ndarray) -> list[np.ndarray]:
     """The batch's shards in order: the first ceil(n/2) samples, then the rest."""
     if len(indices) < 2:
@@ -156,22 +165,38 @@ def split_chunks(steps: list[int]) -> list[list[int]]:
     return [sorted(side) for side in sides]
 
 
+def padded_steps(chunks: list[list[SamplePrep]]) -> list[int]:
+    """Each chunk's samples times its longest series."""
+    return [len(c) * max(len(p.times) for p in c) for c in chunks]
+
+
 def chunk_value(model: TadaModel, chunk: list[SamplePrep], what: str):
     """A chunk's logit rows (``what`` "logits") or its mean loss ("loss")."""
     if what == "logits":
         return model.batch_logits(chunk)
-    return model.batch_loss(chunk).item()
+    return model.batch_loss_value(chunk)
 
 
 def chunk_values(model: TadaModel, preps: list[SamplePrep],
-                 chunks: list[list[SamplePrep]], what: str) -> list:
+                 chunks: list[list[SamplePrep]], what: str, min_share: int) -> list:
     """``chunk_value`` of each chunk, in chunk order; ``chunks`` are
-    consecutive runs of ``preps``.  Where the entered step's worker holds
-    this very ``preps`` list for this model, it computes its share
-    (``split_chunks``); otherwise every chunk runs here, in order."""
+    consecutive runs of ``preps``.
+
+    Inside a step, the entered step's worker computes its share
+    (``split_chunks``) where it holds this very ``preps`` list for this
+    model.  Outside any step, a step is entered for this one call, which
+    forks a worker holding ``preps``, where that share would come to at
+    least ``min_share`` padded steps and a worker may run: below that the
+    fork costs more than the share saves.  Otherwise every chunk runs here,
+    in order.
+    """
     step = _entered
-    if step is not None and step._proc is not None \
-            and preps is step.val_preps and model is step.model:
+    if step is None:
+        steps = padded_steps(chunks)
+        if sum(steps[i] for i in split_chunks(steps)[1]) >= min_share and _worker_may_run():
+            with ShardedStep(model, [], preps):
+                return chunk_values(model, preps, chunks, what, min_share)
+    elif step._proc is not None and preps is step.val_preps and model is step.model:
         return step.chunk_values(chunks, what)
     return [chunk_value(model, c, what) for c in chunks]
 
@@ -265,7 +290,7 @@ def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
 
 class ShardedStep:
     """Computes a batch's combined loss and gradients from its two shards,
-    and validation chunks over ``val_preps`` (``chunk_values``).
+    and evaluation chunks over ``val_preps`` (``chunk_values``).
 
     A context manager: entering forks the shard-1 worker when one may run
     (it holds the model, ``preps`` and ``val_preps`` copy-on-write), leaving
@@ -287,7 +312,7 @@ class ShardedStep:
     def __enter__(self) -> "ShardedStep":
         global _entered
         _retain_heap()
-        if shard_processes() == N_SHARDS and _may_fork():
+        if _worker_may_run():
             halves = _cpu_halves()
             ctx = multiprocessing.get_context("fork")
             parent_end, child_end = ctx.Pipe()
@@ -335,7 +360,7 @@ class ShardedStep:
         """``chunk_value`` of each chunk of ``val_preps``, in chunk order: the
         worker computes ``split_chunks``'s second set while this process
         computes the first."""
-        here, there = split_chunks([len(c) * max(len(p.times) for p in c) for c in chunks])
+        here, there = split_chunks(padded_steps(chunks))
         if there:
             starts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
             self._send("chunks", what, [(starts[i], starts[i + 1]) for i in there])

@@ -66,10 +66,11 @@ def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
 
 
 def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
-    """Mean per-sample loss over ``preps``, one batch at a time."""
+    """Mean per-sample loss over ``preps``, one batch at a time, from
+    forwards that build no graph."""
     chunks = _chunks(preps, model.cfg.batch_size)
-    total = sum(loss * len(chunk)
-                for chunk, loss in zip(chunks, chunk_values(model, preps, chunks, "loss")))
+    losses = chunk_values(model, preps, chunks, "loss", CHUNK_STEPS)
+    total = sum(loss * len(chunk) for chunk, loss in zip(chunks, losses))
     return total / len(preps)
 
 
@@ -79,11 +80,17 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     Binary sequence tasks report AUROC/AUPRC of the positive-class
     probability plus argmax accuracy.  Step and multiclass tasks report
     accuracy plus macro one-vs-rest AUROC/AUPRC over flattened predictions.
+
+    The chunks' logits come from ``shards.chunk_values``: inside ``train``
+    the step's worker computes about half of the validation chunks; outside
+    it, a worker is forked for this call when its share would hold at least
+    ``CHUNK_STEPS`` padded steps and the host allows one.  The report is
+    the same bytes on one process or two.
     """
     if not preps:
         raise EvaluationError("evaluate: empty evaluation set")
     chunks = _chunks(preps, model.cfg.batch_size)
-    rows = [softmax_rows(z) for z in chunk_values(model, preps, chunks, "logits")]
+    rows = [softmax_rows(z) for z in chunk_values(model, preps, chunks, "logits", CHUNK_STEPS)]
     probs = np.concatenate(rows, axis=0)
     y = np.concatenate([p.labels for p in preps])
     preds = probs.argmax(axis=1)
@@ -98,6 +105,7 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
 
 
 def evaluate(model: TadaModel, samples: list[IrregularSeries]) -> MetricsReport:
+    """``evaluate_preps`` over the prepared samples."""
     return evaluate_preps(model, [model.prepare(s) for s in samples])
 
 

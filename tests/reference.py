@@ -12,18 +12,21 @@ maximum.  ``reference_backward`` and ``reference_sigmoid`` are the earlier
 gradient accumulation and sigmoid.  ``chain_gates`` and
 ``chain_gated_attention_pool`` are DLA's window gates as a graph chain
 through the ``sigmoid`` op and the batched pool that gave such gates a
-gradient.  All of it is slow and exists only so tests can compare the
-model against it.
+gradient.  ``prepare_by_steps`` is ``TadaModel.prepare`` as it was, one
+``TimeStep`` and one observation at a time.  All of it is slow and exists
+only so tests can compare the model against it.
 """
 
 import math
 
 import numpy as np
 
+from tada.data import IrregularSeries, TimeStep
 from tada.dla import RegularizedGrid, anchor_times
 from tada.embedding import encode_observations, te_forward
 from tada.errors import DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
+from tada.model import SamplePrep
 from tada.tensor import (Tensor, _lift, _node, _pool_exponents, _sigmoid, _unbroadcast, add,
                          concat, cross_entropy_with_logits, matmul, mul, relu, reshape,
                          softplus, tmean, transpose, tsum)
@@ -428,3 +431,35 @@ def one_graph_gradients(model, preps):
     loss = model.batch_loss(preps)
     loss.backward()
     return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+def prepare_by_steps(model, series):
+    """``TadaModel.prepare`` as it was, for a well-formed series: new
+    normalized ``TimeStep`` objects, then the observation arrays and the
+    dense value matrix filled one observation at a time."""
+    if len(series.steps) == 1:
+        steps = (TimeStep(time=0.0, observations=series.steps[0].observations),)
+    else:
+        t0 = series.steps[0].time
+        span = series.steps[-1].time - t0
+        steps = tuple(TimeStep(time=(s.time - t0) / span, observations=s.observations)
+                      for s in series.steps)
+    series = IrregularSeries(series.sample_id, steps, series.label)
+    obs = [(k, o.feature, o.value) for k, step in enumerate(series.steps)
+           for o in step.observations]
+    values = np.zeros((len(steps), model.n_features))
+    mask = np.zeros((len(steps), model.n_features), dtype=bool)
+    for k, f, v in obs:
+        values[k, f] = v
+        mask[k, f] = True
+    labels = series.label if model.task == "step" else (series.label,)
+    return SamplePrep(
+        sample_id=series.sample_id,
+        times=series.times,
+        values_col=np.array([v for _, _, v in obs])[:, None].copy(),
+        feat_idx=np.array([f for _, f, _ in obs], dtype=np.int64),
+        step_of=np.array([k for k, _, _ in obs], dtype=np.int64),
+        values=values,
+        mask=mask,
+        labels=np.array(labels, dtype=np.int64),
+    )

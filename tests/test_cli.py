@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,9 +11,12 @@ import numpy as np
 import pytest
 
 import tada
+import tada.shards
+import tada.training
 from tada.cli import main
-from tada.data import read_data_manifest
+from tada.data import load_dataset, read_data_manifest
 from tada.model import TadaModel
+from tada.shards import padded_steps, split_chunks
 from test_model_io import rewrite_header
 from test_uci import write_fixture
 
@@ -357,6 +361,76 @@ def test_eval_empty_split(run_dir, data_dir, tmp_path, capsys):
                "--data", str(empty), "--split", "test"])
     assert rc == 2
     assert "empty" in capsys.readouterr().err
+
+
+# a tada eval whose chunks cross the worker rule once CHUNK_STEPS is lowered
+# to argv[1]; prints "worker" to stderr for each step that forked one
+EVAL_PAST_THE_RULE = """
+import sys
+import tada.shards, tada.training
+tada.training.CHUNK_STEPS = int(sys.argv[1])
+enter = tada.shards.ShardedStep.__enter__
+def counted(self):
+    step = enter(self)
+    if step._proc is not None:
+        print("worker", file=sys.stderr)
+    return step
+tada.shards.ShardedStep.__enter__ = counted
+from tada.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def rule_crossing_chunk_steps(run_dir, data_dir):
+    """A CHUNK_STEPS that puts a full chunk in the worker's share of the test split."""
+    model = TadaModel.load(os.path.join(run_dir, "model.bin"))
+    preps = [model.prepare(s) for s in load_dataset(os.path.join(data_dir, "test.jsonl"), 2)]
+    steps = 2 * max(len(p.times) for p in preps)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tada.training, "CHUNK_STEPS", steps)
+        sizes = padded_steps(tada.training._chunks(preps, model.cfg.batch_size))
+    assert sum(sizes[i] for i in split_chunks(sizes)[1]) >= steps
+    return steps
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                    or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs fork, two CPUs and an affinity call")
+def test_eval_past_the_rule_prints_the_same_bytes_on_one_or_two_cpus(run_dir, data_dir):
+    steps = rule_crossing_chunk_steps(run_dir, data_dir)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tada.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = [sys.executable, "-c", EVAL_PAST_THE_RULE, str(steps), "eval",
+            "--model", os.path.join(run_dir, "model.bin"), "--data", data_dir, "--split", "test"]
+    one_cpu = min(os.sched_getaffinity(0))
+    runs = [subprocess.run(args, capture_output=True, env=env, timeout=120, preexec_fn=pin)
+            for pin in (None, lambda: os.sched_setaffinity(0, {one_cpu}))]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    two, one = runs
+    assert two.stderr == b"worker\n" and one.stderr == b""
+    assert two.stdout == one.stdout
+    with open(os.path.join(run_dir, "metrics.csv"), encoding="utf-8") as fh:
+        assert two.stdout.decode().strip() == fh.read().strip()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_eval_worker_death_exits_3(run_dir, data_dir, monkeypatch, capsys):
+    monkeypatch.setattr(tada.training, "CHUNK_STEPS", rule_crossing_chunk_steps(run_dir, data_dir))
+    monkeypatch.setattr(tada.shards, "shard_processes", lambda: 2)
+    parent, batch_logits = os.getpid(), TadaModel.batch_logits
+
+    def dying(self, preps):
+        if os.getpid() != parent:
+            os._exit(9)
+        return batch_logits(self, preps)
+
+    monkeypatch.setattr(TadaModel, "batch_logits", dying)
+    rc = main(["eval", "--model", os.path.join(run_dir, "model.bin"),
+               "--data", data_dir, "--split", "test"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: shard worker died (exit code 9)\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_gradcheck_passes_and_reports_modules(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tada.config import RunConfig
 from tada.data import (
     IrregularSeries,
     Observation,
@@ -26,6 +27,7 @@ from tada.data import (
     write_dataset,
 )
 from tada.errors import ConfigError, DataError
+from tada.model import TadaModel
 
 
 def make_series(sid, label, times):
@@ -228,6 +230,21 @@ def test_normalize_times_rejects_a_span_beyond_float_range():
     # the span overflows to inf and would map the last step to nan
     with pytest.raises(DataError, match="span"):
         normalize_times(make_series("x", 0, [-1e308, 0.0, 1e308]))
+
+
+@pytest.mark.parametrize("times", [[1.0, 1.0], [0.0, 2.0, 2.0], [2.0, 1.0], [0.0, 3.0, 1.0],
+                                   [0.0, float("nan"), 1.0]])
+def test_normalize_times_rejects_steps_that_do_not_increase(times):
+    # a series built in code; parse_events merges and sorts, so files never
+    # reach this
+    with pytest.raises(DataError, match="^sample bad: step times"):
+        normalize_times(make_series("bad", 0, times))
+
+
+def test_prepare_rejects_steps_that_do_not_increase():
+    model = TadaModel(RunConfig(), 2, 2, "sequence")
+    with pytest.raises(DataError, match="^sample bad: step times"):
+        model.prepare(make_series("bad", 0, [1.0, 1.0]))
 
 
 def test_build_value_mask_example():

@@ -1,5 +1,6 @@
 """Per-timestep feature attention: hand cases and invariances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,8 +49,12 @@ def test_single_observation_gets_full_weight():
 
 def test_identical_observations_average_to_the_shared_value():
     model = tiny_model()
-    s = build_series([(0.0, [(1, 0.7), (1, 0.7)]), (1.0, [(0, 1.0)])])
-    prep = model.prepare(s)
+    # prepare refuses a step that repeats a feature, so the first step's
+    # observation is doubled in the prepared arrays te reads
+    prep = model.prepare(build_series([(0.0, [(1, 0.7)]), (1.0, [(0, 1.0)])]))
+    prep = dataclasses.replace(prep, feat_idx=prep.feat_idx[[0, 0, 1]],
+                               step_of=prep.step_of[[0, 0, 1]],
+                               values_col=prep.values_col[[0, 0, 1]])
     x_enc = encode_observations(model.params, prep, model.cfg).data
     out = te_forward(model.params, prep, model.cfg).data
     want = x_enc[0] @ model.params["te.value.w"].data

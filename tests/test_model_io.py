@@ -1,5 +1,6 @@
 """Model assembly, sample preparation, and the binary model format."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import build_series, random_series, tiny_config, tiny_model
-from tada.data import IrregularSeries, Observation, TimeStep
+from tada.data import (IrregularSeries, Observation, SynthConfig, TimeStep, parse_events,
+                       synth_generate)
 from tada.errors import ConfigError, DataError
 from tada.model import MAGIC, TadaModel, collate
 
@@ -77,6 +80,59 @@ def test_prepare_rejects_feature_index_outside_range(feature):
     series = build_series([(0.0, [(0, 1.0)]), (1.0, [(feature, 2.0)])], sid="bad-feat")
     with pytest.raises(DataError, match=r"sample bad-feat: feature index .* outside \[0, 3\)"):
         model.prepare(series)
+
+
+@pytest.mark.parametrize("steps", [
+    [(0.0, [(0, 1.0), (0, 2.0)])],
+    [(0.0, [(1, 1.0)]), (1.0, [(2, 1.0), (0, 3.0), (2, 4.0)])],
+], ids=["one-step", "last-step"])
+def test_prepare_rejects_a_step_that_repeats_a_feature(steps):
+    # parse_events merges repeats last-wins; a series built in code can hold them
+    with pytest.raises(DataError, match=r"^sample dup: step \d repeats a feature$"):
+        tiny_model(n_features=3).prepare(build_series(steps, sid="dup"))
+
+
+@pytest.mark.parametrize("feature", [1.5, True, 2 ** 70], ids=["float", "bool", "beyond-int64"])
+def test_prepare_rejects_a_feature_index_that_is_not_an_int64(feature):
+    series = IrregularSeries("odd", (TimeStep(0.0, (Observation(feature, 1.0),)),), 0)
+    with pytest.raises(DataError,
+                       match=r"^sample odd: feature indices must be integers in \[0, 3\)$"):
+        tiny_model(n_features=3).prepare(series)
+
+
+def assert_same_prep(got, want):
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+event_times = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 1e-300])
+events = st.lists(st.tuples(event_times, st.integers(0, 3),
+                            st.floats(-1e6, 1e6, allow_nan=False)), min_size=1, max_size=30)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(events, st.sampled_from(["sequence", "step"]))
+def test_prepare_is_bit_identical_to_the_per_step_build(evs, task):
+    # every series parse_events can produce: repeated (time, feature) pairs,
+    # shared times, -0.0 and one-step series included
+    line = json.dumps({"id": "h", "label": 1, "events": [list(e) for e in evs]})
+    series = parse_events(line, 4)
+    if task == "step":
+        series = dataclasses.replace(series, label=tuple(k % 2 for k in range(len(series))))
+    model = tiny_model(n_features=4, task=task)
+    assert_same_prep(model.prepare(series), reference.prepare_by_steps(model, series))
+
+
+def test_prepare_is_bit_identical_on_synth_data():
+    samples, _ = synth_generate(SynthConfig(n_samples=40, n_features=4, seed=3))
+    model = tiny_model(n_features=4)
+    for s in samples:
+        assert_same_prep(model.prepare(s), reference.prepare_by_steps(model, s))
 
 
 def test_prepare_precomputes_consistent_arrays():

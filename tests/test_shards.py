@@ -1,10 +1,12 @@
 """The two-shard gradient step against one graph over the whole batch,
-validation chunks on the shard worker, and the worker's lifecycle: training
-and its validation are byte-identical on one or two processes, no worker
-outlives ``train``, and a worker's error is raised in the parent, in a step
-or in validation.  Tests that need the worker force the process count
-through ``shard_processes``; they run on any host with fork, one CPU
-included.
+validation chunks on the shard worker, evaluation outside ``train`` on a
+worker of its own past the fork rule, and the worker's lifecycle: training
+and every evaluation are byte-identical on one or two processes, no worker
+outlives ``train`` or an evaluation, and a worker's error is raised in the
+parent, in a step, in validation or in evaluation.  Tests that need the
+worker force the process count through ``shard_processes``, and lower
+``CHUNK_STEPS`` so that small data crosses the rule; they run on any host
+with fork, one CPU included.
 """
 
 import dataclasses
@@ -23,7 +25,8 @@ from tada.errors import DataError, TrainingError
 from tada.metrics import softmax_rows
 from tada.model import TadaModel
 from tada.optim import Adam
-from tada.shards import ShardedStep, shard_processes, split_batch, split_chunks
+from tada.shards import (ShardedStep, padded_steps, shard_processes, split_batch,
+                         split_chunks)
 from tada.training import _chunks, evaluate_preps, train
 from test_training import small_data
 
@@ -304,7 +307,7 @@ def test_validation_is_byte_identical_on_one_or_two_processes(selection, process
     train_samples, val_samples = small_data()
     method = "batch_logits"
     if selection == "neg_val_loss":
-        val_samples, method = one_class(val_samples), "batch_loss"
+        val_samples, method = one_class(val_samples), "batch_loss_value"
     # 8 validation samples in chunks of 3: chunks of 3, 3 and 2
     cfg = tiny_config(max_epochs=3, patience=0, batch_size=3)
     probe = tmp_path / "calls"
@@ -321,8 +324,8 @@ def test_validation_is_byte_identical_on_one_or_two_processes(selection, process
     for k, p in runs[1].model.params.items():
         assert p.data.tobytes() == runs[2].model.params[k].data.tobytes(), k
     assert workers[1] == {}
-    # each epoch the worker computed split_chunks's second set; training
-    # steps call batch_loss too, so only calls on validation samples count
+    # each epoch the worker computed split_chunks's second set; only calls
+    # on validation samples count
     chunks = _chunks(val_samples, 3)
     there = split_chunks([len(c) * max(len(s.times) for s in c) for c in chunks])[1]
     assert there
@@ -460,3 +463,146 @@ def test_ctrl_c_in_validation_leaves_no_worker(processes, monkeypatch):
     assert workers == [1]
     assert multiprocessing.active_children() == []
     assert tada.shards._entered is None
+
+
+# evaluation outside a step ---------------------------------------------------
+
+
+def eval_data():
+    """A tiny model and 24 prepared samples, in chunks of three."""
+    train_samples, val_samples = small_data()
+    model = tiny_model(batch_size=3)
+    redraw_params(model, seed=2)
+    return model, [model.prepare(s) for s in train_samples + val_samples]
+
+
+def worker_share(preps, batch_size):
+    steps = padded_steps(_chunks(preps, batch_size))
+    return sum(steps[i] for i in split_chunks(steps)[1])
+
+
+def cross_the_rule(monkeypatch, preps, batch_size):
+    """Lower CHUNK_STEPS to the longest chunk's padded steps: the chunks
+    stay as they are, and the worker's share now holds a full chunk."""
+    monkeypatch.setattr(tada.training, "CHUNK_STEPS",
+                        max(padded_steps(_chunks(preps, batch_size))))
+    assert worker_share(preps, batch_size) >= tada.training.CHUNK_STEPS
+
+
+def rows_of(model, preps, monkeypatch):
+    """evaluate_preps's softmax rows, in chunk order."""
+    rows = []
+    with monkeypatch.context() as m:
+        m.setattr(tada.training, "softmax_rows", lambda z: rows.append(softmax_rows(z)) or rows[-1])
+        report = evaluate_preps(model, preps)
+    return np.concatenate(rows), report
+
+
+@needs_fork
+def test_evaluation_past_the_rule_forks_one_worker_for_the_call(processes, monkeypatch,
+                                                                tmp_path):
+    model, preps = eval_data()
+    cross_the_rule(monkeypatch, preps, 3)
+    processes(1)
+    want, want_report = rows_of(model, preps, monkeypatch)
+    processes(2)
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: starts.append(self.name) or start(self))
+    probe = tmp_path / "calls"
+    probe.write_text("")
+    monkeypatch.setattr(TadaModel, "batch_logits",
+                        recording(probe, TadaModel.batch_logits))
+    got, report = rows_of(model, preps, monkeypatch)
+    assert starts == ["tada-shard-1"]
+    assert np.array_equal(got, want)
+    assert report == want_report
+    # the worker computed split_chunks's second set, the parent the first
+    chunks = _chunks(preps, 3)
+    here, there = split_chunks(padded_steps(chunks))
+    by_pid = computed_by(probe)
+    assert by_pid.pop(os.getpid()) == [chunks[i][0].sample_id for i in here]
+    assert list(by_pid.values()) == [[chunks[i][0].sample_id for i in there]]
+    assert tada.shards._entered is None
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_evaluation_below_the_rule_or_without_a_worker_starts_nothing(processes,
+                                                                      monkeypatch):
+    model, preps = eval_data()
+    want, _ = rows_of(model, preps, monkeypatch)
+    processes(2)
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    # the real rule: a worker's share of these chunks is far below a full chunk
+    assert 0 < worker_share(preps, 3) < tada.training.CHUNK_STEPS
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    # one chunk more than the rule allows for
+    monkeypatch.setattr(tada.training, "CHUNK_STEPS", worker_share(preps, 3) + 1)
+    assert worker_share(preps, 3) < tada.training.CHUNK_STEPS
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    # past the rule, where no worker may run: one CPU, or multi-threaded BLAS
+    cross_the_rule(monkeypatch, preps, 3)
+    processes(1)
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    processes(2)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    assert multiprocessing.active_children() == []
+
+
+def evaluate_past_the_rule(monkeypatch):
+    model, preps = eval_data()
+    cross_the_rule(monkeypatch, preps, 3)
+    return evaluate_preps(model, preps)
+
+
+@needs_fork
+def test_evaluation_worker_failures_map_as_in_training(processes, monkeypatch, capfd):
+    processes(2)
+    parent = os.getpid()
+
+    def refuse():
+        raise DataError("evaluation refused")
+
+    def fail():
+        raise ZeroDivisionError("in evaluation")
+
+    for action, error, message in (
+            (refuse, DataError, "^evaluation refused$"),
+            (fail, RuntimeError, "(?s)shard worker failed:.*ZeroDivisionError: in evaluation"),
+            (lambda: os._exit(9), TrainingError, r"^shard worker died \(exit code 9\)$")):
+        with monkeypatch.context() as m:
+            m.setattr(TadaModel, "batch_logits", in_worker(parent, action, "batch_logits"))
+            with pytest.raises(error, match=message):
+                evaluate_past_the_rule(m)
+        assert multiprocessing.active_children() == []
+        assert tada.shards._entered is None
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@needs_fork
+def test_ctrl_c_in_evaluation_leaves_no_worker(processes, monkeypatch):
+    processes(2)
+    parent = os.getpid()
+    workers = []
+    batch_logits = TadaModel.batch_logits
+
+    def interrupted(self, preps):
+        # the parent's first chunk, while the worker computes its own
+        if os.getpid() == parent:
+            workers.append(len(multiprocessing.active_children()))
+            raise KeyboardInterrupt
+        return batch_logits(self, preps)
+
+    monkeypatch.setattr(TadaModel, "batch_logits", interrupted)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    with pytest.raises(KeyboardInterrupt):
+        evaluate_past_the_rule(monkeypatch)
+    assert workers == [1]
+    assert multiprocessing.active_children() == []
+    assert tada.shards._entered is None
+    if cpus is not None:
+        assert os.sched_getaffinity(0) == cpus

@@ -5,11 +5,13 @@ import json
 import multiprocessing
 import os
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import reference
+import tada.model
 import tada.shards
 import tada.training
 from helpers import random_series, redraw_params, tiny_config, tiny_model
@@ -97,7 +99,9 @@ def per_sample_report(model, preps):
     stub = SimpleNamespace(task=model.task, n_classes=model.n_classes,
                            cfg=SimpleNamespace(batch_size=1),
                            batch_logits=lambda chunk: reference.forward(model, chunk[0])[0].data)
-    return evaluate_preps(stub, preps)
+    # the stub holds no parameters a shard worker could be sent
+    with mock.patch.object(tada.shards, "shard_processes", lambda: 1):
+        return evaluate_preps(stub, preps)
 
 
 @pytest.mark.parametrize("task", ["sequence", "step"])
@@ -130,6 +134,24 @@ def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
         assert abs(got.as_dict()[key] - value) <= 1e-12, key
     loss = tada.training._mean_loss(model, preps)
     assert abs(loss - reference.batch_loss(model, preps).item()) <= 1e-12 * abs(loss)
+
+
+def test_one_class_validation_loss_builds_no_graph(monkeypatch):
+    # a detached forward: equal to batch_loss's value, bit for bit, with no
+    # node of the loss requiring a gradient
+    train_samples, val_samples = small_data()
+    model = tiny_model(n_features=2, batch_size=3)
+    redraw_params(model, seed=4)
+    preps = [model.prepare(s) for s in train_samples + val_samples]
+    want = sum(model.batch_loss(c).item() * len(c)
+               for c in tada.training._chunks(preps, 3)) / len(preps)
+    losses = []
+    cross_entropy = tada.model.cross_entropy_with_logits
+    monkeypatch.setattr(tada.model, "cross_entropy_with_logits",
+                        lambda *args: losses.append(cross_entropy(*args)) or losses[-1])
+    assert tada.training._mean_loss(model, preps) == want
+    assert len(losses) == len(tada.training._chunks(preps, 3))
+    assert not any(loss.requires_grad for loss in losses)
 
 
 def test_evaluate_real_model_matches_manual_metrics():
