@@ -21,8 +21,7 @@ from .config import RunConfig, load_config, parse_overrides
 from .data import (MAX_SYNTH_RATE, IrregularSeries, Observation, SynthConfig, TimeStep,
                    load_dataset, read_data_manifest, split_dataset,
                    synth_generate, write_data_manifest, write_dataset)
-from .errors import (ConfigError, DataError, EvaluationError, TadaError,
-                     TrainingError, VerificationError)
+from .errors import ConfigError, DataError, EvaluationError, TadaError
 from .gradcheck import grad_check
 from .model import TadaModel, collate
 from .training import evaluate, run_manifest, train
@@ -409,9 +408,6 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, EvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingError, VerificationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except TadaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,12 +49,6 @@ class IrregularSeries:
         return len(self.steps)
 
 
-@dataclass
-class ParseStats:
-    duplicates: int = 0
-    lines: int = 0
-
-
 def _is_finite_number(x) -> bool:
     """A JSON number that is a finite float64; bools and huge ints are not."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -65,13 +59,11 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def parse_events(line: str, n_features: int, line_no: int = 0,
-                 stats: ParseStats | None = None) -> IrregularSeries:
+def parse_events(line: str, n_features: int, line_no: int = 0) -> IrregularSeries:
     """Parse one JSON line into an IrregularSeries.
 
-    Duplicate (time, feature) pairs resolve last-wins and bump
-    ``stats.duplicates``.  Events sharing an identical time value are
-    grouped into one step.
+    Duplicate (time, feature) pairs resolve last-wins.  Events sharing an
+    identical time value are grouped into one step.
     """
     where = f"line {line_no}" if line_no else "line"
     try:
@@ -101,10 +93,7 @@ def parse_events(line: str, n_features: int, line_no: int = 0,
                 f"{where}: event {k} feature index {f!r} outside [0, {n_features})")
         if not _is_finite_number(v):
             raise DataError(f"{where}: event {k} has non-finite value")
-        key = (float(t), f)
-        if key in merged and stats is not None:
-            stats.duplicates += 1
-        merged[key] = float(v)
+        merged[(float(t), f)] = float(v)
 
     by_time: dict[float, dict[int, float]] = {}
     for (t, f), v in merged.items():
@@ -128,8 +117,6 @@ def parse_events(line: str, n_features: int, line_no: int = 0,
         parsed_label = tuple(label)
     else:
         raise DataError(f"{where}: label must be an integer or list of integers")
-    if stats is not None:
-        stats.lines += 1
     return IrregularSeries(sample_id=sid, steps=steps, label=parsed_label)
 
 
@@ -141,15 +128,14 @@ def serialize_events(series: IrregularSeries) -> str:
                       sort_keys=True)
 
 
-def load_dataset(path: str, n_features: int,
-                 stats: ParseStats | None = None) -> list[IrregularSeries]:
+def load_dataset(path: str, n_features: int) -> list[IrregularSeries]:
     """Read a JSONL file; result is sorted by sample_id for determinism."""
     samples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
                 if line.strip():
-                    samples.append(parse_events(line, n_features, line_no=i, stats=stats))
+                    samples.append(parse_events(line, n_features, line_no=i))
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     samples.sort(key=lambda s: s.sample_id)

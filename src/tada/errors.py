@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-CLI exit-code mapping: ConfigError / DataError / EvaluationError exit 2,
-TrainingError / VerificationError exit 3.
+CLI exit-code mapping: ConfigError / DataError / EvaluationError exit 2;
+DimensionError / TrainingError / VerificationError, and any other
+TadaError, exit 3.
 """
 
 

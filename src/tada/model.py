@@ -314,20 +314,12 @@ class TadaModel:
         each intermediate array is freed as soon as the next op has used it."""
         return {k: p.detach() for k, p in self.params.items()}
 
-    def _detached_forward(self, preps: list[SamplePrep]) -> tuple[Batch, Tensor]:
+    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
+        """Every sample's logit rows, stacked in list order, from a forward
+        that builds no graph."""
         X = collate(preps)
         out, _ = self.forward(X, params=self.detached())
-        return X, out
-
-    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
-        """Every sample's logit rows, stacked in list order."""
-        X, out = self._detached_forward(preps)
         return out.data[np.arange(out.shape[1]) < X.label_counts[:, None]]
-
-    def batch_loss_value(self, preps: list[SamplePrep]) -> float:
-        """``batch_loss``'s value, from a forward that builds no graph."""
-        X, out = self._detached_forward(preps)
-        return cross_entropy_with_logits(out, X.labels, X.label_counts).item()
 
     def logits(self, prep: SamplePrep) -> np.ndarray:
         return self.batch_logits([prep])

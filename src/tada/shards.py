@@ -12,16 +12,17 @@ the parent computes shard 0; the gradient reduction keeps a fixed order as
 in PyTorch's DDP (Li et al. 2020, arXiv:2006.15704).
 
 The worker also holds the validation preps, and computes about half of each
-epoch's validation chunks.  ``split_chunks`` assigns the chunks from their
-padded steps alone; every chunk's logits (or loss) come from the same
-``batch_logits`` (``batch_loss_value``) call on the same inputs wherever
-it runs, and the parent puts them back in chunk order, so validation is
-byte-identical on one or two processes too.  ``chunk_values`` finds the
-worker through the step entered now (``_entered``): inside ``train()``
-only a call on the very list the worker holds uses it.  An evaluation
-outside any step enters a step of its own for that one call, whose worker
-holds the evaluated list, when the worker's share holds at least one full
-chunk: forking, one round trip and closing cost one to two chunks'
+epoch's validation chunks.  ``_chunks`` cuts every evaluated list into
+chunks and ``split_chunks`` assigns them from their padded steps alone; the
+worker returns only logit rows, every chunk's rows come from the same
+``batch_logits`` call on the same inputs wherever it runs, and the parent
+puts them back in chunk order, so validation is byte-identical on one or
+two processes too.  ``chunk_logits`` finds the worker through the step
+entered now (``_entered``): inside ``train()`` only a call on the very list
+the worker holds uses it.  An evaluation outside any step enters a step of
+its own for that one call, whose worker holds the evaluated list, when the
+worker's share holds at least two full chunks (``2 * CHUNK_STEPS``, 8192
+padded steps): forking, one round trip and closing cost about two chunks'
 compute, so every smaller evaluation runs in this process and starts
 nothing.
 
@@ -66,7 +67,7 @@ N_SHARDS = 2
 
 Grads = dict[str, "np.ndarray | None"]
 
-# the ShardedStep entered now, whose worker ``chunk_values`` may use
+# the ShardedStep entered now, whose worker ``chunk_logits`` may use
 _entered: "ShardedStep | None" = None
 
 
@@ -165,40 +166,58 @@ def split_chunks(steps: list[int]) -> list[list[int]]:
     return [sorted(side) for side in sides]
 
 
+# Padded steps per evaluation chunk.  A batch's forward holds a few
+# (B, L, D, T_max) arrays, so its memory follows B * T_max, not B alone.
+CHUNK_STEPS = 4096
+
+
+def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
+    """Consecutive runs of at most ``size`` samples that pad to at most
+    ``CHUNK_STEPS`` steps (a longer sample goes alone): evaluation memory
+    stays bounded however large the split and however long its series."""
+    chunks: list[list[SamplePrep]] = []
+    t_max = 0
+    for p in preps:
+        t = len(p.times)
+        if chunks and len(chunks[-1]) < size \
+                and (len(chunks[-1]) + 1) * max(t_max, t) <= CHUNK_STEPS:
+            chunks[-1].append(p)
+            t_max = max(t_max, t)
+        else:
+            chunks.append([p])
+            t_max = t
+    return chunks
+
+
 def padded_steps(chunks: list[list[SamplePrep]]) -> list[int]:
     """Each chunk's samples times its longest series."""
     return [len(c) * max(len(p.times) for p in c) for c in chunks]
 
 
-def chunk_value(model: TadaModel, chunk: list[SamplePrep], what: str):
-    """A chunk's logit rows (``what`` "logits") or its mean loss ("loss")."""
-    if what == "logits":
-        return model.batch_logits(chunk)
-    return model.batch_loss_value(chunk)
-
-
-def chunk_values(model: TadaModel, preps: list[SamplePrep],
-                 chunks: list[list[SamplePrep]], what: str, min_share: int) -> list:
-    """``chunk_value`` of each chunk, in chunk order; ``chunks`` are
-    consecutive runs of ``preps``.
+def chunk_logits(model: TadaModel,
+                 preps: list[SamplePrep]) -> list[tuple[list[SamplePrep], np.ndarray]]:
+    """Each chunk of ``preps`` (``_chunks``, at most a batch each) with its
+    ``batch_logits`` rows, in chunk order.
 
     Inside a step, the entered step's worker computes its share
     (``split_chunks``) where it holds this very ``preps`` list for this
     model.  Outside any step, a step is entered for this one call, which
     forks a worker holding ``preps``, where that share would come to at
-    least ``min_share`` padded steps and a worker may run: below that the
-    fork costs more than the share saves.  Otherwise every chunk runs here,
-    in order.
+    least ``2 * CHUNK_STEPS`` padded steps and a worker may run: below that
+    the fork costs more than the share saves.  Otherwise every chunk runs
+    here, in order.
     """
+    chunks = _chunks(preps, model.cfg.batch_size)
     step = _entered
     if step is None:
         steps = padded_steps(chunks)
-        if sum(steps[i] for i in split_chunks(steps)[1]) >= min_share and _worker_may_run():
-            with ShardedStep(model, [], preps):
-                return chunk_values(model, preps, chunks, what, min_share)
+        if sum(steps[i] for i in split_chunks(steps)[1]) >= 2 * CHUNK_STEPS \
+                and _worker_may_run():
+            with ShardedStep(model, [], preps) as own:
+                return list(zip(chunks, own.chunk_logits(chunks)))
     elif step._proc is not None and preps is step.val_preps and model is step.model:
-        return step.chunk_values(chunks, what)
-    return [chunk_value(model, c, what) for c in chunks]
+        return list(zip(chunks, step.chunk_logits(chunks)))
+    return [(c, model.batch_logits(c)) for c in chunks]
 
 
 def shard_gradients(model: TadaModel, params: dict[str, Tensor],
@@ -248,14 +267,14 @@ def _load(params: dict[str, Tensor], flat: np.ndarray) -> None:
 def _work(model: TadaModel, params: dict[str, Tensor], preps: list[SamplePrep],
           val_preps: list[SamplePrep] | None, request: tuple):
     """One request: ("step", parameters, shard indices) gives the shard's
-    (loss, gradients); ("chunks", parameters, what, [(start, stop), ...])
-    gives ``chunk_value`` of each validation chunk ``val_preps[start:stop]``."""
-    kind, flat, *args = request
+    (loss, gradients); ("chunks", parameters, [(start, stop), ...]) gives
+    the ``batch_logits`` rows of each validation chunk
+    ``val_preps[start:stop]``."""
+    kind, flat, arg = request
     _load(params, flat)
     if kind == "step":
-        return shard_gradients(model, params, [preps[i] for i in args[0]])
-    what, spans = args
-    return [chunk_value(model, val_preps[a:b], what) for a, b in spans]
+        return shard_gradients(model, params, [preps[i] for i in arg])
+    return [model.batch_logits(val_preps[a:b]) for a, b in arg]
 
 
 def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
@@ -290,7 +309,7 @@ def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
 
 class ShardedStep:
     """Computes a batch's combined loss and gradients from its two shards,
-    and evaluation chunks over ``val_preps`` (``chunk_values``).
+    and evaluation chunks' logits over ``val_preps`` (``chunk_logits``).
 
     A context manager: entering forks the shard-1 worker when one may run
     (it holds the model, ``preps`` and ``val_preps`` copy-on-write), leaving
@@ -356,30 +375,30 @@ class ShardedStep:
             p.grad = grads[k]
         return loss
 
-    def chunk_values(self, chunks: list[list[SamplePrep]], what: str) -> list:
-        """``chunk_value`` of each chunk of ``val_preps``, in chunk order: the
+    def chunk_logits(self, chunks: list[list[SamplePrep]]) -> list[np.ndarray]:
+        """``batch_logits`` of each chunk of ``val_preps``, in chunk order: the
         worker computes ``split_chunks``'s second set while this process
         computes the first."""
         here, there = split_chunks(padded_steps(chunks))
         if there:
             starts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
-            self._send("chunks", what, [(starts[i], starts[i + 1]) for i in there])
-        values = [None] * len(chunks)
+            self._send("chunks", [(starts[i], starts[i + 1]) for i in there])
+        rows = [None] * len(chunks)
         for i in here:
-            values[i] = chunk_value(self.model, chunks[i], what)
+            rows[i] = self.model.batch_logits(chunks[i])
         if there:
-            for i, v in zip(there, self._receive()):
-                values[i] = v
-        return values
+            for i, z in zip(there, self._receive()):
+                rows[i] = z
+        return rows
 
     def _take(self, indices: np.ndarray) -> list[SamplePrep]:
         return [self.preps[i] for i in indices]
 
-    def _send(self, kind: str, *args) -> None:
+    def _send(self, kind: str, arg: "np.ndarray | list[tuple[int, int]]") -> None:
         """A request to the worker, with the current parameters as one flat buffer."""
         flat = np.concatenate([p.data.ravel() for p in self.params.values()])
         try:
-            self._conn.send((kind, flat, *args))
+            self._conn.send((kind, flat, arg))
         except OSError:
             raise self._died() from None
 

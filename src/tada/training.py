@@ -12,9 +12,10 @@ from .data import IrregularSeries
 from .errors import EvaluationError, TrainingError
 from .metrics import (accuracy, auprc, auroc, macro_auprc, macro_auroc,
                       softmax_rows)
-from .model import SamplePrep, TadaModel
+from .model import SamplePrep, TadaModel, collate
 from .optim import Adam
-from .shards import ShardedStep, chunk_values
+from .shards import ShardedStep, chunk_logits
+from .tensor import cross_entropy_with_logits
 
 
 @dataclass
@@ -42,35 +43,18 @@ def _binary_sequence(model: TadaModel) -> bool:
     return model.task == "sequence" and model.n_classes == 2
 
 
-# Padded steps per evaluation chunk.  A batch's forward holds a few
-# (B, L, D, T_max) arrays, so its memory follows B * T_max, not B alone.
-CHUNK_STEPS = 4096
-
-
-def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
-    """Consecutive runs of at most ``size`` samples that pad to at most
-    ``CHUNK_STEPS`` steps (a longer sample goes alone): evaluation memory
-    stays bounded however large the split and however long its series."""
-    chunks: list[list[SamplePrep]] = []
-    t_max = 0
-    for p in preps:
-        t = len(p.times)
-        if chunks and len(chunks[-1]) < size \
-                and (len(chunks[-1]) + 1) * max(t_max, t) <= CHUNK_STEPS:
-            chunks[-1].append(p)
-            t_max = max(t_max, t)
-        else:
-            chunks.append([p])
-            t_max = t
-    return chunks
-
-
 def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
-    """Mean per-sample loss over ``preps``, one batch at a time, from
-    forwards that build no graph."""
-    chunks = _chunks(preps, model.cfg.batch_size)
-    losses = chunk_values(model, preps, chunks, "loss", CHUNK_STEPS)
-    total = sum(loss * len(chunk) for chunk, loss in zip(chunks, losses))
+    """Mean per-sample loss over ``preps``, one chunk at a time: each
+    chunk's logit rows (``chunk_logits``) go back into the (B, R_max, C)
+    layout of the chunk's ``collate``, and their loss is ``batch_loss``'s on
+    that chunk, with no graph built anywhere."""
+    total = 0.0
+    for chunk, rows in chunk_logits(model, preps):
+        X = collate(chunk)
+        live = np.arange(X.labels.shape[1]) < X.label_counts[:, None]
+        logits = np.zeros(live.shape + rows.shape[1:])
+        logits[live] = rows
+        total += cross_entropy_with_logits(logits, X.labels, X.label_counts).item() * len(chunk)
     return total / len(preps)
 
 
@@ -81,17 +65,16 @@ def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
     probability plus argmax accuracy.  Step and multiclass tasks report
     accuracy plus macro one-vs-rest AUROC/AUPRC over flattened predictions.
 
-    The chunks' logits come from ``shards.chunk_values``: inside ``train``
-    the step's worker computes about half of the validation chunks; outside
-    it, a worker is forked for this call when its share would hold at least
-    ``CHUNK_STEPS`` padded steps and the host allows one.  The report is
-    the same bytes on one process or two.
+    The chunks and their logits come from ``shards.chunk_logits``, and
+    ``softmax_rows`` runs once per chunk: inside ``train`` the step's worker
+    computes about half of the validation chunks; outside it, a worker is
+    forked for this call when its share would hold at least two full chunks
+    (``2 * CHUNK_STEPS`` padded steps) and the host allows one.  The report
+    is the same bytes on one process or two.
     """
     if not preps:
         raise EvaluationError("evaluate: empty evaluation set")
-    chunks = _chunks(preps, model.cfg.batch_size)
-    rows = [softmax_rows(z) for z in chunk_values(model, preps, chunks, "logits", CHUNK_STEPS)]
-    probs = np.concatenate(rows, axis=0)
+    probs = np.concatenate([softmax_rows(z) for _, z in chunk_logits(model, preps)], axis=0)
     y = np.concatenate([p.labels for p in preps])
     preds = probs.argmax(axis=1)
     acc = accuracy(preds, y)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import tada
+import tada.cli
 import tada.shards
-import tada.training
 from tada.cli import main
 from tada.data import load_dataset, read_data_manifest
+from tada.errors import (ConfigError, DataError, DimensionError, EvaluationError, TadaError,
+                         TrainingError, VerificationError)
 from tada.model import TadaModel
 from tada.shards import padded_steps, split_chunks
 from test_model_io import rewrite_header
@@ -156,6 +158,18 @@ def test_unwritable_out_exits_2(command, tmp_path, data_dir, run_dir, capsys):
     args, target = _unwritable_args(command, tmp_path, data_dir, run_dir)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 2), (DataError, 2), (EvaluationError, 2), (TadaError, 3),
+    (DimensionError, 3), (TrainingError, 3), (VerificationError, 3)])
+def test_each_error_class_maps_to_its_exit_code(error, code, monkeypatch, capsys):
+    def failing(args):
+        raise error(f"{error.__name__} raised")
+
+    monkeypatch.setattr(tada.cli, "cmd_gradcheck", failing)
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"error: {error.__name__} raised\n"
 
 
 def test_convert_splits_windows(tmp_path, capsys):
@@ -367,8 +381,8 @@ def test_eval_empty_split(run_dir, data_dir, tmp_path, capsys):
 # to argv[1]; prints "worker" to stderr for each step that forked one
 EVAL_PAST_THE_RULE = """
 import sys
-import tada.shards, tada.training
-tada.training.CHUNK_STEPS = int(sys.argv[1])
+import tada.shards
+tada.shards.CHUNK_STEPS = int(sys.argv[1])
 enter = tada.shards.ShardedStep.__enter__
 def counted(self):
     step = enter(self)
@@ -382,14 +396,15 @@ sys.exit(main(sys.argv[2:]))
 
 
 def rule_crossing_chunk_steps(run_dir, data_dir):
-    """A CHUNK_STEPS that puts a full chunk in the worker's share of the test split."""
+    """A CHUNK_STEPS that puts two full chunks in the worker's share of the
+    test split."""
     model = TadaModel.load(os.path.join(run_dir, "model.bin"))
     preps = [model.prepare(s) for s in load_dataset(os.path.join(data_dir, "test.jsonl"), 2)]
-    steps = 2 * max(len(p.times) for p in preps)
+    steps = max(len(p.times) for p in preps)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(tada.training, "CHUNK_STEPS", steps)
-        sizes = padded_steps(tada.training._chunks(preps, model.cfg.batch_size))
-    assert sum(sizes[i] for i in split_chunks(sizes)[1]) >= steps
+        m.setattr(tada.shards, "CHUNK_STEPS", steps)
+        sizes = padded_steps(tada.shards._chunks(preps, model.cfg.batch_size))
+    assert sum(sizes[i] for i in split_chunks(sizes)[1]) >= 2 * steps
     return steps
 
 
@@ -416,7 +431,7 @@ def test_eval_past_the_rule_prints_the_same_bytes_on_one_or_two_cpus(run_dir, da
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_eval_worker_death_exits_3(run_dir, data_dir, monkeypatch, capsys):
-    monkeypatch.setattr(tada.training, "CHUNK_STEPS", rule_crossing_chunk_steps(run_dir, data_dir))
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", rule_crossing_chunk_steps(run_dir, data_dir))
     monkeypatch.setattr(tada.shards, "shard_processes", lambda: 2)
     parent, batch_logits = os.getpid(), TadaModel.batch_logits
 

@@ -12,7 +12,6 @@ from tada.config import RunConfig
 from tada.data import (
     IrregularSeries,
     Observation,
-    ParseStats,
     SynthConfig,
     TimeStep,
     build_value_mask,
@@ -131,10 +130,8 @@ def test_parse_error_carries_line_number():
 
 
 def test_duplicate_time_feature_resolves_last_wins():
-    stats = ParseStats()
     line = '{"id":"a","label":0,"events":[[1.0,0,10.0],[1.0,0,20.0],[1.0,1,5.0]]}'
-    s = parse_events(line, n_features=2, stats=stats)
-    assert stats.duplicates == 1
+    s = parse_events(line, n_features=2)
     assert len(s.steps) == 1
     assert {(o.feature, o.value) for o in s.steps[0].observations} == \
         {(0, 20.0), (1, 5.0)}
@@ -150,11 +147,9 @@ def test_step_labels_must_match_grouped_steps():
 
 
 def test_serialize_round_trip():
-    stats = ParseStats()
-    s = parse_events(EXAMPLE_LINE, n_features=3, stats=stats)
+    s = parse_events(EXAMPLE_LINE, n_features=3)
     again = parse_events(serialize_events(s), n_features=3)
     assert again == s
-    assert stats.lines == 1
 
 
 def test_load_dataset_sorted_and_line_numbered(tmp_path):

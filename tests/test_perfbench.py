@@ -36,3 +36,11 @@ def test_traced_train_short_runs_clean(workloads, tmp_path):
     assert out.problems == []
     assert out.attempted > 0 and out.failed == 0
     assert out.metrics["tensor.backward_calls"][0] > 0
+
+
+def test_train_long_runs_clean(workloads, tmp_path):
+    # the benchmark's correctness checks on the long-series workload: a
+    # failed check makes perfbench/run.py exit 1
+    out = workloads.run("train_long", 9, 1, str(tmp_path), trace=False)
+    assert out.problems == []
+    assert out.attempted > 0 and out.failed == 0

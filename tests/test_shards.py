@@ -25,9 +25,9 @@ from tada.errors import DataError, TrainingError
 from tada.metrics import softmax_rows
 from tada.model import TadaModel
 from tada.optim import Adam
-from tada.shards import (ShardedStep, padded_steps, shard_processes, split_batch,
+from tada.shards import (ShardedStep, _chunks, padded_steps, shard_processes, split_batch,
                          split_chunks)
-from tada.training import _chunks, evaluate_preps, train
+from tada.training import evaluate_preps, train
 from test_training import small_data
 
 TOL = 1e-12
@@ -305,13 +305,12 @@ def one_class(samples):
 def test_validation_is_byte_identical_on_one_or_two_processes(selection, processes,
                                                               monkeypatch, tmp_path):
     train_samples, val_samples = small_data()
-    method = "batch_logits"
     if selection == "neg_val_loss":
-        val_samples, method = one_class(val_samples), "batch_loss_value"
+        val_samples = one_class(val_samples)
     # 8 validation samples in chunks of 3: chunks of 3, 3 and 2
     cfg = tiny_config(max_epochs=3, patience=0, batch_size=3)
     probe = tmp_path / "calls"
-    monkeypatch.setattr(TadaModel, method, recording(probe, getattr(TadaModel, method)))
+    monkeypatch.setattr(TadaModel, "batch_logits", recording(probe, TadaModel.batch_logits))
     runs, workers = {}, {}
     for n in (1, 2):
         processes(n)
@@ -483,10 +482,10 @@ def worker_share(preps, batch_size):
 
 def cross_the_rule(monkeypatch, preps, batch_size):
     """Lower CHUNK_STEPS to the longest chunk's padded steps: the chunks
-    stay as they are, and the worker's share now holds a full chunk."""
-    monkeypatch.setattr(tada.training, "CHUNK_STEPS",
+    stay as they are, and the worker's share now holds two full chunks."""
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS",
                         max(padded_steps(_chunks(preps, batch_size))))
-    assert worker_share(preps, batch_size) >= tada.training.CHUNK_STEPS
+    assert worker_share(preps, batch_size) >= 2 * tada.shards.CHUNK_STEPS
 
 
 def rows_of(model, preps, monkeypatch):
@@ -536,12 +535,12 @@ def test_evaluation_below_the_rule_or_without_a_worker_starts_nothing(processes,
     processes(2)
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-    # the real rule: a worker's share of these chunks is far below a full chunk
-    assert 0 < worker_share(preps, 3) < tada.training.CHUNK_STEPS
+    # the real rule: a worker's share of these chunks is far below two full chunks
+    assert 0 < worker_share(preps, 3) < 2 * tada.shards.CHUNK_STEPS
     assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
-    # one chunk more than the rule allows for
-    monkeypatch.setattr(tada.training, "CHUNK_STEPS", worker_share(preps, 3) + 1)
-    assert worker_share(preps, 3) < tada.training.CHUNK_STEPS
+    # a padded step or two short of the rule
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", worker_share(preps, 3) // 2 + 1)
+    assert worker_share(preps, 3) < 2 * tada.shards.CHUNK_STEPS
     assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
     # past the rule, where no worker may run: one CPU, or multi-threaded BLAS
     cross_the_rule(monkeypatch, preps, 3)
@@ -550,6 +549,30 @@ def test_evaluation_below_the_rule_or_without_a_worker_starts_nothing(processes,
     processes(2)
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
     assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("last, workers", [(9, 0), (10, 1)])
+def test_fork_rule_sits_at_two_full_chunks(last, workers, processes, monkeypatch):
+    # one-sample chunks of 10, 10, 10 and ``last`` padded steps: split_chunks
+    # gives the worker the second and the last, a share of 19 or 20 against
+    # 2 * CHUNK_STEPS = 20
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 10)
+    rng = np.random.default_rng(3)
+    model = tiny_model(batch_size=1)
+    preps = [model.prepare(random_series(rng, n, 3, sid=f"b{i}", label=i % 2))
+             for i, n in enumerate([10, 10, 10, last])]
+    assert worker_share(preps, 1) == 2 * tada.shards.CHUNK_STEPS - 1 + workers
+    processes(1)
+    want, _ = rows_of(model, preps, monkeypatch)
+    processes(2)
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: starts.append(self.name) or start(self))
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    assert starts == ["tada-shard-1"] * workers
     assert multiprocessing.active_children() == []
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import reference
-import tada.model
 import tada.shards
 import tada.training
 from helpers import random_series, redraw_params, tiny_config, tiny_model
@@ -107,7 +106,7 @@ def per_sample_report(model, preps):
 @pytest.mark.parametrize("task", ["sequence", "step"])
 def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
     # 13 samples in batches of 5, with a step cap that splits the long ones
-    monkeypatch.setattr(tada.training, "CHUNK_STEPS", 24)
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 24)
     rng = np.random.default_rng(8)
     model = tiny_model(n_features=3, task=task, batch_size=5)
     redraw_params(model, seed=8)
@@ -121,7 +120,7 @@ def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
     monkeypatch.setattr(tada.training, "softmax_rows",
                         lambda z: calls.append(softmax_rows(z)) or calls[-1])
     got = evaluate_preps(model, preps)
-    chunks = tada.training._chunks(preps, 5)
+    chunks = tada.shards._chunks(preps, 5)
     assert len(calls) == len(chunks) > 13 // 5 + 1
     assert [p for c in chunks for p in c] == preps
     assert all(len(c) <= 5 and (len(c) == 1 or len(c) * max(len(p.times) for p in c) <= 24)
@@ -136,21 +135,36 @@ def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
     assert abs(loss - reference.batch_loss(model, preps).item()) <= 1e-12 * abs(loss)
 
 
-def test_one_class_validation_loss_builds_no_graph(monkeypatch):
-    # a detached forward: equal to batch_loss's value, bit for bit, with no
-    # node of the loss requiring a gradient
-    train_samples, val_samples = small_data()
-    model = tiny_model(n_features=2, batch_size=3)
+@pytest.mark.parametrize("task", ["sequence", "step"])
+def test_one_class_validation_loss_builds_no_graph(task, monkeypatch):
+    # each chunk's loss from its logit rows: equal to batch_loss's value, bit
+    # for bit, with no node of the loss requiring a gradient
+    if task == "sequence":
+        train_samples, val_samples = small_data()
+        model = tiny_model(n_features=2, batch_size=3)
+        samples = train_samples + val_samples
+    else:
+        # series of unequal lengths, so each chunk's samples hold unequal
+        # label counts
+        rng = np.random.default_rng(4)
+        model = tiny_model(n_features=3, task=task, batch_size=3)
+        samples = []
+        for i, n in enumerate([2, 5, 3, 7, 1, 4, 6, 2]):
+            s = random_series(rng, n, 3, sid=f"s{i}")
+            samples.append(dataclasses.replace(
+                s, label=tuple(int(k) for k in rng.integers(0, 2, n))))
     redraw_params(model, seed=4)
-    preps = [model.prepare(s) for s in train_samples + val_samples]
-    want = sum(model.batch_loss(c).item() * len(c)
-               for c in tada.training._chunks(preps, 3)) / len(preps)
+    preps = [model.prepare(s) for s in samples]
+    chunks = tada.shards._chunks(preps, 3)
+    if task == "step":
+        assert all(len({len(p.labels) for p in c}) > 1 for c in chunks)
+    want = sum(model.batch_loss(c).item() * len(c) for c in chunks) / len(preps)
     losses = []
-    cross_entropy = tada.model.cross_entropy_with_logits
-    monkeypatch.setattr(tada.model, "cross_entropy_with_logits",
+    cross_entropy = tada.training.cross_entropy_with_logits
+    monkeypatch.setattr(tada.training, "cross_entropy_with_logits",
                         lambda *args: losses.append(cross_entropy(*args)) or losses[-1])
     assert tada.training._mean_loss(model, preps) == want
-    assert len(losses) == len(tada.training._chunks(preps, 3))
+    assert len(losses) == len(chunks)
     assert not any(loss.requires_grad for loss in losses)
 
 
