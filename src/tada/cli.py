@@ -23,7 +23,7 @@ from .data import (MAX_SYNTH_RATE, IrregularSeries, Observation, SynthConfig, Ti
                    synth_generate, write_data_manifest, write_dataset)
 from .errors import ConfigError, DataError, EvaluationError, TadaError
 from .gradcheck import grad_check
-from .model import TadaModel, collate
+from .model import TadaModel
 from .training import evaluate, run_manifest, train
 from .uci import convert_uci_activity
 
@@ -150,7 +150,8 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
                    manifest["n_classes"], manifest["task"],
                    log=print if verbose else None)
     model_path = os.path.join(out_dir, "model.bin")
-    result.model.save(model_path)
+    with _writing(model_path):
+        result.model.save(model_path)
     try:
         report = evaluate(result.model, splits["test"])
     except EvaluationError as e:
@@ -159,8 +160,11 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
     wall = time.monotonic() - started
     counts = {f"n_{k}": len(v) for k, v in splits.items()}
     manifest_obj = run_manifest(cfg, result.model, result, report, counts)
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest_obj)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with _writing(manifest_path):
+        _write_json(manifest_path, manifest_obj)
+    metrics_path = os.path.join(out_dir, "metrics.csv")
+    with _writing(metrics_path), open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(report.csv_line() + "\n")
     print(f"seed {cfg.seed}: auroc {report.auroc:.4f} auprc {report.auprc:.4f} "
           f"accuracy {report.accuracy:.4f} (best epoch {result.best_epoch}, "
@@ -184,8 +188,9 @@ def cmd_train(args) -> int:
             vals = np.array([m[key] for m in per_seed.values()])
             agg[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
             print(f"{key}: {vals.mean():.4f} +/- {vals.std():.4f}")
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "aggregate.json"), agg)
+        agg_path = os.path.join(args.out, "aggregate.json")
+        with _writing(agg_path):
+            _write_json(agg_path, agg)
     else:
         _train_single(cfg, manifest, splits, args.out, args.verbose)
     return 0
@@ -315,7 +320,7 @@ def cmd_export_attention(args) -> int:
             raise EvaluationError(f"export-attention: split {args.split!r} is empty")
         sample = samples[0]
     prep = model.prepare(sample)
-    _, grid = model.forward(collate([prep]), keep_attention=True, params=model.detached())
+    _, grid = model.forward(prep, keep_attention=True, params=model.detached())
     radii = grid.radii
     attention = grid.attention[0]
     with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:

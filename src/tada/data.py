@@ -128,16 +128,22 @@ def serialize_events(series: IrregularSeries) -> str:
                       sort_keys=True)
 
 
-def load_dataset(path: str, n_features: int) -> list[IrregularSeries]:
-    """Read a JSONL file; result is sorted by sample_id for determinism."""
-    samples = []
+def text_lines(path: str):
+    """The lines of a UTF-8 text file; a file that cannot be opened or
+    decoded raises DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                if line.strip():
-                    samples.append(parse_events(line, n_features, line_no=i))
+            yield from fh
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def load_dataset(path: str, n_features: int) -> list[IrregularSeries]:
+    """Read a JSONL file; result is sorted by sample_id for determinism."""
+    samples = [parse_events(line, n_features, line_no=i)
+               for i, line in enumerate(text_lines(path), start=1) if line.strip()]
     samples.sort(key=lambda s: s.sample_id)
     return samples
 

@@ -5,16 +5,16 @@ Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
 features; the window gate and the observation mask select which steps a
-given (anchor, feature) pair may attend to.  A batch runs at once on a
-(B, T_max) padded layout: padded steps get a zero gate, which masks them
-out of every sample's softmax.  The gates are one plain (B, L, D, T)
-array, evaluated only at the observed (b, d, t) entries; they build no
-graph node.  ``gated_attention_pool`` contracts each head's (B, L, T)
-scores with those gates and the values directly and forms the radii's
-gradient itself, so neither the (B, heads, L, D, T) attention weights nor
-a (B, L, D, T) gate gradient exists; the weights are formed only when
-``keep_attention`` asks for them.  Head outputs concatenate and project to
-the mixer's channel width.
+given (anchor, feature) pair may attend to.  A batch runs at once on the
+(B, T_max) padded layout of its ``Batch`` rows and te's output: padded
+steps get a zero gate, which masks them out of every sample's softmax.
+The gates are one plain (B, L, D, T) array, evaluated only at the observed
+(b, d, t) entries; they build no graph node.  ``gated_attention_pool``
+contracts each head's (B, L, T) scores with those gates and the values
+directly and forms the radii's gradient itself, so neither the
+(B, heads, L, D, T) attention weights nor a (B, L, D, T) gate gradient
+exists; the weights are formed only when ``keep_attention`` asks for them.
+Head outputs concatenate and project to the mixer's channel width.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gated_attention_weights,
-                     matmul, mul, reshape, segment_sum, softplus, transpose)
+                     matmul, mul, reshape, softplus, transpose)
 
 
 @dataclass
@@ -68,27 +68,23 @@ def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
                 keep_attention: bool = False) -> RegularizedGrid:
     """Aggregate a batch onto the anchor grid; returns (B, L, patch_channels).
 
-    ``X`` is a ``Batch`` and ``x_hat`` te's (S, embed_dim + 1) ragged step
-    rows.  Keys and values are padded to (B, T_max); a padded step gets a
-    zero gate in every mode, so each sample pools over its own steps only.
-    All heads run at once: dla.q.w and dla.k.w hold one column block of
-    width attn_dim per head.
+    ``X`` is a ``Batch`` and ``x_hat`` te's (B * T_max, embed_dim + 1) step
+    rows on its padded layout, so keys and values are (B, T_max, ...)
+    reshapes.  A padded step gets a zero gate in every mode, so each sample
+    pools over its own steps only.  All heads run at once: dla.q.w and
+    dla.k.w hold one column block of width attn_dim per head.
     """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
-    if cfg.keyvalue_variant == "setting1":
-        keys = values = Tensor(X.padded(X.values))   # masked raw values as keys
-        obs_mask = X.padded(X.mask)
+    if cfg.keyvalue_variant == "setting2":
+        keys = values = reshape(x_hat, (B, T, -1))   # step embeddings as keys and values
+        # every step of a sample, observed or not
+        obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]   # (B, 1, 1, T)
     else:
-        # padding x_hat's rows is a segment sum with one row per slot
-        keys = reshape(segment_sum(x_hat, X.slot, B * T), (B, T, -1))
-        if cfg.keyvalue_variant == "setting2":
-            values = keys                     # step embeddings as keys and values
-            obs_mask = X.padded(np.ones((len(X.times), 1), dtype=bool))
-        else:
-            values = Tensor(X.padded(X.values))
-            obs_mask = X.padded(X.mask)
-    obs_mask = obs_mask.transpose(0, 2, 1)[:, None]                  # (B, 1, D_eff or 1, T)
+        values = Tensor(X.values.reshape(B, T, -1))
+        # setting1 keys are the masked raw values
+        keys = values if cfg.keyvalue_variant == "setting1" else reshape(x_hat, (B, T, -1))
+        obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D_eff, T)
     values4 = transpose(values, (0, 2, 1))
     values4 = reshape(values4, (B, 1) + values4.shape[1:])           # (B, 1, D_eff, T)
 
@@ -97,7 +93,7 @@ def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
         range_raw = range_raw.detach()    # frozen radii keep their windows
     radii = softplus(range_raw)
     anchors = anchor_times(L)
-    gates = _gates(radii.data, X.padded(X.times), anchors, cfg, obs_mask)
+    gates = _gates(radii.data, X.times.reshape(B, T), anchors, cfg, obs_mask)
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))                                          # (H, L, A)
     k = transpose(reshape(matmul(keys, params["dla.k.w"]), (B, T, H, A)),

@@ -6,9 +6,9 @@ is a learned query against a linear key of its own encoding.  The step
 attention is a segment softmax over each step's own observations, and the
 step's vector is the segment sum of its weighted encodings, projected by
 the value matrix.  Both cost O(N) in the N observations; no (T, N) array
-is formed.  A batch runs ragged: its samples' observations are
-concatenated and ``step_of`` numbers their steps across the batch, so no
-padding is needed.
+is formed.  A batch's observations are concatenated, and ``step_of``
+numbers each one's step by its row in the batch's (B, T_max) padded
+layout, so the output has one row per padded step and zeros at padding.
 The step's time is prepended unchanged, so row k of the output is
 ``[t_k, attended features]``.  The result is permutation invariant in the
 order of a step's observations.
@@ -23,8 +23,7 @@ from .tensor import (Tensor, concat, gather, matmul, mul, reshape, segment_softm
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
-    """(N, enc) [value, feature code] rows for all observations of a sample
-    or batch.
+    """(N, enc) [value, feature code] rows for all observations of a batch.
 
     The feature code is a learned embedding, or the bare feature index in
     literal mode.
@@ -37,11 +36,11 @@ def encode_observations(params: dict, prep, cfg) -> Tensor:
 
 
 def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
-    """Embed the steps of a sample or a ``Batch``; returns (T, embed_dim + 1),
-    with T the total step count of a batch.
+    """Embed the steps of a ``Batch``; returns (B * T_max, embed_dim + 1),
+    one row per step of its padded layout, with exact zeros at padding.
 
     with_time=False skips the time column and returns the bare attended
-    feature embeddings (T, embed_dim); the time concat belongs to the
+    feature embeddings (B * T_max, embed_dim); the time concat belongs to the
     key construction of the local-attention stage.
     """
     x_enc = encode_observations(params, prep, cfg)

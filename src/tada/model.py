@@ -2,10 +2,11 @@
 file format.
 
 The forward pass takes a mini-batch and builds one autodiff graph for it;
-a single sample is a batch of one.  te runs on the batch's observations
-concatenated, DLA and the pools on a (B, T_max) padded layout whose padded
-steps get zero gates, and the mixer, fusion and head carry a leading batch
-axis.
+a single sample is a batch of one.  Every stage works on the one
+(B, T_max) padded step layout ``collate`` builds: te writes one row per
+step, zero at padding, which DLA and the no_dla pool reshape to
+(B, T_max, ...) and in which padded steps get zero gates; the mixer,
+fusion and head carry a leading batch axis.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -36,84 +37,63 @@ from .dla import RegularizedGrid, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
 from .mixer import classify, fuse, pool_stack, run_mixer
-from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape, segment_sum
+from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape
 
 MAGIC = b"TADA1"
 FORMAT = 1
 
 
 @dataclass
-class SamplePrep:
-    """One sample's own arrays, built once and reused across epochs.
-
-    Everything here depends on the sample alone; what the model owns or
-    derives (anchors, window distances, step gates) is computed in the
-    forward pass.
+class Batch:
+    """Prepared samples on one padded step layout: sample b's step k is row
+    b * T_max + k of ``times``, ``values`` and ``mask``, and the rows past
+    each sample's own steps are zeros.  ``step_of`` numbers every
+    observation's step by that row, so te writes each step's vector straight
+    into this layout, and DLA and the no_dla pool take it as (B, T_max, ...)
+    by a reshape.  ``prepare`` builds a batch of one, whose arrays depend on
+    the sample alone; ``collate`` stacks such batches.
     """
-    sample_id: str
-    times: np.ndarray          # (T,) step times normalized onto [0, 1]
+    times: np.ndarray          # (B * T_max,) step times normalized onto [0, 1]
     values_col: np.ndarray     # (N, 1) observation values, flattened step order
     feat_idx: np.ndarray       # (N,) feature index per observation
-    step_of: np.ndarray        # (N,) step index per observation
-    values: np.ndarray         # (T, D) zeros where unobserved
-    mask: np.ndarray           # (T, D) bool observation mask
-    labels: np.ndarray         # (1,) sequence label or (T,) step labels
-
-
-@dataclass
-class Batch:
-    """A mini-batch of prepared samples in the two layouts the forward uses.
-
-    Ragged: the samples' steps and observations are concatenated, so
-    ``times``, ``values`` and ``mask`` hold S = sum T_b rows and
-    ``step_of`` numbers every observation's step across the whole batch.
-    te runs on this layout as if the batch were one long sample.  Padded:
-    DLA, the no_dla pool and the step-task head work on (B, T_max) arrays,
-    and ``slot`` maps ragged row k of sample b to b * T_max + k.
-    """
-    times: np.ndarray          # (S,)
-    values_col: np.ndarray     # (N, 1)
-    feat_idx: np.ndarray       # (N,)
-    step_of: np.ndarray        # (N,) global step index
-    values: np.ndarray         # (S, D)
-    mask: np.ndarray           # (S, D) bool
+    step_of: np.ndarray        # (N,) row of each observation's step
+    values: np.ndarray         # (B * T_max, D) zeros where unobserved
+    mask: np.ndarray           # (B * T_max, D) bool observation mask
     lengths: np.ndarray        # (B,) steps per sample
     t_max: int                 # longest sample's step count
-    slot: np.ndarray           # (S,) padded position of each step
-    labels: np.ndarray         # (B, R_max) labels, zero-padded
+    labels: np.ndarray         # (B * R_max,) labels, zero-padded per sample
     label_counts: np.ndarray   # (B,) label rows per sample: 1, or T_b for steps
-
-    def padded(self, rows: np.ndarray) -> np.ndarray:
-        """(S, ...) ragged rows as (B, T_max, ...), zeros after each sample."""
-        shape = (len(self.lengths), self.t_max) + rows.shape[1:]
-        out = np.zeros((shape[0] * shape[1],) + shape[2:], dtype=rows.dtype)
-        out[self.slot] = rows
-        return out.reshape(shape)
+    sample_id: str | None = None
 
 
-def collate(preps: list[SamplePrep]) -> Batch:
-    """Stack prepared samples into one ``Batch``, in list order."""
+def _stacked(arrays: list[np.ndarray], rows: int) -> np.ndarray:
+    """The arrays one after another, each zero-padded to ``rows`` rows."""
+    out = np.zeros((len(arrays), rows) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for block, a in zip(out, arrays):
+        block[:len(a)] = a
+    return out.reshape((-1,) + out.shape[2:])
+
+
+def collate(preps: list[Batch]) -> Batch:
+    """Stack prepared samples (batches of one) into one ``Batch``, in list
+    order; a single sample is already its own batch and comes back as is."""
     if not preps:
         raise DataError("batch: no samples")
-    lengths = np.array([len(p.times) for p in preps], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
+    if len(preps) == 1:
+        return preps[0]
+    lengths = np.concatenate([p.lengths for p in preps])
+    counts = np.concatenate([p.label_counts for p in preps])
     t_max = int(lengths.max())
-    steps = np.arange(int(starts[-1] + lengths[-1]))
-    counts = np.array([len(p.labels) for p in preps], dtype=np.int64)
-    labels = np.zeros((len(preps), int(counts.max())), dtype=np.int64)
-    for row, p in zip(labels, preps):
-        row[:len(p.labels)] = p.labels
     return Batch(
-        times=np.concatenate([p.times for p in preps]),
+        times=_stacked([p.times for p in preps], t_max),
         values_col=np.concatenate([p.values_col for p in preps]),
         feat_idx=np.concatenate([p.feat_idx for p in preps]),
-        step_of=np.concatenate([p.step_of + s for p, s in zip(preps, starts)]),
-        values=np.concatenate([p.values for p in preps]),
-        mask=np.concatenate([p.mask for p in preps]),
+        step_of=np.concatenate([p.step_of + b * t_max for b, p in enumerate(preps)]),
+        values=_stacked([p.values for p in preps], t_max),
+        mask=_stacked([p.mask for p in preps], t_max),
         lengths=lengths,
         t_max=t_max,
-        slot=steps + np.repeat(np.arange(len(preps)) * t_max - starts, lengths),
-        labels=labels,
+        labels=_stacked([p.labels for p in preps], int(counts.max())),
         label_counts=counts,
     )
 
@@ -235,8 +215,9 @@ class TadaModel:
 
     # per-sample preparation ---------------------------------------------------
 
-    def prepare(self, series: IrregularSeries) -> SamplePrep:
-        """Normalize times onto [0, 1] and build the sample's own arrays."""
+    def prepare(self, series: IrregularSeries) -> Batch:
+        """Normalize times onto [0, 1] and build the sample's own arrays: a
+        ``Batch`` of one, reused across epochs."""
         times = unit_times(series)
         step_of, feat_idx, vals, values, mask = observation_arrays(series, self.n_features)
         T = len(times)
@@ -254,16 +235,18 @@ class TadaModel:
         if not all(0 <= y < self.n_classes for y in raw_labels):
             raise DataError(
                 f"sample {series.sample_id}: label outside [0, {self.n_classes})")
-        labels = np.array(raw_labels, dtype=np.int64)
-        return SamplePrep(
-            sample_id=series.sample_id,
+        return Batch(
             times=times,
             values_col=vals[:, None],
             feat_idx=feat_idx,
             step_of=step_of,
             values=values,
             mask=mask,
-            labels=labels,
+            lengths=np.array([T]),
+            t_max=T,
+            labels=np.array(raw_labels, dtype=np.int64),
+            label_counts=np.array([len(raw_labels)]),
+            sample_id=series.sample_id,
         )
 
     # forward ------------------------------------------------------------------
@@ -282,11 +265,10 @@ class TadaModel:
             # Mixer directly over the per-step feature embeddings, pooled to a
             # fixed token count.  The time concat is part of the local-attention
             # key construction and goes away with that stage.
-            embeds = te_forward(params, X, cfg, with_time=False)
-            B, T = len(X.lengths), X.t_max
-            padded = reshape(segment_sum(embeds, X.slot, B * T), (B, T, -1))
+            embeds = reshape(te_forward(params, X, cfg, with_time=False),
+                             (len(X.lengths), X.t_max, -1))
             pool = Tensor(pool_stack([(int(n), cfg.n_queries) for n in X.lengths]))
-            grid_tensor = matmul(matmul(pool, padded), params["grid.proj.w"]) \
+            grid_tensor = matmul(matmul(pool, embeds), params["grid.proj.w"]) \
                 + params["grid.proj.b"]
             grid = None
         else:
@@ -300,13 +282,13 @@ class TadaModel:
         logits = classify(fused, params, X.label_counts)
         return logits, grid
 
-    def batch_loss(self, preps: list[SamplePrep]) -> Tensor:
+    def batch_loss(self, preps: list[Batch]) -> Tensor:
         """Mean over the samples of each sample's mean cross-entropy."""
         X = collate(preps)
         logits, _ = self.forward(X)
         return cross_entropy_with_logits(logits, X.labels, X.label_counts)
 
-    def sample_loss(self, prep: SamplePrep) -> Tensor:
+    def sample_loss(self, prep: Batch) -> Tensor:
         return self.batch_loss([prep])
 
     def detached(self) -> dict[str, Tensor]:
@@ -314,14 +296,14 @@ class TadaModel:
         each intermediate array is freed as soon as the next op has used it."""
         return {k: p.detach() for k, p in self.params.items()}
 
-    def batch_logits(self, preps: list[SamplePrep]) -> np.ndarray:
+    def batch_logits(self, preps: list[Batch]) -> np.ndarray:
         """Every sample's logit rows, stacked in list order, from a forward
         that builds no graph."""
         X = collate(preps)
         out, _ = self.forward(X, params=self.detached())
         return out.data[np.arange(out.shape[1]) < X.label_counts[:, None]]
 
-    def logits(self, prep: SamplePrep) -> np.ndarray:
+    def logits(self, prep: Batch) -> np.ndarray:
         return self.batch_logits([prep])
 
     # serialization --------------------------------------------------------------

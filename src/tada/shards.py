@@ -60,7 +60,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS
 from .errors import TadaError, TrainingError
-from .model import SamplePrep, TadaModel
+from .model import Batch, TadaModel
 from .tensor import Tensor
 
 N_SHARDS = 2
@@ -171,11 +171,11 @@ def split_chunks(steps: list[int]) -> list[list[int]]:
 CHUNK_STEPS = 4096
 
 
-def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
+def _chunks(preps: list[Batch], size: int) -> list[list[Batch]]:
     """Consecutive runs of at most ``size`` samples that pad to at most
     ``CHUNK_STEPS`` steps (a longer sample goes alone): evaluation memory
     stays bounded however large the split and however long its series."""
-    chunks: list[list[SamplePrep]] = []
+    chunks: list[list[Batch]] = []
     t_max = 0
     for p in preps:
         t = len(p.times)
@@ -189,13 +189,13 @@ def _chunks(preps: list[SamplePrep], size: int) -> list[list[SamplePrep]]:
     return chunks
 
 
-def padded_steps(chunks: list[list[SamplePrep]]) -> list[int]:
+def padded_steps(chunks: list[list[Batch]]) -> list[int]:
     """Each chunk's samples times its longest series."""
     return [len(c) * max(len(p.times) for p in c) for c in chunks]
 
 
 def chunk_logits(model: TadaModel,
-                 preps: list[SamplePrep]) -> list[tuple[list[SamplePrep], np.ndarray]]:
+                 preps: list[Batch]) -> list[tuple[list[Batch], np.ndarray]]:
     """Each chunk of ``preps`` (``_chunks``, at most a batch each) with its
     ``batch_logits`` rows, in chunk order.
 
@@ -221,7 +221,7 @@ def chunk_logits(model: TadaModel,
 
 
 def shard_gradients(model: TadaModel, params: dict[str, Tensor],
-                    preps: list[SamplePrep]) -> tuple[float, Grads]:
+                    preps: list[Batch]) -> tuple[float, Grads]:
     """One shard's loss and the gradients its backward leaves in ``params``,
     from fresh buffers.  A non-finite loss skips the backward: the step
     fails on the loss."""
@@ -264,8 +264,8 @@ def _load(params: dict[str, Tensor], flat: np.ndarray) -> None:
         off += size
 
 
-def _work(model: TadaModel, params: dict[str, Tensor], preps: list[SamplePrep],
-          val_preps: list[SamplePrep] | None, request: tuple):
+def _work(model: TadaModel, params: dict[str, Tensor], preps: list[Batch],
+          val_preps: list[Batch] | None, request: tuple):
     """One request: ("step", parameters, shard indices) gives the shard's
     (loss, gradients); ("chunks", parameters, [(start, stop), ...]) gives
     the ``batch_logits`` rows of each validation chunk
@@ -277,8 +277,8 @@ def _work(model: TadaModel, params: dict[str, Tensor], preps: list[SamplePrep],
     return [model.batch_logits(val_preps[a:b]) for a, b in arg]
 
 
-def _serve(conn, parent_end, model: TadaModel, preps: list[SamplePrep],
-           val_preps: list[SamplePrep] | None, cpus: set[int] | None) -> None:
+def _serve(conn, parent_end, model: TadaModel, preps: list[Batch],
+           val_preps: list[Batch] | None, cpus: set[int] | None) -> None:
     """The worker's loop: a request in (``_work``), its result out, until
     the parent closes the pipe.
 
@@ -318,8 +318,8 @@ class ShardedStep:
     same result.
     """
 
-    def __init__(self, model: TadaModel, preps: list[SamplePrep],
-                 val_preps: list[SamplePrep] | None = None):
+    def __init__(self, model: TadaModel, preps: list[Batch],
+                 val_preps: list[Batch] | None = None):
         self.model = model
         self.preps = preps
         self.val_preps = val_preps
@@ -375,7 +375,7 @@ class ShardedStep:
             p.grad = grads[k]
         return loss
 
-    def chunk_logits(self, chunks: list[list[SamplePrep]]) -> list[np.ndarray]:
+    def chunk_logits(self, chunks: list[list[Batch]]) -> list[np.ndarray]:
         """``batch_logits`` of each chunk of ``val_preps``, in chunk order: the
         worker computes ``split_chunks``'s second set while this process
         computes the first."""
@@ -391,7 +391,7 @@ class ShardedStep:
                 rows[i] = z
         return rows
 
-    def _take(self, indices: np.ndarray) -> list[SamplePrep]:
+    def _take(self, indices: np.ndarray) -> list[Batch]:
         return [self.preps[i] for i in indices]
 
     def _send(self, kind: str, arg: "np.ndarray | list[tuple[int, int]]") -> None:

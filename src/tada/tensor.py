@@ -530,10 +530,10 @@ def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:
 
     Accepts (n, C) logits with (n,) labels, or a single (C,) row with a
     scalar label, and averages over the rows.  A padded batch passes
-    (B, R, C) logits, (B, R) labels and (B,) row counts: the loss is the
-    mean over samples b of the mean over b's first ``counts[b]`` rows, and
-    the padding rows after them get no gradient.  Stabilized by per-row max
-    subtraction.
+    (B, R, C) logits, (B, R) or flat (B * R,) labels and (B,) row counts:
+    the loss is the mean over samples b of the mean over b's first
+    ``counts[b]`` rows, and the padding rows after them get no gradient.
+    Stabilized by per-row max subtraction.
     """
     x = _lift(logits)
     if x.data.ndim == 3:

@@ -12,7 +12,7 @@ from .data import IrregularSeries
 from .errors import EvaluationError, TrainingError
 from .metrics import (accuracy, auprc, auroc, macro_auprc, macro_auroc,
                       softmax_rows)
-from .model import SamplePrep, TadaModel, collate
+from .model import Batch, TadaModel, collate
 from .optim import Adam
 from .shards import ShardedStep, chunk_logits
 from .tensor import cross_entropy_with_logits
@@ -43,7 +43,7 @@ def _binary_sequence(model: TadaModel) -> bool:
     return model.task == "sequence" and model.n_classes == 2
 
 
-def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
+def _mean_loss(model: TadaModel, preps: list[Batch]) -> float:
     """Mean per-sample loss over ``preps``, one chunk at a time: each
     chunk's logit rows (``chunk_logits``) go back into the (B, R_max, C)
     layout of the chunk's ``collate``, and their loss is ``batch_loss``'s on
@@ -51,14 +51,14 @@ def _mean_loss(model: TadaModel, preps: list[SamplePrep]) -> float:
     total = 0.0
     for chunk, rows in chunk_logits(model, preps):
         X = collate(chunk)
-        live = np.arange(X.labels.shape[1]) < X.label_counts[:, None]
+        live = np.arange(X.label_counts.max()) < X.label_counts[:, None]
         logits = np.zeros(live.shape + rows.shape[1:])
         logits[live] = rows
         total += cross_entropy_with_logits(logits, X.labels, X.label_counts).item() * len(chunk)
     return total / len(preps)
 
 
-def evaluate_preps(model: TadaModel, preps: list[SamplePrep]) -> MetricsReport:
+def evaluate_preps(model: TadaModel, preps: list[Batch]) -> MetricsReport:
     """Metrics over prepared samples.
 
     Binary sequence tasks report AUROC/AUPRC of the positive-class

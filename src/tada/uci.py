@@ -15,7 +15,7 @@ tag reading.  Each of the 4 body tags contributes its 3 coordinates, giving
 
 from __future__ import annotations
 
-from .data import IrregularSeries, Observation, TimeStep
+from .data import IrregularSeries, Observation, TimeStep, text_lines
 from .errors import DataError
 
 TAG_FEATURES = {
@@ -47,30 +47,29 @@ WINDOW = 50
 def convert_uci_activity(path: str, window: int = WINDOW) -> tuple[list[IrregularSeries], dict]:
     """Parse the raw CSV into windowed step-labelled samples."""
     per_seq: dict[str, dict[int, tuple[dict[int, float], int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise DataError(f"line {line_no}: expected 8 CSV fields, got {len(parts)}")
-            seq, tag, ts_raw, _date, x, y, z, activity = parts
-            if tag not in TAG_FEATURES:
-                raise DataError(f"line {line_no}: unknown tag id {tag!r}")
-            if activity not in ACTIVITY_CLASSES:
-                raise DataError(f"line {line_no}: unknown activity {activity!r}")
-            try:
-                ts = int(ts_raw)
-                coords = (float(x), float(y), float(z))
-            except ValueError:
-                raise DataError(f"line {line_no}: bad numeric field") from None
-            base = TAG_FEATURES[tag] * 3
-            steps = per_seq.setdefault(seq, {})
-            values, _old_label = steps.get(ts, ({}, 0))
-            for axis, v in enumerate(coords):
-                values[base + axis] = v
-            steps[ts] = (values, ACTIVITY_CLASSES[activity])
+    for line_no, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise DataError(f"line {line_no}: expected 8 CSV fields, got {len(parts)}")
+        seq, tag, ts_raw, _date, x, y, z, activity = parts
+        if tag not in TAG_FEATURES:
+            raise DataError(f"line {line_no}: unknown tag id {tag!r}")
+        if activity not in ACTIVITY_CLASSES:
+            raise DataError(f"line {line_no}: unknown activity {activity!r}")
+        try:
+            ts = int(ts_raw)
+            coords = (float(x), float(y), float(z))
+        except ValueError:
+            raise DataError(f"line {line_no}: bad numeric field") from None
+        base = TAG_FEATURES[tag] * 3
+        steps = per_seq.setdefault(seq, {})
+        values, _old_label = steps.get(ts, ({}, 0))
+        for axis, v in enumerate(coords):
+            values[base + axis] = v
+        steps[ts] = (values, ACTIVITY_CLASSES[activity])
 
     samples: list[IrregularSeries] = []
     for seq in sorted(per_seq):

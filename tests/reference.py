@@ -13,7 +13,7 @@ gradient accumulation and sigmoid.  ``chain_gates`` and
 ``chain_gated_attention_pool`` are DLA's window gates as a graph chain
 through the ``sigmoid`` op and the batched pool that gave such gates a
 gradient.  ``prepare_by_steps`` is ``TadaModel.prepare`` as it was, one
-``TimeStep`` and one observation at a time.  All of it is slow and exists
+``TimeStep`` and one observation at a time, into a ``Batch`` of one.  All of it is slow and exists
 only so tests can compare the model against it.
 """
 
@@ -26,7 +26,7 @@ from tada.dla import RegularizedGrid, anchor_times
 from tada.embedding import encode_observations, te_forward
 from tada.errors import DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
-from tada.model import SamplePrep
+from tada.model import Batch
 from tada.tensor import (Tensor, _lift, _node, _pool_exponents, _sigmoid, _unbroadcast, add,
                          concat, cross_entropy_with_logits, matmul, mul, relu, reshape,
                          softplus, tmean, transpose, tsum)
@@ -453,13 +453,16 @@ def prepare_by_steps(model, series):
         values[k, f] = v
         mask[k, f] = True
     labels = series.label if model.task == "step" else (series.label,)
-    return SamplePrep(
-        sample_id=series.sample_id,
+    return Batch(
         times=series.times,
         values_col=np.array([v for _, _, v in obs])[:, None].copy(),
         feat_idx=np.array([f for _, f, _ in obs], dtype=np.int64),
         step_of=np.array([k for k, _, _ in obs], dtype=np.int64),
         values=values,
         mask=mask,
+        lengths=np.array([len(steps)]),
+        t_max=len(steps),
         labels=np.array(labels, dtype=np.int64),
+        label_counts=np.array([len(labels)]),
+        sample_id=series.sample_id,
     )

@@ -141,6 +141,13 @@ def _unwritable_args(command, tmp_path, data_dir, run_dir):
         csv_path = tmp_path / "activity.csv"
         write_fixture(csv_path, n_steps=200)
         return ["convert", "--csv", str(csv_path), "--out", str(afile / "d")], afile / "d"
+    if command.startswith("train:"):
+        # the run directory exists, but one of its output files is a directory
+        target = tmp_path / "run" / command.split(":")[1]
+        target.mkdir(parents=True)
+        seeds = ["--seeds", "0"] if target.name == "aggregate.json" else []
+        return (["train", "--data", data_dir, "--out", str(tmp_path / "run")] + seeds
+                + set_args(TINY), target)
     return {
         "synth": (["synth", "--out", str(afile / "d"), "--counts", "4,2,2", "--features", "2",
                    "--rates", "3,6"], afile / "d"),
@@ -153,7 +160,9 @@ def _unwritable_args(command, tmp_path, data_dir, run_dir):
     }[command]
 
 
-@pytest.mark.parametrize("command", ["synth", "convert", "train", "eval", "export-attention"])
+@pytest.mark.parametrize("command", ["synth", "convert", "train", "train:model.bin",
+                                     "train:manifest.json", "train:metrics.csv",
+                                     "train:aggregate.json", "eval", "export-attention"])
 def test_unwritable_out_exits_2(command, tmp_path, data_dir, run_dir, capsys):
     args, target = _unwritable_args(command, tmp_path, data_dir, run_dir)
     assert main(args) == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,9 @@ def test_load_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(b'{"id":"a","label":1,"events":[[0.0,0,2.0]]}\n\xff\xfe\n')
     with pytest.raises(DataError, match="not UTF-8"):
         load_dataset(str(path), n_features=1)
+    # a path that cannot be opened as a file is a data error too
+    with pytest.raises(DataError, match=re.escape(f"cannot read {tmp_path}: ")):
+        load_dataset(str(tmp_path), n_features=1)
 
 
 def test_write_then_load_round_trip(tmp_path):

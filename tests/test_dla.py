@@ -429,10 +429,10 @@ def batched_outputs(model, preps):
     grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
     X = collate(preps)
     logits, grid = model.forward(X, keep_attention=not model.cfg.no_dla)
-    te_rows = np.split(te_forward(model.params, X, model.cfg).data, np.cumsum(X.lengths)[:-1])
+    te_rows = te_forward(model.params, X, model.cfg).data.reshape(len(preps), X.t_max, -1)
     arrays = []
     for b, prep in enumerate(preps):
-        arrays += [te_rows[b], logits.data[b, :len(prep.labels)]]
+        arrays += [te_rows[b, :X.lengths[b]], logits.data[b, :len(prep.labels)]]
         if grid is not None:
             arrays.append(grid.attention[b])
     return arrays, grads

@@ -8,6 +8,7 @@ import numpy as np
 from helpers import build_series, random_series, redraw_params, tiny_model
 from tada.embedding import encode_observations, te_forward
 from tada.gradcheck import grad_check
+from tada.model import collate
 from tada.tensor import (Tensor, concat, gather, matmul, mul, relu, reshape,
                          tsum)
 
@@ -128,6 +129,18 @@ def test_with_time_false_drops_the_time_column():
     bare = te_forward(model.params, prep, model.cfg, with_time=False)
     assert bare.shape == (2, model.cfg.embed_dim)
     np.testing.assert_array_equal(full.data[:, 1:], bare.data)
+
+
+def test_padding_rows_of_a_batch_are_exact_zeros():
+    model = tiny_model(n_features=3)
+    rng = np.random.default_rng(9)
+    preps = [model.prepare(random_series(rng, n, 3, sid=f"s{n}")) for n in (2, 7, 4)]
+    X = collate(preps)
+    for with_time in (True, False):
+        rows = te_forward(model.params, X, model.cfg, with_time=with_time).data
+        rows = rows.reshape(len(preps), X.t_max, -1)
+        for b, prep in enumerate(preps):
+            assert rows[b, :len(prep.times)].any() and not rows[b, len(prep.times):].any()
 
 
 def test_te_gradients_match_finite_differences():

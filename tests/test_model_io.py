@@ -175,7 +175,7 @@ def test_forward_is_pure():
     np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_collate_builds_the_ragged_and_padded_layouts():
+def test_collate_builds_the_padded_layout():
     model = tiny_model(n_features=3, task="step")
     long = build_series([(0.0, [(0, 1.0), (2, -1.0)]), (5.0, [(1, 4.0)]),
                          (10.0, [(0, 2.0)])], label=(0, 1, 1))
@@ -183,15 +183,24 @@ def test_collate_builds_the_ragged_and_padded_layouts():
     preps = [model.prepare(s) for s in (short, long)]
     X = collate(preps)
     np.testing.assert_array_equal(X.lengths, [2, 3])
-    np.testing.assert_array_equal(X.step_of, [0, 2, 2, 3, 4])
-    np.testing.assert_array_equal(X.slot, [0, 1, 3, 4, 5])
-    np.testing.assert_array_equal(X.times, [0.0, 1.0, 0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(X.padded(X.times), [[0.0, 1.0, 0.0], [0.0, 0.5, 1.0]])
-    np.testing.assert_array_equal(X.padded(X.mask)[0, 2], False)
-    np.testing.assert_array_equal(X.labels, [[1, 0, 0], [0, 1, 1]])
+    assert X.t_max == 3
+    np.testing.assert_array_equal(X.step_of, [0, 3, 3, 4, 5])
+    np.testing.assert_array_equal(X.times, [0.0, 1.0, 0.0, 0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(X.mask[2], False)
+    np.testing.assert_array_equal(X.values[2], 0.0)
+    np.testing.assert_array_equal(X.labels, [1, 0, 0, 0, 1, 1])
     np.testing.assert_array_equal(X.label_counts, [2, 3])
     with pytest.raises(DataError, match="batch"):
         collate([])
+
+
+def test_a_prepared_sample_is_its_own_batch():
+    model = tiny_model(n_features=3, task="step")
+    prep = model.prepare(random_series(np.random.default_rng(5), 6, 3, label=(0, 1, 0, 1, 1, 0)))
+    assert collate([prep]) is prep
+    assert prep.t_max == 6 and prep.lengths.tolist() == [6]
+    assert prep.label_counts.tolist() == [6] and prep.sample_id == "s"
+    assert model.logits(prep).tobytes() == model.batch_logits([prep]).tobytes()
 
 
 def test_save_load_round_trip_preserves_everything(tmp_path):

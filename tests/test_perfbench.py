@@ -20,10 +20,18 @@ def workloads(monkeypatch):
     return workloads
 
 
-def test_traced_eval_stream_runs_clean(workloads, tmp_path):
-    out = workloads.run("eval_stream", 0, 1, str(tmp_path), trace=True)
+def assert_clean(out):
+    """No failed check or operation, and every metric a finite number:
+    ``perfbench/run.py`` exits 1 on any of these."""
+    import run
     assert out.problems == []
     assert out.attempted > 0 and out.failed == 0
+    assert run._non_finite(out.metrics) == []
+
+
+def test_traced_eval_stream_runs_clean(workloads, tmp_path):
+    out = workloads.run("eval_stream", 0, 1, str(tmp_path), trace=True)
+    assert_clean(out)
     assert out.metrics["dla.forward_calls"][0] > 0
     assert out.metrics["embedding.te_forward_calls"][0] > 0
 
@@ -33,8 +41,7 @@ def test_traced_train_short_runs_clean(workloads, tmp_path):
     # batch gradients against the mean per-sample gradients, and the
     # directional finite-difference check
     out = workloads.run("train_short", 0, 1, str(tmp_path), trace=True)
-    assert out.problems == []
-    assert out.attempted > 0 and out.failed == 0
+    assert_clean(out)
     assert out.metrics["tensor.backward_calls"][0] > 0
 
 
@@ -42,5 +49,4 @@ def test_train_long_runs_clean(workloads, tmp_path):
     # the benchmark's correctness checks on the long-series workload: a
     # failed check makes perfbench/run.py exit 1
     out = workloads.run("train_long", 9, 1, str(tmp_path), trace=False)
-    assert out.problems == []
-    assert out.attempted > 0 and out.failed == 0
+    assert_clean(out)

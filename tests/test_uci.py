@@ -1,5 +1,7 @@
 """Activity-recording CSV converter on a schema-faithful fixture."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,9 @@ def test_converter_errors(tmp_path):
     csv.write_text(f"A01,{TAGS[0]},1,d,1,2,3,walking\n")
     with pytest.raises(DataError, match="windows"):
         convert_uci_activity(str(csv), window=50)
+    csv.write_bytes(f"A01,{TAGS[0]},1,d,1,2,3,walking\n".encode() + b"\xff\xfe\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        convert_uci_activity(str(csv))
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DataError, match=re.escape(f"cannot read {missing}: ")):
+        convert_uci_activity(str(missing))
