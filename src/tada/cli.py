@@ -286,10 +286,10 @@ def cmd_gradcheck(args) -> int:
     model, preps = gradcheck_setup(cfg)
     report = grad_check(lambda: model.batch_loss(preps), model.params, eps=args.eps)
     for label, prefixes in MODULE_GROUPS:
-        errs = [e for name, e in report.per_param.items()
-                if name.startswith(prefixes)]
-        if errs:
-            print(f"{label}: max rel err {max(errs):.3e}")
+        names = [name for name in report.per_param if name.startswith(prefixes)]
+        if names:
+            print(f"{label}: max rel err {max(report.per_param[n] for n in names):.3e} "
+                  f"({max(report.raw_per_param[n] for n in names):.3e} before rounding slack)")
     print(f"end-to-end: max rel err {report.max_rel_error:.3e} "
           f"over {report.n_elements} elements at seed {cfg.seed} (worst {report.worst()})")
     if report.max_rel_error > args.threshold:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -53,9 +54,13 @@ class RunConfig:
                 raise ConfigError(f"config: {name} must be >= 1")
         if self.patience < 0:
             raise ConfigError("config: patience must be >= 0")
-        for name in ("lr", "gate_temperature", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"config: {name} must be > 0")
+        # "not > 0" refuses NaN too; an infinite lr stays legal, a run that
+        # diverges at its first update
+        if not self.lr > 0:
+            raise ConfigError("config: lr must be > 0")
+        for name in ("gate_temperature", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"config: {name} must be finite and > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("config: betas must lie in [0, 1)")
         if self.te_mode not in ("embedding", "literal"):

@@ -4,16 +4,29 @@ Sample times lie in [0, 1]; L anchor queries sit at i / L (i = 1..L).
 Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
-features; the window gate and the observation mask select which steps a
-given (anchor, feature) pair may attend to.  A batch runs at once on the
-(B, T_max) padded layout of its ``Batch`` rows and te's output: padded
-steps get a zero gate, which masks them out of every sample's softmax.
-The gates are one plain (B, L, D, T) array, evaluated only at the observed
-(b, d, t) entries; they build no graph node.  ``gated_attention_pool``
-contracts each head's (B, L, T) scores with those gates and the values
-directly and forms the radii's gradient itself, so neither the
-(B, heads, L, D, T) attention weights nor a (B, L, D, T) gate gradient
-exists; the weights are formed only when ``keep_attention`` asks for them.
+features; the window gate and the observation mask select which
+recordings a given (anchor, feature) pair may attend to.  The gates are
+plain arrays outside the autodiff graph, and the pools form the radii's
+gradient themselves, so no gate gradient and no (B, heads, L, D, T)
+attention weights exist; the weights are formed only when
+``keep_attention`` asks for them.
+
+A batch pools in one of two layouts, chosen per batch from its sizes by
+``pools_by_observation``:
+
+- over its observations: each sample's observations, in step order,
+  padded to the batch's N_max.  Key rows are gathered by each
+  observation's step, the scores are (B, heads, L, N_max) and the gates
+  (B, L, N_max), one per observation and zero at padding slots.
+  ``observation_pool`` takes every normalizer and numerator from one
+  batched product, so the cost follows the observations, not features x
+  steps;
+- over the (B, T_max) padded steps, with (B, heads, L, T_max) scores and a
+  (B, L, D_eff, T_max) gate block, zero at unobserved entries and padded
+  steps: ``gated_attention_pool``.  A batch observing most features at most
+  steps pools here, and so does setting2, whose D_eff = embed_dim + 1
+  windows over the step embeddings are live at every step.
+
 Head outputs concatenate and project to the mixer's channel width.
 """
 
@@ -25,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gated_attention_weights,
-                     matmul, mul, reshape, softplus, transpose)
+                     gather, matmul, mul, observation_attention_weights, observation_pool,
+                     reshape, softplus, transpose)
 
 
 @dataclass
@@ -41,27 +55,81 @@ def anchor_times(n_queries: int) -> np.ndarray:
     return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
+def _window(t: np.ndarray, r: np.ndarray, anchors: np.ndarray, cfg) -> np.ndarray:
+    """Window gates of step times ``t`` under radii ``r`` (broadcast against
+    each other) at the (L,) anchors, on a new axis that ``anchors[:, None]``
+    puts before the last one.
+
+    Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
+    soft mode is sigmoid((radius - |t - anchor|) / tau).
+    """
+    a = anchors[:, None]
+    if cfg.window_mode == "hard":
+        return ((t >= a - r) & (t <= a + r)).astype(np.float64)
+    return _sigmoid((r + (-np.abs(t - a))) * (1.0 / cfg.gate_temperature))
+
+
 def _gates(radii: np.ndarray, times: np.ndarray, anchors: np.ndarray, cfg,
            obs_mask: np.ndarray) -> np.ndarray:
     """(B, L, D_eff, T) window gate x observation mask for (D_eff,) radii,
     (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask.
 
-    Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
-    soft mode is sigmoid((radius - |t - anchor|) / tau).  Either is
-    evaluated only at the (b, d, t) entries the mask keeps, for all anchors
+    Evaluated only at the (b, d, t) entries the mask keeps, for all anchors
     at once; every other entry is zero.  A plain array: the pool gives the
     radii their gradient.
     """
     (B, T), L, D = times.shape, len(anchors), len(radii)
     b, d, t = np.nonzero(obs_mask[:, 0] & np.ones((D, 1), dtype=bool))   # mask to D_eff
-    tt, r, a = times[b, t], radii[d], anchors[:, None]                # (K,), (K,), (L, 1)
-    if cfg.window_mode == "hard":
-        kept = (tt >= a - r) & (tt <= a + r)
-    else:
-        kept = _sigmoid((r + (-np.abs(tt - a))) * (1.0 / cfg.gate_temperature))
+    kept = _window(times[b, t], radii[d], anchors, cfg)                # (L, K)
     G = np.zeros((B, L, D * T))
     G[b, :, d * T + t] = kept.T
     return G.reshape(B, L, D, T)
+
+
+@dataclass
+class ObservationSlots:
+    """A batch's observations on a (B, N_max) layout: sample b's observations
+    fill its first slots in step order, and the slots after them are padding
+    (``live`` False, step row 0, feature 0, value 0)."""
+    step: np.ndarray      # (B, N_max) row of each observation's step in the (B * T_max) layout
+    feat: np.ndarray      # (B, N_max) feature index
+    values: np.ndarray    # (B, N_max) observed value
+    live: np.ndarray      # (B, N_max) bool, False at padding
+
+
+def observation_slots(X) -> ObservationSlots:
+    """The observations of a ``Batch``, whose samples hold consecutive runs of
+    its observation arrays, padded per sample to the batch's longest run."""
+    B = len(X.lengths)
+    sample = X.step_of // X.t_max
+    counts = np.bincount(sample, minlength=B)
+    n_max = int(counts.max()) if len(sample) else 0
+    slot = sample * n_max + np.arange(len(sample)) - (np.cumsum(counts) - counts)[sample]
+    step = np.zeros(B * n_max, dtype=np.int64)
+    feat = np.zeros(B * n_max, dtype=np.int64)
+    values = np.zeros(B * n_max)
+    live = np.zeros(B * n_max, dtype=bool)
+    step[slot], feat[slot], values[slot], live[slot] = \
+        X.step_of, X.feat_idx, X.values_col[:, 0], True
+    return ObservationSlots(*(a.reshape(B, n_max) for a in (step, feat, values, live)))
+
+
+def _observation_gates(radii: np.ndarray, times: np.ndarray, obs: ObservationSlots,
+                       anchors: np.ndarray, cfg) -> np.ndarray:
+    """(B, L, N_max) window gates, one per observation, zero at padding, for
+    (D,) radii and (B * T_max,) step times; evaluated by broadcast."""
+    G = _window(times[obs.step][:, None], radii[obs.feat][:, None], anchors, cfg)
+    G *= obs.live[:, None]
+    return G
+
+
+def pools_by_observation(n_heads: int, n_max: int, d_eff: int, t_max: int) -> bool:
+    """Whether a batch pools over its observations rather than over the
+    (B, L, D_eff, T_max) gate block: the observation pool's weights hold
+    n_heads * N_max entries per (b, l) against the block's D_eff * T_max
+    gates.  Measured training steps tie where the two counts are equal and
+    favour the smaller side on either side of that."""
+    return n_heads * n_max < d_eff * t_max
 
 
 def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
@@ -69,43 +137,72 @@ def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
     """Aggregate a batch onto the anchor grid; returns (B, L, patch_channels).
 
     ``X`` is a ``Batch`` and ``x_hat`` te's (B * T_max, embed_dim + 1) step
-    rows on its padded layout, so keys and values are (B, T_max, ...)
-    reshapes.  A padded step gets a zero gate in every mode, so each sample
-    pools over its own steps only.  All heads run at once: dla.q.w and
-    dla.k.w hold one column block of width attn_dim per head.
+    rows on its padded layout.  Key rows are projected per step; all heads
+    run at once: dla.q.w and dla.k.w hold one column block of width
+    attn_dim per head.  A batch sparse enough for ``pools_by_observation``
+    gathers each observation's key row by its step and pools over
+    (B, H, L, N_max) scores with one gate per observation; any other batch,
+    and setting2 (whose values are the step embeddings themselves), pools
+    over (B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block.
+    Padding slots and padded steps get a zero gate in every mode, so each
+    sample pools over its own observations or steps only.
     """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
-    if cfg.keyvalue_variant == "setting2":
-        keys = values = reshape(x_hat, (B, T, -1))   # step embeddings as keys and values
-        # every step of a sample, observed or not
-        obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]   # (B, 1, 1, T)
-    else:
-        values = Tensor(X.values.reshape(B, T, -1))
-        # setting1 keys are the masked raw values
-        keys = values if cfg.keyvalue_variant == "setting1" else reshape(x_hat, (B, T, -1))
-        obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D_eff, T)
-    values4 = transpose(values, (0, 2, 1))
-    values4 = reshape(values4, (B, 1) + values4.shape[1:])           # (B, 1, D_eff, T)
-
+    setting2 = cfg.keyvalue_variant == "setting2"
+    keys = Tensor(X.values) if cfg.keyvalue_variant == "setting1" else x_hat
+    d_eff = keys.shape[1] if setting2 else X.values.shape[1]
     range_raw = params["dla.range_raw"]
     if cfg.no_learnable_range:
         range_raw = range_raw.detach()    # frozen radii keep their windows
     radii = softplus(range_raw)
     anchors = anchor_times(L)
-    gates = _gates(radii.data, X.times.reshape(B, T), anchors, cfg, obs_mask)
-    q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
-                  (1, 0, 2))                                          # (H, L, A)
-    k = transpose(reshape(matmul(keys, params["dla.k.w"]), (B, T, H, A)),
-                  (0, 2, 3, 1))                                       # (B, H, A, T)
-    scores = mul(matmul(q, k), 1.0 / math.sqrt(A))                    # (B, H, L, T)
     tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
-    head_outs = gated_attention_pool(scores, gates, values4, radii, tau)  # (B, H, L, D_eff)
+    q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
+                  (1, 0, 2))
+    q = mul(q, 1.0 / math.sqrt(A))                                    # (H, L, A), scaled
+    key_rows = matmul(keys, params["dla.k.w"])                        # (B * T_max, H * A)
+    obs = None if setting2 else observation_slots(X)
+    if obs is not None and not pools_by_observation(H, obs.feat.shape[1], d_eff, T):
+        obs = None
+    if obs is not None:
+        N = obs.feat.shape[1]
+        k = transpose(reshape(gather(key_rows, obs.step.reshape(-1)), (B, N, H, A)),
+                      (0, 2, 3, 1))                                   # (B, H, A, N_max)
+        scores = matmul(q, k)                                         # (B, H, L, N_max)
+        gates = _observation_gates(radii.data, X.times, obs, anchors, cfg)
+        head_outs = observation_pool(scores, gates, obs.feat, obs.values, d_eff, radii, tau)
+    else:
+        if setting2:
+            values = reshape(x_hat, (B, T, -1))
+            # every step of a sample, observed or not
+            obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]   # (B, 1, 1, T)
+        else:
+            values = Tensor(X.values.reshape(B, T, -1))
+            obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D, T)
+        values4 = transpose(values, (0, 2, 1))
+        values4 = reshape(values4, (B, 1) + values4.shape[1:])        # (B, 1, D_eff, T)
+        k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))  # (B, H, A, T)
+        scores = matmul(q, k)                                         # (B, H, L, T)
+        gates = _gates(radii.data, X.times.reshape(B, T), anchors, cfg, obs_mask)
+        head_outs = gated_attention_pool(scores, gates, values4, radii, tau)
     stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
     out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
-    attention = None
-    if keep_attention:
-        weights = gated_attention_weights(scores.data, gates)         # (B, H, L, D, T)
-        attention = [np.transpose(w[..., :n], (0, 1, 3, 2))
-                     for w, n in zip(weights, X.lengths)]
+    attention = _attention_maps(scores.data, gates, obs, X) if keep_attention else None
     return RegularizedGrid(grid=out, anchors=anchors, radii=radii.data, attention=attention)
+
+
+def _attention_maps(scores: np.ndarray, gates: np.ndarray, obs: ObservationSlots | None,
+                    X) -> list[np.ndarray]:
+    """Per-sample (H, L, T_b, D_eff) attention weights of either pool."""
+    if obs is None:
+        weights = gated_attention_weights(scores, gates)              # (B, H, L, D, T)
+        return [np.transpose(w[..., :n], (0, 1, 3, 2)) for w, n in zip(weights, X.lengths)]
+    weights = observation_attention_weights(scores, gates, obs.feat, X.values.shape[1])
+    maps = []
+    for b, n in enumerate(X.lengths):
+        m = np.zeros(weights.shape[1:3] + (n, X.values.shape[1]))
+        live = obs.live[b]
+        m[:, :, obs.step[b, live] - b * X.t_max, obs.feat[b, live]] = weights[b][..., live]
+        maps.append(m)
+    return maps

@@ -4,9 +4,9 @@ file format.
 The forward pass takes a mini-batch and builds one autodiff graph for it;
 a single sample is a batch of one.  Every stage works on the one
 (B, T_max) padded step layout ``collate`` builds: te writes one row per
-step, zero at padding, which DLA and the no_dla pool reshape to
-(B, T_max, ...) and in which padded steps get zero gates; the mixer,
-fusion and head carry a leading batch axis.
+step, zero at padding, which the no_dla pool reshapes to (B, T_max, ...)
+and DLA either gathers by observation or reshapes, padding getting zero
+gates either way; the mixer, fusion and head carry a leading batch axis.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -49,8 +49,10 @@ class Batch:
     b * T_max + k of ``times``, ``values`` and ``mask``, and the rows past
     each sample's own steps are zeros.  ``step_of`` numbers every
     observation's step by that row, so te writes each step's vector straight
-    into this layout, and DLA and the no_dla pool take it as (B, T_max, ...)
-    by a reshape.  ``prepare`` builds a batch of one, whose arrays depend on
+    into this layout, the no_dla pool takes it as (B, T_max, ...) by a
+    reshape, and DLA gathers it by observation or reshapes it likewise.
+    Each sample's observations are one consecutive run of the observation
+    arrays.  ``prepare`` builds a batch of one, whose arrays depend on
     the sample alone; ``collate`` stacks such batches.
     """
     times: np.ndarray          # (B * T_max,) step times normalized onto [0, 1]

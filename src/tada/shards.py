@@ -166,8 +166,11 @@ def split_chunks(steps: list[int]) -> list[list[int]]:
     return [sorted(side) for side in sides]
 
 
-# Padded steps per evaluation chunk.  A batch's forward holds a few
-# (B, L, D, T_max) arrays, so its memory follows B * T_max, not B alone.
+# Padded steps per evaluation chunk.  A sparse batch's forward holds a few
+# (B, heads, L, N_max) arrays, N_max being its longest observation count,
+# and any other batch (B, L, D, T_max) ones; DLA's pool rule takes the
+# first only while it is the smaller, so memory follows B * T_max, not B
+# alone.
 CHUNK_STEPS = 4096
 
 

@@ -352,12 +352,15 @@ def gather(x, index, axis: int = 0) -> Tensor:
         raise DimensionError(
             f"gather: index out of range for axis {axis} with length {n}")
     out = np.take(x.data, idx, axis=axis)
-    shape = x.data.shape
 
     def backward(g):
-        buf = np.zeros(shape)
-        np.add.at(np.moveaxis(buf, axis, 0), idx % n, np.moveaxis(g, axis, 0))
-        return (buf,)
+        # one bincount over flat (index, column) positions, as in segment_sum
+        rows = np.moveaxis(g, axis, 0)
+        k = math.prod(rows.shape[1:])
+        flat = ((idx % n)[:, None] * k + np.arange(k)).reshape(-1)
+        buf = np.bincount(flat, weights=rows.reshape(-1), minlength=n * k)
+        buf = buf.reshape((n,) + rows.shape[1:])
+        return (np.ascontiguousarray(np.moveaxis(buf, 0, axis), dtype=np.float64),)
 
     return _node(out, (x,), backward)
 
@@ -461,6 +464,9 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
     with ga = g / den, and no gradient of G is formed.  Hard windows pass no
     temperature and their radii get no gradient.  Scores always get a
     gradient; values and radii only when they require one.
+
+    This is DLA's block pool, for setting2 and for batches too dense for
+    ``observation_pool``, whose cost follows the observations instead.
     """
     s, v = _lift(scores), _lift(values)
     S, G, V = s.data, np.asarray(gates, dtype=np.float64), v.data
@@ -523,6 +529,135 @@ def gated_attention_weights(scores: Array, gates: Array) -> Array:
     u = e[:, :, :, None, :] * gates[:, None]
     u[redo] = e_redo * gates[redo[0], redo[2], redo[3]]
     return np.divide(u, den[..., None], out=np.zeros_like(u), where=den[..., None] > 0.0)
+
+
+def _observation_exponents(S: Array, G: Array, M: Array, D: int):
+    """Gated exponents and column sums of an observation pool.
+
+    W = e G (B, H, L, N) with e = exp(S - c) at the observations the
+    anchor's gates leave live, 0 elsewhere, and one shift c per (b, h, l):
+    the maximum live score.  ``sums`` (B, H, L, k) = W @ M for a per-sample
+    (N, k) matrix M whose first D columns are the one-hot features: its
+    first D columns are the normalizers.  A row (b, h, l, d) whose own live
+    scores all sit far below c underflows there, so every row with a live
+    gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its own
+    shift: ``redo`` indexes those rows, ``w_redo`` (R, N) holds their gated
+    exponents, zero off feature d, and ``sums`` their column sums; both are
+    None when no row underflows.
+    """
+    B, H, L, N = S.shape
+    live = G > 0.0                                               # (B, L, N)
+    W = S + np.where(live, 0.0, -np.inf)[:, None]               # -inf where not live
+    c = W.max(axis=-1, keepdims=True, initial=-np.inf)
+    c[~np.isfinite(c)] = 0.0
+    W -= c
+    np.exp(W, out=W)
+    W *= G[:, None]
+    sums = np.matmul(W.reshape(B, H * L, N), M).reshape(B, H, L, -1)
+    row_live = np.matmul(G, M[..., :D]) > 0.0                    # (B, L, D)
+    redo = np.nonzero((sums[..., :D] < _POOL_UNDERFLOW) & row_live[:, None])
+    if not redo[0].size:
+        return W, sums, None, None
+    b, h, l, d = redo
+    s_redo = np.where(live[b, l] & (M[b, :, d] > 0.0), S[b, h, l], -np.inf)
+    w_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True)) * G[b, l]
+    for j in range(0, M.shape[-1], D):
+        sums[b, h, l, j + d] = (w_redo * M[b, :, j + d]).sum(axis=-1)
+    return W, sums, redo, w_redo
+
+
+def _observation_matrix(feat: Array, values: Array | None, D: int) -> Array:
+    """(B, N, D) one-hot features, or (B, N, 2D) [one-hot | one-hot * value]."""
+    B, N = feat.shape
+    k = D if values is None else 2 * D
+    M = np.zeros((B, N, k))
+    at = np.arange(0, B * N * k, k) + feat.reshape(-1)
+    M.reshape(-1)[at] = 1.0
+    if values is not None:
+        M.reshape(-1)[at + D] = values.reshape(-1)
+    return M
+
+
+def observation_pool(scores, gates: Array, feat: Array, values: Array, n_features: int,
+                     radii=None, temperature: float | None = None) -> Tensor:
+    """``gated_attention_pool`` over each sample's observations.
+
+    Sample b's observations fill the first slots of an (N_max,) axis:
+    (B, H, L, N) scores at the observations, (B, L, N) gates, one per
+    observation and zero at padding slots, and (B, N) feature indices and
+    values, plain arrays.  out[b, h, l, d] = sum_n W V / sum_n W over b's
+    observations of feature d, with W = exp(scores) G; a feature without a
+    live gate gives 0.  Both sums come from one batched product of W, as
+    (B, H L, N), with the per-sample (N, 2D) matrix
+    M = [one-hot(feature) | one-hot(feature) * value], and the backward is
+    one product the other way.  The cost follows the observations, not
+    features x steps.
+
+    Soft windows pass the (D,) ``radii`` the gates were built from and their
+    ``temperature`` tau: dG / dr = G (1 - G) / tau at an observation of
+    feature d, and the score gradient is g_S = W dL/dW, so
+    g_r[d] = sum of g_S (1 - G) / tau over b, h, l and d's observations.
+    Hard windows pass no temperature, and their radii get no gradient.
+    Scores always get a gradient; the values get none.
+    """
+    s = _lift(scores)
+    S, G, D = s.data, np.asarray(gates, dtype=np.float64), n_features
+    feat = np.asarray(feat, dtype=np.int64)
+    V = np.asarray(values, dtype=np.float64)
+    if S.ndim != 4 or G.shape != (S.shape[0],) + S.shape[2:] \
+            or feat.shape != (S.shape[0], S.shape[3]) or V.shape != feat.shape:
+        raise DimensionError(f"observation_pool: scores {S.shape}, gates {G.shape}, "
+                             f"features {feat.shape} and values {V.shape} are not "
+                             f"(B, H, L, N), (B, L, N), (B, N), (B, N)")
+    if feat.size and (feat.min() < 0 or feat.max() >= D):
+        raise DimensionError(f"observation_pool: feature index out of range for {D}")
+    r = None if radii is None or temperature is None else _lift(radii)
+    if r is not None and r.data.shape != (D,):
+        raise DimensionError(f"observation_pool: radii {r.data.shape} do not fit "
+                             f"{D} features")
+    learn_r = r is not None and r.requires_grad
+    B, H, L, N = S.shape
+    M = _observation_matrix(feat, V, D)
+    W, sums, redo, w_redo = _observation_exponents(S, G, M, D)
+    den = sums[..., :D]
+    out = np.divide(sums[..., D:], den, out=np.zeros_like(den), where=den > 0.0)
+
+    def backward(g):
+        # d out[d] / d W[n] = onehot[n, d] (V[n] - out[d]) / den[d]
+        ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
+        gb = ga * out
+        if redo is not None:
+            a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
+            ga[redo] = 0.0
+            gb[redo] = 0.0
+        np.negative(gb, out=gb)
+        coef = np.concatenate([gb, ga], axis=-1).reshape(B, H * L, 2 * D)
+        g_s = np.matmul(coef, M.transpose(0, 2, 1)).reshape(B, H, L, N)
+        g_s *= W
+        if redo is not None:
+            b, h, l, d = redo
+            np.add.at(g_s, (b, h, l), w_redo * (a_redo * M[b, :, D + d] - b_redo))
+        if not learn_r:
+            return (g_s,)
+        per_obs = (g_s.sum(axis=1) * (1.0 - G)).sum(axis=1)        # (B, N)
+        g_r = np.bincount(feat.reshape(-1), weights=per_obs.reshape(-1), minlength=D)
+        return g_s, g_r * (1.0 / temperature)
+
+    return _node(out, (s, r) if learn_r else (s,), backward)
+
+
+def observation_attention_weights(scores: Array, gates: Array, feat: Array,
+                                  n_features: int) -> Array:
+    """(B, H, L, N) weights of ``observation_pool``: each observation's share
+    of its feature's row.  Only attention export needs them."""
+    M = _observation_matrix(np.asarray(feat, dtype=np.int64), None, n_features)
+    W, den, redo, w_redo = _observation_exponents(scores, gates, M, n_features)
+    if redo is not None:
+        b, h, l, d = redo
+        np.multiply.at(W, (b, h, l), M[b, :, d] == 0.0)    # a redone row's own observations
+        np.add.at(W, (b, h, l), w_redo)
+    den_obs = np.matmul(den, M.transpose(0, 2, 1)[:, None])     # each observation's row
+    return np.divide(W, den_obs, out=np.zeros_like(W), where=den_obs > 0.0)
 
 
 def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:

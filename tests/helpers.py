@@ -1,9 +1,13 @@
 """Shared builders for model-level tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
+import tada.dla
 from tada.config import RunConfig
 from tada.data import IrregularSeries, Observation, TimeStep
+from tada.dla import observation_slots
 from tada.model import TadaModel
 
 
@@ -64,3 +68,23 @@ def graph_nodes(root):
                 seen.add(id(p))
                 stack.append(p)
     return nodes
+
+
+DLA_KERNELS = ("observation", "block")
+
+
+def force_dla_kernel(monkeypatch, kernel):
+    """Put every batch on one DLA pool, "observation" or "block", whatever
+    its sizes."""
+    monkeypatch.setattr(tada.dla, "pools_by_observation",
+                        lambda *sizes: kernel == "observation")
+
+
+def mask_observations(mask, values):
+    """The ``ObservationSlots`` of a (B, T, D) bool mask and its values, in
+    step order, on the (B * T) step layout."""
+    B, T, D = mask.shape
+    b, t, d = np.nonzero(mask)
+    return observation_slots(SimpleNamespace(
+        step_of=b * T + t, feat_idx=d, values_col=values[b, t, d][:, None],
+        lengths=np.full(B, T), t_max=T))

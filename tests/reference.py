@@ -12,9 +12,10 @@ maximum.  ``reference_backward`` and ``reference_sigmoid`` are the earlier
 gradient accumulation and sigmoid.  ``chain_gates`` and
 ``chain_gated_attention_pool`` are DLA's window gates as a graph chain
 through the ``sigmoid`` op and the batched pool that gave such gates a
-gradient.  ``prepare_by_steps`` is ``TadaModel.prepare`` as it was, one
-``TimeStep`` and one observation at a time, into a ``Batch`` of one.  All of it is slow and exists
-only so tests can compare the model against it.
+gradient, on its own copy of the pool's exponents (``pool_exponents``).
+``prepare_by_steps`` is ``TadaModel.prepare`` as it was, one ``TimeStep``
+and one observation at a time, into a ``Batch`` of one.  All of it is slow
+and exists only so tests can compare the model against it.
 """
 
 import math
@@ -27,9 +28,9 @@ from tada.embedding import encode_observations, te_forward
 from tada.errors import DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
 from tada.model import Batch
-from tada.tensor import (Tensor, _lift, _node, _pool_exponents, _sigmoid, _unbroadcast, add,
-                         concat, cross_entropy_with_logits, matmul, mul, relu, reshape,
-                         softplus, tmean, transpose, tsum)
+from tada.tensor import (Tensor, _lift, _node, _sigmoid, _unbroadcast, add, concat,
+                         cross_entropy_with_logits, matmul, mul, relu, reshape, softplus,
+                         tmean, transpose, tsum)
 
 
 def reference_backward(root: Tensor) -> None:
@@ -96,6 +97,36 @@ def chain_gates(radii, times, anchors, cfg, obs_mask) -> Tensor:
     return mul(sigmoid(arg), Tensor(obs_mask))
 
 
+# Below this a normalizer may hold subnormal terms whose rounding, up to
+# 2^-1075 each, reaches its last bit.
+_POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def pool_exponents(S, G):
+    """Shifted exponents and normalizers of the batched gated attention pool.
+
+    e = exp(S - c) with one shift c per (b, h, l): the maximum score over
+    the steps any of the anchor's gates leaves live.  The normalizers are
+    den[b, h, l, d] = sum_t e[b, h, l, t] G[b, l, d, t].  A row whose own
+    live scores all sit far below c underflows there, so every row with a
+    live gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its
+    own shift: ``redo`` indexes those (b, h, l, d) rows, ``e_redo`` (R, T)
+    holds their exponents, and ``den`` their normalizers.
+    """
+    live = G > 0.0                                               # (B, L, D, T)
+    step_live = live.any(axis=2)[:, None]                        # (B, 1, L, T)
+    c = np.where(step_live, S, -np.inf).max(axis=-1, keepdims=True)
+    c = np.where(np.isfinite(c), c, 0.0)
+    e = np.exp(np.where(step_live, S - c, -np.inf))             # (B, H, L, T)
+    den = np.matmul(e.transpose(0, 2, 1, 3), G.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
+    redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1)[:, None])
+    b, h, l, d = redo
+    s_redo = np.where(live[b, l, d], S[b, h, l], -np.inf)        # (R, T)
+    e_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True))
+    den[redo] = (e_redo * G[b, l, d]).sum(axis=-1)
+    return e, den, redo, e_redo
+
+
 def chain_gated_attention_pool(scores, gates, values) -> Tensor:
     """The pool as it was, taking a gate Tensor and giving it a gradient.
 
@@ -118,7 +149,7 @@ def chain_gated_attention_pool(scores, gates, values) -> Tensor:
                              f"and values {V.shape} are not (B, H, L, T), (B, L, D, T), "
                              f"(B, 1, D, T)")
     D = G.shape[2]
-    e, den, redo, e_redo = _pool_exponents(S, G)
+    e, den, redo, e_redo = pool_exponents(S, G)
     b, h, l, d = redo
     GV = G * V
     eL = e.transpose(0, 2, 1, 3)                                  # (B, L, H, T)
@@ -223,8 +254,6 @@ def sample_gates(radii, times, anchors, cfg, obs_mask3):
 
 # One sample's gated attention pool, as the model ran it before it took
 # whole batches: (H, L, T) scores, (L, D, T) gates, (1, D, T) values.
-
-_POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def sample_pool_exponents(S, G):

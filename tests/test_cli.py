@@ -292,6 +292,17 @@ def test_train_unknown_override(tmp_path, data_dir, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+@pytest.mark.parametrize("setting", ["lr=nan", "gate_temperature=nan", "gate_temperature=inf",
+                                     "adam_eps=inf"])
+def test_non_finite_float_settings_exit_2(tmp_path, data_dir, command, setting, capsys):
+    args = ["--data", data_dir, "--out", str(tmp_path / "out")] if command == "train" else []
+    assert main([command, "--set", setting] + args) == 2
+    name = setting.split("=")[0]
+    rule = "> 0" if name == "lr" else "finite and > 0"
+    assert capsys.readouterr().err == f"error: config: {name} must be {rule}\n"
+
+
 @pytest.mark.parametrize("key", ["summary_dim", "fusion_tokens"])
 def test_train_rejects_removed_config_keys(tmp_path, data_dir, key, capsys):
     config = tmp_path / "config.json"
@@ -462,7 +473,8 @@ def test_gradcheck_passes_and_reports_modules(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     for label in ("temporal-embedding", "local-attention", "mixer", "fusion-classifier"):
-        assert f"{label}: max rel err" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith(f"{label}: max rel err "))
+        assert line.endswith(" before rounding slack)")
     assert "end-to-end: max rel err" in out and "gradcheck OK" in out
 
 

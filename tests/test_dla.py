@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import build_series, graph_nodes, random_series, redraw_params, tiny_model
+import tada.dla
+from helpers import (DLA_KERNELS, build_series, force_dla_kernel, graph_nodes,
+                     mask_observations, random_series, redraw_params, tiny_model)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import _gates, anchor_times, dla_forward
+from tada.dla import _gates, _observation_gates, anchor_times, dla_forward, pools_by_observation
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
@@ -142,6 +144,16 @@ def test_gates_are_the_chain_gates_at_observed_entries(inputs, mode, tau):
     got = _gates(radii, times, anchors, cfg, mask)
     want = reference.chain_gates(Tensor(radii), times, anchors, cfg, mask).data
     assert got.dtype == np.float64 and np.array_equal(got, want)
+    if mask.shape[2] == len(radii):
+        # one gate per observation, the same bits, and zero at padding slots
+        (B, T), D = times.shape, len(radii)
+        obs = mask_observations(mask[:, 0].transpose(0, 2, 1), np.zeros((B, T, D)))
+        per_obs = _observation_gates(radii, times.reshape(-1), obs, anchors, cfg)
+        for b in range(B):
+            live = obs.live[b]
+            assert np.array_equal(per_obs[b][:, live],
+                                  want[b][:, obs.feat[b, live], obs.step[b, live] - b * T])
+            assert np.all(per_obs[b][:, ~live] == 0.0)
 
 
 # grid construction -------------------------------------------------------------
@@ -311,7 +323,13 @@ def per_head_reference(model, prep, x_hat):
     return grid, np.stack(maps)
 
 
-def test_stacked_heads_match_the_per_head_reference():
+def test_stacked_heads_match_the_per_head_reference(monkeypatch):
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        stacked_heads_match_the_per_head_reference()
+
+
+def stacked_heads_match_the_per_head_reference():
     rng = np.random.default_rng(14)
     variants = [{"window_mode": "soft", "gate_temperature": 0.05},
                 {"window_mode": "hard"},
@@ -467,8 +485,78 @@ def assert_matches_reference(model, preps, tag):
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_model_matches_the_dense_reference_path(mode):
-    # steps with several observations, so te's softmax does real work
-    for seed in range(3):
-        model, preps = gradcheck_setup(small_gradcheck_config(seed=seed, **MODES[mode]))
-        assert_matches_reference(model, preps, (mode, seed))
+def test_model_matches_the_dense_reference_path(mode, monkeypatch):
+    # steps with several observations, so te's softmax does real work; both
+    # DLA pools (setting2 always takes the block)
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        for seed in range(3):
+            model, preps = gradcheck_setup(small_gradcheck_config(seed=seed, **MODES[mode]))
+            assert_matches_reference(model, preps, (mode, kernel, seed))
+
+
+# the pool choice ------------------------------------------------------------------
+
+
+def pool_calls(monkeypatch):
+    """Names of the pools DLA calls, in order."""
+    calls = []
+    for name in ("observation_pool", "gated_attention_pool"):
+        def spy(*args, _name=name, _op=getattr(tada.dla, name), **kwargs):
+            calls.append(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(tada.dla, name, spy)
+    return calls
+
+
+def test_pool_rule_sits_at_equal_weight_and_gate_counts():
+    # the observation pool while n_heads * N_max < D_eff * T_max
+    assert pools_by_observation(2, 59, 4, 30) and pools_by_observation(1, 119, 4, 30)
+    assert not pools_by_observation(2, 60, 4, 30) and not pools_by_observation(1, 120, 4, 30)
+    assert pools_by_observation(2, 0, 1, 1) and not pools_by_observation(3, 12, 12, 3)
+
+
+def test_a_batch_takes_the_pool_its_sizes_choose(monkeypatch):
+    # two heads and four features: two observations on each of T steps give
+    # 2 * 2T = 4T, the boundary, where the gate block wins; one observation
+    # fewer moves the batch onto the observation pool
+    calls = pool_calls(monkeypatch)
+    model = tiny_model(n_features=4, n_heads=2)
+    T = 6
+    full = [(k / T, [(k % 4, 1.0), ((k + 1) % 4, -1.0)]) for k in range(T)]
+    for spec, want in ((full, "gated_attention_pool"),
+                       (full[:-1] + [(1.0, [(0, 0.5)])], "observation_pool")):
+        prep = model.prepare(build_series(spec))
+        assert (len(prep.feat_idx), prep.t_max) == (2 * T - (want == "observation_pool"), T)
+        model.batch_loss([prep, prep])
+        assert calls.pop() == want and not calls
+    # setting2 pools its step embeddings on the block however sparse the batch
+    model = tiny_model(n_features=4, n_heads=2, keyvalue_variant="setting2")
+    model.batch_loss([model.prepare(build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 1.0)])]))])
+    assert calls == ["gated_attention_pool"]
+
+
+def test_a_batch_without_observations_pools_zero_rows(monkeypatch):
+    # every step empty, as a series built in code may be: N_max = 0 on the
+    # observation pool, zero pooled rows on both pools, so the grid is dla.out.b
+    model = tiny_model(n_features=3)
+    redraw_params(model, seed=3)
+    empty = [model.prepare(build_series([(t, []) for t in times], sid=f"e{i}"))
+             for i, times in enumerate(([0.0, 0.5, 1.0], [0.0, 1.0]))]
+    X = collate(empty)
+    assert len(X.feat_idx) == 0
+    calls = pool_calls(monkeypatch)
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        grid = dla_forward(model.params, X, model.cfg, te_forward(model.params, X, model.cfg),
+                           keep_attention=True)
+        want = np.broadcast_to(model.params["dla.out.b"].data, grid.grid.shape)
+        np.testing.assert_array_equal(grid.grid.data, want)
+        assert all(np.all(m == 0.0) for m in grid.attention)
+        assert [m.shape[2] for m in grid.attention] == [3, 2]
+        for p in model.params.values():
+            p.grad = None
+        model.batch_loss(empty).backward()
+        assert np.all(np.isfinite(model.params["dla.k.w"].grad))
+    assert calls == ["observation_pool", "observation_pool",
+                     "gated_attention_pool", "gated_attention_pool"]

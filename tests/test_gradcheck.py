@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import tada.dla
 import tada.tensor
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
@@ -28,6 +29,8 @@ def test_report_bookkeeping():
     assert set(rep.per_param) == {"p", "q"}
     assert rep.n_elements == 3
     assert rep.max_rel_error == max(rep.per_param.values())
+    assert rep.raw_per_param.keys() == rep.per_param.keys()
+    assert all(rep.raw_per_param[k] >= rep.per_param[k] for k in rep.per_param)
     name = rep.worst().split(":")[0]
     assert name in {"p", "q"}
 
@@ -44,6 +47,8 @@ def test_rounding_noise_on_a_tiny_gradient_passes():
     p = Tensor(np.array([0.3, -0.7]), requires_grad=True)
     rep = grad_check(lambda: tsum(mul(p, 1e-10)) + 1e3, {"p": p})
     assert rep.max_rel_error < 1e-6
+    # the report still shows that noise, before the slack is subtracted
+    assert rep.raw_per_param["p"] > 1e-3
 
 
 def test_kink_within_one_step_is_rechecked_at_a_tenth_of_it():
@@ -169,24 +174,72 @@ def _gate_slope_wrong(inner, g, args, out):
     return tuple(grads)
 
 
+def _observation_radius_gradient_dropped(inner, g, args, out):
+    return (inner(g)[0],) + (None,) * (len(out._parents) - 1)
+
+
+def _observation_terms(args):
+    """W = e G and the one-hot features of an observation pool's inputs."""
+    S, G, feat, D = args[0].data, args[1], args[2], args[4]
+    P = tada.tensor._observation_matrix(feat, None, D)
+    W, den, _, _ = tada.tensor._observation_exponents(S, G, P, D)
+    return W, den, P
+
+
+def _per_feature(g_s, factor, feat, D):
+    """sum over b, h, l and each feature's observations of g_s * factor."""
+    per_obs = (g_s.sum(axis=1) * factor).sum(axis=1)
+    return np.bincount(feat.reshape(-1), weights=per_obs.reshape(-1), minlength=D)
+
+
+def _observation_normalizer_dropped(inner, g, args, out):
+    # the observation pool's backward with the normalizer held constant
+    W, den, P = _observation_terms(args)
+    b = np.divide(g * out.data, den, out=np.zeros_like(den), where=den > 0.0)
+    grads = list(inner(g))
+    extra = W * np.matmul(b, P.transpose(0, 2, 1)[:, None])
+    grads[0] = grads[0] + extra
+    if len(grads) == 2:         # the radii's share, through dG / dr = G (1 - G) / tau
+        grads[1] = grads[1] + _per_feature(extra, 1.0 - args[1], args[2], args[4]) / args[6]
+    return tuple(grads)
+
+
+def _observation_gate_slope_wrong(inner, g, args, out):
+    # G in place of the slope G (1 - G): sum g_S / tau in place of sum g_S (1 - G) / tau
+    grads = list(inner(g))
+    if len(grads) == 2:
+        grads[1] = grads[1] + _per_feature(grads[0], args[1], args[2], args[4]) / args[6]
+    return tuple(grads)
+
+
+# name: (op, fault, the DLA kernel the batch is forced onto, or None)
 MUTANTS = {
-    "relu-zeroed": ("relu", lambda inner, g, args, out: (np.zeros_like(g),)),
-    "mul-flipped": ("mul", lambda inner, g, args, out: (-inner(g)[0], inner(g)[1])),
-    "softmax-gate-dropped": ("gated_attention_pool", _radius_gradient_dropped),
+    "relu-zeroed": ("relu", lambda inner, g, args, out: (np.zeros_like(g),), None),
+    "mul-flipped": ("mul", lambda inner, g, args, out: (-inner(g)[0], inner(g)[1]), None),
+    "softmax-gate-dropped": ("gated_attention_pool", _radius_gradient_dropped, "block"),
     "segment-softmax-uncentered": ("segment_softmax",
-                                   lambda inner, g, args, out: (g * out.data,)),
-    "pool-normalizer-dropped": ("gated_attention_pool", _pool_normalizer_dropped),
-    "gate-slope-wrong": ("gated_attention_pool", _gate_slope_wrong),
-    "gather-assigns": ("gather", _gather_assigning),
+                                   lambda inner, g, args, out: (g * out.data,), None),
+    "pool-normalizer-dropped": ("gated_attention_pool", _pool_normalizer_dropped, "block"),
+    "gate-slope-wrong": ("gated_attention_pool", _gate_slope_wrong, "block"),
+    "observation-softmax-gate-dropped": ("observation_pool",
+                                         _observation_radius_gradient_dropped, "observation"),
+    "observation-pool-normalizer-dropped": ("observation_pool",
+                                            _observation_normalizer_dropped, "observation"),
+    "observation-gate-slope-wrong": ("observation_pool", _observation_gate_slope_wrong,
+                                     "observation"),
+    "gather-assigns": ("gather", _gather_assigning, None),
     "matmul-scaled": ("matmul",
                       lambda inner, g, args, out: tuple(None if x is None else x * (1 + 1e-3)
-                                                        for x in inner(g))),
+                                                        for x in inner(g)), None),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_end_to_end_check_fails_every_engine_mutant(mutant, monkeypatch):
-    name, fault = MUTANTS[mutant]
+    name, fault, kernel = MUTANTS[mutant]
+    if kernel is not None:
+        monkeypatch.setattr(tada.dla, "pools_by_observation",
+                            lambda *sizes: kernel == "observation")
     original = getattr(tada.tensor, name)
     mutated = _with_backward(original, fault)
     for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "tada"]:

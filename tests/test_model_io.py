@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -48,6 +49,14 @@ def test_constructor_rejects_bad_shapes():
         tiny_model(n_classes=1)
     with pytest.raises(ConfigError, match="divisible"):
         tiny_model(n_queries=6, patch_size=4)
+    # a NaN compares False with 0, so a bare "<= 0" check let it through
+    for value in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="^config: lr must be > 0$"):
+            tiny_model(lr=value)
+    for name in ("gate_temperature", "adam_eps"):
+        for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^config: {name} must be finite and > 0$"):
+                tiny_model(**{name: value})
 
 
 def test_prepare_validates_labels():

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_nodes
+from helpers import graph_nodes, mask_observations
 from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
                        weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import _gates, anchor_times
+from tada.dla import _gates, _observation_gates, anchor_times
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
     Tensor,
+    _observation_exponents,
+    _observation_matrix,
     _pool_exponents,
     _sigmoid,
     add,
@@ -27,6 +29,8 @@ from tada.tensor import (
     gather,
     matmul,
     mul,
+    observation_attention_weights,
+    observation_pool,
     relu,
     reshape,
     segment_softmax,
@@ -178,6 +182,24 @@ def test_gather_backward_accumulates_duplicates():
     x = Tensor(np.ones((3, 2)), requires_grad=True)
     tsum(mul(gather(x, [0, 0, 2]), 2.0)).backward()
     np.testing.assert_array_equal(x.grad, [[4.0, 4.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(0, 3), st.lists(st.integers(-6, 5), max_size=20),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_gather_backward_sums_in_index_order_as_add_at(n, k, index, axis, seed):
+    # the bincount backward adds each row's duplicates in index order, from
+    # zero, as np.add.at did: the same bits, on a leading or inner axis,
+    # with negative indices and an empty index
+    idx = np.array([i for i in index if -n <= i < n], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    shape = (n, k) if axis == 0 else (2, n, k)
+    out = gather(Tensor(rng.normal(size=shape), requires_grad=True), idx, axis=axis)
+    g = rng.normal(size=out.shape)
+    want = np.zeros(shape)
+    np.add.at(np.moveaxis(want, axis, 0), idx % n, np.moveaxis(g, axis, 0))
+    got = out._backward(g)[0]
+    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def masked_softmax(scores, mask):
@@ -736,3 +758,145 @@ def test_gated_attention_pool_forms_no_head_anchor_feature_step_array():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] < dense_bytes < peaks[1], peaks
+
+
+# observation pool ----------------------------------------------------------------
+
+
+def observation_window_pool(scores, values, radii, times, mask, cfg):
+    """``observation_pool`` under the window gates of ``radii`` at the
+    observations of the (B, 1, D, T) ``mask``, with its scores gathered from
+    the (B, H, L, T) ``scores`` so that their gradient lands there: the
+    observation layout of ``window_pools``' inputs."""
+    B, H, L, T = scores.shape
+    D = mask.shape[2]
+    obs = mask_observations(mask[:, 0].transpose(0, 2, 1), values.data[:, 0].transpose(0, 2, 1))
+    N = obs.feat.shape[1]
+    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
+
+    def pool():
+        rows = reshape(transpose(scores, (0, 3, 1, 2)), (B * T, H * L))
+        at_obs = transpose(reshape(gather(rows, obs.step.reshape(-1)), (B, N, H, L)),
+                           (0, 2, 3, 1))
+        gates = _observation_gates(radii.data, times.reshape(-1), obs, anchor_times(L), cfg)
+        return observation_pool(at_obs, gates, obs.feat, obs.values, D, radii, tau)
+
+    return pool, obs
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("learn_radii", [False, True])
+def test_observation_pool_matches_the_dense_reference(mode, learn_radii):
+    # steps hold up to three observations, and the last sample's last two
+    # steps are padding
+    rng = np.random.default_rng(24)
+    for trial in range(6):
+        tau = (0.01, 0.05)[trial % 2]
+        scores, values, radii, times, mask = inputs = pool_inputs(rng, learn_radii, False)
+        assert mask.sum(axis=2).max() > 1
+        _, reference = window_pools(*inputs, window(mode, tau))
+        pool, obs = observation_window_pool(*inputs, window(mode, tau))
+        coeff = rng.normal(size=(2, 2, 3, 4))
+        out, grads = pool_results(pool, (scores, radii), coeff)
+        want, want_grads = pool_results(reference, (scores, radii), coeff)
+        assert max_rel_diff(out, want) <= 1e-12
+        np.testing.assert_array_equal(out[..., 0], 0.0)
+        assert [g is None for g in grads] == [False, not (learn_radii and mode == "soft")]
+        for g, w in zip(grads, want_grads):
+            if g is not None:
+                assert max_rel_diff(g, w) <= 1e-12, (mode, tau, trial)
+        # each observation's weight is the dense weight at its step and feature
+        B, H, L, T = scores.shape
+        gates = _observation_gates(radii.data, times.reshape(-1), obs, anchor_times(L),
+                                   window(mode, tau))
+        at_obs = scores.data.transpose(0, 3, 1, 2).reshape(B * T, H, L)[obs.step]
+        weights = observation_attention_weights(at_obs.transpose(0, 2, 3, 1), gates,
+                                                obs.feat, 4)
+        dense = gated_attention_weights(
+            scores.data, _gates(radii.data, times, anchor_times(L), window(mode, tau), mask))
+        for b in range(B):
+            live = obs.live[b]
+            ref = dense[b][:, :, obs.feat[b, live], obs.step[b, live] - b * T]
+            assert max_rel_diff(weights[b][..., live], ref) <= 1e-12
+            assert np.all(weights[b][..., ~live] == 0.0)
+
+
+def test_grad_observation_pool_all_inputs():
+    rng = np.random.default_rng(25)
+    scores, values, radii, times, mask = inputs = pool_inputs(rng, value_grad=False)
+    pool, _ = observation_window_pool(*inputs, window("soft"))
+    coeff = rng.normal(size=(2, 2, 3, 4))
+    assert_grads_match(lambda: tsum(mul(pool(), coeff)), {"scores": scores, "radii": radii})
+
+
+def test_observation_pool_rejects_mismatched_shapes():
+    s, g = Tensor(np.ones((1, 2, 3, 5))), np.ones((1, 3, 5))
+    f, v, r = np.zeros((1, 5), dtype=np.int64), np.ones((1, 5)), Tensor(np.ones(4))
+    observation_pool(s, g, f, v, 4, r, 0.05)
+    for bad in ((Tensor(np.ones((1, 2, 3, 4))), g, f, v, 4), (s, np.ones((1, 2, 5)), f, v, 4),
+                (s, g, np.zeros((1, 4), dtype=np.int64), v, 4), (s, g, f, np.ones((1, 4)), 4),
+                (s, g, f + 4, v, 4), (s, g, f - 1, v, 4),
+                (s, g, f, v, 4, Tensor(np.ones(3)), 0.05)):
+        with pytest.raises(DimensionError, match="observation_pool"):
+            observation_pool(*bad)
+
+
+def test_observation_pool_without_observations_gives_zero_rows():
+    # a batch whose samples hold steps but no observation: N_max = 0
+    B, H, L, D = 2, 2, 3, 4
+    scores = Tensor(np.ones((B, H, L, 0)), requires_grad=True)
+    radii = Tensor(np.full(D, 0.2), requires_grad=True)
+    out = observation_pool(scores, np.ones((B, L, 0)), np.zeros((B, 0), dtype=np.int64),
+                           np.ones((B, 0)), D, radii, 0.05)
+    assert out.shape == (B, H, L, D) and np.all(out.data == 0.0)
+    tsum(out).backward()
+    assert scores.grad.shape == (B, H, L, 0)
+    assert radii.grad.dtype == np.float64 and np.all(radii.grad == 0.0)
+    weights = observation_attention_weights(scores.data, np.ones((B, L, 0)),
+                                            np.zeros((B, 0), dtype=np.int64), D)
+    assert weights.shape == (B, H, L, 0)
+
+
+def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
+    # The observation-layout twin of the block pool's underflow test: feature
+    # 0 is observed only at step 0, whose score sets the shift of every
+    # (h, l); features 1 and 2 only at steps scoring `gap` lower, where that
+    # shift underflows their normalizers to zero (gap 1000) or to subnormals
+    # (gap 720).  Each such row must come out as its own softmax.
+    rng = np.random.default_rng(26)
+    B, H, L, D, T = 1, 2, 2, 3, 5
+    cfg = window("soft")
+    mask = np.zeros((B, T, D), dtype=bool)
+    mask[:, 0, 0] = True
+    mask[:, 1:, 1:] = True
+    obs = mask_observations(mask, np.full((B, T, D), 2.0))
+    feat, step = obs.feat, obs.step
+    for gap in (1000.0, 720.0):
+        s = np.zeros((B, H, L, T))
+        s[..., 1:] = -gap + rng.uniform(-1.0, 1.0, size=(B, H, L, T - 1))
+        g = np.zeros((B, L, D, T))
+        g[:, :, 0, 0] = 1.0
+        g[:, :, 1:, 1:] = rng.uniform(0.1, 1.0, size=(B, L, D - 1, T - 1))
+        s_obs, g_obs = s[..., step[0]], g[:, :, feat[0], step[0]]
+        out = observation_pool(Tensor(s_obs), g_obs, feat, obs.values, D).data
+        np.testing.assert_allclose(out, 2.0, rtol=1e-15)
+        M = _observation_matrix(feat, obs.values, D)
+        assert _observation_exponents(s_obs, g_obs, M, D)[2][3].tolist() == [1, 2] * (H * L)
+        ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(g[:, None])).data
+        weights = observation_attention_weights(s_obs, g_obs, feat, D)
+        assert max_rel_diff(weights, ref[0][:, :, feat[0], step[0]][None]) <= 1e-12, gap
+        # window gates with the same live entries
+        times = np.linspace(0.1, 0.9, T)[None]
+        scores = Tensor(s, requires_grad=True)
+        values = Tensor(rng.normal(size=(B, 1, D, T)))
+        radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
+        inputs = (scores, values, radii, times, g[:, :1] > 0.0)
+        pool, _ = observation_window_pool(*inputs, cfg)
+        _, reference = window_pools(*inputs, cfg)
+        coeff = rng.normal(size=(B, H, L, D))
+        got, grads = pool_results(pool, (scores, radii), coeff)
+        want, want_grads = pool_results(reference, (scores, radii), coeff)
+        assert max_rel_diff(got, want) <= 1e-12, gap
+        assert np.all(want_grads[1][1:] != 0.0)
+        for k, (a, b) in enumerate(zip(grads, want_grads)):
+            assert max_rel_diff(a, b) <= 1e-12, (gap, k)
