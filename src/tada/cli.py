@@ -21,6 +21,7 @@ from .config import RunConfig, load_config, parse_overrides
 from .data import (MAX_SYNTH_RATE, IrregularSeries, Observation, SynthConfig, TimeStep,
                    load_dataset, read_data_manifest, split_dataset,
                    synth_generate, write_data_manifest, write_dataset)
+from .dla import anchor_times
 from .errors import ConfigError, DataError, EvaluationError, TadaError
 from .gradcheck import grad_check
 from .model import TadaModel
@@ -123,6 +124,8 @@ def cmd_synth(args) -> int:
 # convert ---------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
+    if args.window < 1:
+        raise ConfigError("--window must be >= 1")
     samples, manifest = convert_uci_activity(args.csv, window=args.window)
     ratios = _floats(args.ratios)
     tr, va, te = split_dataset(samples, ratios, seed=args.seed, stratify=False)
@@ -320,9 +323,8 @@ def cmd_export_attention(args) -> int:
             raise EvaluationError(f"export-attention: split {args.split!r} is empty")
         sample = samples[0]
     prep = model.prepare(sample)
-    _, grid = model.forward(prep, keep_attention=True, params=model.detached())
-    radii = grid.radii
-    attention = grid.attention[0]
+    attention = model.attention_maps(prep)[0]
+    anchors, radii = anchor_times(model.cfg.n_queries), model.radii()
     with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
         fh.write("head,query_index,anchor_time,time_index,time,feature,weight,window_radius\n")
         n_heads, L, T, d_eff = attention.shape
@@ -330,7 +332,7 @@ def cmd_export_attention(args) -> int:
             for i in range(L):
                 for j in range(T):
                     for d in range(d_eff):
-                        fh.write(f"{h},{i},{float(grid.anchors[i])!r},{j},"
+                        fh.write(f"{h},{i},{float(anchors[i])!r},{j},"
                                  f"{float(prep.times[j])!r},{d},"
                                  f"{float(attention[h, i, j, d])!r},"
                                  f"{float(radii[d])!r}\n")

@@ -161,11 +161,17 @@ def read_data_manifest(data_dir: str) -> dict:
             man = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read dataset manifest {path}: {e}") from None
+    if not isinstance(man, dict):
+        raise DataError(f"dataset manifest {path} must be a JSON object")
     for key in ("D", "task", "n_classes"):
         if key not in man:
             raise DataError(f"dataset manifest missing key '{key}'")
     if man["task"] not in ("sequence", "step"):
         raise DataError(f"dataset manifest task must be sequence or step, got {man['task']!r}")
+    for key, low in (("D", 1), ("n_classes", 2)):
+        if type(man[key]) is not int or man[key] < low:
+            raise DataError(f"dataset manifest {key} must be an integer >= {low}, "
+                            f"got {man[key]!r}")
     return man
 
 

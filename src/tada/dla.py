@@ -7,9 +7,9 @@ can learn wider windows.  Scaled dot-product scores are shared across
 features; the window gate and the observation mask select which
 recordings a given (anchor, feature) pair may attend to.  The gates are
 plain arrays outside the autodiff graph, and the pools form the radii's
-gradient themselves, so no gate gradient and no (B, heads, L, D, T)
-attention weights exist; the weights are formed only when
-``keep_attention`` asks for them.
+gradient themselves, so the forward builds no gate gradient and no
+(B, heads, L, D, T) attention weights.  ``attention_maps`` forms those
+weights apart from the forward, for attention export.
 
 A batch pools in one of two layouts, chosen per batch from its sizes by
 ``pools_by_observation``:
@@ -37,17 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gated_attention_weights,
-                     gather, matmul, mul, observation_attention_weights, observation_pool,
-                     reshape, softplus, transpose)
-
-
-@dataclass
-class RegularizedGrid:
-    grid: Tensor                        # (B, L, patch_channels)
-    anchors: np.ndarray                 # (L,)
-    radii: np.ndarray                   # (D_eff,) current window radii
-    attention: list[np.ndarray] | None  # per sample (heads, L, T_b, D_eff), if retained
+from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gather, matmul, mul,
+                     observation_pool, reshape, softplus, transpose)
 
 
 def anchor_times(n_queries: int) -> np.ndarray:
@@ -55,15 +46,13 @@ def anchor_times(n_queries: int) -> np.ndarray:
     return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
-def _window(t: np.ndarray, r: np.ndarray, anchors: np.ndarray, cfg) -> np.ndarray:
-    """Window gates of step times ``t`` under radii ``r`` (broadcast against
-    each other) at the (L,) anchors, on a new axis that ``anchors[:, None]``
-    puts before the last one.
+def _window(t: np.ndarray, r: np.ndarray, a: np.ndarray, cfg) -> np.ndarray:
+    """Window gates of step times ``t`` under radii ``r`` at anchor times
+    ``a``, all three broadcast against each other.
 
     Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
     soft mode is sigmoid((radius - |t - anchor|) / tau).
     """
-    a = anchors[:, None]
     if cfg.window_mode == "hard":
         return ((t >= a - r) & (t <= a + r)).astype(np.float64)
     return _sigmoid((r + (-np.abs(t - a))) * (1.0 / cfg.gate_temperature))
@@ -72,18 +61,13 @@ def _window(t: np.ndarray, r: np.ndarray, anchors: np.ndarray, cfg) -> np.ndarra
 def _gates(radii: np.ndarray, times: np.ndarray, anchors: np.ndarray, cfg,
            obs_mask: np.ndarray) -> np.ndarray:
     """(B, L, D_eff, T) window gate x observation mask for (D_eff,) radii,
-    (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask.
-
-    Evaluated only at the (b, d, t) entries the mask keeps, for all anchors
-    at once; every other entry is zero.  A plain array: the pool gives the
-    radii their gradient.
+    (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask,
+    evaluated by broadcast.  A plain array: the pool gives the radii their
+    gradient.
     """
-    (B, T), L, D = times.shape, len(anchors), len(radii)
-    b, d, t = np.nonzero(obs_mask[:, 0] & np.ones((D, 1), dtype=bool))   # mask to D_eff
-    kept = _window(times[b, t], radii[d], anchors, cfg)                # (L, K)
-    G = np.zeros((B, L, D * T))
-    G[b, :, d * T + t] = kept.T
-    return G.reshape(B, L, D, T)
+    G = _window(times[:, None, None], radii[:, None], anchors[:, None, None], cfg)
+    G *= obs_mask
+    return G
 
 
 @dataclass
@@ -118,7 +102,7 @@ def _observation_gates(radii: np.ndarray, times: np.ndarray, obs: ObservationSlo
                        anchors: np.ndarray, cfg) -> np.ndarray:
     """(B, L, N_max) window gates, one per observation, zero at padding, for
     (D,) radii and (B * T_max,) step times; evaluated by broadcast."""
-    G = _window(times[obs.step][:, None], radii[obs.feat][:, None], anchors, cfg)
+    G = _window(times[obs.step][:, None], radii[obs.feat][:, None], anchors[:, None], cfg)
     G *= obs.live[:, None]
     return G
 
@@ -132,77 +116,91 @@ def pools_by_observation(n_heads: int, n_max: int, d_eff: int, t_max: int) -> bo
     return n_heads * n_max < d_eff * t_max
 
 
-def dla_forward(params: dict, X, cfg, x_hat: Tensor | None,
-                keep_attention: bool = False) -> RegularizedGrid:
-    """Aggregate a batch onto the anchor grid; returns (B, L, patch_channels).
+def _projections(params: dict, X, cfg, x_hat: Tensor | None):
+    """The scaled (H, L, attn_dim) queries, the (B * T_max, H * attn_dim) key
+    rows of every step and the (D_eff,) radii as a Tensor.  dla.q.w and
+    dla.k.w hold one column block of width attn_dim per head."""
+    L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
+    keys = Tensor(X.values) if cfg.keyvalue_variant == "setting1" else x_hat
+    range_raw = params["dla.range_raw"]
+    if cfg.no_learnable_range:
+        range_raw = range_raw.detach()    # frozen radii keep their windows
+    q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
+                  (1, 0, 2))
+    q = mul(q, 1.0 / math.sqrt(A))
+    return q, matmul(keys, params["dla.k.w"]), softplus(range_raw)
+
+
+def _step_scores_and_gates(q: Tensor, key_rows: Tensor, radii: np.ndarray, X, cfg):
+    """(B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block on the
+    padded step layout, zero at unobserved entries and padded steps; setting2
+    observes every step of a sample."""
+    H, A = cfg.n_heads, cfg.attn_dim
+    B, T = len(X.lengths), X.t_max
+    if cfg.keyvalue_variant == "setting2":
+        obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]     # (B, 1, 1, T)
+    else:
+        obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D, T)
+    k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))        # (B, H, A, T)
+    gates = _gates(radii, X.times.reshape(B, T), anchor_times(cfg.n_queries), cfg, obs_mask)
+    return matmul(q, k), gates
+
+
+def dla_forward(params: dict, X, cfg, x_hat: Tensor | None) -> Tensor:
+    """Aggregate a batch onto the anchor grid: the (B, L, patch_channels) grid.
 
     ``X`` is a ``Batch`` and ``x_hat`` te's (B * T_max, embed_dim + 1) step
     rows on its padded layout.  Key rows are projected per step; all heads
-    run at once: dla.q.w and dla.k.w hold one column block of width
-    attn_dim per head.  A batch sparse enough for ``pools_by_observation``
-    gathers each observation's key row by its step and pools over
-    (B, H, L, N_max) scores with one gate per observation; any other batch,
-    and setting2 (whose values are the step embeddings themselves), pools
-    over (B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block.
+    run at once.  A batch sparse enough for ``pools_by_observation`` gathers
+    each observation's key row by its step and pools over (B, H, L, N_max)
+    scores with one gate per observation; any other batch, and setting2
+    (whose values are the step embeddings themselves), pools over
+    (B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block.
     Padding slots and padded steps get a zero gate in every mode, so each
     sample pools over its own observations or steps only.
     """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
     setting2 = cfg.keyvalue_variant == "setting2"
-    keys = Tensor(X.values) if cfg.keyvalue_variant == "setting1" else x_hat
-    d_eff = keys.shape[1] if setting2 else X.values.shape[1]
-    range_raw = params["dla.range_raw"]
-    if cfg.no_learnable_range:
-        range_raw = range_raw.detach()    # frozen radii keep their windows
-    radii = softplus(range_raw)
-    anchors = anchor_times(L)
+    d_eff = x_hat.shape[1] if setting2 else X.values.shape[1]
     tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
-    q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
-                  (1, 0, 2))
-    q = mul(q, 1.0 / math.sqrt(A))                                    # (H, L, A), scaled
-    key_rows = matmul(keys, params["dla.k.w"])                        # (B * T_max, H * A)
+    q, key_rows, radii = _projections(params, X, cfg, x_hat)
     obs = None if setting2 else observation_slots(X)
-    if obs is not None and not pools_by_observation(H, obs.feat.shape[1], d_eff, T):
-        obs = None
-    if obs is not None:
+    if obs is not None and pools_by_observation(H, obs.feat.shape[1], d_eff, T):
         N = obs.feat.shape[1]
         k = transpose(reshape(gather(key_rows, obs.step.reshape(-1)), (B, N, H, A)),
                       (0, 2, 3, 1))                                   # (B, H, A, N_max)
-        scores = matmul(q, k)                                         # (B, H, L, N_max)
-        gates = _observation_gates(radii.data, X.times, obs, anchors, cfg)
-        head_outs = observation_pool(scores, gates, obs.feat, obs.values, d_eff, radii, tau)
+        gates = _observation_gates(radii.data, X.times, obs, anchor_times(L), cfg)
+        head_outs = observation_pool(matmul(q, k), gates, obs.feat, obs.values, d_eff,
+                                     radii, tau)
     else:
-        if setting2:
-            values = reshape(x_hat, (B, T, -1))
-            # every step of a sample, observed or not
-            obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]   # (B, 1, 1, T)
-        else:
-            values = Tensor(X.values.reshape(B, T, -1))
-            obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D, T)
+        values = reshape(x_hat, (B, T, -1)) if setting2 \
+            else Tensor(X.values.reshape(B, T, -1))
         values4 = transpose(values, (0, 2, 1))
         values4 = reshape(values4, (B, 1) + values4.shape[1:])        # (B, 1, D_eff, T)
-        k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))  # (B, H, A, T)
-        scores = matmul(q, k)                                         # (B, H, L, T)
-        gates = _gates(radii.data, X.times.reshape(B, T), anchors, cfg, obs_mask)
+        scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
         head_outs = gated_attention_pool(scores, gates, values4, radii, tau)
     stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
-    out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
-    attention = _attention_maps(scores.data, gates, obs, X) if keep_attention else None
-    return RegularizedGrid(grid=out, anchors=anchors, radii=radii.data, attention=attention)
+    return add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
 
 
-def _attention_maps(scores: np.ndarray, gates: np.ndarray, obs: ObservationSlots | None,
-                    X) -> list[np.ndarray]:
-    """Per-sample (H, L, T_b, D_eff) attention weights of either pool."""
-    if obs is None:
-        weights = gated_attention_weights(scores, gates)              # (B, H, L, D, T)
-        return [np.transpose(w[..., :n], (0, 1, 3, 2)) for w, n in zip(weights, X.lengths)]
-    weights = observation_attention_weights(scores, gates, obs.feat, X.values.shape[1])
-    maps = []
-    for b, n in enumerate(X.lengths):
-        m = np.zeros(weights.shape[1:3] + (n, X.values.shape[1]))
-        live = obs.live[b]
-        m[:, :, obs.step[b, live] - b * X.t_max, obs.feat[b, live]] = weights[b][..., live]
-        maps.append(m)
-    return maps
+def attention_maps(params: dict, X, cfg, x_hat: Tensor | None) -> list[np.ndarray]:
+    """Each sample's (H, L, T_b, D_eff) attention weights, on ``dla_forward``'s
+    inputs: the weight of step t in the (h, l, d) row, whose weighted sum of
+    feature d's values is that head's pooled output at anchor l.
+
+    Formed on the padded step layout whichever pool the batch's forward
+    takes, with each (b, h, l, d) row shifted by the maximum of its own live
+    scores, so no row underflows.  Builds the dense (B, H, L, D_eff, T_max)
+    array, which the forward never does.
+    """
+    q, key_rows, radii = _projections(params, X, cfg, x_hat)
+    scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
+    G = gates[:, None]                                                # (B, 1, L, D, T)
+    S = np.where(G > 0.0, scores.data[:, :, :, None], -np.inf)       # (B, H, L, D, T)
+    c = S.max(axis=-1, keepdims=True, initial=-np.inf)
+    c[~np.isfinite(c)] = 0.0
+    u = np.exp(S - c) * G
+    z = u.sum(axis=-1, keepdims=True)
+    w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
+    return [np.transpose(w_b[..., :n], (0, 1, 3, 2)) for w_b, n in zip(w, X.lengths)]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import RunConfig, coerce_fields
 from .data import IrregularSeries, observation_arrays, unit_times
-from .dla import RegularizedGrid, dla_forward
+from .dla import attention_maps, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
 from .mixer import classify, fuse, pool_stack, run_mixer
@@ -253,8 +253,14 @@ class TadaModel:
 
     # forward ------------------------------------------------------------------
 
-    def forward(self, X: Batch, keep_attention: bool = False, params: dict | None = None
-                ) -> tuple[Tensor, RegularizedGrid | None]:
+    def _dla_keys(self, params: dict, X: Batch) -> Tensor | None:
+        """te's step rows, on which DLA keys (and setting2 pools); setting1
+        keys on the raw values and runs no te."""
+        if self.cfg.keyvalue_variant == "setting1":
+            return None
+        return te_forward(params, X, self.cfg)
+
+    def forward(self, X: Batch, params: dict | None = None) -> Tensor:
         """One graph for the whole batch: (B, R_max, n_classes) logits, where
         sample b's rows past ``X.label_counts[b]`` are padding.
 
@@ -270,24 +276,22 @@ class TadaModel:
             embeds = reshape(te_forward(params, X, cfg, with_time=False),
                              (len(X.lengths), X.t_max, -1))
             pool = Tensor(pool_stack([(int(n), cfg.n_queries) for n in X.lengths]))
-            grid_tensor = matmul(matmul(pool, embeds), params["grid.proj.w"]) \
-                + params["grid.proj.b"]
-            grid = None
+            grid = matmul(matmul(pool, embeds), params["grid.proj.w"]) + params["grid.proj.b"]
         else:
-            x_hat = None
-            if cfg.keyvalue_variant != "setting1":
-                x_hat = te_forward(params, X, cfg)
-            grid = dla_forward(params, X, cfg, x_hat, keep_attention)
-            grid_tensor = grid.grid
-        outs = [grid_tensor] if cfg.no_mixer else run_mixer(grid_tensor, params, cfg)
-        fused = fuse(outs, params, cfg)
-        logits = classify(fused, params, X.label_counts)
-        return logits, grid
+            grid = dla_forward(params, X, cfg, self._dla_keys(params, X))
+        outs = [grid] if cfg.no_mixer else run_mixer(grid, params, cfg)
+        return classify(fuse(outs, params, cfg), params, X.label_counts)
+
+    def attention_maps(self, X: Batch) -> list[np.ndarray]:
+        """Each sample's (n_heads, L, T_b, D_eff) DLA attention weights, from
+        the model's parameters as constants."""
+        params = self.detached()
+        return attention_maps(params, X, self.cfg, self._dla_keys(params, X))
 
     def batch_loss(self, preps: list[Batch]) -> Tensor:
         """Mean over the samples of each sample's mean cross-entropy."""
         X = collate(preps)
-        logits, _ = self.forward(X)
+        logits = self.forward(X)
         return cross_entropy_with_logits(logits, X.labels, X.label_counts)
 
     def sample_loss(self, prep: Batch) -> Tensor:
@@ -302,7 +306,7 @@ class TadaModel:
         """Every sample's logit rows, stacked in list order, from a forward
         that builds no graph."""
         X = collate(preps)
-        out, _ = self.forward(X, params=self.detached())
+        out = self.forward(X, params=self.detached())
         return out.data[np.arange(out.shape[1]) < X.label_counts[:, None]]
 
     def logits(self, prep: Batch) -> np.ndarray:

@@ -521,29 +521,19 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
     return _node(out, (s, v, r) if learn_r else (s, v), backward)
 
 
-def gated_attention_weights(scores: Array, gates: Array) -> Array:
-    """(B, H, L, D, T) weights of ``gated_attention_pool``: its output is the
-    weighted sum of the values over t.  Builds the dense map; only attention
-    export needs it."""
-    e, den, redo, e_redo = _pool_exponents(scores, gates)
-    u = e[:, :, :, None, :] * gates[:, None]
-    u[redo] = e_redo * gates[redo[0], redo[2], redo[3]]
-    return np.divide(u, den[..., None], out=np.zeros_like(u), where=den[..., None] > 0.0)
-
-
 def _observation_exponents(S: Array, G: Array, M: Array, D: int):
     """Gated exponents and column sums of an observation pool.
 
     W = e G (B, H, L, N) with e = exp(S - c) at the observations the
     anchor's gates leave live, 0 elsewhere, and one shift c per (b, h, l):
-    the maximum live score.  ``sums`` (B, H, L, k) = W @ M for a per-sample
-    (N, k) matrix M whose first D columns are the one-hot features: its
-    first D columns are the normalizers.  A row (b, h, l, d) whose own live
-    scores all sit far below c underflows there, so every row with a live
-    gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its own
-    shift: ``redo`` indexes those rows, ``w_redo`` (R, N) holds their gated
-    exponents, zero off feature d, and ``sums`` their column sums; both are
-    None when no row underflows.
+    the maximum live score.  ``sums`` (B, H, L, 2D) = W @ M for the
+    per-sample (N, 2D) matrix M of ``_observation_matrix``: its first D
+    columns are the normalizers, its last D the numerators.  A row
+    (b, h, l, d) whose own live scores all sit far below c underflows there,
+    so every row with a live gate and a normalizer under ``_POOL_UNDERFLOW``
+    is redone with its own shift: ``redo`` indexes those rows, ``w_redo``
+    (R, N) holds their gated exponents, zero off feature d, and ``sums``
+    their two column sums; both are None when no row underflows.
     """
     B, H, L, N = S.shape
     live = G > 0.0                                               # (B, L, N)
@@ -561,20 +551,19 @@ def _observation_exponents(S: Array, G: Array, M: Array, D: int):
     b, h, l, d = redo
     s_redo = np.where(live[b, l] & (M[b, :, d] > 0.0), S[b, h, l], -np.inf)
     w_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True)) * G[b, l]
-    for j in range(0, M.shape[-1], D):
-        sums[b, h, l, j + d] = (w_redo * M[b, :, j + d]).sum(axis=-1)
+    sums[b, h, l, d] = (w_redo * M[b, :, d]).sum(axis=-1)
+    sums[b, h, l, D + d] = (w_redo * M[b, :, D + d]).sum(axis=-1)
     return W, sums, redo, w_redo
 
 
-def _observation_matrix(feat: Array, values: Array | None, D: int) -> Array:
-    """(B, N, D) one-hot features, or (B, N, 2D) [one-hot | one-hot * value]."""
+def _observation_matrix(feat: Array, values: Array, D: int) -> Array:
+    """(B, N, 2D) [one-hot(feature) | one-hot(feature) * value]."""
     B, N = feat.shape
-    k = D if values is None else 2 * D
+    k = 2 * D
     M = np.zeros((B, N, k))
     at = np.arange(0, B * N * k, k) + feat.reshape(-1)
     M.reshape(-1)[at] = 1.0
-    if values is not None:
-        M.reshape(-1)[at + D] = values.reshape(-1)
+    M.reshape(-1)[at + D] = values.reshape(-1)
     return M
 
 
@@ -644,20 +633,6 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
         return g_s, g_r * (1.0 / temperature)
 
     return _node(out, (s, r) if learn_r else (s,), backward)
-
-
-def observation_attention_weights(scores: Array, gates: Array, feat: Array,
-                                  n_features: int) -> Array:
-    """(B, H, L, N) weights of ``observation_pool``: each observation's share
-    of its feature's row.  Only attention export needs them."""
-    M = _observation_matrix(np.asarray(feat, dtype=np.int64), None, n_features)
-    W, den, redo, w_redo = _observation_exponents(scores, gates, M, n_features)
-    if redo is not None:
-        b, h, l, d = redo
-        np.multiply.at(W, (b, h, l), M[b, :, d] == 0.0)    # a redone row's own observations
-        np.add.at(W, (b, h, l), w_redo)
-    den_obs = np.matmul(den, M.transpose(0, 2, 1)[:, None])     # each observation's row
-    return np.divide(W, den_obs, out=np.zeros_like(W), where=den_obs > 0.0)
 
 
 def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from tada.data import IrregularSeries, TimeStep
-from tada.dla import RegularizedGrid, anchor_times
+from tada.dla import anchor_times
 from tada.embedding import encode_observations, te_forward
 from tada.errors import DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
@@ -336,25 +336,11 @@ def sample_gated_attention_pool(scores, gates, values) -> Tensor:
     return _node(out, (s, gt, v), backward)
 
 
-def sample_gated_attention_weights(scores, gates):
-    """(H, L, D, T) weights of ``gated_attention_pool``: its output is the
-    weighted sum of the values over t.  Builds the dense map; only attention
-    export needs it."""
-    e, den, redo, e_redo = sample_pool_exponents(scores, gates)
-    u = e[:, :, None, :] * gates
-    u[redo] = e_redo * gates[redo[1], redo[2]]
-    return np.divide(u, den[..., None], out=np.zeros_like(u), where=den[..., None] > 0.0)
-
-
-def dense_dla_forward(params, prep, cfg, x_hat, keep_attention=False):
-    """One sample onto the anchor grid through dense (H, L, D, T) weights."""
-    return sample_dla_forward(params, prep, cfg, x_hat, keep_attention, dense=True)
-
-
-def sample_dla_forward(params, prep, cfg, x_hat, keep_attention=False, dense=False):
-    """One sample onto the anchor grid: an (L, C) grid and (H, L, T, D_eff) maps,
-    pooled by ``sample_gated_attention_pool`` or, with ``dense``, by the full
-    attention weights."""
+def sample_dla_forward(params, prep, cfg, x_hat, dense=False):
+    """One sample onto the anchor grid: its (L, C) grid, pooled by
+    ``sample_gated_attention_pool`` or, with ``dense``, by the full attention
+    weights, and with ``dense`` also those weights as (H, L, T, D_eff) maps
+    (None without)."""
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     T = len(prep.times)
     mask3 = prep.mask.T[None, :, :].astype(np.float64)
@@ -374,25 +360,20 @@ def sample_dla_forward(params, prep, cfg, x_hat, keep_attention=False, dense=Fal
     if cfg.no_learnable_range:
         range_raw = range_raw.detach()
     radii = softplus(range_raw)
-    anchors = anchor_times(L)
-    gates = sample_gates(radii, prep.times, anchors, cfg, obs_mask3)
+    gates = sample_gates(radii, prep.times, anchor_times(L), cfg, obs_mask3)
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))
     k = transpose(reshape(matmul(keys, params["dla.k.w"]), (T, H, A)), (1, 2, 0))
     scores = mul(matmul(q, k), 1.0 / math.sqrt(A))
+    maps = None
     if dense:
         w = weighted_masked_softmax(reshape(scores, (H, L, 1, T)), gates)
         head_outs = tsum(mul(w, values3), axis=3)
-        weights = w.data
+        maps = np.transpose(w.data, (0, 1, 3, 2))
     else:
         head_outs = sample_gated_attention_pool(scores, gates, values3)
-        weights = sample_gated_attention_weights(scores.data, gates.data) \
-            if keep_attention else None
     stacked = reshape(transpose(head_outs, (1, 0, 2)), (L, -1))
-    out = add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
-    return RegularizedGrid(
-        grid=out, anchors=anchors, radii=radii.data,
-        attention=np.transpose(weights, (0, 1, 3, 2)) if keep_attention else None)
+    return add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"]), maps
 
 
 def sample_fuse(outs, params, cfg):
@@ -412,8 +393,9 @@ def sample_fuse(outs, params, cfg):
     return add(matmul(h, params["fusion.w2"]), params["fusion.b2"])
 
 
-def forward(model, prep, keep_attention=False, dense=False):
-    """One sample's (R, n_classes) logits and its DLA grid (None without DLA).
+def forward(model, prep, dense=False):
+    """One sample's (R, n_classes) logits, and with ``dense`` its DLA maps
+    (None without DLA or without ``dense``).
 
     te and DLA run on the sample alone through the segment ops and
     ``sample_gated_attention_pool``, or with ``dense`` through the dense
@@ -421,23 +403,22 @@ def forward(model, prep, keep_attention=False, dense=False):
     """
     cfg, params = model.cfg, model.params
     te = dense_te_forward if dense else te_forward
+    maps = None
     if cfg.no_dla:
         embeds = te(params, prep, cfg, with_time=False)
         pool = adaptive_pool_matrix(len(prep.times), cfg.n_queries)
-        grid_tensor = matmul(Tensor(pool), embeds)
-        grid_tensor = matmul(grid_tensor, params["grid.proj.w"]) + params["grid.proj.b"]
-        grid = None
+        grid = matmul(Tensor(pool), embeds)
+        grid = matmul(grid, params["grid.proj.w"]) + params["grid.proj.b"]
     else:
         x_hat = None
         if cfg.keyvalue_variant != "setting1":
             x_hat = te(params, prep, cfg)
-        grid = sample_dla_forward(params, prep, cfg, x_hat, keep_attention, dense)
-        grid_tensor = grid.grid
-    outs = [grid_tensor] if cfg.no_mixer else run_mixer(grid_tensor, params, cfg)
+        grid, maps = sample_dla_forward(params, prep, cfg, x_hat, dense)
+    outs = [grid] if cfg.no_mixer else run_mixer(grid, params, cfg)
     fused = sample_fuse(outs, params, cfg)
     pooled = matmul(Tensor(adaptive_pool_matrix(fused.shape[0], len(prep.labels))), fused)
     logits = add(matmul(pooled, params["head.w"]), params["head.b"])
-    return logits, grid
+    return logits, maps
 
 
 def sample_loss(model, prep, dense=False):

@@ -17,7 +17,7 @@ from helpers import build_series, random_series, redraw_params, tiny_model
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.config import RunConfig
 from tada.data import SynthConfig, split_dataset, synth_generate
-from tada.dla import dla_forward
+from tada.dla import anchor_times, attention_maps, dla_forward
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.metrics import auprc, auroc
@@ -63,8 +63,7 @@ def _dla_check():
     x_hat = te_forward(model.params, prep, model.cfg)
     params = {k: p for k, p in model.params.items() if k.startswith("dla.")}
     rep = grad_check(
-        lambda: tsum(mul(dla_forward(model.params, collate([prep]), model.cfg, x_hat).grid,
-                         coeff)),
+        lambda: tsum(mul(dla_forward(model.params, collate([prep]), model.cfg, x_hat), coeff)),
         params, eps=3e-5)
     return rep.max_rel_error
 
@@ -133,11 +132,9 @@ def test_2_hard_window_locality():
                           n_features=n_feat, sid=f"acc2-{trial}")
         prep = model.prepare(s)
         x_hat = te_forward(model.params, prep, model.cfg)
-        grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat,
-                           keep_attention=True)
-        w = grid.attention[0]
+        w = attention_maps(model.params, collate([prep]), model.cfg, x_hat)[0]
         radii = model.radii()
-        for i, anchor in enumerate(grid.anchors):
+        for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \

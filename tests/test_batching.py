@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import build_series, redraw_params, tiny_model
+from helpers import DLA_KERNELS, build_series, force_dla_kernel, redraw_params, tiny_model
 from tada.model import collate
 
 N_FEATURES = 3
@@ -117,15 +117,16 @@ def test_a_longer_batch_mate_leaves_logits_unchanged(mode, task):
     check()
 
 
-def test_attention_maps_are_trimmed_to_each_sample():
+def test_attention_maps_are_trimmed_to_each_sample(monkeypatch):
     model = model_for("soft", "sequence")
     rng = np.random.default_rng(5)
     series = [build_series([(t, [(0, rng.normal()), (2, rng.normal())])
                             for t in np.sort(rng.uniform(size=n))], sid=f"s{n}")
               for n in (1, 6, 3)]
     preps = [model.prepare(s) for s in series]
-    _, grid = model.forward(collate(preps), keep_attention=True)
-    for prep, att in zip(preps, grid.attention):
-        _, want = reference.forward(model, prep, keep_attention=True)
-        assert att.shape == want.attention.shape
-        assert relative_error(att, want.attention) <= TOL
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        for prep, att in zip(preps, model.attention_maps(collate(preps))):
+            _, want = reference.forward(model, prep, dense=True)
+            assert att.shape == want.shape
+            assert relative_error(att, want) <= TOL

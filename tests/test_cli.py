@@ -1,20 +1,24 @@
 """Command line flows via main(), plus one real-process smoke test."""
 
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import reference
 import tada
 import tada.cli
 import tada.shards
 from tada.cli import main
 from tada.data import load_dataset, read_data_manifest
+from tada.dla import anchor_times
 from tada.errors import (ConfigError, DataError, DimensionError, EvaluationError, TadaError,
                          TrainingError, VerificationError)
 from tada.model import TadaModel
@@ -192,6 +196,29 @@ def test_convert_splits_windows(tmp_path, capsys):
     assert read_data_manifest(str(out)) == {"D": 12, "task": "step", "n_classes": 7}
     info = json.load(open(out / "convert_info.json"))
     assert info["n_samples"] == 10 and info["window_steps"] == 50
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_convert_rejects_a_window_below_one(tmp_path, window, capsys):
+    # 0 ended in a traceback, -1 in "no complete -1-step windows found"
+    csv_path = tmp_path / "activity.csv"
+    write_fixture(csv_path, n_steps=200)
+    rc = main(["convert", "--csv", str(csv_path), "--out", str(tmp_path / "out"),
+               "--window", window])
+    assert rc == 2
+    assert "error: --window must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [{"D": "2"}, {"D": 2.5}, {"D": True}, {"n_classes": "2"}])
+def test_train_rejects_a_manifest_of_the_wrong_types(tmp_path, data_dir, edit, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    man = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps({**man, **edit}))
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+              + set_args(TINY))
+    assert rc == 2
+    assert f"dataset manifest {next(iter(edit))} must be" in capsys.readouterr().err
 
 
 def test_train_writes_artifacts(run_dir, data_dir, capsys):
@@ -516,6 +543,28 @@ def read_attention_csv(path):
     return rows
 
 
+def assert_dump_is_the_dense_maps(out_csv, model_path, data_dir, window_mode=None):
+    """Every row of an export-attention dump of the test split's first sample
+    against the dense per-sample reference: weights to 1e-12 relative to the
+    largest, anchors, times and radii exactly."""
+    model = TadaModel.load(model_path)
+    if window_mode:
+        model.cfg = dataclasses.replace(model.cfg, window_mode=window_mode)
+    prep = model.prepare(load_dataset(os.path.join(data_dir, "test.jsonl"), model.n_features)[0])
+    x_hat = reference.dense_te_forward(model.params, prep, model.cfg)
+    _, maps = reference.sample_dla_forward(model.params, prep, model.cfg, x_hat, dense=True)
+    rows = read_attention_csv(out_csv)
+    index = [tuple(int(r[k]) for k in ("head", "query_index", "time_index", "feature"))
+             for r in rows]
+    assert index == [tuple(i) for i in np.ndindex(maps.shape)]
+    weights = np.array([float(r["weight"]) for r in rows]).reshape(maps.shape)
+    assert np.abs(weights - maps).max() <= 1e-12 * np.abs(maps).max()
+    anchors, radii = anchor_times(model.cfg.n_queries), model.radii()
+    for (h, i, j, d), r in zip(index, rows):
+        assert (float(r["anchor_time"]), float(r["time"]), float(r["window_radius"])) \
+            == (anchors[i], prep.times[j], radii[d])
+
+
 def test_export_attention_dump(tmp_path, data_dir, capsys):
     run = tmp_path / "run1q"
     one_query = TINY[:3] + ("n_queries=1", "patch_size=1", "merge_factor=1",
@@ -546,6 +595,7 @@ def test_export_attention_dump(tmp_path, data_dir, capsys):
             s = sum(float(r["weight"]) for r in rows
                     if r["head"] == h and r["feature"] == d)
             assert min(abs(s - 1.0), abs(s)) < 1e-9
+    assert_dump_is_the_dense_maps(out_csv, run / "model.bin", data_dir)
     # hard override still produces a normalized-or-empty dump
     rc = main(["export-attention", "--model", str(run / "model.bin"),
                "--data", data_dir, "--split", "test", "--out", str(out_csv),
@@ -553,6 +603,17 @@ def test_export_attention_dump(tmp_path, data_dir, capsys):
     assert rc == 0
     for r in read_attention_csv(out_csv):
         assert float(r["weight"]) >= 0.0
+    assert_dump_is_the_dense_maps(out_csv, run / "model.bin", data_dir, window_mode="hard")
+
+
+def test_export_attention_dump_of_a_setting2_model(tmp_path, data_dir, capsys):
+    run = tmp_path / "setting2"
+    assert main(["train", "--data", data_dir, "--out", str(run)]
+                + set_args(TINY + ("keyvalue_variant=setting2", "max_epochs=1"))) == 0
+    out_csv = tmp_path / "attn.csv"
+    assert main(["export-attention", "--model", str(run / "model.bin"),
+                 "--data", data_dir, "--out", str(out_csv)]) == 0
+    assert_dump_is_the_dense_maps(out_csv, run / "model.bin", data_dir)
 
 
 def test_export_attention_needs_local_attention(tmp_path, data_dir, capsys):

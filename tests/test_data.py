@@ -196,6 +196,18 @@ def test_data_manifest_round_trip(tmp_path):
     (tmp_path / "manifest.json").write_text('{"D": 4}')
     with pytest.raises(DataError, match="task"):
         read_data_manifest(str(tmp_path))
+    # wrong types ended in a TypeError, or in a label check naming True
+    for text, key in (('{"D": "4", "task": "step", "n_classes": 2}', "D"),
+                      ('{"D": 4.5, "task": "step", "n_classes": 2}', "D"),
+                      ('{"D": true, "task": "step", "n_classes": 2}', "D"),
+                      ('{"D": 0, "task": "step", "n_classes": 2}', "D"),
+                      ('{"D": 4, "task": "step", "n_classes": "2"}', "n_classes"),
+                      ('{"D": 4, "task": "step", "n_classes": false}', "n_classes"),
+                      ('{"D": 4, "task": "step", "n_classes": 1}', "n_classes"),
+                      ('[4, "step", 2]', "JSON object"), ('4', "JSON object")):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match=f"manifest.*{key}"):
+            read_data_manifest(str(tmp_path))
 
 
 # time normalization and masking ----------------------------------------------

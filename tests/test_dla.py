@@ -1,6 +1,5 @@
 """Dynamic local attention: windows, locality, and the anchor grid."""
 
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -15,7 +14,8 @@ from helpers import (DLA_KERNELS, build_series, force_dla_kernel, graph_nodes,
                      mask_observations, random_series, redraw_params, tiny_model)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import _gates, _observation_gates, anchor_times, dla_forward, pools_by_observation
+from tada.dla import (_gates, _observation_gates, anchor_times, attention_maps, dla_forward,
+                      pools_by_observation)
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
@@ -50,20 +50,31 @@ def observed(prep):
     return prep.mask
 
 
-def sample_dla(model, prep, x_hat, keep_attention=False):
-    """DLA on a batch of one, as that sample's (L, C) grid and (H, L, T, D) map."""
-    grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat, keep_attention)
-    return dataclasses.replace(
-        grid, grid=reshape(grid.grid, grid.grid.shape[1:]),
-        attention=None if grid.attention is None else grid.attention[0])
+def sample_dla(model, prep, x_hat):
+    """DLA on a batch of one, as that sample's (L, C) grid."""
+    grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat)
+    return reshape(grid, grid.shape[1:])
 
 
-def forward_grid(model, series, keep_attention=False):
+def sample_maps(model, prep, x_hat):
+    """That sample's (H, L, T, D) attention map."""
+    return attention_maps(model.params, collate([prep]), model.cfg, x_hat)[0]
+
+
+def dla_inputs(model, series):
     prep = model.prepare(series)
     x_hat = None
     if model.cfg.keyvalue_variant != "setting1":
         x_hat = te_forward(model.params, prep, model.cfg)
-    return sample_dla(model, prep, x_hat, keep_attention)
+    return prep, x_hat
+
+
+def forward_grid(model, series):
+    return sample_dla(model, *dla_inputs(model, series))
+
+
+def forward_maps(model, series):
+    return sample_maps(model, *dla_inputs(model, series))
 
 
 # anchors and window gates -----------------------------------------------------
@@ -164,9 +175,9 @@ def test_grid_shape_fixed_regardless_of_series_length():
     rng = np.random.default_rng(8)
     for n_steps in (1, 4, 9):
         grid = forward_grid(model, random_series(rng, n_steps, 3))
-        assert grid.grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
-        assert np.all(np.diff(grid.anchors) > 0)
-        assert np.all(np.isfinite(grid.grid.data))
+        assert grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
+        assert np.all(np.diff(anchor_times(model.cfg.n_queries)) > 0)
+        assert np.all(np.isfinite(grid.data))
 
 
 def test_radii_reported_as_softplus_of_raw():
@@ -175,15 +186,13 @@ def test_radii_reported_as_softplus_of_raw():
                                                    raw_radius(0.25),
                                                    raw_radius(0.7)])
     np.testing.assert_allclose(model.radii(), [0.1, 0.25, 0.7], atol=1e-15)
-    grid = forward_grid(model, build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 2.0)])]))
-    np.testing.assert_allclose(grid.radii, [0.1, 0.25, 0.7], atol=1e-15)
 
 
 def test_single_point_window_reproduces_the_raw_value():
     model = identity_head_model(window_mode="hard")
     model.params["dla.range_raw"].data = np.full(4, raw_radius(0.1))
     s = build_series([(0.0, [(0, -0.4)]), (0.5, [(2, 1.7)]), (1.0, [(0, 0.9)])])
-    grid = forward_grid(model, s).grid.data
+    grid = forward_grid(model, s).data
     # anchor 0.5, feature 2: exactly one in-window observed point
     assert grid[1, 2] == 1.7
     # anchor 0.25 sees nothing of feature 2; feature 3 is never observed
@@ -195,7 +204,7 @@ def test_unobserved_feature_stays_zero_in_every_mode():
     for mode in ("hard", "soft"):
         model = identity_head_model(window_mode=mode)
         s = build_series([(0.0, [(0, 1.0)]), (0.5, [(1, -2.0)]), (1.0, [(0, 0.3)])])
-        grid = forward_grid(model, s).grid.data
+        grid = forward_grid(model, s).data
         np.testing.assert_array_equal(grid[:, 2], 0.0)
         np.testing.assert_array_equal(grid[:, 3], 0.0)
 
@@ -209,7 +218,7 @@ def test_uniform_scores_average_the_window():
     model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.0, size=4)
     s = random_series(rng, n_steps=12, n_features=4)
     prep = model.prepare(s)
-    grid = forward_grid(model, s).grid.data
+    grid = forward_grid(model, s).data
     radii = model.radii()
     for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
         for d in range(4):
@@ -231,8 +240,7 @@ def test_hard_window_locality_and_weight_sums():
         s = random_series(rng, n_steps=int(rng.integers(2, 12)), n_features=3,
                           sid=f"loc-{trial}")
         prep = model.prepare(s)
-        grid = forward_grid(model, s, keep_attention=True)
-        w = grid.attention                     # (heads, L, T, D)
+        w = forward_maps(model, s)             # (heads, L, T, D)
         radii = model.radii()
         for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
             lo = np.maximum(0.0, anchor - radii)
@@ -251,40 +259,43 @@ def test_fully_masked_insertion_leaves_other_features_alone():
         model = identity_head_model(window_mode=mode)
         base = [(0.0, [(0, 1.0), (2, -0.5)]), (0.4, [(1, 2.0)]), (1.0, [(0, 0.3)])]
         extended = base[:2] + [(0.7, [(3, 9.9)])] + base[2:]
-        g_base = forward_grid(model, build_series(base)).grid.data
-        g_ext = forward_grid(model, build_series(extended)).grid.data
+        g_base = forward_grid(model, build_series(base)).data
+        g_ext = forward_grid(model, build_series(extended)).data
         # features 0..2 never observe the inserted step: their columns hold
         assert np.abs(g_base[:, :3] - g_ext[:, :3]).max() < 1e-12
         assert np.abs(g_ext[:, 3]).max() > 0.0
 
 
-def test_attention_maps_shape_and_retention():
+def test_attention_maps_shape_and_retention(monkeypatch):
     model = tiny_model(n_features=3)
     s = build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 2.0)])])
-    assert forward_grid(model, s).attention is None
-    grid = forward_grid(model, s, keep_attention=True)
-    assert grid.attention.shape == (model.cfg.n_heads, model.cfg.n_queries, 2, 3)
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        maps = forward_maps(model, s)
+        assert maps.shape == (model.cfg.n_heads, model.cfg.n_queries, 2, 3)
 
 
-def test_frozen_radii_keep_their_windows():
+def test_frozen_radii_keep_their_windows(monkeypatch):
     # no_learnable_range stops the radii from training; the windows stay, so
     # the forward pass equals the learnable model's in both gate modes
     rng = np.random.default_rng(13)
     s = random_series(rng, n_steps=9, n_features=3)
-    for mode in ("hard", "soft"):
+    for kernel, mode in [(k, m) for k in DLA_KERNELS for m in ("hard", "soft")]:
+        force_dla_kernel(monkeypatch, kernel)
         learnable = tiny_model(n_features=3, window_mode=mode)
         frozen = tiny_model(n_features=3, window_mode=mode, no_learnable_range=True)
         for model in (learnable, frozen):
             redraw_params(model, seed=5)
             model.params["dla.range_raw"].data = np.full(3, raw_radius(0.1))
-        want = forward_grid(learnable, s, keep_attention=True)
-        got = forward_grid(frozen, s, keep_attention=True)
-        np.testing.assert_array_equal(got.attention, want.attention)
-        np.testing.assert_array_equal(got.grid.data, want.grid.data)
+        maps = forward_maps(frozen, s)
+        np.testing.assert_array_equal(maps, forward_maps(learnable, s))
+        np.testing.assert_array_equal(forward_grid(frozen, s).data,
+                                      forward_grid(learnable, s).data)
         if mode == "hard":
             prep = frozen.prepare(s)
-            outside = np.abs(prep.times[None, :] - got.anchors[:, None]) > 0.1
-            assert outside.any() and np.all(got.attention[:, outside] == 0.0)
+            anchors = anchor_times(frozen.cfg.n_queries)
+            outside = np.abs(prep.times[None, :] - anchors[:, None]) > 0.1
+            assert outside.any() and np.all(maps[:, outside] == 0.0)
 
 
 def per_head_reference(model, prep, x_hat):
@@ -342,9 +353,8 @@ def stacked_heads_match_the_per_head_reference():
         for trial in range(5):
             prep = model.prepare(random_series(rng, int(rng.integers(1, 12)), 3))
             x_hat = te_forward(model.params, prep, model.cfg)
-            got = sample_dla(model, prep, x_hat, keep_attention=True)
-            grid, maps = per_head_reference(model, prep, x_hat.data)
-            for out, ref in ((got.grid.data, grid), (got.attention, maps)):
+            got = sample_dla(model, prep, x_hat).data, sample_maps(model, prep, x_hat)
+            for out, ref in zip(got, per_head_reference(model, prep, x_hat.data)):
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (overrides, trial)
 
 
@@ -357,19 +367,19 @@ def test_setting1_skips_the_embedding_stage():
     assert model.params["dla.k.w"].data.shape[0] == 3
     s = build_series([(0.0, [(0, 1.0)]), (0.5, [(1, -1.0)]), (1.0, [(2, 2.0)])])
     grid = forward_grid(model, s)
-    assert grid.grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
+    assert grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
     assert model.logits(model.prepare(s)).shape == (1, 2)
 
 
 def test_setting2_attends_over_embeddings():
     model = tiny_model(n_features=3, keyvalue_variant="setting2")
     s = build_series([(0.0, [(0, 1.0)]), (1.0, [(2, 2.0)])])
-    grid = forward_grid(model, s, keep_attention=True)
-    assert grid.grid.shape == (model.cfg.n_queries, model.cfg.patch_channels)
+    assert forward_grid(model, s).shape == (model.cfg.n_queries, model.cfg.patch_channels)
+    maps = forward_maps(model, s)
     # effective channels are the embedding plus its time column
-    assert grid.attention.shape[-1] == model.cfg.embed_dim + 1
+    assert maps.shape[-1] == model.cfg.embed_dim + 1
     # no observation mask in this variant: every step can win weight
-    sums = grid.attention.sum(axis=2)
+    sums = maps.sum(axis=2)
     np.testing.assert_allclose(sums, np.where(sums > 0.5, 1.0, sums), atol=1e-12)
 
 
@@ -424,7 +434,7 @@ def test_dla_gradients_match_finite_differences():
 
     def fn():
         grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat_const)
-        return tsum(mul(grid.grid, coeff))
+        return tsum(mul(grid, coeff))
 
     rep = grad_check(fn, dla_params(model), eps=3e-5)
     assert rep.max_rel_error < 1e-6, rep.worst()
@@ -446,13 +456,14 @@ def batched_outputs(model, preps):
     model.batch_loss(preps).backward()
     grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
     X = collate(preps)
-    logits, grid = model.forward(X, keep_attention=not model.cfg.no_dla)
+    logits = model.forward(X)
+    maps = None if model.cfg.no_dla else model.attention_maps(X)
     te_rows = te_forward(model.params, X, model.cfg).data.reshape(len(preps), X.t_max, -1)
     arrays = []
     for b, prep in enumerate(preps):
         arrays += [te_rows[b, :X.lengths[b]], logits.data[b, :len(prep.labels)]]
-        if grid is not None:
-            arrays.append(grid.attention[b])
+        if maps is not None:
+            arrays.append(maps[b])
     return arrays, grads
 
 
@@ -464,11 +475,10 @@ def reference_outputs(model, preps):
     grads = {k: p.grad for k, p in model.params.items() if p.grad is not None}
     arrays = []
     for prep in preps:
-        logits, grid = reference.forward(model, prep, keep_attention=not model.cfg.no_dla,
-                                         dense=True)
+        logits, maps = reference.forward(model, prep, dense=True)
         arrays += [dense_te_forward(model.params, prep, model.cfg).data, logits.data]
-        if grid is not None:
-            arrays.append(grid.attention)
+        if maps is not None:
+            arrays.append(maps)
     return arrays, grads
 
 
@@ -548,12 +558,13 @@ def test_a_batch_without_observations_pools_zero_rows(monkeypatch):
     calls = pool_calls(monkeypatch)
     for kernel in DLA_KERNELS:
         force_dla_kernel(monkeypatch, kernel)
-        grid = dla_forward(model.params, X, model.cfg, te_forward(model.params, X, model.cfg),
-                           keep_attention=True)
-        want = np.broadcast_to(model.params["dla.out.b"].data, grid.grid.shape)
-        np.testing.assert_array_equal(grid.grid.data, want)
-        assert all(np.all(m == 0.0) for m in grid.attention)
-        assert [m.shape[2] for m in grid.attention] == [3, 2]
+        x_hat = te_forward(model.params, X, model.cfg)
+        grid = dla_forward(model.params, X, model.cfg, x_hat)
+        want = np.broadcast_to(model.params["dla.out.b"].data, grid.shape)
+        np.testing.assert_array_equal(grid.data, want)
+        maps = attention_maps(model.params, X, model.cfg, x_hat)
+        assert all(np.all(m == 0.0) for m in maps)
+        assert [m.shape[2] for m in maps] == [3, 2]
         for p in model.params.values():
             p.grad = None
         model.batch_loss(empty).backward()

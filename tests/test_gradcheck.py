@@ -181,9 +181,9 @@ def _observation_radius_gradient_dropped(inner, g, args, out):
 def _observation_terms(args):
     """W = e G and the one-hot features of an observation pool's inputs."""
     S, G, feat, D = args[0].data, args[1], args[2], args[4]
-    P = tada.tensor._observation_matrix(feat, None, D)
-    W, den, _, _ = tada.tensor._observation_exponents(S, G, P, D)
-    return W, den, P
+    M = tada.tensor._observation_matrix(feat, args[3], D)
+    W, sums, _, _ = tada.tensor._observation_exponents(S, G, M, D)
+    return W, sums[..., :D], M[..., :D]
 
 
 def _per_feature(g_s, factor, feat, D):

@@ -179,8 +179,8 @@ def test_forward_is_pure():
     model = tiny_model()
     rng = np.random.default_rng(41)
     prep = model.prepare(random_series(rng, 6, 3))
-    a, _ = model.forward(collate([prep]))
-    b, _ = model.forward(collate([prep]))
+    a = model.forward(collate([prep]))
+    b = model.forward(collate([prep]))
     np.testing.assert_array_equal(a.data, b.data)
 
 

@@ -12,7 +12,7 @@ from helpers import graph_nodes, mask_observations
 from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
                        weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import _gates, _observation_gates, anchor_times
+from tada.dla import _gates, _observation_gates, anchor_times, attention_maps
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
@@ -25,11 +25,9 @@ from tada.tensor import (
     concat,
     cross_entropy_with_logits,
     gated_attention_pool,
-    gated_attention_weights,
     gather,
     matmul,
     mul,
-    observation_attention_weights,
     observation_pool,
     relu,
     reshape,
@@ -631,6 +629,31 @@ def window_pools(scores, values, radii, times, mask, cfg):
     return pool, reference
 
 
+def maps_at_scores(s, radii, times, mask, cfg):
+    """``attention_maps`` of the one-sample batch whose DLA scores are the
+    (1, H, L, T) ``s``, as (1, H, L, D, T), beside the dense reference
+    weights under that batch's gate block.  The batch has (1, T) ``times``
+    and a (1, 1, D, T) ``mask``; its te rows hold ``s`` and the projections
+    pick them out, so the scaled q.k products are ``s`` exactly (attn_dim 4
+    makes the 1 / sqrt(attn_dim) scale exact)."""
+    _, H, L, T = s.shape
+    A, E = 4, H * 4
+    x_hat, q_w = np.zeros((T, E)), np.zeros((E, E))
+    for h in range(H):
+        x_hat[:, h * A:h * A + L] = s[0, h].T
+        q_w[np.arange(L), h * A + np.arange(L)] = 2.0
+    raw = np.log(np.expm1(radii))
+    params = {"dla.queries": Tensor(np.eye(L, E)), "dla.q.w": Tensor(q_w),
+              "dla.k.w": Tensor(np.eye(E)), "dla.range_raw": Tensor(raw)}
+    cfg = SimpleNamespace(**vars(cfg), n_queries=L, n_heads=H, attn_dim=A,
+                          keyvalue_variant="default", no_learnable_range=False)
+    X = SimpleNamespace(times=times[0], mask=mask[0, 0].T, lengths=np.array([T]), t_max=T)
+    maps = attention_maps(params, X, cfg, Tensor(x_hat))[0]
+    gates = _gates(np.logaddexp(0.0, raw), times, anchor_times(L), cfg, mask)
+    ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(gates[:, None])).data
+    return np.transpose(maps, (0, 1, 3, 2))[None], ref
+
+
 def max_rel_diff(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -663,11 +686,6 @@ def test_gated_attention_pool_matches_the_dense_reference(mode, learn_radii, val
         for g, w in zip(grads, want_grads):
             if g is not None:
                 assert max_rel_diff(g, w) <= 1e-12, (mode, tau, value_grad, trial)
-        gates = _gates(radii.data, times, anchor_times(3), window(mode, tau), mask)
-        weights = gated_attention_weights(scores.data, gates)
-        ref = weighted_masked_softmax(Tensor(scores.data[:, :, :, None, :]),
-                                      Tensor(gates[:, None])).data
-        assert max_rel_diff(weights, ref) <= 1e-12
 
 
 def test_grad_gated_attention_pool_all_inputs():
@@ -696,6 +714,7 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
     # that shift underflows their normalizers to zero (gap 1000) or to
     # subnormals (gap 720).  Each such row must come out as its own softmax,
     # and the radius gradient of features 1 and 2 comes from these rows alone.
+    # The attention maps, shifted per row, hold the same weights.
     rng = np.random.default_rng(22)
     B, H, L, D, T = 1, 2, 2, 3, 5
     cfg = window("soft")
@@ -708,8 +727,6 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         v = np.full((B, 1, D, T), 2.0)
         out = gated_attention_pool(Tensor(s), g, Tensor(v)).data
         np.testing.assert_allclose(out, 2.0, rtol=1e-15)
-        ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(g[:, None])).data
-        assert max_rel_diff(gated_attention_weights(s, g), ref) <= 1e-12, gap
         # window gates with the same live entries
         times = np.linspace(0.1, 0.9, T)[None]
         mask = g[:, :1] > 0.0
@@ -718,6 +735,8 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
         gates = _gates(radii.data, times, anchor_times(L), cfg, mask)
         assert _pool_exponents(s, gates)[2][3].tolist() == [1, 2] * (H * L)
+        maps, ref = maps_at_scores(s, radii.data, times, mask, cfg)
+        assert max_rel_diff(maps, ref) <= 1e-12, gap
         pool, reference = window_pools(scores, values, radii, times, mask, cfg)
         coeff = rng.normal(size=(B, H, L, D))
         got, grads = pool_results(pool, (scores, values, radii), coeff)
@@ -805,20 +824,6 @@ def test_observation_pool_matches_the_dense_reference(mode, learn_radii):
         for g, w in zip(grads, want_grads):
             if g is not None:
                 assert max_rel_diff(g, w) <= 1e-12, (mode, tau, trial)
-        # each observation's weight is the dense weight at its step and feature
-        B, H, L, T = scores.shape
-        gates = _observation_gates(radii.data, times.reshape(-1), obs, anchor_times(L),
-                                   window(mode, tau))
-        at_obs = scores.data.transpose(0, 3, 1, 2).reshape(B * T, H, L)[obs.step]
-        weights = observation_attention_weights(at_obs.transpose(0, 2, 3, 1), gates,
-                                                obs.feat, 4)
-        dense = gated_attention_weights(
-            scores.data, _gates(radii.data, times, anchor_times(L), window(mode, tau), mask))
-        for b in range(B):
-            live = obs.live[b]
-            ref = dense[b][:, :, obs.feat[b, live], obs.step[b, live] - b * T]
-            assert max_rel_diff(weights[b][..., live], ref) <= 1e-12
-            assert np.all(weights[b][..., ~live] == 0.0)
 
 
 def test_grad_observation_pool_all_inputs():
@@ -852,9 +857,6 @@ def test_observation_pool_without_observations_gives_zero_rows():
     tsum(out).backward()
     assert scores.grad.shape == (B, H, L, 0)
     assert radii.grad.dtype == np.float64 and np.all(radii.grad == 0.0)
-    weights = observation_attention_weights(scores.data, np.ones((B, L, 0)),
-                                            np.zeros((B, 0), dtype=np.int64), D)
-    assert weights.shape == (B, H, L, 0)
 
 
 def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
@@ -862,7 +864,8 @@ def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
     # 0 is observed only at step 0, whose score sets the shift of every
     # (h, l); features 1 and 2 only at steps scoring `gap` lower, where that
     # shift underflows their normalizers to zero (gap 1000) or to subnormals
-    # (gap 720).  Each such row must come out as its own softmax.
+    # (gap 720).  Each such row must come out as its own softmax.  The
+    # attention maps, shifted per row, hold the same weights.
     rng = np.random.default_rng(26)
     B, H, L, D, T = 1, 2, 2, 3, 5
     cfg = window("soft")
@@ -882,15 +885,14 @@ def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
         np.testing.assert_allclose(out, 2.0, rtol=1e-15)
         M = _observation_matrix(feat, obs.values, D)
         assert _observation_exponents(s_obs, g_obs, M, D)[2][3].tolist() == [1, 2] * (H * L)
-        ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(g[:, None])).data
-        weights = observation_attention_weights(s_obs, g_obs, feat, D)
-        assert max_rel_diff(weights, ref[0][:, :, feat[0], step[0]][None]) <= 1e-12, gap
         # window gates with the same live entries
         times = np.linspace(0.1, 0.9, T)[None]
         scores = Tensor(s, requires_grad=True)
         values = Tensor(rng.normal(size=(B, 1, D, T)))
         radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
         inputs = (scores, values, radii, times, g[:, :1] > 0.0)
+        maps, ref = maps_at_scores(s, radii.data, times, inputs[-1], cfg)
+        assert max_rel_diff(maps, ref) <= 1e-12, gap
         pool, _ = observation_window_pool(*inputs, cfg)
         _, reference = window_pools(*inputs, cfg)
         coeff = rng.normal(size=(B, H, L, D))
