@@ -124,8 +124,6 @@ def cmd_synth(args) -> int:
 # convert ---------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
-    if args.window < 1:
-        raise ConfigError("--window must be >= 1")
     samples, manifest = convert_uci_activity(args.csv, window=args.window)
     ratios = _floats(args.ratios)
     tr, va, te = split_dataset(samples, ratios, seed=args.seed, stratify=False)
@@ -178,14 +176,15 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
 def cmd_train(args) -> int:
     manifest, splits = _load_splits(args.data)
     cfg = load_config(args.config, args.set)
-    if args.seeds:
+    if args.seeds is not None:
         seeds = _ints(args.seeds)
-        per_seed = {}
-        for seed in seeds:
-            run_cfg = dataclasses.replace(cfg, seed=seed).validate()
-            per_seed[seed] = _train_single(run_cfg, manifest, splits,
-                                           os.path.join(args.out, f"seed{seed}"),
-                                           args.verbose)
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"--seeds repeats {', '.join(map(str, repeated))}")
+        run_cfgs = [dataclasses.replace(cfg, seed=seed).validate() for seed in seeds]
+        per_seed = {c.seed: _train_single(c, manifest, splits,
+                                          os.path.join(args.out, f"seed{c.seed}"), args.verbose)
+                    for c in run_cfgs}
         agg = {"seeds": list(seeds), "per_seed": {str(s): m for s, m in per_seed.items()}}
         for key in ("auroc", "auprc", "accuracy"):
             vals = np.array([m[key] for m in per_seed.values()])
@@ -292,7 +291,7 @@ def cmd_gradcheck(args) -> int:
         names = [name for name in report.per_param if name.startswith(prefixes)]
         if names:
             print(f"{label}: max rel err {max(report.per_param[n] for n in names):.3e} "
-                  f"({max(report.raw_per_param[n] for n in names):.3e} before rounding slack)")
+                  f"(norm-wise {report.norm_error(names):.3e})")
     print(f"end-to-end: max rel err {report.max_rel_error:.3e} "
           f"over {report.n_elements} elements at seed {cfg.seed} (worst {report.worst()})")
     if report.max_rel_error > args.threshold:

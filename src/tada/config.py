@@ -52,8 +52,9 @@ class RunConfig:
         for name in pos_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"config: {name} must be >= 1")
-        if self.patience < 0:
-            raise ConfigError("config: patience must be >= 0")
+        for name in ("patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config: {name} must be >= 0")
         # "not > 0" refuses NaN too; an infinite lr stays legal, a run that
         # diverges at its first update
         if not self.lr > 0:

@@ -274,6 +274,8 @@ def split_dataset(samples: Sequence[IrregularSeries], ratios: Sequence[float],
         raise ConfigError(f"split ratios must be non-negative: {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)!r}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     splits: tuple[list, list, list] = ([], [], [])
 
@@ -341,6 +343,7 @@ class SynthConfig:
                 (all(0.0 < r <= MAX_SYNTH_RATE for r in self.rates),
                  f"rates must lie in (0, {MAX_SYNTH_RATE:g}], got {self.rates}"),
                 (self.n_classes >= 2, "need at least 2 classes"),
+                (self.seed >= 0, f"need seed >= 0, got {self.seed}"),
                 (math.isfinite(self.noise) and self.noise >= 0.0,
                  f"noise must be finite and >= 0, got {self.noise}"),
                 (all(map(math.isfinite, self.resolved_freqs())), f"freqs {self.freqs} not finite"),

@@ -15,9 +15,22 @@ class GradCheckReport:
     max_rel_error: float
     per_param: dict[str, float] = field(default_factory=dict)
     n_elements: int = 0
-    # each parameter's largest relative error before the rounding slack is
-    # subtracted: the margin the pass rule does not show
-    raw_per_param: dict[str, float] = field(default_factory=dict)
+    # each parameter's flat analytic gradient, and the central difference
+    # the pass rule judged for each of its elements
+    analytic: dict[str, np.ndarray] = field(default_factory=dict)
+    numeric: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def norm_error(self, names) -> float:
+        """||a - n|| / max(||a||, ||n||) over the named parameters' elements:
+        the margin the per-element pass rule does not show.  One partial
+        that is exactly zero reads as an error of 1 element-wise, but adds
+        only its rounding noise here."""
+        a = np.concatenate([self.analytic[k] for k in names])
+        n = np.concatenate([self.numeric[k] for k in names])
+        scale = max(np.linalg.norm(a), np.linalg.norm(n))
+        if not np.isfinite(scale):
+            return np.inf
+        return float(np.linalg.norm(a - n) / scale) if scale > 0.0 else 0.0
 
     def worst(self) -> str:
         if not self.per_param:
@@ -35,8 +48,8 @@ def _eval_scalar(fn) -> tuple[float, Tensor]:
 
 def _element_error(fn, flat: np.ndarray, i: int, analytic: float,
                    eps: float) -> tuple[float, float]:
-    """Relative error of one analytic partial against a central difference,
-    after and before the rounding slack is subtracted.
+    """Relative error of one analytic partial above the rounding slack, and
+    the central difference it was judged against.
 
     The quotient (f(x+h) - f(x-h)) / 2h carries its two evaluations'
     rounding errors e+ and e- as (e+ - e-) / 2h.  A scalar reduced from
@@ -66,10 +79,9 @@ def _element_error(fn, flat: np.ndarray, i: int, analytic: float,
     numeric = (up - down) / (2.0 * h)
     scale = max(abs(analytic), abs(numeric))
     if scale == 0.0:
-        return 0.0, 0.0
+        return 0.0, numeric
     slack = 2.0 * np.finfo(np.float64).eps * max(abs(up), abs(down)) / h
-    diff = abs(analytic - numeric)
-    return max(diff - slack, 0.0) / scale, diff / scale
+    return max(abs(analytic - numeric) - slack, 0.0) / scale, numeric
 
 
 def grad_check(fn, params: dict[str, Tensor], eps: float = 1e-5) -> GradCheckReport:
@@ -96,26 +108,25 @@ def grad_check(fn, params: dict[str, Tensor], eps: float = 1e-5) -> GradCheckRep
         p.grad = None
     out.backward()
     analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
         for name, p in params.items()
     }
 
     per_param: dict[str, float] = {}
-    raw_per_param: dict[str, float] = {}
-    total = 0
+    numeric: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        a = analytic[name].reshape(-1)
-        worst = worst_raw = 0.0
+        flat, a = p.data.reshape(-1), analytic[name]
+        numeric[name] = np.empty(flat.size)
+        worst = 0.0
         for i in range(flat.size):
-            err = _element_error(fn, flat, i, a[i], eps)
-            if err[0] > 0.0:
-                err = min(err, _element_error(fn, flat, i, a[i], eps / 10.0))
-            worst = max(worst, err[0])
-            worst_raw = max(worst_raw, err[1])
+            judged = _element_error(fn, flat, i, a[i], eps)
+            if judged[0] > 0.0:
+                judged = min(judged, _element_error(fn, flat, i, a[i], eps / 10.0),
+                             key=lambda r: r[0])
+            worst = max(worst, judged[0])
+            numeric[name][i] = judged[1]
         per_param[name] = worst
-        raw_per_param[name] = worst_raw
-        total += flat.size
     max_err = max(per_param.values()) if per_param else 0.0
-    return GradCheckReport(max_rel_error=max_err, per_param=per_param, n_elements=total,
-                           raw_per_param=raw_per_param)
+    return GradCheckReport(max_rel_error=max_err, per_param=per_param,
+                           n_elements=sum(a.size for a in analytic.values()),
+                           analytic=analytic, numeric=numeric)

@@ -13,18 +13,19 @@ in PyTorch's DDP (Li et al. 2020, arXiv:2006.15704).
 
 The worker also holds the validation preps, and computes about half of each
 epoch's validation chunks.  ``_chunks`` cuts every evaluated list into
-chunks and ``split_chunks`` assigns them from their padded steps alone; the
-worker returns only logit rows, every chunk's rows come from the same
-``batch_logits`` call on the same inputs wherever it runs, and the parent
-puts them back in chunk order, so validation is byte-identical on one or
-two processes too.  ``chunk_logits`` finds the worker through the step
-entered now (``_entered``): inside ``train()`` only a call on the very list
-the worker holds uses it.  An evaluation outside any step enters a step of
-its own for that one call, whose worker holds the evaluated list, when the
-worker's share holds at least two full chunks (``2 * CHUNK_STEPS``, 8192
-padded steps): forking, one round trip and closing cost about two chunks'
-compute, so every smaller evaluation runs in this process and starts
-nothing.
+chunks from the samples and the model's shape alone, never from the
+training batch size, and ``split_chunks`` assigns them from their padded
+steps; the worker returns only logit rows, every chunk's rows come from the
+same ``batch_logits`` call on the same inputs wherever it runs, and the
+parent puts them back in chunk order, so validation is byte-identical on
+one or two processes too.  ``chunk_logits`` finds the worker through the
+step entered now (``_entered``): inside ``train()`` only a call on the very
+list the worker holds uses it.  An evaluation outside any step enters a
+step of its own for that one call, whose worker holds the evaluated list,
+when the worker's share holds at least two full chunks (``2 * CHUNK_STEPS``,
+8192 padded steps): forking, one round trip and closing cost about two
+chunks' compute, so every smaller evaluation runs in this process and
+starts nothing.
 
 A training step allocates and frees tens of MB of temporaries.  With
 glibc's default thresholds the freed heap top goes back to the kernel and
@@ -33,17 +34,17 @@ which costs a fifth of a step and keeps two processes from scaling, so
 entering a ``ShardedStep`` keeps freed memory in the heap (``_retain_heap``),
 for training and for an evaluation large enough to fork alike.
 
-The parent and the worker run on disjoint halves of the CPUs this process
-may use.  Left free, the kernel wakes the worker on the CPU of the parent
-that wrote to the pipe, and the two then share one CPU for much of a short
-step: train_short's step ran slower on two processes than on one.
-
-A worker is forked only where the process may run on two CPUs, fork exists,
-all three BLAS thread variables read ``"1"`` and the process runs one
-thread: two processes with multi-threaded BLAS on two cores run slower than
-one process, and a process with threads is not safe to fork.  The variables
-alone do not show the BLAS pool, because numpy imported before they were
-set starts one anyway.
+Whether a worker runs, and where, is probed once per step from the host.
+``_cpu_halves`` splits the CPUs this process may use into two disjoint
+halves, the parent's and the worker's.  ``_may_fork`` asks for fork, all
+three BLAS thread variables at ``"1"`` (two processes with multi-threaded
+BLAS on two cores run slower than one) and a process of one thread (numpy
+imported before the variables were set starts a pool anyway, and a process
+with threads is not safe to fork).  Unpinned, the kernel wakes the worker
+on the CPU of the parent that wrote to the pipe, and the two share it for
+much of a short step: train_short's step ran slower on two processes than
+on one.  So without an affinity call or a second CPU a run uses one
+process, with the same bytes.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from . import BLAS_THREAD_VARS
 from .errors import TadaError, TrainingError
 from .model import Batch, TadaModel
 from .tensor import Tensor
-
-N_SHARDS = 2
 
 Grads = dict[str, "np.ndarray | None"]
 
@@ -93,36 +92,23 @@ def _retain_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def shard_processes() -> int:
-    """Processes a training step runs on: one per shard, at most one per CPU
-    this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(N_SHARDS, cpus))
-
-
 def _cpu_halves() -> tuple[set[int], set[int]] | None:
     """The CPUs this process may run on, in two disjoint halves: the parent's
     and the worker's.  None where there are fewer than two or no affinity
-    call."""
+    call: no worker runs there."""
     try:
         cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return None
-    if len(cpus) < 2:
+    except AttributeError:          # no affinity call on this platform
         return None
     half = len(cpus) // 2
-    return set(cpus[:half]), set(cpus[half:])
+    return (set(cpus[:half]), set(cpus[half:])) if half else None
 
 
-def _pin(cpus: set[int] | None) -> None:
-    if cpus is not None:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:             # the CPU set changed meanwhile: stay free
-            pass
+def _pin(cpus: set[int]) -> None:
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:                 # the CPU set changed meanwhile: stay free
+        pass
 
 
 def _threads() -> int:
@@ -140,10 +126,6 @@ def _may_fork() -> bool:
             and _threads() == 1)
 
 
-def _worker_may_run() -> bool:
-    return shard_processes() == N_SHARDS and _may_fork()
-
-
 def split_batch(indices: np.ndarray) -> list[np.ndarray]:
     """The batch's shards in order: the first ceil(n/2) samples, then the rest."""
     if len(indices) < 2:
@@ -154,9 +136,8 @@ def split_batch(indices: np.ndarray) -> list[np.ndarray]:
 
 def split_chunks(steps: list[int]) -> list[list[int]]:
     """Chunk indices for [this process, the worker], each ascending, from each
-    chunk's padded steps (samples times its longest series): the longest
-    chunk first, each to the side with fewer steps so far, a tie to this
-    process."""
+    chunk's padded steps (``_chunks``): the longest chunk first, each to the
+    side with fewer steps so far, a tie to this process."""
     sides: list[list[int]] = [[], []]
     load = [0, 0]
     for i in sorted(range(len(steps)), key=lambda i: -steps[i]):
@@ -169,57 +150,55 @@ def split_chunks(steps: list[int]) -> list[list[int]]:
 # Padded steps per evaluation chunk.  A sparse batch's forward holds a few
 # (B, heads, L, N_max) arrays, N_max being its longest observation count,
 # and any other batch (B, L, D, T_max) ones; DLA's pool rule takes the
-# first only while it is the smaller, so memory follows B * T_max, not B
-# alone.
+# first only while it is the smaller, and every sample leaves DLA as an
+# (n_queries, C) grid, so memory follows B * max(T_max, n_queries).
 CHUNK_STEPS = 4096
 
 
-def _chunks(preps: list[Batch], size: int) -> list[list[Batch]]:
-    """Consecutive runs of at most ``size`` samples that pad to at most
-    ``CHUNK_STEPS`` steps (a longer sample goes alone): evaluation memory
-    stays bounded however large the split and however long its series."""
+def _chunks(preps: list[Batch], n_queries: int) -> tuple[list[list[Batch]], list[int]]:
+    """Consecutive runs of ``preps``, and each run's padded steps: its
+    samples times the largest of max(steps, ``n_queries``) among them.  A run
+    grows while that product stays within ``CHUNK_STEPS`` (a longer sample
+    goes alone), so evaluation memory stays bounded however large the split
+    and however long its series, whatever batch size the model trained at."""
     chunks: list[list[Batch]] = []
-    t_max = 0
+    widest: list[int] = []
     for p in preps:
-        t = len(p.times)
-        if chunks and len(chunks[-1]) < size \
-                and (len(chunks[-1]) + 1) * max(t_max, t) <= CHUNK_STEPS:
+        rows = max(len(p.times), n_queries)
+        if chunks and (len(chunks[-1]) + 1) * max(widest[-1], rows) <= CHUNK_STEPS:
             chunks[-1].append(p)
-            t_max = max(t_max, t)
+            widest[-1] = max(widest[-1], rows)
         else:
             chunks.append([p])
-            t_max = t
-    return chunks
-
-
-def padded_steps(chunks: list[list[Batch]]) -> list[int]:
-    """Each chunk's samples times its longest series."""
-    return [len(c) * max(len(p.times) for p in c) for c in chunks]
+            widest.append(rows)
+    return chunks, [len(c) * w for c, w in zip(chunks, widest)]
 
 
 def chunk_logits(model: TadaModel,
                  preps: list[Batch]) -> list[tuple[list[Batch], np.ndarray]]:
-    """Each chunk of ``preps`` (``_chunks``, at most a batch each) with its
-    ``batch_logits`` rows, in chunk order.
+    """Each chunk of ``preps`` (``_chunks``) with its ``batch_logits`` rows,
+    in chunk order.
 
-    Inside a step, the entered step's worker computes its share
-    (``split_chunks``) where it holds this very ``preps`` list for this
-    model.  Outside any step, a step is entered for this one call, which
-    forks a worker holding ``preps``, where that share would come to at
-    least ``2 * CHUNK_STEPS`` padded steps and a worker may run: below that
-    the fork costs more than the share saves.  Otherwise every chunk runs
-    here, in order.
+    The chunks, their padded steps and ``split_chunks``'s split are computed
+    once.  Inside a step, the entered step's worker computes the split's
+    second set where it holds this very ``preps`` list for this model.
+    Outside any step, a step is entered for this one call, which forks a
+    worker holding ``preps``, where that set comes to at least
+    ``2 * CHUNK_STEPS`` padded steps and the host allows a worker: below
+    that the fork costs more than the share saves.  Otherwise every chunk
+    runs here, in order.
     """
-    chunks = _chunks(preps, model.cfg.batch_size)
+    chunks, steps = _chunks(preps, model.cfg.n_queries)
+    split = split_chunks(steps)
     step = _entered
     if step is None:
-        steps = padded_steps(chunks)
-        if sum(steps[i] for i in split_chunks(steps)[1]) >= 2 * CHUNK_STEPS \
-                and _worker_may_run():
-            with ShardedStep(model, [], preps) as own:
-                return list(zip(chunks, own.chunk_logits(chunks)))
+        if sum(steps[i] for i in split[1]) >= 2 * CHUNK_STEPS:
+            own = ShardedStep(model, [], preps)
+            if own.cpus is not None:
+                with own:
+                    return list(zip(chunks, own.chunk_logits(chunks, split)))
     elif step._proc is not None and preps is step.val_preps and model is step.model:
-        return list(zip(chunks, step.chunk_logits(chunks)))
+        return list(zip(chunks, step.chunk_logits(chunks, split)))
     return [(c, model.batch_logits(c)) for c in chunks]
 
 
@@ -314,11 +293,13 @@ class ShardedStep:
     """Computes a batch's combined loss and gradients from its two shards,
     and evaluation chunks' logits over ``val_preps`` (``chunk_logits``).
 
-    A context manager: entering forks the shard-1 worker when one may run
-    (it holds the model, ``preps`` and ``val_preps`` copy-on-write), leaving
-    closes and joins it, on return, on any exception and on Ctrl-C.  Without
-    a worker the shards and chunks run in order in this process, with the
-    same result.
+    ``cpus`` holds the parent's and the worker's CPUs where the host allows a
+    worker, else None.  A context manager: entering forks the shard-1 worker
+    onto its half (it holds the model, ``preps`` and ``val_preps``
+    copy-on-write) and pins this process to the other; leaving closes and
+    joins it and gives this process the whole set back, on return, on any
+    exception and on Ctrl-C.  Without a worker the shards and chunks run in
+    order here, with the same result.
     """
 
     def __init__(self, model: TadaModel, preps: list[Batch],
@@ -327,26 +308,24 @@ class ShardedStep:
         self.preps = preps
         self.val_preps = val_preps
         self.params = model.trainable()
+        self.cpus = _cpu_halves() if _may_fork() else None
         self._conn = None
         self._proc = None
-        self._affinity: set[int] | None = None
 
     def __enter__(self) -> "ShardedStep":
         global _entered
         _retain_heap()
-        if _worker_may_run():
-            halves = _cpu_halves()
+        if self.cpus is not None:
+            here, there = self.cpus
             ctx = multiprocessing.get_context("fork")
             parent_end, child_end = ctx.Pipe()
             proc = ctx.Process(target=_serve, name="tada-shard-1", daemon=True,
                                args=(child_end, parent_end, self.model, self.preps,
-                                     self.val_preps, halves and halves[1]))
+                                     self.val_preps, there))
             proc.start()
             child_end.close()
             self._conn, self._proc = parent_end, proc
-            if halves is not None:
-                self._affinity = os.sched_getaffinity(0)
-                _pin(halves[0])
+            _pin(here)
         _entered = self
         return self
 
@@ -359,18 +338,18 @@ class ShardedStep:
         if exc_type is not None:
             self._proc.terminate()  # nobody will read the shard it may be computing
         self._proc.join()
-        _pin(self._affinity)
-        self._conn = self._proc = self._affinity = None
+        _pin(self.cpus[0] | self.cpus[1])   # the halves make up the CPU set
+        self._conn = self._proc = None
 
     def __call__(self, indices: np.ndarray) -> float:
         """The batch ``preps[indices]``: returns its loss and leaves its
         gradient in each trainable parameter's ``grad``."""
         shards = split_batch(indices)
-        remote = self._proc is not None and len(shards) == N_SHARDS
+        remote = self._proc is not None and len(shards) > 1
         if remote:
             self._send("step", shards[1])
         results = [shard_gradients(self.model, self.params, self._take(shards[0]))]
-        if len(shards) == N_SHARDS:
+        if len(shards) > 1:
             results.append(self._receive() if remote else
                            shard_gradients(self.model, self.params, self._take(shards[1])))
         loss, grads = combine(results, [len(s) for s in shards])
@@ -378,11 +357,12 @@ class ShardedStep:
             p.grad = grads[k]
         return loss
 
-    def chunk_logits(self, chunks: list[list[Batch]]) -> list[np.ndarray]:
+    def chunk_logits(self, chunks: list[list[Batch]],
+                     split: list[list[int]]) -> list[np.ndarray]:
         """``batch_logits`` of each chunk of ``val_preps``, in chunk order: the
-        worker computes ``split_chunks``'s second set while this process
-        computes the first."""
-        here, there = split_chunks(padded_steps(chunks))
+        worker computes ``split``'s second set (``split_chunks``) while this
+        process computes the first."""
+        here, there = split
         if there:
             starts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
             self._send("chunks", [(starts[i], starts[i + 1]) for i in there])

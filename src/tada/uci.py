@@ -16,7 +16,7 @@ tag reading.  Each of the 4 body tags contributes its 3 coordinates, giving
 from __future__ import annotations
 
 from .data import IrregularSeries, Observation, TimeStep, text_lines
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TAG_FEATURES = {
     "010-000-024-033": 0,
@@ -46,6 +46,8 @@ WINDOW = 50
 
 def convert_uci_activity(path: str, window: int = WINDOW) -> tuple[list[IrregularSeries], dict]:
     """Parse the raw CSV into windowed step-labelled samples."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     per_seq: dict[str, dict[int, tuple[dict[int, float], int]]] = {}
     for line_no, line in enumerate(text_lines(path), start=1):
         line = line.strip()

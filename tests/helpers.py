@@ -1,10 +1,13 @@
 """Shared builders for model-level tests."""
 
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
 
 import tada.dla
+import tada.shards
 from tada.config import RunConfig
 from tada.data import IrregularSeries, Observation, TimeStep
 from tada.dla import observation_slots
@@ -88,3 +91,23 @@ def mask_observations(mask, values):
     return observation_slots(SimpleNamespace(
         step_of=b * T + t, feat_idx=d, values_col=values[b, t, d][:, None],
         lengths=np.full(B, T), t_max=T))
+
+
+# a shard worker runs only where fork and an affinity call exist
+WORKER_POSSIBLE = ("fork" in multiprocessing.get_all_start_methods()
+                   and hasattr(os, "sched_getaffinity"))
+HOST_CPU_HALVES = tada.shards._cpu_halves
+
+
+def allow_worker(monkeypatch, allow=True):
+    """Let a shard step fork its worker (``allow``) or keep every step in
+    one process, on any host where ``WORKER_POSSIBLE``, one CPU included:
+    the halves are the host's where it has two CPUs, else the whole CPU set
+    twice, so pinning changes nothing.  A worker also needs one-thread BLAS."""
+    halves = None
+    if allow:
+        cpus = os.sched_getaffinity(0)
+        halves = HOST_CPU_HALVES() or (cpus, cpus)
+    monkeypatch.setattr(tada.shards, "_cpu_halves", lambda: halves)
+    for var in tada.shards.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")

@@ -333,6 +333,9 @@ def test_split_errors():
     stepwise = [IrregularSeries("s", (TimeStep(0.0, (Observation(0, 1.0),)),), (0,))]
     with pytest.raises(DataError, match="sequence-level"):
         split_dataset(stepwise * 4, (0.8, 0.1, 0.1), seed=0)
+    # numpy's generators refuse a negative seed with a ValueError
+    with pytest.raises(ConfigError, match="^split seed must be >= 0, got -1$"):
+        split_dataset(samples, (0.8, 0.1, 0.1), seed=-1)
 
 
 @settings(deadline=None, max_examples=25)
@@ -408,6 +411,7 @@ def test_synth_config_errors():
     ({"rates": (math.nan, 1.0, 1.0, 1.0)}, "rates"),       # accepted silently
     ({"noise": -1.0}, "noise"), ({"noise": math.nan}, "noise"),
     ({"freqs": (3.0, math.inf)}, "freqs"), ({"offset_scale": math.nan}, "offset_scale"),
+    ({"seed": -1}, "seed"),                                # ValueError
 ])
 def test_synth_config_validation_refuses_what_the_generator_cannot_finish(changes, match):
     # the validator alone, so a missing check fails here instead of hanging

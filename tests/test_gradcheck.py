@@ -10,7 +10,7 @@ import tada.tensor
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
 from tada.gradcheck import grad_check
-from tada.tensor import Tensor, mul, relu, tsum
+from tada.tensor import Tensor, _node, mul, relu, tsum
 
 
 def test_quadratic_gradient_is_near_exact():
@@ -29,8 +29,10 @@ def test_report_bookkeeping():
     assert set(rep.per_param) == {"p", "q"}
     assert rep.n_elements == 3
     assert rep.max_rel_error == max(rep.per_param.values())
-    assert rep.raw_per_param.keys() == rep.per_param.keys()
-    assert all(rep.raw_per_param[k] >= rep.per_param[k] for k in rep.per_param)
+    assert rep.analytic.keys() == rep.numeric.keys() == rep.per_param.keys()
+    np.testing.assert_array_equal(rep.analytic["q"], [6.0])
+    assert sum(a.size for a in rep.numeric.values()) == rep.n_elements
+    assert 0.0 <= rep.norm_error(["p", "q"]) < 1e-9
     name = rep.worst().split(":")[0]
     assert name in {"p", "q"}
 
@@ -47,8 +49,23 @@ def test_rounding_noise_on_a_tiny_gradient_passes():
     p = Tensor(np.array([0.3, -0.7]), requires_grad=True)
     rep = grad_check(lambda: tsum(mul(p, 1e-10)) + 1e3, {"p": p})
     assert rep.max_rel_error < 1e-6
-    # the report still shows that noise, before the slack is subtracted
-    assert rep.raw_per_param["p"] > 1e-3
+    # the norm-wise figure still shows that noise, which the slack hides
+    assert rep.norm_error(["p"]) > 1e-3
+
+
+def scaled_cube(p, delta):
+    """sum(p^3), whose backward returns (1 + delta) times the true gradient."""
+    return _node(np.sum(p.data ** 3), (p,), lambda g: (g * (1.0 + delta) * 3.0 * p.data ** 2,))
+
+
+@pytest.mark.parametrize("delta, low, high", [(1e-3, 0.99e-3, 1.01e-3), (0.0, 0.0, 1e-8)])
+def test_norm_error_reads_a_scaled_gradient(delta, low, high):
+    # the partial at 0 is exactly zero while its central difference is
+    # eps^2: element-wise, a relative error of 1 whatever delta is
+    p = Tensor(np.array([0.0, 0.7, -1.3, 2.0]), requires_grad=True)
+    rep = grad_check(lambda: scaled_cube(p, delta), {"p": p})
+    assert rep.analytic["p"][0] == 0.0 and rep.numeric["p"][0] != 0.0
+    assert low <= rep.norm_error(["p"]) <= high
 
 
 def test_kink_within_one_step_is_rechecked_at_a_tenth_of_it():

@@ -57,6 +57,9 @@ def test_constructor_rejects_bad_shapes():
         for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"^config: {name} must be finite and > 0$"):
                 tiny_model(**{name: value})
+    # numpy's generators refuse a negative seed with a ValueError
+    with pytest.raises(ConfigError, match="^config: seed must be >= 0$"):
+        tiny_model(seed=-1)
 
 
 def test_prepare_validates_labels():

@@ -4,9 +4,10 @@ worker of its own past the fork rule, and the worker's lifecycle: training
 and every evaluation are byte-identical on one or two processes, no worker
 outlives ``train`` or an evaluation, and a worker's error is raised in the
 parent, in a step, in validation or in evaluation.  Tests that need the
-worker force the process count through ``shard_processes``, and lower
-``CHUNK_STEPS`` so that small data crosses the rule; they run on any host
-with fork, one CPU included.
+worker force it through ``_cpu_halves`` (``helpers.allow_worker``), and shape
+chunks through ``n_queries`` and a lowered ``CHUNK_STEPS`` so that small
+data crosses the rule; they run on any host with fork and an affinity call,
+one CPU included.
 """
 
 import dataclasses
@@ -18,22 +19,26 @@ import pytest
 
 import reference
 import tada.shards
-from helpers import random_series, redraw_params, tiny_config, tiny_model
+from helpers import (WORKER_POSSIBLE, allow_worker, random_series, redraw_params, tiny_config,
+                     tiny_model)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tada.errors import DataError, TrainingError
 from tada.metrics import softmax_rows
 from tada.model import TadaModel
 from tada.optim import Adam
-from tada.shards import (ShardedStep, _chunks, padded_steps, shard_processes, split_batch,
-                         split_chunks)
+from tada.shards import ShardedStep, _chunks, _cpu_halves, split_batch, split_chunks
 from tada.training import evaluate_preps, train
 from test_training import small_data
 
 TOL = 1e-12
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="no fork on this platform")
+needs_worker = pytest.mark.skipif(not WORKER_POSSIBLE,
+                                  reason="no fork or no affinity call on this platform")
+
+# anchors at least as many as any ``small_data`` series has steps: every
+# sample pads to Q rows, so a CHUNK_STEPS of 3 * Q cuts runs of three
+Q = 16
 
 MODES = {"sequence": ("sequence", {}), "step": ("step", {}),
          "setting1": ("sequence", {"keyvalue_variant": "setting1"}),
@@ -44,12 +49,14 @@ MODES = {"sequence": ("sequence", {}), "step": ("step", {}),
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Force the process count; a worker also needs one-thread BLAS."""
-    def force(n):
-        monkeypatch.setattr(tada.shards, "shard_processes", lambda: n)
-        for var in tada.shards.BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
-    return force
+    """Force one process, or two: the parent and the shard worker."""
+    return lambda n: allow_worker(monkeypatch, n == 2)
+
+
+@pytest.fixture
+def chunks_of_three(monkeypatch):
+    """Cut every evaluated list of a model with ``n_queries=Q`` into runs of three."""
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 3 * Q)
 
 
 def test_split_batch_puts_the_larger_half_first():
@@ -77,7 +84,7 @@ def test_split_chunks_covers_every_chunk_once(steps):
     assert abs(loads[0] - loads[1]) <= max(steps, default=0)
 
 
-@pytest.mark.parametrize("n_procs", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("n_procs", [1, pytest.param(2, marks=needs_worker)])
 @pytest.mark.parametrize("mode", list(MODES))
 def test_combined_shard_gradient_matches_one_graph(mode, n_procs, processes):
     processes(n_procs)
@@ -106,7 +113,7 @@ def test_combined_shard_gradient_matches_one_graph(mode, n_procs, processes):
         assert np.abs(p.grad - want[k]).max() <= TOL * scale, k
 
 
-@needs_fork
+@needs_worker
 def test_train_is_byte_identical_on_one_or_two_processes(processes, monkeypatch):
     train_samples, val_samples = small_data()
     # batches of 5, 5, 5 and 1: odd shards, and a batch of one, one shard
@@ -133,21 +140,23 @@ def test_train_is_byte_identical_on_one_or_two_processes(processes, monkeypatch)
 
 
 def test_process_count_is_at_most_two_and_starts_nothing(monkeypatch):
+    # two disjoint halves of the CPU set, the parent's and the worker's, or
+    # None: one process
     def no_process(*args, **kwargs):
         raise AssertionError("counting started a process")
 
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-    for cpus, want in ((64, 2), (2, 2), (1, 1), (0, 1)):
+    for cpus, want in ((64, (set(range(32)), set(range(32, 64)))), (5, ({0, 1}, {2, 3, 4})),
+                       (2, ({0}, {1})), (1, None), (0, None)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                             raising=False)
-        assert shard_processes() == want
-    # where the platform has no affinity call, the CPU count stands in
+        assert _cpu_halves() == want
+    # where the platform has no affinity call, a run uses one process
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert shard_processes() == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert shard_processes() == 1
+    assert _cpu_halves() is None
+    with ShardedStep(tiny_model(), []) as step:
+        assert step.cpus is None and step._proc is None
     assert multiprocessing.active_children() == []
 
 
@@ -156,10 +165,10 @@ def test_no_worker_without_one_thread_blas(processes, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
     model = tiny_model()
     with ShardedStep(model, []) as step:
-        assert step._proc is None
+        assert step.cpus is None and step._proc is None
 
 
-@needs_fork
+@needs_worker
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs and an affinity call")
 def test_parent_and_worker_run_on_disjoint_cpus(processes, monkeypatch):
@@ -185,7 +194,7 @@ def test_parent_and_worker_run_on_disjoint_cpus(processes, monkeypatch):
     assert os.sched_getaffinity(0) == before
 
 
-@needs_fork
+@needs_worker
 def test_no_worker_outlives_train(processes, monkeypatch):
     processes(2)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
@@ -231,7 +240,7 @@ def in_worker(parent_pid, action, method="batch_loss"):
     return patched
 
 
-@needs_fork
+@needs_worker
 def test_worker_tada_error_is_raised_in_the_parent(processes, monkeypatch, capfd):
     processes(2)
 
@@ -247,7 +256,7 @@ def test_worker_tada_error_is_raised_in_the_parent(processes, monkeypatch, capfd
     assert "Traceback" not in capfd.readouterr().err
 
 
-@needs_fork
+@needs_worker
 def test_worker_bug_is_raised_in_the_parent_with_its_traceback(processes, monkeypatch):
     processes(2)
 
@@ -262,7 +271,7 @@ def test_worker_bug_is_raised_in_the_parent_with_its_traceback(processes, monkey
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
+@needs_worker
 def test_worker_death_is_a_training_error_naming_the_epoch(processes, monkeypatch):
     processes(2)
     monkeypatch.setattr(TadaModel, "batch_loss", in_worker(os.getpid(), lambda: os._exit(7)))
@@ -300,15 +309,16 @@ def one_class(samples):
     return [dataclasses.replace(s, label=0) for s in samples]
 
 
-@needs_fork
+@needs_worker
 @pytest.mark.parametrize("selection", ["auprc", "neg_val_loss"])
 def test_validation_is_byte_identical_on_one_or_two_processes(selection, processes,
-                                                              monkeypatch, tmp_path):
+                                                              chunks_of_three, monkeypatch,
+                                                              tmp_path):
     train_samples, val_samples = small_data()
     if selection == "neg_val_loss":
         val_samples = one_class(val_samples)
     # 8 validation samples in chunks of 3: chunks of 3, 3 and 2
-    cfg = tiny_config(max_epochs=3, patience=0, batch_size=3)
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=3, n_queries=Q)
     probe = tmp_path / "calls"
     monkeypatch.setattr(TadaModel, "batch_logits", recording(probe, TadaModel.batch_logits))
     runs, workers = {}, {}
@@ -325,8 +335,9 @@ def test_validation_is_byte_identical_on_one_or_two_processes(selection, process
     assert workers[1] == {}
     # each epoch the worker computed split_chunks's second set; only calls
     # on validation samples count
-    chunks = _chunks(val_samples, 3)
-    there = split_chunks([len(c) * max(len(s.times) for s in c) for c in chunks])[1]
+    chunks, steps = _chunks(val_samples, Q)
+    assert [len(c) for c in chunks] == [3, 3, 2] and steps == [3 * Q, 3 * Q, 2 * Q]
+    there = split_chunks(steps)[1]
     assert there
     (worker_sids,) = workers[2].values()
     val_ids = {s.sample_id for s in val_samples}
@@ -334,17 +345,18 @@ def test_validation_is_byte_identical_on_one_or_two_processes(selection, process
                                                        for i in there] * 3
 
 
-@needs_fork
-def test_validation_metric_keeps_its_arithmetic(processes):
+@needs_worker
+def test_validation_metric_keeps_its_arithmetic(processes, chunks_of_three):
     # one epoch keeps its own parameters, so the recorded metrics are those
     # of the final model, computed chunk by chunk in this process
     processes(2)
     train_samples, val_samples = small_data()
-    cfg = tiny_config(max_epochs=1, batch_size=3)
+    cfg = tiny_config(max_epochs=1, batch_size=3, n_queries=Q)
     result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     model = result.model
     preps = [model.prepare(s) for s in val_samples]
-    chunks = _chunks(preps, 3)
+    chunks, _ = _chunks(preps, Q)
+    assert len(chunks) == 3
     rows = np.concatenate([softmax_rows(model.batch_logits(c)) for c in chunks])
     report = evaluate_preps(model, preps)
     assert result.history[0]["val_metric"] == report.auprc
@@ -354,7 +366,7 @@ def test_validation_metric_keeps_its_arithmetic(processes):
     val_samples = one_class(val_samples)
     result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     preps = [result.model.prepare(s) for s in val_samples]
-    total = sum(result.model.batch_loss(c).item() * len(c) for c in _chunks(preps, 3))
+    total = sum(result.model.batch_loss(c).item() * len(c) for c in _chunks(preps, Q)[0])
     assert result.history[0]["val_metric"] == -(total / len(preps))
 
 
@@ -362,15 +374,17 @@ def no_process(*args, **kwargs):
     raise AssertionError("evaluation started a process")
 
 
-@needs_fork
-def test_evaluation_off_the_held_list_stays_in_process(processes, monkeypatch):
+@needs_worker
+def test_evaluation_off_the_held_list_stays_in_process(processes, chunks_of_three,
+                                                       monkeypatch):
     processes(2)
     train_samples, val_samples = small_data()
-    model = tiny_model(batch_size=3)
+    model = tiny_model(n_queries=Q)
     redraw_params(model, seed=2)
     train_preps = [model.prepare(s) for s in train_samples]
     val_preps = [model.prepare(s) for s in val_samples]
-    want = np.concatenate([softmax_rows(model.batch_logits(c)) for c in _chunks(val_preps, 3)])
+    want = np.concatenate([softmax_rows(model.batch_logits(c))
+                           for c in _chunks(val_preps, Q)[0]])
     rows = []
     monkeypatch.setattr(tada.training, "softmax_rows",
                         lambda z: rows.append(softmax_rows(z)) or rows[-1])
@@ -391,19 +405,21 @@ def test_evaluation_off_the_held_list_stays_in_process(processes, monkeypatch):
         # an equal list the worker does not hold, and the held list for
         # another model
         assert np.array_equal(evaluated(list(val_preps)), want)
-        other = tiny_model(batch_size=3)
+        other = tiny_model(n_queries=Q)
         evaluate_preps(other, val_preps)
     assert tada.shards._entered is None
     assert multiprocessing.active_children() == []
 
 
-def train_with_validation_chunks():
+def train_with_validation_chunks(monkeypatch):
+    """Training whose 8 validation samples make two chunks of four."""
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 4 * Q)
     train_samples, val_samples = small_data()
-    return train(tiny_config(max_epochs=2, batch_size=4), train_samples, val_samples,
-                 2, 2, "sequence")
+    return train(tiny_config(max_epochs=2, batch_size=4, n_queries=Q), train_samples,
+                 val_samples, 2, 2, "sequence")
 
 
-@needs_fork
+@needs_worker
 def test_worker_tada_error_in_validation_is_raised_in_the_parent(processes, monkeypatch,
                                                                  capfd):
     processes(2)
@@ -413,12 +429,12 @@ def test_worker_tada_error_in_validation_is_raised_in_the_parent(processes, monk
 
     monkeypatch.setattr(TadaModel, "batch_logits", in_worker(os.getpid(), refuse, "batch_logits"))
     with pytest.raises(DataError, match="^validation refused$"):
-        train_with_validation_chunks()
+        train_with_validation_chunks(monkeypatch)
     assert multiprocessing.active_children() == []
     assert "Traceback" not in capfd.readouterr().err
 
 
-@needs_fork
+@needs_worker
 def test_worker_bug_in_validation_is_raised_with_its_traceback(processes, monkeypatch):
     processes(2)
 
@@ -428,21 +444,21 @@ def test_worker_bug_in_validation_is_raised_with_its_traceback(processes, monkey
     monkeypatch.setattr(TadaModel, "batch_logits", in_worker(os.getpid(), fail, "batch_logits"))
     with pytest.raises(RuntimeError,
                        match="(?s)shard worker failed:.*ZeroDivisionError: in validation"):
-        train_with_validation_chunks()
+        train_with_validation_chunks(monkeypatch)
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
+@needs_worker
 def test_worker_death_in_validation_names_the_epoch(processes, monkeypatch):
     processes(2)
     monkeypatch.setattr(TadaModel, "batch_logits",
                         in_worker(os.getpid(), lambda: os._exit(9), "batch_logits"))
     with pytest.raises(TrainingError, match=r"^shard worker died \(exit code 9\) at epoch 0$"):
-        train_with_validation_chunks()
+        train_with_validation_chunks(monkeypatch)
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
+@needs_worker
 def test_ctrl_c_in_validation_leaves_no_worker(processes, monkeypatch):
     processes(2)
     parent = os.getpid()
@@ -458,7 +474,7 @@ def test_ctrl_c_in_validation_leaves_no_worker(processes, monkeypatch):
 
     monkeypatch.setattr(TadaModel, "batch_logits", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        train_with_validation_chunks()
+        train_with_validation_chunks(monkeypatch)
     assert workers == [1]
     assert multiprocessing.active_children() == []
     assert tada.shards._entered is None
@@ -466,26 +482,28 @@ def test_ctrl_c_in_validation_leaves_no_worker(processes, monkeypatch):
 
 # evaluation outside a step ---------------------------------------------------
 
+# anchors for ``eval_data``: at the real CHUNK_STEPS, 4096 // 512 = 8 samples a chunk
+EVAL_Q = 512
+
 
 def eval_data():
-    """A tiny model and 24 prepared samples, in chunks of three."""
+    """A tiny model and 24 prepared samples, each padding to ``EVAL_Q`` rows."""
     train_samples, val_samples = small_data()
-    model = tiny_model(batch_size=3)
+    model = tiny_model(n_queries=EVAL_Q)
     redraw_params(model, seed=2)
     return model, [model.prepare(s) for s in train_samples + val_samples]
 
 
-def worker_share(preps, batch_size):
-    steps = padded_steps(_chunks(preps, batch_size))
+def worker_share(model, preps):
+    steps = _chunks(preps, model.cfg.n_queries)[1]
     return sum(steps[i] for i in split_chunks(steps)[1])
 
 
-def cross_the_rule(monkeypatch, preps, batch_size):
-    """Lower CHUNK_STEPS to the longest chunk's padded steps: the chunks
-    stay as they are, and the worker's share now holds two full chunks."""
-    monkeypatch.setattr(tada.shards, "CHUNK_STEPS",
-                        max(padded_steps(_chunks(preps, batch_size))))
-    assert worker_share(preps, batch_size) >= 2 * tada.shards.CHUNK_STEPS
+def cross_the_rule(monkeypatch, model, preps):
+    """Lower CHUNK_STEPS to three samples' padded steps: eight chunks of
+    three, and the worker's share holds four."""
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 3 * EVAL_Q)
+    assert worker_share(model, preps) == 2 * tada.shards.CHUNK_STEPS + 2 * 3 * EVAL_Q
 
 
 def rows_of(model, preps, monkeypatch):
@@ -497,11 +515,31 @@ def rows_of(model, preps, monkeypatch):
     return np.concatenate(rows), report
 
 
-@needs_fork
+def test_chunks_never_read_the_training_batch_size(processes, chunks_of_three, monkeypatch):
+    # a chunk's size follows from the samples and n_queries alone
+    processes(1)
+    train_samples, val_samples = small_data()
+    batch_logits = TadaModel.batch_logits
+    seen, out = {}, {}
+    for batch_size in (1, 64):
+        model = tiny_model(n_queries=Q, batch_size=batch_size)
+        redraw_params(model, seed=2)
+        preps = [model.prepare(s) for s in train_samples + val_samples]
+        calls = seen[batch_size] = []
+        monkeypatch.setattr(TadaModel, "batch_logits", lambda self, chunk, calls=calls: (
+            calls.append([p.sample_id for p in chunk]) or batch_logits(self, chunk)))
+        rows, report = rows_of(model, preps, monkeypatch)
+        out[batch_size] = rows.tobytes(), report.csv_line()
+    assert [len(c) for c in seen[1]] == [3] * 8
+    assert seen[1] == seen[64]
+    assert out[1] == out[64]
+
+
+@needs_worker
 def test_evaluation_past_the_rule_forks_one_worker_for_the_call(processes, monkeypatch,
                                                                 tmp_path):
     model, preps = eval_data()
-    cross_the_rule(monkeypatch, preps, 3)
+    cross_the_rule(monkeypatch, model, preps)
     processes(1)
     want, want_report = rows_of(model, preps, monkeypatch)
     processes(2)
@@ -518,8 +556,8 @@ def test_evaluation_past_the_rule_forks_one_worker_for_the_call(processes, monke
     assert np.array_equal(got, want)
     assert report == want_report
     # the worker computed split_chunks's second set, the parent the first
-    chunks = _chunks(preps, 3)
-    here, there = split_chunks(padded_steps(chunks))
+    chunks, steps = _chunks(preps, EVAL_Q)
+    here, there = split_chunks(steps)
     by_pid = computed_by(probe)
     assert by_pid.pop(os.getpid()) == [chunks[i][0].sample_id for i in here]
     assert list(by_pid.values()) == [[chunks[i][0].sample_id for i in there]]
@@ -527,43 +565,50 @@ def test_evaluation_past_the_rule_forks_one_worker_for_the_call(processes, monke
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
+@needs_worker
 def test_evaluation_below_the_rule_or_without_a_worker_starts_nothing(processes,
                                                                       monkeypatch):
     model, preps = eval_data()
-    want, _ = rows_of(model, preps, monkeypatch)
+
+    def in_order():
+        chunks, _ = _chunks(preps, EVAL_Q)
+        return np.concatenate([softmax_rows(model.batch_logits(c)) for c in chunks])
+
     processes(2)
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-    # the real rule: a worker's share of these chunks is far below two full chunks
-    assert 0 < worker_share(preps, 3) < 2 * tada.shards.CHUNK_STEPS
-    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
-    # a padded step or two short of the rule
-    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", worker_share(preps, 3) // 2 + 1)
-    assert worker_share(preps, 3) < 2 * tada.shards.CHUNK_STEPS
-    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    # the real rule: three chunks of eight, and the worker's share of one
+    # chunk is half of two full chunks
+    assert 0 < worker_share(model, preps) < 2 * tada.shards.CHUNK_STEPS
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], in_order())
+    # two padded steps short of the rule: four chunks of six, two of them
+    # the worker's
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 6 * EVAL_Q + 1)
+    assert worker_share(model, preps) == 2 * tada.shards.CHUNK_STEPS - 2
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], in_order())
     # past the rule, where no worker may run: one CPU, or multi-threaded BLAS
-    cross_the_rule(monkeypatch, preps, 3)
+    cross_the_rule(monkeypatch, model, preps)
     processes(1)
-    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], in_order())
     processes(2)
     monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], want)
+    assert np.array_equal(rows_of(model, preps, monkeypatch)[0], in_order())
     assert multiprocessing.active_children() == []
 
 
-@needs_fork
+@needs_worker
 @pytest.mark.parametrize("last, workers", [(9, 0), (10, 1)])
 def test_fork_rule_sits_at_two_full_chunks(last, workers, processes, monkeypatch):
-    # one-sample chunks of 10, 10, 10 and ``last`` padded steps: split_chunks
-    # gives the worker the second and the last, a share of 19 or 20 against
-    # 2 * CHUNK_STEPS = 20
+    # one-sample chunks of 10, 10, 10 and ``last`` padded steps (each series
+    # longer than n_queries): split_chunks gives the worker the second and
+    # the last, a share of 19 or 20 against 2 * CHUNK_STEPS = 20
     monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 10)
     rng = np.random.default_rng(3)
-    model = tiny_model(batch_size=1)
+    model = tiny_model()
+    assert model.cfg.n_queries < 9
     preps = [model.prepare(random_series(rng, n, 3, sid=f"b{i}", label=i % 2))
              for i, n in enumerate([10, 10, 10, last])]
-    assert worker_share(preps, 1) == 2 * tada.shards.CHUNK_STEPS - 1 + workers
+    assert worker_share(model, preps) == 2 * tada.shards.CHUNK_STEPS - 1 + workers
     processes(1)
     want, _ = rows_of(model, preps, monkeypatch)
     processes(2)
@@ -578,11 +623,11 @@ def test_fork_rule_sits_at_two_full_chunks(last, workers, processes, monkeypatch
 
 def evaluate_past_the_rule(monkeypatch):
     model, preps = eval_data()
-    cross_the_rule(monkeypatch, preps, 3)
+    cross_the_rule(monkeypatch, model, preps)
     return evaluate_preps(model, preps)
 
 
-@needs_fork
+@needs_worker
 def test_evaluation_worker_failures_map_as_in_training(processes, monkeypatch, capfd):
     processes(2)
     parent = os.getpid()
@@ -606,7 +651,7 @@ def test_evaluation_worker_failures_map_as_in_training(processes, monkeypatch, c
     assert "Traceback" not in capfd.readouterr().err
 
 
-@needs_fork
+@needs_worker
 def test_ctrl_c_in_evaluation_leaves_no_worker(processes, monkeypatch):
     processes(2)
     parent = os.getpid()

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tada.shards
-from helpers import build_series
+from helpers import WORKER_POSSIBLE, allow_worker, build_series
 from tada.config import RunConfig
 from tada.errors import TrainingError
 from tada.training import train
@@ -108,11 +107,9 @@ def legal_configs(draw):
 
 @pytest.fixture
 def sharded(monkeypatch):
-    """The shard worker wherever fork exists, one CPU included."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        monkeypatch.setattr(tada.shards, "shard_processes", lambda: 2)
-        for var in tada.shards.BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
+    """The shard worker wherever one can run, one CPU included."""
+    if WORKER_POSSIBLE:
+        allow_worker(monkeypatch)
 
 
 @settings(deadline=None, max_examples=150, derandomize=True, database=None,

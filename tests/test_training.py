@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import multiprocessing
 import os
 from types import SimpleNamespace
 from unittest import mock
@@ -13,7 +12,8 @@ import pytest
 import reference
 import tada.shards
 import tada.training
-from helpers import random_series, redraw_params, tiny_config, tiny_model
+from helpers import (WORKER_POSSIBLE, allow_worker, random_series, redraw_params, tiny_config,
+                     tiny_model)
 from tada.data import SynthConfig, synth_generate
 from tada.errors import EvaluationError, TrainingError
 from tada.metrics import accuracy, auprc, auroc, softmax_rows
@@ -38,9 +38,11 @@ def small_data():
 
 
 def stub_model(logits_by_id, task="sequence", n_classes=2):
-    # batches of 4, so six samples take a full and a partial chunk
+    # four samples of n_queries rows fill CHUNK_STEPS, so six samples take a
+    # full and a partial chunk
     return SimpleNamespace(
-        task=task, n_classes=n_classes, cfg=SimpleNamespace(batch_size=4),
+        task=task, n_classes=n_classes,
+        cfg=SimpleNamespace(n_queries=tada.shards.CHUNK_STEPS // 4),
         batch_logits=lambda preps: np.concatenate(
             [np.asarray(logits_by_id[p.sample_id], dtype=float) for p in preps]))
 
@@ -95,20 +97,23 @@ def test_evaluate_empty_set_raises():
 
 def per_sample_report(model, preps):
     """evaluate_preps's metrics from the per-sample reference, one sample a chunk."""
+    # n_queries rows fill CHUNK_STEPS: each sample pads to a chunk of its own
     stub = SimpleNamespace(task=model.task, n_classes=model.n_classes,
-                           cfg=SimpleNamespace(batch_size=1),
-                           batch_logits=lambda chunk: reference.forward(model, chunk[0])[0].data)
+                           cfg=SimpleNamespace(n_queries=tada.shards.CHUNK_STEPS),
+                           batch_logits=lambda chunk: reference.forward(model, chunk[0])[0].data,
+                           trainable=dict)
     # the stub holds no parameters a shard worker could be sent
-    with mock.patch.object(tada.shards, "shard_processes", lambda: 1):
+    with mock.patch.object(tada.shards, "_cpu_halves", lambda: None):
         return evaluate_preps(stub, preps)
 
 
 @pytest.mark.parametrize("task", ["sequence", "step"])
 def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
-    # 13 samples in batches of 5, with a step cap that splits the long ones
-    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 24)
+    # 13 samples in chunks of at most 5 (each pads to at least n_queries = 4
+    # rows, against a step cap of 20) that split the long ones
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 20)
     rng = np.random.default_rng(8)
-    model = tiny_model(n_features=3, task=task, batch_size=5)
+    model = tiny_model(n_features=3, task=task, n_queries=4)
     redraw_params(model, seed=8)
     preps = []
     for i, n in enumerate([2, 3, 1, 9, 4, 2, 12, 5, 3, 3, 7, 1, 2]):
@@ -120,10 +125,10 @@ def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
     monkeypatch.setattr(tada.training, "softmax_rows",
                         lambda z: calls.append(softmax_rows(z)) or calls[-1])
     got = evaluate_preps(model, preps)
-    chunks = tada.shards._chunks(preps, 5)
+    chunks, _ = tada.shards._chunks(preps, 4)
     assert len(calls) == len(chunks) > 13 // 5 + 1
     assert [p for c in chunks for p in c] == preps
-    assert all(len(c) <= 5 and (len(c) == 1 or len(c) * max(len(p.times) for p in c) <= 24)
+    assert all(len(c) <= 5 and (len(c) == 1 or len(c) * max(len(p.times) for p in c) <= 20)
                for c in chunks)
     want_rows = np.concatenate([softmax_rows(reference.forward(model, p)[0].data)
                                 for p in preps])
@@ -139,15 +144,18 @@ def test_chunked_evaluation_matches_the_per_sample_path(task, monkeypatch):
 def test_one_class_validation_loss_builds_no_graph(task, monkeypatch):
     # each chunk's loss from its logit rows: equal to batch_loss's value, bit
     # for bit, with no node of the loss requiring a gradient
+    # every series has at most 16 steps: with n_queries = 16 and a cap of
+    # three such samples, chunks of three
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 3 * 16)
     if task == "sequence":
         train_samples, val_samples = small_data()
-        model = tiny_model(n_features=2, batch_size=3)
+        model = tiny_model(n_features=2, n_queries=16)
         samples = train_samples + val_samples
     else:
         # series of unequal lengths, so each chunk's samples hold unequal
         # label counts
         rng = np.random.default_rng(4)
-        model = tiny_model(n_features=3, task=task, batch_size=3)
+        model = tiny_model(n_features=3, task=task, n_queries=16)
         samples = []
         for i, n in enumerate([2, 5, 3, 7, 1, 4, 6, 2]):
             s = random_series(rng, n, 3, sid=f"s{i}")
@@ -155,7 +163,8 @@ def test_one_class_validation_loss_builds_no_graph(task, monkeypatch):
                 s, label=tuple(int(k) for k in rng.integers(0, 2, n))))
     redraw_params(model, seed=4)
     preps = [model.prepare(s) for s in samples]
-    chunks = tada.shards._chunks(preps, 3)
+    chunks, _ = tada.shards._chunks(preps, 16)
+    assert {len(c) for c in chunks[:-1]} == {3}
     if task == "step":
         assert all(len({len(p.labels) for p in c}) > 1 for c in chunks)
     want = sum(model.batch_loss(c).item() * len(c) for c in chunks) / len(preps)
@@ -294,12 +303,10 @@ def test_non_finite_gradient_names_its_epoch(where, monkeypatch):
     # from epoch 1 on, each poisoned shard adds a zero to its loss whose
     # gradient for head.b is infinite; as the worker's shard, only the
     # worker poisons
-    if where == "worker" and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
+    if where == "worker" and not WORKER_POSSIBLE:
+        pytest.skip("no fork or no affinity call on this platform")
     train_samples, val_samples = small_data()
-    monkeypatch.setattr(tada.shards, "shard_processes", lambda: 1 + (where == "worker"))
-    for var in tada.shards.BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")
+    allow_worker(monkeypatch, where == "worker")
     parent = os.getpid()
     # 16 samples in batches of 8: two steps of two shards per epoch
     first_poisoned = 2 if where == "worker" else 4

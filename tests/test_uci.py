@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tada.data import build_value_mask, normalize_times
-from tada.errors import DataError
+from tada.errors import ConfigError, DataError
 from tada.uci import (
     ACTIVITY_CLASSES,
     N_CLASSES,
@@ -92,6 +92,15 @@ def test_posture_merging_covers_seven_classes():
     assert ACTIVITY_CLASSES["sitting"] == ACTIVITY_CLASSES["sitting down"]
     assert ACTIVITY_CLASSES["standing up from lying"] == \
         ACTIVITY_CLASSES["standing up from sitting"]
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_converter_refuses_a_window_below_one(tmp_path, window):
+    # 0 raised range()'s ValueError, -1 "no complete -1-step windows found"
+    csv = tmp_path / "activity.csv"
+    write_fixture(csv, n_steps=120)
+    with pytest.raises(ConfigError, match=f"^window must be >= 1, got {window}$"):
+        convert_uci_activity(str(csv), window=window)
 
 
 def test_converter_errors(tmp_path):
