@@ -80,10 +80,10 @@ class RunConfig:
                 f"config: patch_size {self.patch_size} not divisible by merge_factor {self.merge_factor}")
         if not self.no_mixer:
             patches = self.n_queries // self.patch_size
-            if patches % (self.merge_factor ** self.n_layers) != 0:
+            if patches % (self.merge_factor ** (self.n_layers - 1)) != 0:
                 raise ConfigError(
                     f"config: {patches} patches cannot merge by {self.merge_factor} "
-                    f"for {self.n_layers} layers")
+                    f"between {self.n_layers} layers")
         return self
 
     def to_dict(self) -> dict:

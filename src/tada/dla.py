@@ -51,11 +51,17 @@ def _window(t: np.ndarray, r: np.ndarray, a: np.ndarray, cfg) -> np.ndarray:
     ``a``, all three broadcast against each other.
 
     Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
-    soft mode is sigmoid((radius - |t - anchor|) / tau).
+    soft mode is sigmoid((radius - |t - anchor|) / tau), formed in place in
+    one array of the full broadcast shape, which |t - anchor| alone may not
+    have: the block pool's radii add the feature axis.
     """
     if cfg.window_mode == "hard":
         return ((t >= a - r) & (t <= a + r)).astype(np.float64)
-    return _sigmoid((r + (-np.abs(t - a))) * (1.0 / cfg.gate_temperature))
+    x = t - a
+    np.abs(x, out=x)
+    x = np.subtract(r, x, out=x if x.shape == np.broadcast_shapes(x.shape, r.shape) else None)
+    x *= 1.0 / cfg.gate_temperature
+    return _sigmoid(x, overwrite=True)
 
 
 def _gates(radii: np.ndarray, times: np.ndarray, anchors: np.ndarray, cfg,

@@ -5,8 +5,12 @@ by attention into one fixed-size vector per step.  An observation's score
 is a learned query against a linear key of its own encoding.  The step
 attention is a segment softmax over each step's own observations, and the
 step's vector is the segment sum of its weighted encodings, projected by
-the value matrix.  Both cost O(N) in the N observations; no (T, N) array
-is formed.  A batch's observations are concatenated, and ``step_of``
+the value matrix.  Only steps holding two or more observations compute
+keys, scores and a softmax: an observation alone in its step has weight
+exactly 1, so it enters its step's sum as it is.  On a batch without a
+shared step the score chain is empty, and the key and query weights still
+get exact zero gradients.  Both cost O(N) in the N observations; no (T, N)
+array is formed.  A batch's observations are concatenated, and ``step_of``
 numbers each one's step by its row in the batch's (B, T_max) padded
 layout, so the output has one row per padded step and zeros at padding.
 The step's time is prepended unchanged, so row k of the output is
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 import math
 
-from .tensor import (Tensor, concat, gather, matmul, mul, reshape, segment_softmax,
-                     segment_sum)
+import numpy as np
+
+from .tensor import Tensor, concat, gather, matmul, mul, segment_softmax, segment_sum
 
 
 def encode_observations(params: dict, prep, cfg) -> Tensor:
@@ -43,12 +48,13 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     feature embeddings (B * T_max, embed_dim); the time concat belongs to the
     key construction of the local-attention stage.
     """
-    x_enc = encode_observations(params, prep, cfg)
-    keys = matmul(x_enc, params["te.key.w"])
-    scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
     T = len(prep.times)
-    weights = segment_softmax(scores, prep.step_of, T)   # each step's weights sum to 1
-    pooled = segment_sum(mul(reshape(weights, (-1, 1)), x_enc), prep.step_of, T)
+    shared = np.flatnonzero(np.bincount(prep.step_of, minlength=T)[prep.step_of] > 1)
+    x_enc = encode_observations(params, prep, cfg)
+    keys = matmul(gather(x_enc, shared), params["te.key.w"])
+    scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
+    weights = segment_softmax(scores, prep.step_of[shared], T)   # sum to 1 per shared step
+    pooled = segment_sum(x_enc, prep.step_of, T, weights, shared)
     attended = matmul(pooled, params["te.value.w"])
     if not with_time:
         return attended

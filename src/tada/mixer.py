@@ -7,7 +7,10 @@ then channels again around a residual, and finally shrinks every patch by
 the merge factor m before regrouping m adjacent patches into one, halving
 (for m=2) the token count per layer.  Every layer's pre-merge activations
 feed the fusion block, which pools each scale to a common token length,
-combines them, and maps through an MLP.
+combines them, and maps through an MLP.  Nothing reads the last layer's
+merge, so it is skipped: its weight ``mixer.l{n_layers-1}.pool.w`` stays
+in the model, for the init draws and the file layout, and gets no
+gradient.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ def patch_merge(x: Tensor, w_pool: Tensor, merge_factor: int) -> Tensor:
 
 def run_mixer(grid: Tensor, params: dict, cfg) -> list[Tensor]:
     """Apply the layer stack to a (..., L, C) grid; returns each layer's
-    pre-merge activations."""
+    pre-merge activations.  The last layer merges nothing: no later layer
+    would read it."""
     x = patchify(grid, cfg.patch_size)
     outs = []
     for layer in range(cfg.n_layers):
@@ -91,7 +95,8 @@ def run_mixer(grid: Tensor, params: dict, cfg) -> list[Tensor]:
                             params[f"mixer.l{layer}.across.w"],
                             params[f"mixer.l{layer}.mix_out.w"])
         outs.append(x_out)
-        x = patch_merge(x_out, params[f"mixer.l{layer}.pool.w"], cfg.merge_factor)
+        if layer + 1 < cfg.n_layers:
+            x = patch_merge(x_out, params[f"mixer.l{layer}.pool.w"], cfg.merge_factor)
     return outs
 
 

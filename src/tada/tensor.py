@@ -105,12 +105,6 @@ class Tensor:
     def transpose(self, axes=None):
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
@@ -188,16 +182,18 @@ def relu(x) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, overwrite: bool = False) -> Array:
     """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).
 
     e never overflows, and nothing is clipped, so tiny gates stay nonzero.
-    Computed in place: gate arrays are large.
+    Computed in place: gate arrays are large.  With ``overwrite`` e takes
+    x's own buffer, and x is lost.
     """
-    e = np.abs(x, out=np.empty_like(x))
+    positive = x >= 0
+    e = np.abs(x, out=x if overwrite else np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.where(positive, 1.0, e)
     e += 1.0
     out /= e
     return out
@@ -260,40 +256,10 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     cuts = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, cuts, axis=axis))
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(ts, np.split(g, cuts, axis=axis)))
 
     return _node(out, ts, backward)
-
-
-# reductions ----------------------------------------------------------------
-
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-    shape = x.data.shape
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _node(out, (x,), backward)
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    shape = x.data.shape
-    n = x.data.size if axis is None else np.prod([shape[a] for a in np.atleast_1d(axis)])
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape) / n,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape) / n,)
-
-    return _node(out, (x,), backward)
 
 
 # linear algebra ------------------------------------------------------------
@@ -398,20 +364,38 @@ def segment_softmax(scores, step_of, n_steps: int) -> Tensor:
     return _node(w, (s,), backward)
 
 
-def segment_sum(x, step_of, n_steps: int) -> Tensor:
-    """(T, k) sums of the (N, k) rows of ``x`` per step; empty steps give zero rows."""
+def segment_sum(x, step_of, n_steps: int, weights=(), rows=()) -> Tensor:
+    """(T, k) sums of the (N, k) rows of ``x`` per step; empty steps give zero rows.
+
+    With (R,) ``weights`` and R distinct row indices ``rows``, row rows[j]
+    enters its step's sum scaled by weights[j]; every other row enters as
+    it is, with weight exactly 1.
+    """
     x = _lift(x)
+    w = _lift(weights)
     if x.data.ndim != 2:
         raise DimensionError(f"segment_sum: x must be 2D, got {x.data.shape}")
+    rows = np.asarray(rows, dtype=np.int64)
+    if w.data.ndim != 1 or rows.shape != w.data.shape:
+        raise DimensionError(f"segment_sum: weights {w.data.shape} and rows "
+                             f"{rows.shape} are not two (R,) arrays")
     n, k = x.data.shape
     seg = _segments(step_of, n_steps, n, "segment_sum")
+    scale = np.ones((n, 1))
+    scale[rows, 0] = w.data
+    X = x.data * scale if rows.size else x.data
     flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
-    out = np.bincount(flat, weights=x.data.reshape(-1), minlength=n_steps * k)
+    out = np.bincount(flat, weights=X.reshape(-1), minlength=n_steps * k)
 
     def backward(g):
-        return (g[seg],)
+        gx = g[seg]
+        if not rows.size:
+            return gx, np.zeros(0)
+        gw = (gx * x.data).sum(axis=1)[rows]
+        gx *= scale
+        return gx, gw
 
-    return _node(out.reshape(n_steps, k), (x,), backward)
+    return _node(out.reshape(n_steps, k), (x, w), backward)
 
 
 # Below this a normalizer may hold subnormal terms whose rounding, up to
@@ -537,7 +521,7 @@ def _observation_exponents(S: Array, G: Array, M: Array, D: int):
     """
     B, H, L, N = S.shape
     live = G > 0.0                                               # (B, L, N)
-    W = S + np.where(live, 0.0, -np.inf)[:, None]               # -inf where not live
+    W = np.where(live[:, None], S, -np.inf)
     c = W.max(axis=-1, keepdims=True, initial=-np.inf)
     c[~np.isfinite(c)] = 0.0
     W -= c
@@ -628,8 +612,10 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
             np.add.at(g_s, (b, h, l), w_redo * (a_redo * M[b, :, D + d] - b_redo))
         if not learn_r:
             return (g_s,)
-        per_obs = (g_s.sum(axis=1) * (1.0 - G)).sum(axis=1)        # (B, N)
-        g_r = np.bincount(feat.reshape(-1), weights=per_obs.reshape(-1), minlength=D)
+        per_obs = g_s.sum(axis=1)                                   # (B, L, N)
+        per_obs *= 1.0 - G
+        g_r = np.bincount(feat.reshape(-1), weights=per_obs.sum(axis=1).reshape(-1),
+                          minlength=D)
         return g_s, g_r * (1.0 / temperature)
 
     return _node(out, (s, r) if learn_r else (s,), backward)

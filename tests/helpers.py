@@ -12,6 +12,38 @@ from tada.config import RunConfig
 from tada.data import IrregularSeries, Observation, TimeStep
 from tada.dla import observation_slots
 from tada.model import TadaModel
+from tada.tensor import _lift, _node
+
+
+def tsum(x, axis=None, keepdims: bool = False):
+    """Sum as a graph op; tests reduce model outputs to a scalar with it."""
+    x = _lift(x)
+    out = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
+
+    def backward(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape).copy(),)
+
+    return _node(out, (x,), backward)
+
+
+def tmean(x, axis=None, keepdims: bool = False):
+    """Mean as a graph op."""
+    x = _lift(x)
+    out = x.data.mean(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
+    n = x.data.size if axis is None else np.prod([shape[a] for a in np.atleast_1d(axis)])
+
+    def backward(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape) / n,)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape) / n,)
+
+    return _node(out, (x,), backward)
 
 
 def build_series(steps_spec, sid="s", label=0):

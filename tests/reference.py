@@ -9,7 +9,8 @@ is ``dense_te_forward``, whose step attention runs through
 ``weighted_masked_softmax`` with (T, N) 0/1 step gates, and DLA pooled
 with (H, L, D, T) weights, each (h, l, d) row shifted by its own live
 maximum.  ``reference_backward`` and ``reference_sigmoid`` are the earlier
-gradient accumulation and sigmoid.  ``chain_gates`` and
+gradient accumulation and sigmoid, and ``window`` the earlier soft gate
+expression.  ``chain_gates`` and
 ``chain_gated_attention_pool`` are DLA's window gates as a graph chain
 through the ``sigmoid`` op and the batched pool that gave such gates a
 gradient, on its own copy of the pool's exponents (``pool_exponents``).
@@ -22,6 +23,7 @@ import math
 
 import numpy as np
 
+from helpers import tmean, tsum
 from tada.data import IrregularSeries, TimeStep
 from tada.dla import anchor_times
 from tada.embedding import encode_observations, te_forward
@@ -30,7 +32,7 @@ from tada.mixer import adaptive_pool_matrix, run_mixer
 from tada.model import Batch
 from tada.tensor import (Tensor, _lift, _node, _sigmoid, _unbroadcast, add, concat,
                          cross_entropy_with_logits, matmul, mul, relu, reshape, softplus,
-                         tmean, transpose, tsum)
+                         transpose)
 
 
 def reference_backward(root: Tensor) -> None:
@@ -80,6 +82,14 @@ def sigmoid(x) -> Tensor:
         return (g * y * (1.0 - y),)
 
     return _node(y, (x,), backward)
+
+
+def window(t, r, a, cfg):
+    """``dla._window`` as it was: the soft gate as one expression, each step
+    on a fresh array."""
+    if cfg.window_mode == "hard":
+        return ((t >= a - r) & (t <= a + r)).astype(np.float64)
+    return _sigmoid((r + (-np.abs(t - a))) * (1.0 / cfg.gate_temperature))
 
 
 def chain_gates(radii, times, anchors, cfg, obs_mask) -> Tensor:

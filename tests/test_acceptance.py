@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import build_series, random_series, redraw_params, tiny_model
+from helpers import build_series, random_series, redraw_params, tiny_model, tsum
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.config import RunConfig
 from tada.data import SynthConfig, split_dataset, synth_generate
@@ -23,7 +23,7 @@ from tada.gradcheck import grad_check
 from tada.metrics import auprc, auroc
 from tada.mixer import classify, fuse, mixer_block, run_mixer
 from tada.model import collate
-from tada.tensor import Tensor, mul, tsum
+from tada.tensor import Tensor, mul
 from tada.training import evaluate, train
 from tada.uci import convert_uci_activity
 from test_metrics import pair_counting_auroc, threshold_sweep_auprc

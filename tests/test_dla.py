@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 import tada.dla
 from helpers import (DLA_KERNELS, build_series, force_dla_kernel, graph_nodes,
-                     mask_observations, random_series, redraw_params, tiny_model)
+                     mask_observations, random_series, redraw_params, tiny_model, tsum)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import (_gates, _observation_gates, anchor_times, attention_maps, dla_forward,
@@ -19,7 +19,7 @@ from tada.dla import (_gates, _observation_gates, anchor_times, attention_maps, 
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
-from tada.tensor import Tensor, mul, reshape, tsum
+from tada.tensor import Tensor, mul, reshape
 
 
 def raw_radius(r):
@@ -165,6 +165,25 @@ def test_gates_are_the_chain_gates_at_observed_entries(inputs, mode, tau):
             assert np.array_equal(per_obs[b][:, live],
                                   want[b][:, obs.feat[b, live], obs.step[b, live] - b * T])
             assert np.all(per_obs[b][:, ~live] == 0.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(gate_inputs(), st.sampled_from(["hard", "soft"]), st.sampled_from([0.01, 0.05]))
+def test_gates_are_the_earlier_window_expression(inputs, mode, tau):
+    # formed in place in one buffer, the gates keep the bits of the
+    # expression that made a fresh array per step: for the block's
+    # (B, L, D, T) broadcast, setting2's (B, 1, 1, T) mask among them, and
+    # for one gate per observation
+    times, radii, mask, anchors = inputs
+    cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
+    want = reference.window(times[:, None, None], radii[:, None], anchors[:, None, None], cfg)
+    assert np.array_equal(_gates(radii, times, anchors, cfg, mask), want * mask)
+    (B, T), D = times.shape, len(radii)
+    obs = mask_observations(np.broadcast_to(mask[:, 0], (B, D, T)).transpose(0, 2, 1),
+                            np.zeros((B, T, D)))
+    want = reference.window(times.reshape(-1)[obs.step][:, None], radii[obs.feat][:, None],
+                            anchors[:, None], cfg) * obs.live[:, None]
+    assert np.array_equal(_observation_gates(radii, times.reshape(-1), obs, anchors, cfg), want)
 
 
 # grid construction -------------------------------------------------------------

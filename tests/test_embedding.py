@@ -4,13 +4,16 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import build_series, random_series, redraw_params, tiny_model
+from helpers import build_series, graph_nodes, random_series, redraw_params, tiny_model, tsum
+from reference import dense_te_forward
 from tada.embedding import encode_observations, te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
-from tada.tensor import (Tensor, concat, gather, matmul, mul, relu, reshape,
-                         tsum)
+from tada.tensor import Tensor, concat, gather, matmul, mul, relu, reshape
 
 
 def te_params(model):
@@ -233,3 +236,100 @@ def test_te_matches_the_reference_with_step_summary():
             for k in grads:
                 assert max_rel_diff(grads[k], want_grads[k]) <= 1e-12, (mode, seed, k)
     assert multi_obs_steps > 0
+
+
+# step attention only where a step is shared ----------------------------------
+
+
+def score_chain(out, params):
+    """The nodes between te's key and query weights and its step sum: the
+    shared observations' keys, scores and softmax weights."""
+    value_read = next(n for n in graph_nodes(out)
+                      if any(p is params["te.value.w"] for p in n._parents))
+    pooled = value_read._parents[0]
+    memo = {id(params["te.key.w"]): True, id(params["te.query"]): True}
+
+    def reads_weights(n):
+        if id(n) not in memo:
+            memo[id(n)] = any(reads_weights(p) for p in n._parents)
+        return memo[id(n)]
+
+    return [n for n in graph_nodes(pooled)
+            if n is not pooled and n._parents and reads_weights(n)]
+
+
+def singleton_batch(model, rng, n_samples=3):
+    """Samples whose every step holds one observation, as on synth data."""
+    series = [build_series([(t, [(int(rng.integers(4)), float(rng.normal()))])
+                            for t in range(int(rng.integers(2, 8)))], sid=f"s{b}")
+              for b in range(n_samples)]
+    return collate([model.prepare(s) for s in series])
+
+
+@pytest.mark.parametrize("mode", ["embedding", "literal"])
+def test_singleton_steps_build_an_empty_score_chain(mode):
+    model = tiny_model(n_features=4, te_mode=mode)
+    redraw_params(model, seed=4)
+    rng = np.random.default_rng(4)
+    X = singleton_batch(model, rng)
+    out = te_forward(model.params, X, model.cfg)
+    chain = score_chain(out, model.params)
+    # keys, scores, scaled scores and the softmax weights: all without an entry
+    assert len(chain) == 4 and all(n.data.size == 0 for n in chain)
+    # a shared step fills the same chain
+    X.step_of[1] = X.step_of[0]
+    shared = score_chain(te_forward(model.params, X, model.cfg), model.params)
+    assert len(shared) == 4 and all(n.data.shape[0] == 2 for n in shared)
+
+
+@pytest.mark.parametrize("mode", ["embedding", "literal"])
+def test_singleton_steps_give_key_and_query_exact_zero_gradients(mode):
+    # an array of zeros, not None: Adam's moments then decay as they would
+    # under any zero gradient, on data mixing shared and singleton batches
+    model = tiny_model(n_features=4, te_mode=mode)
+    redraw_params(model, seed=5)
+    rng = np.random.default_rng(5)
+    X = singleton_batch(model, rng)
+    out = te_forward(model.params, X, model.cfg)
+    tsum(mul(out, rng.normal(size=out.shape))).backward()
+    for name in ("te.key.w", "te.query"):
+        p = model.params[name]
+        assert p.grad is not None and p.grad.shape == p.shape and not p.grad.any(), name
+    assert model.params["te.value.w"].grad.any()
+
+
+@st.composite
+def mixed_batches(draw):
+    """1 to 3 samples of 1 to 6 steps, each step holding 1 to 3 of 4
+    features, so batches mix shared and singleton steps; and a seed."""
+    step = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+    samples = draw(st.lists(st.lists(step, min_size=1, max_size=6), min_size=1, max_size=3))
+    return samples, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_batches(), st.sampled_from(["embedding", "literal"]))
+def test_te_matches_the_dense_path_on_mixed_batches(batch, mode):
+    # fewer key rows may change BLAS summation order: 1e-12 of the largest
+    # entry, for the output and for every te gradient
+    samples, seed = batch
+    rng = np.random.default_rng(seed)
+    model = tiny_model(n_features=4, te_mode=mode)
+    redraw_params(model, seed=seed % 1000)
+    X = collate([model.prepare(build_series(
+        [(t, [(f, float(rng.normal())) for f in feats]) for t, feats in enumerate(steps)],
+        sid=f"s{b}")) for b, steps in enumerate(samples)])
+    coeff = rng.normal(size=(len(X.times), model.cfg.embed_dim + 1))
+    results = []
+    for forward in (te_forward, dense_te_forward):
+        for p in model.params.values():
+            p.grad = None
+        out = forward(model.params, X, model.cfg)
+        tsum(mul(out, coeff)).backward()
+        results.append((out.data, {k: p.grad for k, p in te_params(model).items()}))
+    (out, grads), (want, want_grads) = results
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    assert grads.keys() == want_grads.keys()
+    scale = max(np.abs(g).max() for g in want_grads.values())
+    for k in grads:
+        assert np.abs(grads[k] - want_grads[k]).max() <= 1e-12 * scale, k

@@ -7,10 +7,11 @@ import pytest
 
 import tada.dla
 import tada.tensor
+from helpers import tsum
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
 from tada.gradcheck import grad_check
-from tada.tensor import Tensor, _node, mul, relu, tsum
+from tada.tensor import Tensor, _node, mul, relu
 
 
 def test_quadratic_gradient_is_near_exact():

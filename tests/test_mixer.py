@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import redraw_params, tiny_model
+import tada.mixer
+import tada.model
+from helpers import random_series, redraw_params, tiny_model, tsum
 from tada.config import RunConfig
-from tada.errors import DimensionError
+from tada.errors import ConfigError, DimensionError
 from tada.gradcheck import grad_check
 from tada.mixer import (
     adaptive_pool_matrix,
@@ -16,7 +18,8 @@ from tada.mixer import (
     patchify,
     run_mixer,
 )
-from tada.tensor import Tensor, mul, tsum
+from tada.model import collate
+from tada.tensor import Tensor, mul
 
 
 def leaf(rng, shape):
@@ -143,6 +146,51 @@ def test_token_count_shrinks_by_merge_factor_per_layer():
     outs = run_mixer(grid, model.params, model.cfg)
     tokens = [int(np.prod(o.shape[:2])) for o in outs]
     assert tokens == [16, 8]
+
+
+def merging_every_layer(grid, params, cfg):
+    """``run_mixer`` as it was: the last layer merges too, into nothing."""
+    x = patchify(grid, cfg.patch_size)
+    outs = []
+    for layer in range(cfg.n_layers):
+        x_out = mixer_block(x, params[f"mixer.l{layer}.mix_in.w"],
+                            params[f"mixer.l{layer}.across.w"],
+                            params[f"mixer.l{layer}.mix_out.w"])
+        outs.append(x_out)
+        x = patch_merge(x_out, params[f"mixer.l{layer}.pool.w"], cfg.merge_factor)
+    return outs
+
+
+def test_the_last_merge_is_skipped(monkeypatch):
+    # the last layer's merge weight stays in the model, and no node reads it:
+    # a merge built and left dangling would not show in the logits' graph,
+    # so every merge the forward builds is counted
+    model = tiny_model(n_queries=16, patch_size=4, merge_factor=2, n_layers=2)
+    redraw_params(model, seed=7)
+    rng = np.random.default_rng(7)
+    X = collate([model.prepare(random_series(rng, 6, 3, sid=f"s{b}")) for b in range(2)])
+    merged = []
+    monkeypatch.setattr(tada.mixer, "patch_merge",
+                        lambda x, w, m: merged.append(w) or patch_merge(x, w, m))
+    logits = model.forward(X)
+    assert len(merged) == 1 and merged[0] is model.params["mixer.l0.pool.w"]
+    assert "mixer.l1.pool.w" in model.params
+    monkeypatch.setattr(tada.model, "run_mixer", merging_every_layer)
+    assert np.array_equal(model.forward(X).data, logits.data)
+
+
+def test_patches_need_only_merge_between_layers():
+    # 2 patches merge once, between the two layers; the last layer's one
+    # patch merges no further
+    model = tiny_model(n_queries=8, patch_size=4, merge_factor=2, n_layers=2)
+    rng = np.random.default_rng(3)
+    loss = model.batch_loss([model.prepare(random_series(rng, 5, 3, sid=f"s{b}"))
+                             for b in range(2)])
+    loss.backward()
+    assert np.isfinite(loss.data)
+    assert model.params["mixer.l1.across.w"].shape == (1, 1)
+    with pytest.raises(ConfigError, match="1 patches cannot merge by 2 between 3 layers"):
+        tiny_model(n_queries=4, patch_size=4, merge_factor=2, n_layers=3)
 
 
 # fusion and head -------------------------------------------------------------------

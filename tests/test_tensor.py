@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_nodes, mask_observations
+from helpers import graph_nodes, mask_observations, tmean, tsum
 from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
                        weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
@@ -34,9 +34,7 @@ from tada.tensor import (
     segment_softmax,
     segment_sum,
     softplus,
-    tmean,
     transpose,
-    tsum,
 )
 
 
@@ -126,6 +124,7 @@ def test_sigmoid_is_bit_identical_to_the_reference(xs):
     with np.errstate(invalid="ignore"):
         want = reference_sigmoid(x)
     assert np.array_equal(_sigmoid(x), want, equal_nan=True)
+    assert np.array_equal(_sigmoid(x.copy(), overwrite=True), want, equal_nan=True)
     assert np.array_equal(_sigmoid(x.reshape(-1, 1, 1)), want.reshape(-1, 1, 1),
                           equal_nan=True)
 
@@ -563,9 +562,19 @@ def test_segment_sum_closed_form_and_gradient(counts, k, seed):
     want = np.array([x.data[step_of == t].sum(axis=0) for t in range(T)])
     assert out.shape == (T, k)
     np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-15)
+    # weights on a subset of the rows; every other row enters as it is
+    rows = np.flatnonzero(rng.uniform(size=step_of.size) < 0.5)
+    w = leaf(rng, (rows.size,))
+    scaled = x.data.copy()
+    scaled[rows] *= w.data[:, None]
+    want = np.array([scaled[step_of == t].sum(axis=0) for t in range(T)])
+    np.testing.assert_allclose(segment_sum(x, step_of, T, w, rows).data, want,
+                               rtol=1e-14, atol=1e-15)
     if step_of.size:
         v = rng.normal(size=(T, k))
         assert_grads_match(lambda: tsum(mul(segment_sum(x, step_of, T), v)), {"x": x})
+        assert_grads_match(lambda: tsum(mul(segment_sum(x, step_of, T, w, rows), v)),
+                           {"x": x, "w": w})
 
 
 def test_segment_softmax_extreme_scores_stable():
@@ -589,6 +598,8 @@ def test_segment_ops_reject_bad_step_indices():
         segment_softmax(Tensor(np.ones((2, 1))), [0, 1], 2)
     with pytest.raises(DimensionError, match="segment_sum"):
         segment_sum(Tensor([1.0, 2.0]), [0, 1], 2)
+    with pytest.raises(DimensionError, match="segment_sum"):
+        segment_sum(Tensor(np.ones((2, 3))), [0, 1], 2, Tensor([0.5]), [0, 1])
 
 
 # gated attention pool ----------------------------------------------------------
