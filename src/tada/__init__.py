@@ -14,9 +14,8 @@ del _var
 
 from .config import RunConfig, load_config
 from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
-                   build_value_mask, load_dataset, normalize_times,
-                   parse_events, serialize_events, split_dataset,
-                   synth_generate, write_dataset)
+                   load_dataset, normalize_times, parse_events, serialize_events,
+                   split_dataset, synth_generate, write_dataset)
 from .gradcheck import GradCheckReport, grad_check
 from .metrics import accuracy, auprc, auroc
 from .model import TadaModel
@@ -30,7 +29,7 @@ __all__ = [
     "Adam", "GradCheckReport", "IrregularSeries", "MetricsReport",
     "Observation", "RunConfig", "SynthConfig", "TadaModel", "Tensor",
     "TimeStep", "TrainResult", "accuracy", "auprc", "auroc",
-    "build_value_mask", "evaluate", "grad_check", "load_config",
+    "evaluate", "grad_check", "load_config",
     "load_dataset", "normalize_times", "parse_events", "serialize_events",
     "split_dataset", "synth_generate", "train", "write_dataset",
 ]

@@ -242,12 +242,6 @@ def observation_arrays(series: IrregularSeries, n_features: int):
     return step_of, feat_idx, vals, values, mask
 
 
-def build_value_mask(series: IrregularSeries, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (T, D) value matrix with zeros at unobserved slots, plus bool
-    mask, from ``observation_arrays``."""
-    return observation_arrays(series, n_features)[3:]
-
-
 # splitting -------------------------------------------------------------------
 
 def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, _sigmoid, add, gated_attention_pool, gather, matmul, mul,
-                     observation_pool, reshape, softplus, transpose)
+from .tensor import (Tensor, _masked_exp, _sigmoid, add, gated_attention_pool, gather,
+                     matmul, mul, observation_pool, reshape, softplus, transpose)
 
 
 def anchor_times(n_queries: int) -> np.ndarray:
@@ -203,10 +203,7 @@ def attention_maps(params: dict, X, cfg, x_hat: Tensor | None) -> list[np.ndarra
     q, key_rows, radii = _projections(params, X, cfg, x_hat)
     scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
     G = gates[:, None]                                                # (B, 1, L, D, T)
-    S = np.where(G > 0.0, scores.data[:, :, :, None], -np.inf)       # (B, H, L, D, T)
-    c = S.max(axis=-1, keepdims=True, initial=-np.inf)
-    c[~np.isfinite(c)] = 0.0
-    u = np.exp(S - c) * G
+    u = _masked_exp(scores.data[:, :, :, None], G > 0.0) * G         # (B, H, L, D, T)
     z = u.sum(axis=-1, keepdims=True)
     w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
     return [np.transpose(w_b[..., :n], (0, 1, 3, 2)) for w_b, n in zip(w, X.lengths)]

@@ -18,8 +18,8 @@ Model files: magic ``TADA1``, little-endian uint32 header length, UTF-8
 JSON header (format version, config, dataset dims, parameter names and
 shapes in declaration order), then each parameter's float64 values,
 little-endian, row-major, in that same order.  Loading rejects any other
-format version, and any config key or parameter the current model does not
-declare, with DataError.
+format version, any config key the current model does not know, and any
+parameter list but the model's own, with DataError.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .mixer import classify, fuse, pool_stack, run_mixer
 from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape
 
 MAGIC = b"TADA1"
-FORMAT = 1
+FORMAT = 2
 
 
 @dataclass
@@ -100,11 +100,18 @@ def collate(preps: list[Batch]) -> Batch:
     )
 
 
-def _is_layout_entry(entry) -> bool:
-    """A model-header params entry: [name, shape] with non-negative int dims."""
-    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], list)
-            and all(type(n) is int and n >= 0 for n in entry[1]))
+def _layout_mismatch(layout, want: list) -> str | None:
+    """None when a header's params list is the model's own ``want`` list of
+    [name, shape] pairs, else the first place it departs from it."""
+    if layout == want:
+        return None
+    if not isinstance(layout, list):
+        return "params must be a list of [name, shape] pairs"
+    for got, (name, shape) in zip(layout, want):
+        if got != [name, shape]:
+            shown = " ".join(map(str, got)) if isinstance(got, list) else repr(got)
+            return f"unexpected parameter {shown}, expected {name} {shape}"
+    return f"{len(layout)} parameters, expected {len(want)}"
 
 
 def _inverse_softplus(y: float) -> float:
@@ -140,34 +147,25 @@ class TadaModel:
     def _query_init(self, rng, shape: tuple[int, ...]) -> np.ndarray:
         return rng.normal(0.0, 0.02, size=shape)
 
-    def _enc_dim(self) -> int:
-        return 1 + self.cfg.te_feature_dim if self.cfg.te_mode == "embedding" else 2
-
-    def _value_channels(self) -> int:
-        return self.cfg.embed_dim + 1 if self.cfg.keyvalue_variant == "setting2" \
-            else self.n_features
-
-    def _key_dim(self) -> int:
-        return self.n_features if self.cfg.keyvalue_variant == "setting1" \
-            else self.cfg.embed_dim + 1
-
     def _build_params(self, rng) -> None:
         cfg = self.cfg
-        enc = self._enc_dim()
         d_e = cfg.embed_dim
-        if cfg.te_mode == "embedding":
-            self._add("te.embed", self._uniform(rng, (self.n_features, cfg.te_feature_dim),
-                                                cfg.te_feature_dim))
-        self._add("te.key.w", self._uniform(rng, (enc, d_e), enc))
-        self._add("te.value.w", self._uniform(rng, (enc, d_e), enc))
-        self._add("te.query", self._query_init(rng, (d_e,)))
+        setting1 = cfg.keyvalue_variant == "setting1"
+        if cfg.no_dla or not setting1:      # setting1 keys DLA on the raw values: no te
+            enc = 1 + cfg.te_feature_dim if cfg.te_mode == "embedding" else 2
+            if cfg.te_mode == "embedding":
+                self._add("te.embed", self._uniform(
+                    rng, (self.n_features, cfg.te_feature_dim), cfg.te_feature_dim))
+            self._add("te.key.w", self._uniform(rng, (enc, d_e), enc))
+            self._add("te.value.w", self._uniform(rng, (enc, d_e), enc))
+            self._add("te.query", self._query_init(rng, (d_e,)))
 
         if cfg.no_dla:
             self._add("grid.proj.w", self._uniform(rng, (d_e, cfg.patch_channels), d_e))
             self._add("grid.proj.b", np.zeros(cfg.patch_channels))
         else:
-            d_eff = self._value_channels()
-            key_dim = self._key_dim()
+            d_eff = d_e + 1 if cfg.keyvalue_variant == "setting2" else self.n_features
+            key_dim = self.n_features if setting1 else d_e + 1
             self._add("dla.queries", self._query_init(rng, (cfg.n_queries, d_e + 1)))
             self._add("dla.range_raw",
                       np.full(d_eff, _inverse_softplus(1.0 / cfg.n_queries)))
@@ -354,20 +352,17 @@ class TadaModel:
                                 f"{header['format']!r}, expected {FORMAT}")
             cfg = RunConfig(**coerce_fields(header["config"], "model config"))
             model = cls(cfg, header["n_features"], header["n_classes"], header["task"])
-            layout = header["params"]
+            mismatch = _layout_mismatch(header["params"], [
+                [name, list(t.data.shape)] for name, t in model.params.items()])
         except (ConfigError, KeyError, TypeError) as e:
             raise DataError(f"{path}: invalid model header: {e!r}") from None
-        if not isinstance(layout, list) or not all(map(_is_layout_entry, layout)):
-            raise DataError(f"{path}: invalid model header: params must be a list of "
-                            f"[name, shape] pairs")
-        for name, shape in layout:
-            if name not in model.params or list(model.params[name].data.shape) != shape:
-                raise DataError(f"{path}: unexpected parameter {name} {shape}")
-            size = int(np.prod(shape)) * 8
+        if mismatch is not None:
+            raise DataError(f"{path}: invalid model header: {mismatch}")
+        for t in model.params.values():
+            size = t.data.size * 8
             if off + size > len(raw):
                 raise DataError(f"{path}: truncated parameter data")
-            model.params[name].data = np.frombuffer(
-                raw[off:off + size], dtype="<f8").reshape(shape).copy()
+            t.data = np.frombuffer(raw[off:off + size], dtype="<f8").reshape(t.data.shape).copy()
             off += size
         if off != len(raw):
             raise DataError(f"{path}: trailing bytes after parameters")

@@ -307,28 +307,30 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), backward)
 
 
-def gather(x, index, axis: int = 0) -> Tensor:
-    """Select slices along `axis` by a 1D integer index (duplicates allowed)."""
+def _scatter_rows(rows: Array, index: Array, n: int) -> Array:
+    """(n, k) sums of the (R, k) ``rows`` by their targets ``index`` in [0, n),
+    each target's rows added in index order, from zero, by one bincount."""
+    k = rows.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * k)
+    return out.reshape(n, k).astype(np.float64, copy=False)     # int64 when empty
+
+
+def gather(x, index) -> Tensor:
+    """Rows of a 2D ``x`` by a 1D integer index in [0, n) (duplicates allowed)."""
     x = _lift(x)
     idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError(f"gather: index must be 1D, got shape {idx.shape}")
-    n = x.data.shape[axis]
-    if idx.size and (idx.min() < -n or idx.max() >= n):
-        raise DimensionError(
-            f"gather: index out of range for axis {axis} with length {n}")
-    out = np.take(x.data, idx, axis=axis)
+    if x.data.ndim != 2 or idx.ndim != 1:
+        raise DimensionError(f"gather: need 2D rows and a 1D index, got shapes "
+                             f"{x.data.shape} and {idx.shape}")
+    n = x.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DimensionError(f"gather: index out of range for {n} rows")
 
     def backward(g):
-        # one bincount over flat (index, column) positions, as in segment_sum
-        rows = np.moveaxis(g, axis, 0)
-        k = math.prod(rows.shape[1:])
-        flat = ((idx % n)[:, None] * k + np.arange(k)).reshape(-1)
-        buf = np.bincount(flat, weights=rows.reshape(-1), minlength=n * k)
-        buf = buf.reshape((n,) + rows.shape[1:])
-        return (np.ascontiguousarray(np.moveaxis(buf, 0, axis), dtype=np.float64),)
+        return (_scatter_rows(g, idx, n),)
 
-    return _node(out, (x,), backward)
+    return _node(np.take(x.data, idx, axis=0), (x,), backward)
 
 
 # attention aggregation -------------------------------------------------------
@@ -379,13 +381,11 @@ def segment_sum(x, step_of, n_steps: int, weights=(), rows=()) -> Tensor:
     if w.data.ndim != 1 or rows.shape != w.data.shape:
         raise DimensionError(f"segment_sum: weights {w.data.shape} and rows "
                              f"{rows.shape} are not two (R,) arrays")
-    n, k = x.data.shape
+    n = x.data.shape[0]
     seg = _segments(step_of, n_steps, n, "segment_sum")
     scale = np.ones((n, 1))
     scale[rows, 0] = w.data
-    X = x.data * scale if rows.size else x.data
-    flat = (seg[:, None] * k + np.arange(k)).reshape(-1)
-    out = np.bincount(flat, weights=X.reshape(-1), minlength=n_steps * k)
+    out = _scatter_rows(x.data * scale if rows.size else x.data, seg, n_steps)
 
     def backward(g):
         gx = g[seg]
@@ -395,12 +395,46 @@ def segment_sum(x, step_of, n_steps: int, weights=(), rows=()) -> Tensor:
         gx *= scale
         return gx, gw
 
-    return _node(out.reshape(n_steps, k), (x, w), backward)
+    return _node(out, (x, w), backward)
 
 
 # Below this a normalizer may hold subnormal terms whose rounding, up to
 # 2^-1075 each, reaches its last bit.
 _POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def _masked_exp(S: Array, live: Array) -> Array:
+    """exp(S - c) where ``live`` (broadcast against S), 0 elsewhere, with one
+    shift c per row along the last axis: the row's largest live score, or 0
+    for a row with none."""
+    E = np.where(live, S, -np.inf)
+    c = E.max(axis=-1, keepdims=True, initial=-np.inf)
+    c[~np.isfinite(c)] = 0.0
+    E -= c
+    return np.exp(E, out=E)
+
+
+def _pool_radii(radii, temperature, D: int, op: str) -> Tensor | None:
+    """The (D,) radii a soft-window pool differentiates: None for hard
+    windows (no temperature) and for radii that need no gradient."""
+    r = None if radii is None or temperature is None else _lift(radii)
+    if r is not None and r.data.shape != (D,):
+        raise DimensionError(f"{op}: radii {r.data.shape} do not fit {D} features")
+    return r if r is not None and r.requires_grad else None
+
+
+def _pool_grad_coefs(g: Array, den: Array, out: Array, redo):
+    """A pool's backward coefficients ga = g / den (0 where den is 0) and
+    gb = ga out, with the redone rows' entries moved out into (R, 1)
+    columns (None when no row was redone)."""
+    ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
+    gb = ga * out
+    if redo is None:
+        return ga, gb, None, None
+    a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
+    ga[redo] = 0.0
+    gb[redo] = 0.0
+    return ga, gb, a_redo, b_redo
 
 
 def _pool_exponents(S: Array, G: Array):
@@ -412,18 +446,17 @@ def _pool_exponents(S: Array, G: Array):
     live scores all sit far below c underflows there, so every row with a
     live gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its
     own shift: ``redo`` indexes those (b, h, l, d) rows, ``e_redo`` (R, T)
-    holds their exponents, and ``den`` their normalizers.
+    holds their exponents, and ``den`` their normalizers; both are None
+    when no row underflows.
     """
     live = G > 0.0                                               # (B, L, D, T)
-    step_live = live.any(axis=2)[:, None]                        # (B, 1, L, T)
-    c = np.where(step_live, S, -np.inf).max(axis=-1, keepdims=True)
-    c = np.where(np.isfinite(c), c, 0.0)
-    e = np.exp(np.where(step_live, S - c, -np.inf))             # (B, H, L, T)
+    e = _masked_exp(S, live.any(axis=2)[:, None])               # (B, H, L, T)
     den = np.matmul(e.transpose(0, 2, 1, 3), G.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
     redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1)[:, None])
+    if not redo[0].size:
+        return e, den, None, None
     b, h, l, d = redo
-    s_redo = np.where(live[b, l, d], S[b, h, l], -np.inf)        # (R, T)
-    e_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True))
+    e_redo = _masked_exp(S[b, h, l], live[b, l, d])              # (R, T)
     den[redo] = (e_redo * G[b, l, d]).sum(axis=-1)
     return e, den, redo, e_redo
 
@@ -461,48 +494,45 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
                              f"and values {V.shape} are not (B, H, L, T), (B, L, D, T), "
                              f"(B, 1, D, T)")
     D = G.shape[2]
-    r = None if radii is None or temperature is None else _lift(radii)
-    if r is not None and r.data.shape != (D,):
-        raise DimensionError(f"gated_attention_pool: radii {r.data.shape} do not fit "
-                             f"{D} gate features")
-    learn_r = r is not None and r.requires_grad
+    r = _pool_radii(radii, temperature, D, "gated_attention_pool")
     e, den, redo, e_redo = _pool_exponents(S, G)
-    b, h, l, d = redo
     GV = G * V
     eL = e.transpose(0, 2, 1, 3)                                  # (B, L, H, T)
     num = np.matmul(eL, GV.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
-    num[redo] = (e_redo * GV[b, l, d]).sum(axis=-1)
+    if redo is not None:
+        b, h, l, d = redo
+        num[redo] = (e_redo * GV[b, l, d]).sum(axis=-1)
     out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
     def backward(g):
         # d out / d e[b, h, l, t] G[b, l, d, t] = (V[b, d, t] - out[b, h, l, d]) / den
-        ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
-        gb = ga * out
-        a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
-        ga[redo] = 0.0
-        gb[redo] = 0.0
+        ga, gb, a_redo, b_redo = _pool_grad_coefs(g, den, out, redo)
         aL, bL = ga.transpose(0, 2, 1, 3), gb.transpose(0, 2, 1, 3)   # (B, L, H, D)
         g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))             # (B, L, H, T)
         g_s = g_s.transpose(0, 2, 1, 3)
-        np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G[b, l, d]))
         g_v = g_r = None
         if v.requires_grad:
             sum_ae = np.matmul(aL.transpose(0, 1, 3, 2), eL)          # (B, L, D, T)
             g_v = (sum_ae * G).sum(axis=1, keepdims=True)
-            np.add.at(g_v, (b, 0, d), a_redo * e_redo * G[b, l, d])
-        if learn_r:
+        if r is not None:
             slope = 1.0 - G
             slope *= G                                            # G' = G (1 - G)
-            rows = (e_redo * slope[b, l, d] * (a_redo * V[b, 0, d] - b_redo)).sum(axis=-1)
             den_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))    # (B, L, H, D)
             slope *= V
             num_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))
             g_r = (aL * num_r).sum(axis=(0, 1, 2)) - (bL * den_r).sum(axis=(0, 1, 2))
-            g_r += np.bincount(d, weights=rows, minlength=D)
-            g_r *= 1.0 / temperature
-        return (g_s, g_v, g_r) if learn_r else (g_s, g_v)
+        if redo is not None:        # the redone rows, from their own exponents
+            b, h, l, d = redo
+            G_r = G[b, l, d]
+            np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G_r))
+            if g_v is not None:
+                np.add.at(g_v, (b, 0, d), a_redo * e_redo * G_r)
+            if g_r is not None:
+                rows = e_redo * ((1.0 - G_r) * G_r) * (a_redo * V[b, 0, d] - b_redo)
+                g_r += np.bincount(d, weights=rows.sum(axis=-1), minlength=D)
+        return (g_s, g_v) if r is None else (g_s, g_v, g_r * (1.0 / temperature))
 
-    return _node(out, (s, v, r) if learn_r else (s, v), backward)
+    return _node(out, (s, v) if r is None else (s, v, r), backward)
 
 
 def _observation_exponents(S: Array, G: Array, M: Array, D: int):
@@ -512,20 +542,14 @@ def _observation_exponents(S: Array, G: Array, M: Array, D: int):
     anchor's gates leave live, 0 elsewhere, and one shift c per (b, h, l):
     the maximum live score.  ``sums`` (B, H, L, 2D) = W @ M for the
     per-sample (N, 2D) matrix M of ``_observation_matrix``: its first D
-    columns are the normalizers, its last D the numerators.  A row
-    (b, h, l, d) whose own live scores all sit far below c underflows there,
-    so every row with a live gate and a normalizer under ``_POOL_UNDERFLOW``
-    is redone with its own shift: ``redo`` indexes those rows, ``w_redo``
-    (R, N) holds their gated exponents, zero off feature d, and ``sums``
-    their two column sums; both are None when no row underflows.
+    columns are the normalizers, its last D the numerators.  Rows that
+    underflow are redone as in ``_pool_exponents``: ``redo`` indexes them,
+    ``w_redo`` (R, N) holds their gated exponents, zero off feature d, and
+    ``sums`` their two column sums; both are None when no row underflows.
     """
     B, H, L, N = S.shape
     live = G > 0.0                                               # (B, L, N)
-    W = np.where(live[:, None], S, -np.inf)
-    c = W.max(axis=-1, keepdims=True, initial=-np.inf)
-    c[~np.isfinite(c)] = 0.0
-    W -= c
-    np.exp(W, out=W)
+    W = _masked_exp(S, live[:, None])
     W *= G[:, None]
     sums = np.matmul(W.reshape(B, H * L, N), M).reshape(B, H, L, -1)
     row_live = np.matmul(G, M[..., :D]) > 0.0                    # (B, L, D)
@@ -533,8 +557,7 @@ def _observation_exponents(S: Array, G: Array, M: Array, D: int):
     if not redo[0].size:
         return W, sums, None, None
     b, h, l, d = redo
-    s_redo = np.where(live[b, l] & (M[b, :, d] > 0.0), S[b, h, l], -np.inf)
-    w_redo = np.exp(s_redo - s_redo.max(axis=-1, keepdims=True)) * G[b, l]
+    w_redo = _masked_exp(S[b, h, l], live[b, l] & (M[b, :, d] > 0.0)) * G[b, l]
     sums[b, h, l, d] = (w_redo * M[b, :, d]).sum(axis=-1)
     sums[b, h, l, D + d] = (w_redo * M[b, :, D + d]).sum(axis=-1)
     return W, sums, redo, w_redo
@@ -584,11 +607,7 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
                              f"(B, H, L, N), (B, L, N), (B, N), (B, N)")
     if feat.size and (feat.min() < 0 or feat.max() >= D):
         raise DimensionError(f"observation_pool: feature index out of range for {D}")
-    r = None if radii is None or temperature is None else _lift(radii)
-    if r is not None and r.data.shape != (D,):
-        raise DimensionError(f"observation_pool: radii {r.data.shape} do not fit "
-                             f"{D} features")
-    learn_r = r is not None and r.requires_grad
+    r = _pool_radii(radii, temperature, D, "observation_pool")
     B, H, L, N = S.shape
     M = _observation_matrix(feat, V, D)
     W, sums, redo, w_redo = _observation_exponents(S, G, M, D)
@@ -597,12 +616,7 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
 
     def backward(g):
         # d out[d] / d W[n] = onehot[n, d] (V[n] - out[d]) / den[d]
-        ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
-        gb = ga * out
-        if redo is not None:
-            a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
-            ga[redo] = 0.0
-            gb[redo] = 0.0
+        ga, gb, a_redo, b_redo = _pool_grad_coefs(g, den, out, redo)
         np.negative(gb, out=gb)
         coef = np.concatenate([gb, ga], axis=-1).reshape(B, H * L, 2 * D)
         g_s = np.matmul(coef, M.transpose(0, 2, 1)).reshape(B, H, L, N)
@@ -610,7 +624,7 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
         if redo is not None:
             b, h, l, d = redo
             np.add.at(g_s, (b, h, l), w_redo * (a_redo * M[b, :, D + d] - b_redo))
-        if not learn_r:
+        if r is None:
             return (g_s,)
         per_obs = g_s.sum(axis=1)                                   # (B, L, N)
         per_obs *= 1.0 - G
@@ -618,7 +632,7 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
                           minlength=D)
         return g_s, g_r * (1.0 / temperature)
 
-    return _node(out, (s, r) if learn_r else (s,), backward)
+    return _node(out, (s,) if r is None else (s, r), backward)
 
 
 def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:

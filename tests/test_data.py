@@ -15,9 +15,9 @@ from tada.data import (
     Observation,
     SynthConfig,
     TimeStep,
-    build_value_mask,
     load_dataset,
     normalize_times,
+    observation_arrays,
     parse_events,
     read_data_manifest,
     serialize_events,
@@ -260,7 +260,7 @@ def test_prepare_rejects_steps_that_do_not_increase():
 
 def test_build_value_mask_example():
     s = parse_events(EXAMPLE_LINE, n_features=3)
-    V, M = build_value_mask(s, 3)
+    V, M = observation_arrays(s, 3)[3:]
     np.testing.assert_array_equal(V, [[1.5, 0.0, 3.0], [1.6, 0.0, 0.0]])
     np.testing.assert_array_equal(M, [[True, False, True], [True, False, False]])
     # never-observed feature keeps an all-zero column
@@ -277,7 +277,7 @@ def test_build_value_mask_counts_match_observations():
             Observation(int(f), float(rng.normal())) for f in sorted(feats))))
         total += len(feats)
     s = IrregularSeries("x", tuple(steps), 0)
-    V, M = build_value_mask(s, 5)
+    V, M = observation_arrays(s, 5)[3:]
     assert M.sum() == total
     np.testing.assert_array_equal(V[~M], 0.0)
     want = sum(o.value for st_ in steps for o in st_.observations)

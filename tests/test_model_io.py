@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import build_series, random_series, tiny_config, tiny_model
+from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.data import (IrregularSeries, Observation, SynthConfig, TimeStep, parse_events,
                        synth_generate)
 from tada.errors import ConfigError, DataError
@@ -27,8 +28,33 @@ def test_parameter_set_matches_architecture():
     assert names[-2:] == ["head.w", "head.b"]
     literal = tiny_model(te_mode="literal")
     assert "te.embed" not in literal.params
+    # setting1 keys DLA on the raw values and runs no te
+    assert not [n for n in tiny_model(keyvalue_variant="setting1").params
+                if n.startswith("te.")]
+    assert "te.key.w" in tiny_model(keyvalue_variant="setting1", no_dla=True).params
     no_mixer = tiny_model(no_mixer=True)
     assert not [n for n in no_mixer.params if n.startswith("mixer.")]
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"window_mode": "hard"}, {"keyvalue_variant": "setting1"},
+    {"keyvalue_variant": "setting2"}, {"te_mode": "literal"}, {"no_dla": True},
+    {"no_mixer": True}, {"fusion_mode": "concat"}, {"fusion_mode": "add"},
+    {"no_learnable_range": True}, {"n_layers": 1}, {"n_layers": 3, "n_queries": 16},
+], ids=["default", "hard", "setting1", "setting2", "literal", "no_dla", "no_mixer",
+        "concat", "add", "no_learnable_range", "one-layer", "three-layers"])
+def test_no_weight_is_dead(overrides):
+    # every weight the optimizer may move is one the forward reads, except
+    # two: hard windows give their radii no gradient, by design, and the
+    # last mixer layer's merge weight is still declared though nothing
+    # reads it
+    model, preps = gradcheck_setup(small_gradcheck_config(**overrides))
+    model.batch_loss(preps).backward()
+    exempt = {f"mixer.l{model.cfg.n_layers - 1}.pool.w"}
+    if model.cfg.window_mode == "hard":
+        exempt.add("dla.range_raw")
+    assert [name for name, p in model.trainable().items()
+            if p.grad is None and name not in exempt] == []
 
 
 def test_initialization_is_seed_deterministic():
@@ -269,16 +295,30 @@ def test_load_rejects_corrupt_files(tmp_path):
         TadaModel.load(str(tmp_path / "missing.bin"))
 
 
-def rewrite_header(path, edit):
-    """Apply edit(header) to a saved model file's JSON header in place."""
+def split_model_file(path):
+    """A saved model file's header and its parameters' byte blobs, in file order."""
     raw = open(path, "rb").read()
     (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    header = json.loads(raw[start:start + hlen])
-    edit(header)
+    off = len(MAGIC) + 4 + hlen
+    header = json.loads(raw[len(MAGIC) + 4:off])
+    blobs = []
+    for _, shape in header["params"]:
+        blobs.append(raw[off:off + 8 * math.prod(shape)])
+        off += len(blobs[-1])
+    return header, blobs
+
+
+def write_model_file(path, header, blobs):
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen:])
+        fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + b"".join(blobs))
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a saved model file's JSON header in place."""
+    header, blobs = split_model_file(path)
+    edit(header)
+    write_model_file(path, header, blobs)
 
 
 @pytest.mark.parametrize("edit", [
@@ -288,7 +328,7 @@ def rewrite_header(path, edit):
     lambda h: h["params"].__setitem__(0, ["te.embed"]),
     lambda h: h["params"].__setitem__(0, h["params"][0] + [0]),
     lambda h: h.update(params="te.embed"),
-    lambda h: h.update(format=2),
+    lambda h: h.update(format=1),
     lambda h: h.pop("format"),
 ], ids=["unknown-key", "string-int", "missing-task", "param-missing-shape",
         "param-three-items", "params-not-a-list", "other-format", "missing-format"])
@@ -298,6 +338,36 @@ def test_load_rejects_invalid_header_as_data_error(tmp_path, edit):
     rewrite_header(path, edit)
     with pytest.raises(DataError, match="invalid model header"):
         TadaModel.load(path)
+
+
+def swap_first_two(items):
+    items[0], items[1] = items[1], items[0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda items: items.pop(),
+    lambda items: items.insert(1, items[1]),
+    swap_first_two,
+], ids=["drops-last", "repeats-one", "swaps-two"])
+def test_load_rejects_any_layout_but_the_models(tmp_path, edit, capsys):
+    # each file is whole: its header lists exactly the blobs it holds, so
+    # only the one layout check can refuse it; a file without head.b once
+    # loaded and left that bias at its init zeros
+    path = str(tmp_path / "model.bin")
+    tiny_model().save(path)
+    header, blobs = split_model_file(path)
+    edit(header["params"])
+    edit(blobs)
+    write_model_file(path, header, blobs)
+    with pytest.raises(DataError, match="invalid model header"):
+        TadaModel.load(path)
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out", data, "--counts", "8,4,4", "--features", "3",
+                 "--rates", "3,6,9", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", path, "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert "invalid model header" in err and "Traceback" not in err
 
 
 def test_magic_marks_format_version():

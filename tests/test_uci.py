@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tada.data import build_value_mask, normalize_times
+from tada.data import normalize_times, observation_arrays
 from tada.errors import ConfigError, DataError
 from tada.uci import (
     ACTIVITY_CLASSES,
@@ -59,7 +59,7 @@ def test_converted_samples_flow_into_value_mask(tmp_path):
     write_fixture(csv, n_steps=50)
     samples, manifest = convert_uci_activity(str(csv), window=50)
     s = normalize_times(samples[0])
-    V, M = build_value_mask(s, manifest["D"])
+    V, M = observation_arrays(s, manifest["D"])[3:]
     assert V.shape == (50, 12) and M.shape == (50, 12)
     assert M.sum() == 150
     assert s.times[0] == 0.0 and s.times[-1] == 1.0
