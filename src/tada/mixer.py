@@ -8,9 +8,7 @@ the merge factor m before regrouping m adjacent patches into one, halving
 (for m=2) the token count per layer.  Every layer's pre-merge activations
 feed the fusion block, which pools each scale to a common token length,
 combines them, and maps through an MLP.  Nothing reads the last layer's
-merge, so it is skipped: its weight ``mixer.l{n_layers-1}.pool.w`` stays
-in the model, for the init draws and the file layout, and gets no
-gradient.
+merge, so it is skipped, and the model declares no merge weight for it.
 """
 
 from __future__ import annotations

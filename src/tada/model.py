@@ -40,7 +40,7 @@ from .mixer import classify, fuse, pool_stack, run_mixer
 from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape
 
 MAGIC = b"TADA1"
-FORMAT = 2
+FORMAT = 3
 
 
 @dataclass
@@ -114,10 +114,6 @@ def _layout_mismatch(layout, want: list) -> str | None:
     return f"{len(layout)} parameters, expected {len(want)}"
 
 
-def _inverse_softplus(y: float) -> float:
-    return math.log(math.expm1(y))
-
-
 class TadaModel:
     def __init__(self, cfg: RunConfig, n_features: int, n_classes: int, task: str,
                  rng: np.random.Generator | None = None):
@@ -133,7 +129,13 @@ class TadaModel:
         self.n_classes = n_classes
         self.task = task
         self.params: dict[str, Tensor] = {}
-        self._build_params(rng or np.random.default_rng(cfg.seed))
+        try:
+            self._build_params(rng or np.random.default_rng(cfg.seed))
+        except MemoryError:
+            dims = ", ".join(f"{k} {getattr(cfg, k)}" for k in ("te_feature_dim", "embed_dim",
+                             "n_queries", "n_heads", "attn_dim", "patch_channels", "patch_size"))
+            raise ConfigError(f"model: the weights for {n_features} features, {n_classes} "
+                              f"classes, {dims} do not fit in memory") from None
 
     # parameter construction -------------------------------------------------
 
@@ -167,8 +169,8 @@ class TadaModel:
             d_eff = d_e + 1 if cfg.keyvalue_variant == "setting2" else self.n_features
             key_dim = self.n_features if setting1 else d_e + 1
             self._add("dla.queries", self._query_init(rng, (cfg.n_queries, d_e + 1)))
-            self._add("dla.range_raw",
-                      np.full(d_eff, _inverse_softplus(1.0 / cfg.n_queries)))
+            # softplus(range_raw) = 1 / n_queries
+            self._add("dla.range_raw", np.full(d_eff, math.log(math.expm1(1.0 / cfg.n_queries))))
             # one column block per head, drawn head by head
             blocks = [(self._uniform(rng, (d_e + 1, cfg.attn_dim), d_e + 1),
                        self._uniform(rng, (key_dim, cfg.attn_dim), key_dim))
@@ -187,10 +189,9 @@ class TadaModel:
                 self._add(f"mixer.l{layer}.across.w",
                           self._uniform(rng, (patches, patches), patches))
                 self._add(f"mixer.l{layer}.mix_out.w", self._uniform(rng, (C, C), C))
-                self._add(f"mixer.l{layer}.pool.w",
-                          self._uniform(rng, (cfg.patch_size,
-                                              cfg.patch_size // cfg.merge_factor),
-                                        cfg.patch_size))
+                if layer + 1 < cfg.n_layers:    # the last layer merges nothing
+                    self._add(f"mixer.l{layer}.pool.w", self._uniform(
+                        rng, (cfg.patch_size, cfg.patch_size // cfg.merge_factor), cfg.patch_size))
                 patches //= cfg.merge_factor
 
         n_scales = 1 if cfg.no_mixer else cfg.n_layers
@@ -205,9 +206,9 @@ class TadaModel:
         self._add("head.b", np.zeros(self.n_classes))
 
     def trainable(self) -> dict[str, Tensor]:
-        """Parameters the optimizer may update (radii drop out when frozen)."""
-        skip = {"dla.range_raw"} if self.cfg.no_learnable_range else set()
-        return {k: v for k, v in self.params.items() if k not in skip}
+        """Parameters the optimizer may update (radii drop out when frozen or hard)."""
+        fixed = self.cfg.no_learnable_range or self.cfg.window_mode == "hard"
+        return {k: v for k, v in self.params.items() if not (fixed and k == "dla.range_raw")}
 
     def radii(self) -> np.ndarray | None:
         raw = self.params.get("dla.range_raw")

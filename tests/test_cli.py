@@ -242,11 +242,13 @@ def test_train_validation_overflow_exits_3(tmp_path, data_dir, monkeypatch, caps
 
 
 @pytest.mark.parametrize("batch_size, failure", [
-    (1, "non-finite loss"), (2, "non-finite gradient for parameter 'te.embed'")])
+    (1, "non-finite gradient for parameter 'te.embed'"), (2, "non-finite loss")],
+    ids=["batch-1", "batch-2"])
 def test_diverging_train_prints_no_numpy_warnings(tmp_path, batch_size, failure, monkeypatch,
                                                   capfd):
     # beta2 = 0 makes Adam's step m/|g|: the run diverges within epoch 0.
-    # Batches of one never reach the shard worker; batches of two do.
+    # Batches of one never reach the shard worker; batches of two do.  Which
+    # check trips first follows the init draw, not the code path.
     if WORKER_POSSIBLE:
         allow_worker(monkeypatch)
     data = tmp_path / "data"
@@ -422,6 +424,32 @@ def test_eval_rejects_invalid_model_header(run_dir, data_dir, tmp_path, capsys):
     rc = main(["eval", "--model", str(path), "--data", data_dir])
     assert rc == 2
     assert "invalid model header" in capsys.readouterr().err
+
+
+# Each size below asks for more bytes than a 64-bit address space holds, so
+# the allocation is refused on any host, whatever its overcommit setting.
+def test_train_of_a_model_too_large_for_memory_exits_2(tmp_path, data_dir, capsys):
+    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "run")]
+              + set_args(TINY + (f"embed_dim={2 ** 54}",)))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: model: the weights for 2 features") and err.count("\n") == 1
+    assert "embed_dim 18014398509481984" in err and "do not fit in memory" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(n_features=10 ** 17),
+    lambda h: h["config"].update(n_queries=2 ** 54, patch_size=1, merge_factor=1),
+], ids=["n-features", "n-queries"])
+def test_eval_of_a_model_too_large_for_memory_exits_2(run_dir, data_dir, tmp_path, edit, capsys):
+    path = tmp_path / "model.bin"
+    path.write_bytes(open(os.path.join(run_dir, "model.bin"), "rb").read())
+    rewrite_header(str(path), edit)
+    rc = main(["eval", "--model", str(path), "--data", data_dir])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "invalid model header" in err and "do not fit in memory" in err
 
 
 def _with_step_summary(header):

@@ -420,6 +420,7 @@ def test_range_gradient_nonzero_in_soft_mode_only():
     hard = tiny_model(n_features=3, window_mode="hard")
     hard.batch_loss([hard.prepare(s)]).backward()
     assert hard.params["dla.range_raw"].grad is None
+    assert "dla.range_raw" not in hard.trainable()
 
     frozen = tiny_model(n_features=3, no_learnable_range=True)
     frozen.batch_loss([frozen.prepare(s)]).backward()

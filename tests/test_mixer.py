@@ -162,9 +162,10 @@ def merging_every_layer(grid, params, cfg):
 
 
 def test_the_last_merge_is_skipped(monkeypatch):
-    # the last layer's merge weight stays in the model, and no node reads it:
-    # a merge built and left dangling would not show in the logits' graph,
-    # so every merge the forward builds is counted
+    # the model declares no merge weight for the last layer: a merge built
+    # and left dangling would not show in the logits' graph, so every merge
+    # the forward builds is counted, and a merge of the last layer into
+    # nothing, under any weight, leaves the logits as they are
     model = tiny_model(n_queries=16, patch_size=4, merge_factor=2, n_layers=2)
     redraw_params(model, seed=7)
     rng = np.random.default_rng(7)
@@ -174,9 +175,11 @@ def test_the_last_merge_is_skipped(monkeypatch):
                         lambda x, w, m: merged.append(w) or patch_merge(x, w, m))
     logits = model.forward(X)
     assert len(merged) == 1 and merged[0] is model.params["mixer.l0.pool.w"]
-    assert "mixer.l1.pool.w" in model.params
+    assert "mixer.l1.pool.w" not in model.params
     monkeypatch.setattr(tada.model, "run_mixer", merging_every_layer)
-    assert np.array_equal(model.forward(X).data, logits.data)
+    last = Tensor(rng.uniform(-0.5, 0.5, size=(4, 2)))
+    assert np.array_equal(model.forward(X, {**model.params, "mixer.l1.pool.w": last}).data,
+                          logits.data)
 
 
 def test_patches_need_only_merge_between_layers():

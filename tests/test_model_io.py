@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import reference
 from helpers import build_series, random_series, tiny_config, tiny_model
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
+from tada.config import RunConfig
 from tada.data import (IrregularSeries, Observation, SynthConfig, TimeStep, parse_events,
                        synth_generate)
 from tada.errors import ConfigError, DataError
-from tada.model import MAGIC, TadaModel, collate
+from tada.model import FORMAT, MAGIC, TadaModel, collate
 
 
 def test_parameter_set_matches_architecture():
@@ -44,17 +45,26 @@ def test_parameter_set_matches_architecture():
 ], ids=["default", "hard", "setting1", "setting2", "literal", "no_dla", "no_mixer",
         "concat", "add", "no_learnable_range", "one-layer", "three-layers"])
 def test_no_weight_is_dead(overrides):
-    # every weight the optimizer may move is one the forward reads, except
-    # two: hard windows give their radii no gradient, by design, and the
-    # last mixer layer's merge weight is still declared though nothing
-    # reads it
+    # every weight the optimizer may move is one the forward reads and
+    # differentiates: no mode exempts one
     model, preps = gradcheck_setup(small_gradcheck_config(**overrides))
     model.batch_loss(preps).backward()
-    exempt = {f"mixer.l{model.cfg.n_layers - 1}.pool.w"}
-    if model.cfg.window_mode == "hard":
-        exempt.add("dla.range_raw")
-    assert [name for name, p in model.trainable().items()
-            if p.grad is None and name not in exempt] == []
+    assert [name for name, p in model.trainable().items() if p.grad is None] == []
+
+
+def test_default_layout_is_pinned_to_the_format():
+    # a change to this list changes every model file: it must bump FORMAT
+    model = TadaModel(RunConfig(), 4, 2, "sequence")
+    assert FORMAT == 3
+    assert [[name, list(p.data.shape)] for name, p in model.params.items()] == [
+        ["te.embed", [4, 8]], ["te.key.w", [9, 32]], ["te.value.w", [9, 32]],
+        ["te.query", [32]], ["dla.queries", [32, 33]], ["dla.range_raw", [4]],
+        ["dla.q.w", [33, 32]], ["dla.k.w", [33, 32]], ["dla.out.w", [8, 32]],
+        ["dla.out.b", [32]], ["mixer.l0.mix_in.w", [32, 32]], ["mixer.l0.across.w", [8, 8]],
+        ["mixer.l0.mix_out.w", [32, 32]], ["mixer.l0.pool.w", [4, 2]],
+        ["mixer.l1.mix_in.w", [32, 32]], ["mixer.l1.across.w", [4, 4]],
+        ["mixer.l1.mix_out.w", [32, 32]], ["fusion.w1", [32, 32]], ["fusion.b1", [32]],
+        ["fusion.w2", [32, 32]], ["fusion.b2", [32]], ["head.w", [32, 2]], ["head.b", [2]]]
 
 
 def test_initialization_is_seed_deterministic():
@@ -328,7 +338,7 @@ def rewrite_header(path, edit):
     lambda h: h["params"].__setitem__(0, ["te.embed"]),
     lambda h: h["params"].__setitem__(0, h["params"][0] + [0]),
     lambda h: h.update(params="te.embed"),
-    lambda h: h.update(format=1),
+    lambda h: h.update(format=2),
     lambda h: h.pop("format"),
 ], ids=["unknown-key", "string-int", "missing-task", "param-missing-shape",
         "param-three-items", "params-not-a-list", "other-format", "missing-format"])
