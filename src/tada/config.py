@@ -158,7 +158,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # also not UTF-8, nested too deep
             raise ConfigError(f"cannot read config {path}: {e}") from None
         values = coerce_fields(raw, f"config {path}")
     values.update(parse_overrides(overrides))

@@ -159,7 +159,7 @@ def read_data_manifest(data_dir: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             man = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # also not UTF-8, nested too deep
         raise DataError(f"cannot read dataset manifest {path}: {e}") from None
     if not isinstance(man, dict):
         raise DataError(f"dataset manifest {path} must be a JSON object")
@@ -212,7 +212,7 @@ def normalize_times(series: IrregularSeries) -> IrregularSeries:
 def observation_arrays(series: IrregularSeries, n_features: int):
     """Every observation in step order as (step_of, feat_idx, values) (N,)
     arrays, plus the dense (T, D) value matrix with zeros at unobserved
-    slots and its bool mask.
+    slots.
 
     A feature index that is not an integer, lies outside [0, n_features)
     or repeats within a step raises DataError.
@@ -232,14 +232,12 @@ def observation_arrays(series: IrregularSeries, n_features: int):
                         f"{obs[int(outside.argmax())].feature} outside [0, {n_features})")
     T = len(series.steps)
     values = np.zeros((T, n_features))
-    mask = np.zeros((T, n_features), dtype=bool)
     values[step_of, feat_idx] = vals
-    mask[step_of, feat_idx] = True
-    if np.count_nonzero(mask) < len(obs):
+    if obs and np.bincount(step_of * n_features + feat_idx).max() > 1:
         k = next(k for k, step in enumerate(series.steps)
                  if len({o.feature for o in step.observations}) < len(step.observations))
         raise DataError(f"sample {series.sample_id}: step {k} repeats a feature")
-    return step_of, feat_idx, vals, values, mask
+    return step_of, feat_idx, vals, values
 
 
 # splitting -------------------------------------------------------------------

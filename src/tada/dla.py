@@ -4,9 +4,9 @@ Sample times lie in [0, 1]; L anchor queries sit at i / L (i = 1..L).
 Each feature d attends only inside a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
 can learn wider windows.  Scaled dot-product scores are shared across
-features; the window gate and the observation mask select which
-recordings a given (anchor, feature) pair may attend to.  The gates are
-plain arrays outside the autodiff graph, and the pools form the radii's
+features; the window gate and the observed (step, feature) pairs select
+which recordings a given (anchor, feature) pair may attend to.  The gates
+are plain arrays outside the autodiff graph, and the pools form the radii's
 gradient themselves, so the forward builds no gate gradient and no
 (B, heads, L, D, T) attention weights.  ``attention_maps`` forms those
 weights apart from the forward, for attention export.
@@ -140,13 +140,15 @@ def _projections(params: dict, X, cfg, x_hat: Tensor | None):
 def _step_scores_and_gates(q: Tensor, key_rows: Tensor, radii: np.ndarray, X, cfg):
     """(B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block on the
     padded step layout, zero at unobserved entries and padded steps; setting2
-    observes every step of a sample."""
+    observes every step of a sample, any other mode the (step, feature)
+    pairs of its observations."""
     H, A = cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
     if cfg.keyvalue_variant == "setting2":
         obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]     # (B, 1, 1, T)
     else:
-        obs_mask = X.mask.reshape(B, T, -1).transpose(0, 2, 1)[:, None]  # (B, 1, D, T)
+        obs_mask = np.zeros((B, 1, len(radii), T), dtype=bool)         # (B, 1, D, T)
+        obs_mask[X.step_of // T, 0, X.feat_idx, X.step_of % T] = True
     k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))        # (B, H, A, T)
     gates = _gates(radii, X.times.reshape(B, T), anchor_times(cfg.n_queries), cfg, obs_mask)
     return matmul(q, k), gates
@@ -155,13 +157,14 @@ def _step_scores_and_gates(q: Tensor, key_rows: Tensor, radii: np.ndarray, X, cf
 def dla_forward(params: dict, X, cfg, x_hat: Tensor | None) -> Tensor:
     """Aggregate a batch onto the anchor grid: the (B, L, patch_channels) grid.
 
-    ``X`` is a ``Batch`` and ``x_hat`` te's (B * T_max, embed_dim + 1) step
-    rows on its padded layout.  Key rows are projected per step; all heads
-    run at once.  A batch sparse enough for ``pools_by_observation`` gathers
-    each observation's key row by its step and pools over (B, H, L, N_max)
-    scores with one gate per observation; any other batch, and setting2
-    (whose values are the step embeddings themselves), pools over
-    (B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block.
+    ``X`` is a ``Batch`` and ``x_hat`` the (B * T_max, embed_dim + 1) rows
+    of its padded layout: each step's time, then te's row for the step.
+    Key rows are projected per step; all heads run at once.  A batch
+    sparse enough for ``pools_by_observation`` gathers each observation's
+    key row by its step and pools over (B, H, L, N_max) scores with one
+    gate per observation; any other batch, and setting2 (whose values are
+    the step embeddings themselves), pools over (B, H, L, T_max) scores and
+    the (B, L, D_eff, T_max) gate block.
     Padding slots and padded steps get a zero gate in every mode, so each
     sample pools over its own observations or steps only.
     """

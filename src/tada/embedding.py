@@ -13,9 +13,8 @@ get exact zero gradients.  Both cost O(N) in the N observations; no (T, N)
 array is formed.  A batch's observations are concatenated, and ``step_of``
 numbers each one's step by its row in the batch's (B, T_max) padded
 layout, so the output has one row per padded step and zeros at padding.
-The step's time is prepended unchanged, so row k of the output is
-``[t_k, attended features]``.  The result is permutation invariant in the
-order of a step's observations.
+The step's time is not part of the output: DLA prepends it to its keys.
+The result is permutation invariant in the order of a step's observations.
 """
 
 from __future__ import annotations
@@ -40,14 +39,9 @@ def encode_observations(params: dict, prep, cfg) -> Tensor:
     return concat([Tensor(prep.values_col), code], axis=1)
 
 
-def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
-    """Embed the steps of a ``Batch``; returns (B * T_max, embed_dim + 1),
-    one row per step of its padded layout, with exact zeros at padding.
-
-    with_time=False skips the time column and returns the bare attended
-    feature embeddings (B * T_max, embed_dim); the time concat belongs to the
-    key construction of the local-attention stage.
-    """
+def te_forward(params: dict, prep, cfg) -> Tensor:
+    """Embed the steps of a ``Batch``; returns (B * T_max, embed_dim), one
+    row per step of its padded layout, with exact zeros at padding."""
     T = len(prep.times)
     shared = np.flatnonzero(np.bincount(prep.step_of, minlength=T)[prep.step_of] > 1)
     x_enc = encode_observations(params, prep, cfg)
@@ -55,7 +49,4 @@ def te_forward(params: dict, prep, cfg, with_time: bool = True) -> Tensor:
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
     weights = segment_softmax(scores, prep.step_of[shared], T)   # sum to 1 per shared step
     pooled = segment_sum(x_enc, prep.step_of, T, weights, shared)
-    attended = matmul(pooled, params["te.value.w"])
-    if not with_time:
-        return attended
-    return concat([Tensor(prep.times[:, None]), attended], axis=1)
+    return matmul(pooled, params["te.value.w"])

@@ -4,9 +4,10 @@ file format.
 The forward pass takes a mini-batch and builds one autodiff graph for it;
 a single sample is a batch of one.  Every stage works on the one
 (B, T_max) padded step layout ``collate`` builds: te writes one row per
-step, zero at padding, which the no_dla pool reshapes to (B, T_max, ...)
-and DLA either gathers by observation or reshapes, padding getting zero
-gates either way; the mixer, fusion and head carry a leading batch axis.
+step, zero at padding, which the no_dla pool reshapes to (B, T_max, ...);
+DLA keys on those rows with the step's time prepended and either gathers
+them by observation or reshapes them, padding getting zero gates either
+way; the mixer, fusion and head carry a leading batch axis.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -37,7 +38,7 @@ from .dla import attention_maps, dla_forward
 from .embedding import te_forward
 from .errors import ConfigError, DataError
 from .mixer import classify, fuse, pool_stack, run_mixer
-from .tensor import Tensor, cross_entropy_with_logits, matmul, reshape
+from .tensor import Tensor, add, concat, cross_entropy_with_logits, matmul, reshape
 
 MAGIC = b"TADA1"
 FORMAT = 3
@@ -46,21 +47,21 @@ FORMAT = 3
 @dataclass
 class Batch:
     """Prepared samples on one padded step layout: sample b's step k is row
-    b * T_max + k of ``times``, ``values`` and ``mask``, and the rows past
-    each sample's own steps are zeros.  ``step_of`` numbers every
+    b * T_max + k of ``times`` and ``values``, and the rows past each
+    sample's own steps are zeros.  ``step_of`` numbers every
     observation's step by that row, so te writes each step's vector straight
     into this layout, the no_dla pool takes it as (B, T_max, ...) by a
     reshape, and DLA gathers it by observation or reshapes it likewise.
     Each sample's observations are one consecutive run of the observation
-    arrays.  ``prepare`` builds a batch of one, whose arrays depend on
-    the sample alone; ``collate`` stacks such batches.
+    arrays, which alone record the observed (step, feature) slots.
+    ``prepare`` builds a batch of one, whose arrays depend on the sample
+    alone; ``collate`` stacks such batches.
     """
     times: np.ndarray          # (B * T_max,) step times normalized onto [0, 1]
     values_col: np.ndarray     # (N, 1) observation values, flattened step order
     feat_idx: np.ndarray       # (N,) feature index per observation
     step_of: np.ndarray        # (N,) row of each observation's step
     values: np.ndarray         # (B * T_max, D) zeros where unobserved
-    mask: np.ndarray           # (B * T_max, D) bool observation mask
     lengths: np.ndarray        # (B,) steps per sample
     t_max: int                 # longest sample's step count
     labels: np.ndarray         # (B * R_max,) labels, zero-padded per sample
@@ -92,7 +93,6 @@ def collate(preps: list[Batch]) -> Batch:
         feat_idx=np.concatenate([p.feat_idx for p in preps]),
         step_of=np.concatenate([p.step_of + b * t_max for b, p in enumerate(preps)]),
         values=_stacked([p.values for p in preps], t_max),
-        mask=_stacked([p.mask for p in preps], t_max),
         lengths=lengths,
         t_max=t_max,
         labels=_stacked([p.labels for p in preps], int(counts.max())),
@@ -131,7 +131,7 @@ class TadaModel:
         self.params: dict[str, Tensor] = {}
         try:
             self._build_params(rng or np.random.default_rng(cfg.seed))
-        except MemoryError:
+        except (MemoryError, ValueError):   # numpy refuses arrays past its size limits
             dims = ", ".join(f"{k} {getattr(cfg, k)}" for k in ("te_feature_dim", "embed_dim",
                              "n_queries", "n_heads", "attn_dim", "patch_channels", "patch_size"))
             raise ConfigError(f"model: the weights for {n_features} features, {n_classes} "
@@ -220,7 +220,7 @@ class TadaModel:
         """Normalize times onto [0, 1] and build the sample's own arrays: a
         ``Batch`` of one, reused across epochs."""
         times = unit_times(series)
-        step_of, feat_idx, vals, values, mask = observation_arrays(series, self.n_features)
+        step_of, feat_idx, vals, values = observation_arrays(series, self.n_features)
         T = len(times)
         if self.task == "step":
             if not isinstance(series.label, tuple):
@@ -242,7 +242,6 @@ class TadaModel:
             feat_idx=feat_idx,
             step_of=step_of,
             values=values,
-            mask=mask,
             lengths=np.array([T]),
             t_max=T,
             labels=np.array(raw_labels, dtype=np.int64),
@@ -253,11 +252,12 @@ class TadaModel:
     # forward ------------------------------------------------------------------
 
     def _dla_keys(self, params: dict, X: Batch) -> Tensor | None:
-        """te's step rows, on which DLA keys (and setting2 pools); setting1
+        """te's step rows with each step's time prepended, (B * T_max,
+        embed_dim + 1), on which DLA keys (and setting2 pools); setting1
         keys on the raw values and runs no te."""
         if self.cfg.keyvalue_variant == "setting1":
             return None
-        return te_forward(params, X, self.cfg)
+        return concat([Tensor(X.times[:, None]), te_forward(params, X, self.cfg)], axis=1)
 
     def forward(self, X: Batch, params: dict | None = None) -> Tensor:
         """One graph for the whole batch: (B, R_max, n_classes) logits, where
@@ -270,12 +270,11 @@ class TadaModel:
         params = self.params if params is None else params
         if cfg.no_dla:
             # Mixer directly over the per-step feature embeddings, pooled to a
-            # fixed token count.  The time concat is part of the local-attention
-            # key construction and goes away with that stage.
-            embeds = reshape(te_forward(params, X, cfg, with_time=False),
-                             (len(X.lengths), X.t_max, -1))
+            # fixed token count.
+            embeds = reshape(te_forward(params, X, cfg), (len(X.lengths), X.t_max, -1))
             pool = Tensor(pool_stack([(int(n), cfg.n_queries) for n in X.lengths]))
-            grid = matmul(matmul(pool, embeds), params["grid.proj.w"]) + params["grid.proj.b"]
+            grid = add(matmul(matmul(pool, embeds), params["grid.proj.w"]),
+                       params["grid.proj.b"])
         else:
             grid = dla_forward(params, X, cfg, self._dla_keys(params, X))
         outs = [grid] if cfg.no_mixer else run_mixer(grid, params, cfg)
@@ -344,7 +343,7 @@ class TadaModel:
         off += 4
         try:
             header = json.loads(raw[off:off + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):    # not UTF-8, not JSON, deep nesting
             raise DataError(f"{path}: corrupt model header") from None
         off += hlen
         try:

@@ -66,7 +66,9 @@ from .tensor import Tensor
 
 Grads = dict[str, "np.ndarray | None"]
 
-# the ShardedStep entered now, whose worker ``chunk_logits`` may use
+# the ShardedStep entered now, whose worker ``chunk_logits`` may use; a module
+# global because the benchmark replaces ``evaluate_preps`` with a two-argument
+# (model, preps) function, so the step cannot be passed through that call
 _entered: "ShardedStep | None" = None
 
 

@@ -6,7 +6,8 @@ buffers of the leaves in reverse topological order, freeing each
 intermediate gradient once used.  A backward never returns two gradients
 that share memory, so a parent adopts its first gradient without a copy.
 An op on operands that need no gradient builds no node.  Arrays are always
-float64 and row-major.  Ops never mutate their inputs.
+float64 and row-major.  Ops never mutate their inputs.  Ops are functions
+called by name, each taking only the operand forms the model passes.
 """
 
 from __future__ import annotations
@@ -86,24 +87,6 @@ class Tensor:
                     parent.grad = g     # adopted: no two returned gradients share memory
                 else:
                     parent.grad += g
-
-    # operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
@@ -227,10 +210,8 @@ def reshape(x, shape) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x, axes) -> Tensor:
     x = _lift(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose: axes {axes} invalid for ndim {x.data.ndim}")
@@ -265,12 +246,13 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 # linear algebra ------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product under numpy's rules: a 1D operand is a row (left) or
-    column (right) vector, and leading axes broadcast, as in
-    (H, L, A) @ (B, H, A, T) -> (B, H, L, T)."""
+    """Matrix product under numpy's rules: a 1D right operand is a column
+    vector, and leading axes broadcast, as in
+    (H, L, A) @ (B, H, A, T) -> (B, H, L, T).  The left operand is at least
+    2D."""
     a, b = _lift(a), _lift(b)
     A, B = a.data, b.data
-    if A.ndim < 1 or B.ndim < 1:
+    if A.ndim < 2 or B.ndim < 1:
         raise DimensionError(
             f"matmul: unsupported operand shapes {A.shape} and {B.shape}")
     if A.shape[-1] != B.shape[-2 if B.ndim > 1 else 0]:
@@ -283,25 +265,23 @@ def matmul(a, b) -> Tensor:
             f"matmul: leading axes of {A.shape} and {B.shape} do not broadcast") from None
 
     def backward(g):
-        # vectors as a (1, k) row on the left, a (k, 1) column on the right
-        A2 = A[None, :] if A.ndim == 1 else A
+        # a vector on the right as a (k, 1) column
         B2 = B[:, None] if B.ndim == 1 else B
         g2 = g[..., None] if B.ndim == 1 else g
-        g2 = g2[..., None, :] if A.ndim == 1 else g2
         ga = gb = None
         if B2.ndim == 2:
             # a shared right matrix: one product over all rows of A
             if a.requires_grad:
                 ga = g2 @ B2.T
             if b.requires_grad:
-                rows = math.prod(A2.shape[:-1])
-                gb = A2.reshape(rows, A2.shape[-1]).T @ g2.reshape(rows, B2.shape[1])
+                rows = math.prod(A.shape[:-1])
+                gb = A.reshape(rows, A.shape[-1]).T @ g2.reshape(rows, B2.shape[1])
         else:
             if a.requires_grad:
                 ga = g2 @ np.swapaxes(B2, -1, -2)
             if b.requires_grad:
-                gb = np.swapaxes(A2, -1, -2) @ g2
-        return (None if ga is None else _unbroadcast(ga, A2.shape).reshape(A.shape),
+                gb = np.swapaxes(A, -1, -2) @ g2
+        return (None if ga is None else _unbroadcast(ga, A.shape),
                 None if gb is None else _unbroadcast(gb, B2.shape).reshape(B.shape))
 
     return _node(out, (a, b), backward)
@@ -635,24 +615,18 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
     return _node(out, (s,) if r is None else (s, r), backward)
 
 
-def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:
-    """Mean cross-entropy between rows of logits and integer labels.
+def cross_entropy_with_logits(logits, labels, counts) -> Tensor:
+    """Mean cross-entropy of a padded batch's logit rows against integer labels.
 
-    Accepts (n, C) logits with (n,) labels, or a single (C,) row with a
-    scalar label, and averages over the rows.  A padded batch passes
-    (B, R, C) logits, (B, R) or flat (B * R,) labels and (B,) row counts:
-    the loss is the mean over samples b of the mean over b's first
+    Takes (B, R, C) logits, (B, R) or flat (B * R,) labels and (B,) row
+    counts: the loss is the mean over samples b of the mean over b's first
     ``counts[b]`` rows, and the padding rows after them get no gradient.
     Stabilized by per-row max subtraction.
     """
     x = _lift(logits)
-    if x.data.ndim == 3:
-        z = x.data
-    elif x.data.ndim in (1, 2) and counts is None:
-        z = x.data.reshape(1, -1, x.data.shape[-1])
-    else:
-        raise DimensionError(f"cross_entropy: logits must be 1D or 2D, or 3D with row "
-                             f"counts, got {x.data.shape}")
+    z = x.data
+    if z.ndim != 3:
+        raise DimensionError(f"cross_entropy: logits must be (B, R, C), got {z.shape}")
     n_b, n_r, n_c = z.shape
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape != (n_b * n_r,):
@@ -661,7 +635,7 @@ def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:
     if y.size and (y.min() < 0 or y.max() >= n_c):
         raise DimensionError(
             f"cross_entropy: label out of range for {n_c} classes")
-    n = np.full(n_b, n_r) if counts is None else np.asarray(counts, dtype=np.int64)
+    n = np.asarray(counts, dtype=np.int64)
     if n.shape != (n_b,) or np.any(n < 1) or np.any(n > n_r):
         raise DimensionError(f"cross_entropy: row counts {n} do not fit {n_b} x {n_r} rows")
     y = y.reshape(n_b, n_r)
@@ -671,13 +645,11 @@ def cross_entropy_with_logits(logits, labels, counts=None) -> Tensor:
     lse = np.log(np.exp(zs).sum(axis=2))
     picked = np.take_along_axis(zs, y[..., None], axis=2)[..., 0]
     out = np.asarray((np.where(live, lse - picked, 0.0).sum(axis=1) / n).mean())
-    orig_shape = x.data.shape
 
     def backward(g):
         p = np.exp(zs - lse[..., None])
         np.put_along_axis(p, y[..., None], np.take_along_axis(p, y[..., None], axis=2) - 1.0,
                           axis=2)
-        grad = np.where(live[..., None], float(g) * p / (n_b * n)[:, None, None], 0.0)
-        return (grad.reshape(orig_shape),)
+        return (np.where(live[..., None], float(g) * p / (n_b * n)[:, None, None], 0.0),)
 
     return _node(out, (x,), backward)

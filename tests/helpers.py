@@ -66,6 +66,16 @@ def random_series(rng, n_steps, n_features, sid="s", label=0):
     return build_series(spec, sid=sid, label=label)
 
 
+def observed_pairs(series, n_features):
+    """(T, D) bool mask of the (step, feature) pairs a series observes, read
+    from its own steps."""
+    mask = np.zeros((len(series), n_features), dtype=bool)
+    for k, step in enumerate(series.steps):
+        for o in step.observations:
+            mask[k, o.feature] = True
+    return mask
+
+
 def tiny_config(**overrides):
     base = dict(te_feature_dim=3, embed_dim=5,
                 n_queries=4, n_heads=2, attn_dim=4,

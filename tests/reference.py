@@ -239,16 +239,18 @@ def dense_pool(scores, gates, values) -> Tensor:
     return tsum(mul(weights, reshape(values, (B, 1) + values.shape[1:])), axis=4)
 
 
-def dense_te_forward(params, prep, cfg, with_time=True):
+def dense_te_forward(params, prep, cfg):
     x_enc = encode_observations(params, prep, cfg)
     keys = matmul(x_enc, params["te.key.w"])
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
     step_gates = Tensor(prep.step_of[None, :] == np.arange(len(prep.times))[:, None])
     weights = weighted_masked_softmax(reshape(scores, (1, -1)), step_gates)
-    attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
-    if not with_time:
-        return attended
-    return concat([Tensor(prep.times[:, None]), attended], axis=1)
+    return matmul(weights, matmul(x_enc, params["te.value.w"]))
+
+
+def dla_keys(te, params, prep, cfg):
+    """One sample's ``te`` rows with each step's time prepended: DLA's keys."""
+    return concat([Tensor(prep.times[:, None]), te(params, prep, cfg)], axis=1)
 
 
 def sample_gates(radii, times, anchors, cfg, obs_mask3):
@@ -353,14 +355,15 @@ def sample_dla_forward(params, prep, cfg, x_hat, dense=False):
     (None without)."""
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     T = len(prep.times)
-    mask3 = prep.mask.T[None, :, :].astype(np.float64)
+    mask3 = np.zeros((1, prep.values.shape[1], T))
+    mask3[0, prep.feat_idx, prep.step_of] = 1.0
     if cfg.keyvalue_variant == "setting1":
         keys = Tensor(prep.values)
         values3 = Tensor(prep.values.T[None, :, :])
         obs_mask3 = mask3
     elif cfg.keyvalue_variant == "setting2":
         keys = x_hat
-        values3 = reshape(transpose(x_hat), (1, cfg.embed_dim + 1, T))
+        values3 = reshape(transpose(x_hat, (1, 0)), (1, cfg.embed_dim + 1, T))
         obs_mask3 = np.ones((1, cfg.embed_dim + 1, T))
     else:
         keys = x_hat
@@ -415,14 +418,14 @@ def forward(model, prep, dense=False):
     te = dense_te_forward if dense else te_forward
     maps = None
     if cfg.no_dla:
-        embeds = te(params, prep, cfg, with_time=False)
+        embeds = te(params, prep, cfg)
         pool = adaptive_pool_matrix(len(prep.times), cfg.n_queries)
         grid = matmul(Tensor(pool), embeds)
-        grid = matmul(grid, params["grid.proj.w"]) + params["grid.proj.b"]
+        grid = add(matmul(grid, params["grid.proj.w"]), params["grid.proj.b"])
     else:
         x_hat = None
         if cfg.keyvalue_variant != "setting1":
-            x_hat = te(params, prep, cfg)
+            x_hat = dla_keys(te, params, prep, cfg)
         grid, maps = sample_dla_forward(params, prep, cfg, x_hat, dense)
     outs = [grid] if cfg.no_mixer else run_mixer(grid, params, cfg)
     fused = sample_fuse(outs, params, cfg)
@@ -433,7 +436,8 @@ def forward(model, prep, dense=False):
 
 def sample_loss(model, prep, dense=False):
     logits, _ = forward(model, prep, dense=dense)
-    return cross_entropy_with_logits(logits, prep.labels)
+    return cross_entropy_with_logits(reshape(logits, (1,) + logits.shape), prep.labels,
+                                     [len(prep.labels)])
 
 
 def batch_loss(model, preps, dense=False):
@@ -468,10 +472,8 @@ def prepare_by_steps(model, series):
     obs = [(k, o.feature, o.value) for k, step in enumerate(series.steps)
            for o in step.observations]
     values = np.zeros((len(steps), model.n_features))
-    mask = np.zeros((len(steps), model.n_features), dtype=bool)
     for k, f, v in obs:
         values[k, f] = v
-        mask[k, f] = True
     labels = series.label if model.task == "step" else (series.label,)
     return Batch(
         times=series.times,
@@ -479,7 +481,6 @@ def prepare_by_steps(model, series):
         feat_idx=np.array([f for _, f, _ in obs], dtype=np.int64),
         step_of=np.array([k for k, _, _ in obs], dtype=np.int64),
         values=values,
-        mask=mask,
         lengths=np.array([len(steps)]),
         t_max=len(steps),
         labels=np.array(labels, dtype=np.int64),

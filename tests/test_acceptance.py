@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import build_series, random_series, redraw_params, tiny_model, tsum
+from helpers import build_series, observed_pairs, random_series, redraw_params, tiny_model, tsum
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.config import RunConfig
 from tada.data import SynthConfig, split_dataset, synth_generate
@@ -43,7 +43,7 @@ def _te_check():
         redraw_params(model, seed=seed)
         rng = np.random.default_rng(seed + 10)
         prep = model.prepare(random_series(rng, n_steps=6, n_features=4))
-        coeff = rng.normal(size=(6, model.cfg.embed_dim + 1))
+        coeff = rng.normal(size=(6, model.cfg.embed_dim))
         params = {k: p for k, p in model.params.items() if k.startswith("te.")}
         rep = grad_check(
             lambda: tsum(mul(te_forward(model.params, prep, model.cfg), coeff)),
@@ -60,7 +60,7 @@ def _dla_check():
     rng = np.random.default_rng(12)
     prep = model.prepare(random_series(rng, n_steps=7, n_features=3))
     coeff = rng.normal(size=(model.cfg.n_queries, model.cfg.patch_channels))
-    x_hat = te_forward(model.params, prep, model.cfg)
+    x_hat = model._dla_keys(model.params, prep)
     params = {k: p for k, p in model.params.items() if k.startswith("dla.")}
     rep = grad_check(
         lambda: tsum(mul(dla_forward(model.params, collate([prep]), model.cfg, x_hat), coeff)),
@@ -131,14 +131,14 @@ def test_2_hard_window_locality():
         s = random_series(rng, n_steps=int(rng.integers(1, 15)),
                           n_features=n_feat, sid=f"acc2-{trial}")
         prep = model.prepare(s)
-        x_hat = te_forward(model.params, prep, model.cfg)
+        x_hat = model._dla_keys(model.params, prep)
         w = attention_maps(model.params, collate([prep]), model.cfg, x_hat)[0]
         radii = model.radii()
         for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & prep.mask
+                & observed_pairs(s, n_feat)
             sums = w[:, i].sum(axis=1)
             empty = ~inside.any(axis=0)
             if not (np.all(w[:, i][:, ~inside] == 0.0)

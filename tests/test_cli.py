@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ from tada.data import load_dataset, read_data_manifest
 from tada.dla import anchor_times
 from tada.errors import (ConfigError, DataError, DimensionError, EvaluationError, TadaError,
                          TrainingError, VerificationError)
-from tada.model import TadaModel
+from tada.model import MAGIC, TadaModel
 from tada.shards import split_chunks
 from test_model_io import rewrite_header
 from test_uci import write_fixture
@@ -429,18 +430,22 @@ def test_eval_rejects_invalid_model_header(run_dir, data_dir, tmp_path, capsys):
 # Each size below asks for more bytes than a 64-bit address space holds, so
 # the allocation is refused on any host, whatever its overcommit setting.
 def test_train_of_a_model_too_large_for_memory_exits_2(tmp_path, data_dir, capsys):
-    rc = main(["train", "--data", data_dir, "--out", str(tmp_path / "run")]
-              + set_args(TINY + (f"embed_dim={2 ** 54}",)))
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: model: the weights for 2 features") and err.count("\n") == 1
-    assert "embed_dim 18014398509481984" in err and "do not fit in memory" in err
+    # past numpy's own size limits (2^62, 10^400) it raises ValueError, not MemoryError
+    for k, (key, size) in enumerate((("embed_dim", 2 ** 54), ("embed_dim", 2 ** 62),
+                                     ("n_queries", 10 ** 400))):
+        rc = main(["train", "--data", data_dir, "--out", str(tmp_path / f"run{k}")]
+                  + set_args(TINY + (f"{key}={size}",)))
+        err = capsys.readouterr().err
+        assert rc == 2, key
+        assert err.startswith("error: model: the weights for 2 features") and err.count("\n") == 1
+        assert f"{key} {size}" in err and "do not fit in memory" in err
 
 
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(n_features=10 ** 17),
     lambda h: h["config"].update(n_queries=2 ** 54, patch_size=1, merge_factor=1),
-], ids=["n-features", "n-queries"])
+    lambda h: h["config"].update(embed_dim=2 ** 62),
+], ids=["n-features", "n-queries", "embed-dim-past-numpy-limits"])
 def test_eval_of_a_model_too_large_for_memory_exits_2(run_dir, data_dir, tmp_path, edit, capsys):
     path = tmp_path / "model.bin"
     path.write_bytes(open(os.path.join(run_dir, "model.bin"), "rb").read())
@@ -450,6 +455,36 @@ def test_eval_of_a_model_too_large_for_memory_exits_2(run_dir, data_dir, tmp_pat
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "invalid model header" in err and "do not fit in memory" in err
+
+
+NOT_UTF8, TOO_DEEP = b"\xff\xfe{}", b"[" * 100_000
+
+
+@pytest.mark.parametrize("where, content", [
+    ("manifest", NOT_UTF8), ("manifest", TOO_DEEP), ("config", NOT_UTF8), ("config", TOO_DEEP),
+    ("model-header", TOO_DEEP),
+], ids=["manifest-not-utf8", "manifest-too-deep", "config-not-utf8", "config-too-deep",
+        "model-header-too-deep"])
+def test_json_inputs_not_utf8_or_nested_too_deep_exit_2(where, content, data_dir, tmp_path,
+                                                        capsys):
+    if where == "manifest":
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "manifest.json").write_bytes(content)
+        args = ["train", "--data", str(data), "--out", str(tmp_path / "run")] + set_args(TINY)
+    elif where == "config":
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        args = ["train", "--data", data_dir, "--out", str(tmp_path / "run"),
+                "--config", str(config)]
+    else:
+        model = tmp_path / "model.bin"
+        model.write_bytes(MAGIC + struct.pack("<I", len(content)) + content)
+        args = ["eval", "--model", str(model), "--data", data_dir]
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def _with_step_summary(header):
@@ -613,7 +648,7 @@ def assert_dump_is_the_dense_maps(out_csv, model_path, data_dir, window_mode=Non
     if window_mode:
         model.cfg = dataclasses.replace(model.cfg, window_mode=window_mode)
     prep = model.prepare(load_dataset(os.path.join(data_dir, "test.jsonl"), model.n_features)[0])
-    x_hat = reference.dense_te_forward(model.params, prep, model.cfg)
+    x_hat = reference.dla_keys(reference.dense_te_forward, model.params, prep, model.cfg)
     _, maps = reference.sample_dla_forward(model.params, prep, model.cfg, x_hat, dense=True)
     rows = read_attention_csv(out_csv)
     index = [tuple(int(r[k]) for k in ("head", "query_index", "time_index", "feature"))

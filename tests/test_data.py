@@ -260,8 +260,13 @@ def test_prepare_rejects_steps_that_do_not_increase():
 
 def test_build_value_mask_example():
     s = parse_events(EXAMPLE_LINE, n_features=3)
-    V, M = observation_arrays(s, 3)[3:]
+    step_of, feat_idx, vals, V = observation_arrays(s, 3)
     np.testing.assert_array_equal(V, [[1.5, 0.0, 3.0], [1.6, 0.0, 0.0]])
+    np.testing.assert_array_equal(step_of, [0, 0, 1])
+    np.testing.assert_array_equal(feat_idx, [0, 2, 0])
+    np.testing.assert_array_equal(V[step_of, feat_idx], vals)
+    M = np.zeros(V.shape, dtype=bool)
+    M[step_of, feat_idx] = True
     np.testing.assert_array_equal(M, [[True, False, True], [True, False, False]])
     # never-observed feature keeps an all-zero column
     assert not M[:, 1].any() and not V[:, 1].any()
@@ -277,7 +282,10 @@ def test_build_value_mask_counts_match_observations():
             Observation(int(f), float(rng.normal())) for f in sorted(feats))))
         total += len(feats)
     s = IrregularSeries("x", tuple(steps), 0)
-    V, M = observation_arrays(s, 5)[3:]
+    step_of, feat_idx, vals, V = observation_arrays(s, 5)
+    np.testing.assert_array_equal(V[step_of, feat_idx], vals)
+    M = np.zeros(V.shape, dtype=bool)
+    M[step_of, feat_idx] = True
     assert M.sum() == total
     np.testing.assert_array_equal(V[~M], 0.0)
     want = sum(o.value for st_ in steps for o in st_.observations)

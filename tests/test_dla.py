@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import reference
 import tada.dla
 from helpers import (DLA_KERNELS, build_series, force_dla_kernel, graph_nodes,
-                     mask_observations, random_series, redraw_params, tiny_model, tsum)
+                     mask_observations, observed_pairs, random_series, redraw_params,
+                     tiny_model, tsum)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import (_gates, _observation_gates, anchor_times, attention_maps, dla_forward,
@@ -45,11 +46,6 @@ def gate_row(anchor, times, radius, mode, tau):
     return gates[0, 0, 0]
 
 
-def observed(prep):
-    """(T, D) bool observation mask of a prepared sample."""
-    return prep.mask
-
-
 def sample_dla(model, prep, x_hat):
     """DLA on a batch of one, as that sample's (L, C) grid."""
     grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat)
@@ -63,10 +59,7 @@ def sample_maps(model, prep, x_hat):
 
 def dla_inputs(model, series):
     prep = model.prepare(series)
-    x_hat = None
-    if model.cfg.keyvalue_variant != "setting1":
-        x_hat = te_forward(model.params, prep, model.cfg)
-    return prep, x_hat
+    return prep, model._dla_keys(model.params, prep)
 
 
 def forward_grid(model, series):
@@ -243,7 +236,7 @@ def test_uniform_scores_average_the_window():
         for d in range(4):
             lo = max(0.0, anchor - radii[d])
             hi = min(1.0, anchor + radii[d])
-            member = (prep.times >= lo) & (prep.times <= hi) & observed(prep)[:, d]
+            member = (prep.times >= lo) & (prep.times <= hi) & observed_pairs(s, 4)[:, d]
             want = prep.values[member, d].mean() if member.any() else 0.0
             assert abs(grid[i, d] - want) < 1e-12, (i, d)
 
@@ -265,7 +258,7 @@ def test_hard_window_locality_and_weight_sums():
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
             inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & observed(prep)
+                & observed_pairs(s, 3)
             assert np.all(w[:, i][:, ~inside] == 0.0)
             sums = w[:, i].sum(axis=1)         # (heads, D)
             empty = ~inside.any(axis=0)
@@ -317,18 +310,19 @@ def test_frozen_radii_keep_their_windows(monkeypatch):
             assert outside.any() and np.all(maps[:, outside] == 0.0)
 
 
-def per_head_reference(model, prep, x_hat):
+def per_head_reference(model, prep, x_hat, observed):
     """Head-by-head DLA in plain numpy from the column blocks of dla.q.w and
-    dla.k.w; returns the (L, patch_channels) grid and (H, L, T, D_eff) maps."""
+    dla.k.w, with the sample's (T, D) ``observed`` mask; returns the
+    (L, patch_channels) grid and (H, L, T, D_eff) maps."""
     cfg = model.cfg
     p = {k: v.data for k, v in model.params.items()}
     if cfg.keyvalue_variant == "setting1":
-        keys, values, mask = prep.values, prep.values, observed(prep)
+        keys, values, mask = prep.values, prep.values, observed
     elif cfg.keyvalue_variant == "setting2":
         keys = values = x_hat
         mask = np.ones(x_hat.shape, dtype=bool)
     else:
-        keys, values, mask = x_hat, prep.values, observed(prep)
+        keys, values, mask = x_hat, prep.values, observed
     radii = model.radii()
     t = prep.times[None, :, None]
     a = anchor_times(model.cfg.n_queries)[:, None, None]
@@ -370,9 +364,11 @@ def stacked_heads_match_the_per_head_reference():
         redraw_params(model, seed=v)
         model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.5, size=model.radii().size)
         for trial in range(5):
-            prep, x_hat = dla_inputs(model, random_series(rng, int(rng.integers(1, 12)), 3))
+            s = random_series(rng, int(rng.integers(1, 12)), 3)
+            prep, x_hat = dla_inputs(model, s)
             got = sample_dla(model, prep, x_hat).data, sample_maps(model, prep, x_hat)
-            want = per_head_reference(model, prep, None if x_hat is None else x_hat.data)
+            want = per_head_reference(model, prep, None if x_hat is None else x_hat.data,
+                                      observed_pairs(s, 3))
             for out, ref in zip(got, want):
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (overrides, trial)
 
@@ -450,7 +446,7 @@ def test_dla_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     prep = model.prepare(random_series(rng, n_steps=7, n_features=3))
     coeff = rng.normal(size=(model.cfg.n_queries, model.cfg.patch_channels))
-    x_hat_const = te_forward(model.params, prep, model.cfg)
+    x_hat_const = model._dla_keys(model.params, prep)
 
     def fn():
         grid = dla_forward(model.params, collate([prep]), model.cfg, x_hat_const)
@@ -584,7 +580,7 @@ def test_a_batch_without_observations_pools_zero_rows(monkeypatch):
     calls = pool_calls(monkeypatch)
     for kernel in DLA_KERNELS:
         force_dla_kernel(monkeypatch, kernel)
-        x_hat = te_forward(model.params, X, model.cfg)
+        x_hat = model._dla_keys(model.params, X)
         grid = dla_forward(model.params, X, model.cfg, x_hat)
         want = np.broadcast_to(model.params["dla.out.b"].data, grid.shape)
         np.testing.assert_array_equal(grid.data, want)

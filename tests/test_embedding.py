@@ -13,7 +13,7 @@ from reference import dense_te_forward
 from tada.embedding import encode_observations, te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
-from tada.tensor import Tensor, concat, gather, matmul, mul, relu, reshape
+from tada.tensor import Tensor, add, concat, gather, matmul, mul, relu
 
 
 def te_params(model):
@@ -28,16 +28,20 @@ def test_output_shape_and_exact_time_column():
     prep = model.prepare(s)
     out = te_forward(model.params, prep, model.cfg)
     # fixed width no matter how many observations each step has
-    assert out.shape == (3, model.cfg.embed_dim + 1)
-    np.testing.assert_array_equal(out.data[:, 0], [0.0, 0.5, 1.0])
+    assert out.shape == (3, model.cfg.embed_dim)
+    # DLA keys on te's rows with the step's time prepended exactly
+    keys = model._dla_keys(model.params, prep)
+    assert keys.shape == (3, model.cfg.embed_dim + 1)
+    np.testing.assert_array_equal(keys.data[:, 0], [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(keys.data[:, 1:], out.data)
 
 
 def test_single_step_series():
     model = tiny_model()
     prep = model.prepare(build_series([(7.0, [(0, 1.0), (2, -2.0)])]))
     out = te_forward(model.params, prep, model.cfg)
-    assert out.shape == (1, model.cfg.embed_dim + 1)
-    assert out.data[0, 0] == 0.0
+    assert out.shape == (1, model.cfg.embed_dim)
+    assert model._dla_keys(model.params, prep).data[0, 0] == 0.0
 
 
 def test_single_observation_gets_full_weight():
@@ -48,7 +52,7 @@ def test_single_observation_gets_full_weight():
     out = te_forward(model.params, prep, model.cfg).data
     # softmax over one candidate is exactly 1: the row is that value vector
     want = x_enc[0] @ model.params["te.value.w"].data
-    np.testing.assert_allclose(out[0, 1:], want, atol=1e-12)
+    np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
 def test_identical_observations_average_to_the_shared_value():
@@ -62,7 +66,7 @@ def test_identical_observations_average_to_the_shared_value():
     x_enc = encode_observations(model.params, prep, model.cfg).data
     out = te_forward(model.params, prep, model.cfg).data
     want = x_enc[0] @ model.params["te.value.w"].data
-    np.testing.assert_allclose(out[0, 1:], want, atol=1e-12)
+    np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
 def test_zero_query_attends_uniformly():
@@ -74,8 +78,8 @@ def test_zero_query_attends_uniformly():
     x_enc = encode_observations(model.params, prep, model.cfg).data
     vals = x_enc @ model.params["te.value.w"].data
     out = te_forward(model.params, prep, model.cfg).data
-    np.testing.assert_allclose(out[0, 1:], vals[:3].mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(out[1, 1:], vals[3:].mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(out[0], vals[:3].mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(out[1], vals[3:].mean(axis=0), atol=1e-12)
 
 
 def test_permutation_invariance_within_steps():
@@ -98,11 +102,12 @@ def test_later_steps_never_change_earlier_rows():
     extended = prefix + [(25.0, [(0, -0.7), (1, 0.2)])]
     out_a = te_forward(model.params, model.prepare(build_series(prefix)),
                        model.cfg).data
-    out_b = te_forward(model.params, model.prepare(build_series(extended)),
-                       model.cfg).data
-    # attended columns are per-step; only the normalized time column rescales
-    assert np.abs(out_a[:, 1:] - out_b[:3, 1:]).max() < 1e-12
-    np.testing.assert_allclose(out_b[:, 0], [0.0, 4 / 25, 10 / 25, 1.0])
+    prep_b = model.prepare(build_series(extended))
+    out_b = te_forward(model.params, prep_b, model.cfg).data
+    # attended rows are per-step; only the normalized time DLA keys on rescales
+    assert np.abs(out_a - out_b[:3]).max() < 1e-12
+    np.testing.assert_allclose(model._dla_keys(model.params, prep_b).data[:, 0],
+                               [0.0, 4 / 25, 10 / 25, 1.0])
 
 
 def test_literal_encoding_is_value_then_feature_index():
@@ -125,23 +130,14 @@ def test_embedding_encoding_appends_feature_table_row():
     np.testing.assert_array_equal(x2[0], x2[1])
 
 
-def test_with_time_false_drops_the_time_column():
-    model = tiny_model()
-    prep = model.prepare(build_series([(0.0, [(0, 1.0)]), (1.0, [(1, 2.0)])]))
-    full = te_forward(model.params, prep, model.cfg)
-    bare = te_forward(model.params, prep, model.cfg, with_time=False)
-    assert bare.shape == (2, model.cfg.embed_dim)
-    np.testing.assert_array_equal(full.data[:, 1:], bare.data)
-
-
 def test_padding_rows_of_a_batch_are_exact_zeros():
     model = tiny_model(n_features=3)
     rng = np.random.default_rng(9)
     preps = [model.prepare(random_series(rng, n, 3, sid=f"s{n}")) for n in (2, 7, 4)]
     X = collate(preps)
-    for with_time in (True, False):
-        rows = te_forward(model.params, X, model.cfg, with_time=with_time).data
-        rows = rows.reshape(len(preps), X.t_max, -1)
+    # te's rows, and the keys DLA builds from them with the time prepended
+    for rows in (te_forward(model.params, X, model.cfg), model._dla_keys(model.params, X)):
+        rows = rows.data.reshape(len(preps), X.t_max, -1)
         for b, prep in enumerate(preps):
             assert rows[b, :len(prep.times)].any() and not rows[b, len(prep.times):].any()
 
@@ -152,7 +148,7 @@ def test_te_gradients_match_finite_differences():
         redraw_params(model, seed=seed)
         rng = np.random.default_rng(seed + 10)
         prep = model.prepare(random_series(rng, n_steps=6, n_features=4))
-        coeff = rng.normal(size=(6, model.cfg.embed_dim + 1))
+        coeff = rng.normal(size=(6, model.cfg.embed_dim))
         fn = lambda: tsum(mul(te_forward(model.params, prep, model.cfg), coeff))
         rep = grad_check(fn, te_params(model), eps=1e-5)
         assert rep.max_rel_error < 1e-6, (mode, rep.worst())
@@ -193,15 +189,14 @@ def reference_te_forward(params, summary, prep, cfg):
     seg_mask = prep.step_of[None, :] == np.arange(len(prep.times))[:, None]
     seg_mean = seg_mask / seg_mask.sum(axis=1, keepdims=True)
     x_enc = encode_observations(params, prep, cfg)
-    h = relu(matmul(x_enc, summary["w1"]) + summary["b1"])
-    h = matmul(h, summary["w2"]) + summary["b2"]
+    h = relu(add(matmul(x_enc, summary["w1"]), summary["b1"]))
+    h = add(matmul(h, summary["w2"]), summary["b2"])
     step_summary = matmul(Tensor(seg_mean), h)
     key_w = concat([summary["key"], params["te.key.w"]], axis=0)
     keys = matmul(concat([gather(step_summary, prep.step_of), x_enc], axis=1), key_w)
     scores = mul(matmul(keys, params["te.query"]), 1.0 / math.sqrt(cfg.embed_dim))
     weights = tiled_masked_softmax(scores, seg_mask)
-    attended = matmul(weights, matmul(x_enc, params["te.value.w"]))
-    return concat([Tensor(prep.times[:, None]), attended], axis=1)
+    return matmul(weights, matmul(x_enc, params["te.value.w"]))
 
 
 def max_rel_diff(got, want):
@@ -220,7 +215,7 @@ def test_te_matches_the_reference_with_step_summary():
             multi_obs_steps += int((np.bincount(prep.step_of) > 1).sum())
             enc = encode_observations(model.params, prep, model.cfg).shape[1]
             summary = summary_params(rng, enc, model.cfg.embed_dim)
-            coeff = rng.normal(size=(len(prep.times), model.cfg.embed_dim + 1))
+            coeff = rng.normal(size=(len(prep.times), model.cfg.embed_dim))
             results = []
             for forward in (lambda: te_forward(model.params, prep, model.cfg),
                             lambda: reference_te_forward(model.params, summary, prep,
@@ -319,7 +314,7 @@ def test_te_matches_the_dense_path_on_mixed_batches(batch, mode):
     X = collate([model.prepare(build_series(
         [(t, [(f, float(rng.normal())) for f in feats]) for t, feats in enumerate(steps)],
         sid=f"s{b}")) for b, steps in enumerate(samples)])
-    coeff = rng.normal(size=(len(X.times), model.cfg.embed_dim + 1))
+    coeff = rng.normal(size=(len(X.times), model.cfg.embed_dim))
     results = []
     for forward in (te_forward, dense_te_forward):
         for p in model.params.values():

@@ -11,7 +11,7 @@ from helpers import tsum
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
 from tada.gradcheck import grad_check
-from tada.tensor import Tensor, _node, mul, relu
+from tada.tensor import Tensor, _node, add, mul, relu
 
 
 def test_quadratic_gradient_is_near_exact():
@@ -26,7 +26,7 @@ def test_quadratic_gradient_is_near_exact():
 def test_report_bookkeeping():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     q = Tensor(np.array([[3.0]]), requires_grad=True)
-    rep = grad_check(lambda: tsum(mul(p, p)) + tsum(mul(q, q)), {"p": p, "q": q})
+    rep = grad_check(lambda: add(tsum(mul(p, p)), tsum(mul(q, q))), {"p": p, "q": q})
     assert set(rep.per_param) == {"p", "q"}
     assert rep.n_elements == 3
     assert rep.max_rel_error == max(rep.per_param.values())
@@ -48,7 +48,7 @@ def test_rounding_noise_on_a_tiny_gradient_passes():
     # f is about 1e3, so each evaluation carries rounding near 1e-13 and the
     # central difference carries noise near 1e-8, far above the 1e-10 slope
     p = Tensor(np.array([0.3, -0.7]), requires_grad=True)
-    rep = grad_check(lambda: tsum(mul(p, 1e-10)) + 1e3, {"p": p})
+    rep = grad_check(lambda: add(tsum(mul(p, 1e-10)), 1e3), {"p": p})
     assert rep.max_rel_error < 1e-6
     # the norm-wise figure still shows that noise, which the slack hides
     assert rep.norm_error(["p"]) > 1e-3

@@ -192,8 +192,11 @@ def test_prepare_precomputes_consistent_arrays():
     np.testing.assert_array_equal(prep.feat_idx, [0, 2, 1, 0])
     np.testing.assert_array_equal(prep.values_col[:, 0], [1.0, -1.0, 4.0, 2.0])
     np.testing.assert_array_equal(prep.step_of, [0, 0, 1, 2])
-    assert prep.mask.sum() == 4 and prep.values.shape == (3, 3)
-    np.testing.assert_array_equal(prep.mask, prep.values != 0.0)
+    assert np.count_nonzero(prep.values) == 4 and prep.values.shape == (3, 3)
+    np.testing.assert_array_equal(prep.values[prep.step_of, prep.feat_idx],
+                                  prep.values_col[:, 0])
+    # the observation arrays alone record which slots are observed
+    assert not hasattr(prep, "mask")
     assert prep.labels.tolist() == [0]
     # a sample keeps no (T, N) array: te derives its step gates from step_of
     assert not [k for k, v in vars(prep).items() if np.shape(v) == (3, 4)]
@@ -234,7 +237,7 @@ def test_collate_builds_the_padded_layout():
     assert X.t_max == 3
     np.testing.assert_array_equal(X.step_of, [0, 3, 3, 4, 5])
     np.testing.assert_array_equal(X.times, [0.0, 1.0, 0.0, 0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(X.mask[2], False)
+    assert 2 not in X.step_of.tolist()
     np.testing.assert_array_equal(X.values[2], 0.0)
     np.testing.assert_array_equal(X.labels, [1, 0, 0, 0, 1, 1])
     np.testing.assert_array_equal(X.label_counts, [2, 3])

@@ -58,9 +58,11 @@ def test_matmul_hand_values():
 def test_matmul_vector_cases():
     A = Tensor([[1.0, 2.0], [3.0, 4.0]])
     v = Tensor([1.0, -1.0])
-    np.testing.assert_array_equal(matmul(v, A).data, [-2.0, -2.0])
     np.testing.assert_array_equal(matmul(A, v).data, [-1.0, -1.0])
-    np.testing.assert_array_equal(matmul(v, v).data, 2.0)
+    # a vector is a right operand only
+    for left, right in ((v, A), (v, v), (v, Tensor(np.ones((2, 2, 3))))):
+        with pytest.raises(DimensionError, match="matmul"):
+            matmul(left, right)
 
 
 def test_matmul_batched_3d():
@@ -151,7 +153,7 @@ def test_reshape_transpose_broadcast_values():
     with pytest.raises(DimensionError, match="reshape"):
         reshape(x, (4, 2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(transpose(m).data, [[1.0, 3.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(transpose(m, (1, 0)).data, [[1.0, 3.0], [2.0, 4.0]])
     with pytest.raises(DimensionError, match="transpose"):
         transpose(m, (0, 2))
 
@@ -259,37 +261,39 @@ def test_weighted_masked_softmax_values():
 
 def test_cross_entropy_hand_values():
     # two equal logits: loss is ln 2 regardless of the label
-    assert abs(cross_entropy_with_logits(Tensor([0.0, 0.0]), 0).item()
+    assert abs(cross_entropy_with_logits(Tensor([[[0.0, 0.0]]]), [0], [1]).item()
                - np.log(2.0)) < 1e-12
     # a 100-logit margin saturates the softmax
-    assert cross_entropy_with_logits(Tensor([100.0, 0.0]), 0).item() < 1e-8
+    assert cross_entropy_with_logits(Tensor([[[100.0, 0.0]]]), [0], [1]).item() < 1e-8
     # mean over rows
     loss = cross_entropy_with_logits(
-        Tensor([[0.0, 0.0], [100.0, 0.0]]), [0, 0]).item()
+        Tensor([[[0.0, 0.0], [100.0, 0.0]]]), [0, 0], [2]).item()
     assert abs(loss - 0.5 * np.log(2.0)) < 1e-8
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
-    logits = Tensor(np.array([[1.0, -0.5, 0.25], [0.0, 0.0, 0.0]]),
+    logits = Tensor(np.array([[[1.0, -0.5, 0.25], [0.0, 0.0, 0.0]]]),
                     requires_grad=True)
     labels = np.array([2, 0])
-    cross_entropy_with_logits(logits, labels).backward()
-    z = logits.data
+    cross_entropy_with_logits(logits, labels, [2]).backward()
+    z = logits.data[0]
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(2), labels] -= 1.0
-    np.testing.assert_allclose(logits.grad, p / 2.0, atol=1e-12)
+    np.testing.assert_allclose(logits.grad[0], p / 2.0, atol=1e-12)
 
 
 def test_cross_entropy_errors():
     with pytest.raises(DimensionError, match="cross_entropy"):
-        cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0])
+        cross_entropy_with_logits(Tensor(np.zeros((1, 2, 3))), [0], [2])
     with pytest.raises(DimensionError, match="cross_entropy"):
-        cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 3])
+        cross_entropy_with_logits(Tensor(np.zeros((1, 2, 3))), [0, 3], [2])
     with pytest.raises(DimensionError, match="cross_entropy"):
         cross_entropy_with_logits(Tensor(np.zeros((2, 3, 2))), np.zeros((2, 3)), [1, 4])
-    with pytest.raises(DimensionError, match="cross_entropy"):
-        cross_entropy_with_logits(Tensor(np.zeros((2, 3))), [0, 1], [2])
+    # only padded (B, R, C) logits
+    for logits, labels in ((np.zeros((2, 3)), [0, 1]), (np.zeros(3), [0])):
+        with pytest.raises(DimensionError, match="cross_entropy"):
+            cross_entropy_with_logits(Tensor(logits), labels, [len(labels)])
 
 
 def test_padded_cross_entropy_is_the_mean_of_per_sample_means():
@@ -305,7 +309,8 @@ def test_padded_cross_entropy_is_the_mean_of_per_sample_means():
     loss = cross_entropy_with_logits(logits, padded_labels, [1, 3, 2])
     loss.backward()
     parts = [Tensor(z, requires_grad=True) for z in rows]
-    want = [cross_entropy_with_logits(z, y) for z, y in zip(parts, labels)]
+    want = [cross_entropy_with_logits(reshape(z, (1,) + z.shape), y, [len(y)])
+            for z, y in zip(parts, labels)]
     assert abs(loss.item() - np.mean([w.item() for w in want])) < 1e-15
     for b, (part, w) in enumerate(zip(parts, want)):
         w.backward()
@@ -350,7 +355,8 @@ def test_backward_matches_the_reference_where_add_shares_its_gradient():
     c = rng.normal(size=(3, 4))
     graphs = {
         "same tensor": lambda: tsum(mul(add(x, x), c)),
-        "shared parent": lambda: tsum(mul(add(transpose(transpose(x)), reshape(x, (3, 4))), c)),
+        "shared parent": lambda: tsum(mul(add(transpose(transpose(x, (1, 0)), (1, 0)),
+                                              reshape(x, (3, 4))), c)),
         "broadcast": lambda: tsum(mul(add(x, y), add(y, mul(x, c)))),
         "nested": lambda: tsum(mul(add(add(x, y), add(x, x)), add(c, y))),
     }
@@ -372,13 +378,10 @@ def test_backward_requires_scalar():
         add(x, x).backward()
 
 
-def test_operator_sugar():
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0])
-    np.testing.assert_array_equal((a + b).data, [4.0, 6.0])
-    np.testing.assert_array_equal((a * b).data, [3.0, 8.0])
-    np.testing.assert_array_equal((2.0 + a).data, [3.0, 4.0])
-    np.testing.assert_array_equal((2.0 * a).data, [2.0, 4.0])
+def test_tensor_has_no_operator_sugar():
+    # every op is called by name, in the one form the model passes
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "reshape", "transpose"):
+        assert not hasattr(Tensor, name), name
 
 
 def test_grad_pruned_when_not_required():
@@ -405,9 +408,9 @@ def test_ops_pure_and_deterministic():
 
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(10)
-    cases = [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)),
+    cases = [((3, 4), (4, 2)), ((3, 4), (4,)),
              ((2, 3, 4), (4, 2)), ((2, 3, 4), (4,)), ((2, 3, 4), (2, 4, 5)),
-             ((3, 4), (2, 4, 5)), ((4,), (2, 4, 3)), ((2, 3, 4), (3, 2, 4, 5)),
+             ((3, 4), (2, 4, 5)), ((2, 3, 4), (3, 2, 4, 5)),
              ((3, 1, 2, 4), (2, 4, 5)), ((2, 1, 3, 4), (4,))]
     for sa, sb in cases:
         a, b = leaf(rng, sa), leaf(rng, sb)
@@ -524,9 +527,9 @@ def test_weighted_masked_softmax_broadcasts_scores_over_gates():
 
 def test_grad_cross_entropy():
     rng = np.random.default_rng(18)
-    x = leaf(rng, (5, 3))
+    x = leaf(rng, (1, 5, 3))
     labels = np.array([0, 2, 1, 1, 0])
-    assert_grads_match(lambda: cross_entropy_with_logits(x, labels), {"x": x})
+    assert_grads_match(lambda: cross_entropy_with_logits(x, labels, [5]), {"x": x})
 
 
 # segment ops -----------------------------------------------------------------
@@ -648,9 +651,10 @@ def maps_at_scores(s, radii, times, mask, cfg):
     """``attention_maps`` of the one-sample batch whose DLA scores are the
     (1, H, L, T) ``s``, as (1, H, L, D, T), beside the dense reference
     weights under that batch's gate block.  The batch has (1, T) ``times``
-    and a (1, 1, D, T) ``mask``; its te rows hold ``s`` and the projections
-    pick them out, so the scaled q.k products are ``s`` exactly (attn_dim 4
-    makes the 1 / sqrt(attn_dim) scale exact)."""
+    and observes the (step, feature) pairs of a (1, 1, D, T) ``mask``; its
+    te rows hold ``s`` and the projections pick them out, so the scaled q.k
+    products are ``s`` exactly (attn_dim 4 makes the 1 / sqrt(attn_dim)
+    scale exact)."""
     _, H, L, T = s.shape
     A, E = 4, H * 4
     x_hat, q_w = np.zeros((T, E)), np.zeros((E, E))
@@ -662,7 +666,9 @@ def maps_at_scores(s, radii, times, mask, cfg):
               "dla.k.w": Tensor(np.eye(E)), "dla.range_raw": Tensor(raw)}
     cfg = SimpleNamespace(**vars(cfg), n_queries=L, n_heads=H, attn_dim=A,
                           keyvalue_variant="default", no_learnable_range=False)
-    X = SimpleNamespace(times=times[0], mask=mask[0, 0].T, lengths=np.array([T]), t_max=T)
+    step_of, feat_idx = np.nonzero(mask[0, 0].T)
+    X = SimpleNamespace(times=times[0], step_of=step_of, feat_idx=feat_idx,
+                        lengths=np.array([T]), t_max=T)
     maps = attention_maps(params, X, cfg, Tensor(x_hat))[0]
     gates = _gates(np.logaddexp(0.0, raw), times, anchor_times(L), cfg, mask)
     ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(gates[:, None])).data

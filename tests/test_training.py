@@ -18,7 +18,7 @@ from tada.data import SynthConfig, synth_generate
 from tada.errors import EvaluationError, TrainingError
 from tada.metrics import accuracy, auprc, auroc, softmax_rows
 from tada.model import TadaModel
-from tada.tensor import _node
+from tada.tensor import _node, add
 from tada.training import (
     MetricsReport,
     evaluate,
@@ -321,7 +321,7 @@ def test_non_finite_gradient_names_its_epoch(where, monkeypatch):
         if len(calls) <= first_poisoned:
             return loss
         b = self.params["head.b"]
-        return loss + _node(np.zeros(()), (b,), lambda g: (np.full(b.shape, np.inf),))
+        return add(loss, _node(np.zeros(()), (b,), lambda g: (np.full(b.shape, np.inf),)))
 
     monkeypatch.setattr(TadaModel, "batch_loss", poisoned)
     cfg = tiny_config(max_epochs=3, patience=0, batch_size=8)

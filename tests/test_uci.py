@@ -59,7 +59,10 @@ def test_converted_samples_flow_into_value_mask(tmp_path):
     write_fixture(csv, n_steps=50)
     samples, manifest = convert_uci_activity(str(csv), window=50)
     s = normalize_times(samples[0])
-    V, M = observation_arrays(s, manifest["D"])[3:]
+    step_of, feat_idx, vals, V = observation_arrays(s, manifest["D"])
+    np.testing.assert_array_equal(V[step_of, feat_idx], vals)
+    M = np.zeros(V.shape, dtype=bool)
+    M[step_of, feat_idx] = True
     assert V.shape == (50, 12) and M.shape == (50, 12)
     assert M.sum() == 150
     assert s.times[0] == 0.0 and s.times[-1] == 1.0
