@@ -286,7 +286,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     cfg = small_gradcheck_config(**{"seed": args.seed, **parse_overrides(args.set)})
     model, preps = gradcheck_setup(cfg)
-    report = grad_check(lambda: model.batch_loss(preps), model.params, eps=args.eps)
+    report = grad_check(lambda: model.batch_loss(preps), model.trainable(), eps=args.eps)
     for label, prefixes in MODULE_GROUPS:
         names = [name for name in report.per_param if name.startswith(prefixes)]
         if names:

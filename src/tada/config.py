@@ -62,6 +62,9 @@ class RunConfig:
         for name in ("gate_temperature", "adam_eps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"config: {name} must be finite and > 0")
+        if not math.isfinite(1.0 / self.gate_temperature):    # the soft gates scale by it
+            raise ConfigError("config: gate_temperature must exceed 1 / float max "
+                              "(5.5627e-309), or its reciprocal overflows")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("config: betas must lie in [0, 1)")
         if self.te_mode not in ("embedding", "literal"):

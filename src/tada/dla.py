@@ -8,8 +8,9 @@ features; the window gate and the observed (step, feature) pairs select
 which recordings a given (anchor, feature) pair may attend to.  The gates
 are plain arrays outside the autodiff graph, and the pools form the radii's
 gradient themselves, so the forward builds no gate gradient and no
-(B, heads, L, D, T) attention weights.  ``attention_maps`` forms those
-weights apart from the forward, for attention export.
+(B, heads, L, D, T) attention weights.  Radii that do not learn
+(``learns_radii``) enter detached and get none.  ``attention_maps`` forms
+those weights apart from the forward, for attention export.
 
 A batch pools in one of two layouts, chosen per batch from its sizes by
 ``pools_by_observation``:
@@ -46,9 +47,16 @@ def anchor_times(n_queries: int) -> np.ndarray:
     return np.arange(1, n_queries + 1) * (1.0 / n_queries)
 
 
-def _window(t: np.ndarray, r: np.ndarray, a: np.ndarray, cfg) -> np.ndarray:
+def learns_radii(cfg) -> bool:
+    """Whether the radii learn: under soft windows unless frozen (a hard
+    window's edge has no derivative in its radius)."""
+    return cfg.window_mode == "soft" and not cfg.no_learnable_range
+
+
+def _window(t: np.ndarray, r: np.ndarray, a: np.ndarray, live: np.ndarray, cfg) -> np.ndarray:
     """Window gates of step times ``t`` under radii ``r`` at anchor times
-    ``a``, all three broadcast against each other.
+    ``a``, all three broadcast against each other, times the 0/1 ``live``
+    mask, which broadcasts into their shape.
 
     Hard mode is the indicator of anchor - radius <= t <= anchor + radius;
     soft mode is sigmoid((radius - |t - anchor|) / tau), formed in place in
@@ -56,23 +64,14 @@ def _window(t: np.ndarray, r: np.ndarray, a: np.ndarray, cfg) -> np.ndarray:
     have: the block pool's radii add the feature axis.
     """
     if cfg.window_mode == "hard":
-        return ((t >= a - r) & (t <= a + r)).astype(np.float64)
-    x = t - a
-    np.abs(x, out=x)
-    x = np.subtract(r, x, out=x if x.shape == np.broadcast_shapes(x.shape, r.shape) else None)
-    x *= 1.0 / cfg.gate_temperature
-    return _sigmoid(x, overwrite=True)
-
-
-def _gates(radii: np.ndarray, times: np.ndarray, anchors: np.ndarray, cfg,
-           obs_mask: np.ndarray) -> np.ndarray:
-    """(B, L, D_eff, T) window gate x observation mask for (D_eff,) radii,
-    (B, T) step times, (L,) anchors and a (B, 1, D_eff or 1, T) mask,
-    evaluated by broadcast.  A plain array: the pool gives the radii their
-    gradient.
-    """
-    G = _window(times[:, None, None], radii[:, None], anchors[:, None, None], cfg)
-    G *= obs_mask
+        G = ((t >= a - r) & (t <= a + r)).astype(np.float64)
+    else:
+        x = t - a
+        np.abs(x, out=x)
+        x = np.subtract(r, x, out=x if x.shape == np.broadcast_shapes(x.shape, r.shape) else None)
+        x *= 1.0 / cfg.gate_temperature
+        G = _sigmoid(x, overwrite=True)
+    G *= live
     return G
 
 
@@ -104,15 +103,6 @@ def observation_slots(X) -> ObservationSlots:
     return ObservationSlots(*(a.reshape(B, n_max) for a in (step, feat, values, live)))
 
 
-def _observation_gates(radii: np.ndarray, times: np.ndarray, obs: ObservationSlots,
-                       anchors: np.ndarray, cfg) -> np.ndarray:
-    """(B, L, N_max) window gates, one per observation, zero at padding, for
-    (D,) radii and (B * T_max,) step times; evaluated by broadcast."""
-    G = _window(times[obs.step][:, None], radii[obs.feat][:, None], anchors[:, None], cfg)
-    G *= obs.live[:, None]
-    return G
-
-
 def pools_by_observation(n_heads: int, n_max: int, d_eff: int, t_max: int) -> bool:
     """Whether a batch pools over its observations rather than over the
     (B, L, D_eff, T_max) gate block: the observation pool's weights hold
@@ -129,8 +119,8 @@ def _projections(params: dict, X, cfg, x_hat: Tensor | None):
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     keys = Tensor(X.values) if cfg.keyvalue_variant == "setting1" else x_hat
     range_raw = params["dla.range_raw"]
-    if cfg.no_learnable_range:
-        range_raw = range_raw.detach()    # frozen radii keep their windows
+    if not learns_radii(cfg):
+        range_raw = range_raw.detach()
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))
     q = mul(q, 1.0 / math.sqrt(A))
@@ -150,7 +140,8 @@ def _step_scores_and_gates(q: Tensor, key_rows: Tensor, radii: np.ndarray, X, cf
         obs_mask = np.zeros((B, 1, len(radii), T), dtype=bool)         # (B, 1, D, T)
         obs_mask[X.step_of // T, 0, X.feat_idx, X.step_of % T] = True
     k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))        # (B, H, A, T)
-    gates = _gates(radii, X.times.reshape(B, T), anchor_times(cfg.n_queries), cfg, obs_mask)
+    gates = _window(X.times.reshape(B, T)[:, None, None], radii[:, None],
+                    anchor_times(cfg.n_queries)[:, None, None], obs_mask, cfg)
     return matmul(q, k), gates
 
 
@@ -171,24 +162,24 @@ def dla_forward(params: dict, X, cfg, x_hat: Tensor | None) -> Tensor:
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
     setting2 = cfg.keyvalue_variant == "setting2"
-    d_eff = x_hat.shape[1] if setting2 else X.values.shape[1]
-    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
     q, key_rows, radii = _projections(params, X, cfg, x_hat)
+    d_eff = radii.shape[0]
     obs = None if setting2 else observation_slots(X)
     if obs is not None and pools_by_observation(H, obs.feat.shape[1], d_eff, T):
         N = obs.feat.shape[1]
         k = transpose(reshape(gather(key_rows, obs.step.reshape(-1)), (B, N, H, A)),
                       (0, 2, 3, 1))                                   # (B, H, A, N_max)
-        gates = _observation_gates(radii.data, X.times, obs, anchor_times(L), cfg)
+        gates = _window(X.times[obs.step][:, None], radii.data[obs.feat][:, None],
+                        anchor_times(L)[:, None], obs.live[:, None], cfg)  # (B, L, N_max)
         head_outs = observation_pool(matmul(q, k), gates, obs.feat, obs.values, d_eff,
-                                     radii, tau)
+                                     radii, cfg.gate_temperature)
     else:
         values = reshape(x_hat, (B, T, -1)) if setting2 \
             else Tensor(X.values.reshape(B, T, -1))
         values4 = transpose(values, (0, 2, 1))
         values4 = reshape(values4, (B, 1) + values4.shape[1:])        # (B, 1, D_eff, T)
         scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
-        head_outs = gated_attention_pool(scores, gates, values4, radii, tau)
+        head_outs = gated_attention_pool(scores, gates, values4, radii, cfg.gate_temperature)
     stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
     return add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
 

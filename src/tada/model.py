@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import RunConfig, coerce_fields
 from .data import IrregularSeries, observation_arrays, unit_times
-from .dla import attention_maps, dla_forward
+from .dla import attention_maps, dla_forward, learns_radii
 from .embedding import te_forward
 from .errors import ConfigError, DataError
 from .mixer import classify, fuse, pool_stack, run_mixer
@@ -206,9 +206,9 @@ class TadaModel:
         self._add("head.b", np.zeros(self.n_classes))
 
     def trainable(self) -> dict[str, Tensor]:
-        """Parameters the optimizer may update (radii drop out when frozen or hard)."""
-        fixed = self.cfg.no_learnable_range or self.cfg.window_mode == "hard"
-        return {k: v for k, v in self.params.items() if not (fixed and k == "dla.range_raw")}
+        """Parameters the forward differentiates: all but radii that do not learn."""
+        learns = learns_radii(self.cfg)
+        return {k: v for k, v in self.params.items() if learns or k != "dla.range_raw"}
 
     def radii(self) -> np.ndarray | None:
         raw = self.params.get("dla.range_raw")

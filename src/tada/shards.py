@@ -64,7 +64,7 @@ from .errors import TadaError, TrainingError
 from .model import Batch, TadaModel
 from .tensor import Tensor
 
-Grads = dict[str, "np.ndarray | None"]
+Grads = dict[str, np.ndarray]
 
 # the ShardedStep entered now, whose worker ``chunk_logits`` may use; a module
 # global because the benchmark replaces ``evaluate_preps`` with a two-argument
@@ -206,37 +206,28 @@ def chunk_logits(model: TadaModel,
 
 def shard_gradients(model: TadaModel, params: dict[str, Tensor],
                     preps: list[Batch]) -> tuple[float, Grads]:
-    """One shard's loss and the gradients its backward leaves in ``params``,
-    from fresh buffers.  A non-finite loss skips the backward: the step
-    fails on the loss."""
+    """One shard's loss and the gradient its backward leaves in each of the
+    model's ``trainable`` ``params``, from fresh buffers.  A non-finite loss
+    raises TrainingError before the backward."""
     for p in params.values():
         p.grad = None
     loss = model.batch_loss(preps)
     value = loss.item()
-    if math.isfinite(value):
-        loss.backward()
+    if not math.isfinite(value):
+        raise TrainingError("non-finite loss")
+    loss.backward()
     return value, {k: p.grad for k, p in params.items()}
 
 
 def combine(results: list[tuple[float, Grads]], sizes: list[int]) -> tuple[float, Grads]:
     """``w0 * x0 + w1 * x1`` with ``w_k = n_k / n``, for the loss and each
-    gradient.  A missing gradient counts as zeros; one missing from both
-    shards stays missing, so Adam skips that parameter as before."""
+    gradient, every shard holding every gradient."""
     if len(results) == 1:
         return results[0]
     n = sum(sizes)
     w0, w1 = (k / n for k in sizes)
     (l0, g0), (l1, g1) = results
-    grads: Grads = {}
-    for k, a in g0.items():
-        b = g1[k]
-        if a is None and b is None:
-            grads[k] = None
-            continue
-        a = np.zeros_like(b) if a is None else a
-        b = np.zeros_like(a) if b is None else b
-        grads[k] = w0 * a + w1 * b
-    return w0 * l0 + w1 * l1, grads
+    return w0 * l0 + w1 * l1, {k: w0 * a + w1 * g1[k] for k, a in g0.items()}
 
 
 def _load(params: dict[str, Tensor], flat: np.ndarray) -> None:

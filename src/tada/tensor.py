@@ -395,11 +395,13 @@ def _masked_exp(S: Array, live: Array) -> Array:
 
 
 def _pool_radii(radii, temperature, D: int, op: str) -> Tensor | None:
-    """The (D,) radii a soft-window pool differentiates: None for hard
-    windows (no temperature) and for radii that need no gradient."""
-    r = None if radii is None or temperature is None else _lift(radii)
+    """The (D,) radii a pool differentiates: those that require a gradient,
+    which need the soft windows' temperature; None for any others."""
+    r = None if radii is None else _lift(radii)
     if r is not None and r.data.shape != (D,):
         raise DimensionError(f"{op}: radii {r.data.shape} do not fit {D} features")
+    if r is not None and r.requires_grad and not temperature:
+        raise DimensionError(f"{op}: radii that learn need a gate temperature > 0")
     return r if r is not None and r.requires_grad else None
 
 
@@ -455,12 +457,12 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
 
     Soft windows pass the (D,) ``radii`` the gates were built from and their
     ``temperature`` tau: G = sigmoid((r_d - |t - a_l|) / tau) m with a 0/1
-    mask m, so dG / dr_d = G' / tau with G' = G (1 - G) exactly.  The radii
-    then get their gradient here, by two more contractions over t:
+    mask m, so dG / dr_d = G' / tau with G' = G (1 - G) exactly.  Radii that
+    require a gradient get it here, by two more contractions over t:
     g_r[d] = sum over b, h, l of (ga (e @ (G' V)^T) - ga out (e @ G'^T)) / tau
-    with ga = g / den, and no gradient of G is formed.  Hard windows pass no
-    temperature and their radii get no gradient.  Scores always get a
-    gradient; values and radii only when they require one.
+    with ga = g / den, and no gradient of G is formed; without a temperature
+    they raise DimensionError.  Scores always get a gradient; values and
+    radii only when they require one, so hard or frozen radii get none.
 
     This is DLA's block pool, for setting2 and for batches too dense for
     ``observation_pool``, whose cost follows the observations instead.
@@ -573,8 +575,8 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
     ``temperature`` tau: dG / dr = G (1 - G) / tau at an observation of
     feature d, and the score gradient is g_S = W dL/dW, so
     g_r[d] = sum of g_S (1 - G) / tau over b, h, l and d's observations.
-    Hard windows pass no temperature, and their radii get no gradient.
-    Scores always get a gradient; the values get none.
+    As in ``gated_attention_pool``, radii get a gradient only when they
+    require one, and then need the temperature.  The values get none.
     """
     s = _lift(scores)
     S, G, D = s.data, np.asarray(gates, dtype=np.float64), n_features

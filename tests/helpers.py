@@ -10,7 +10,7 @@ import tada.dla
 import tada.shards
 from tada.config import RunConfig
 from tada.data import IrregularSeries, Observation, TimeStep
-from tada.dla import observation_slots
+from tada.dla import _window, observation_slots
 from tada.model import TadaModel
 from tada.tensor import _lift, _node
 
@@ -133,6 +133,20 @@ def mask_observations(mask, values):
     return observation_slots(SimpleNamespace(
         step_of=b * T + t, feat_idx=d, values_col=values[b, t, d][:, None],
         lengths=np.full(B, T), t_max=T))
+
+
+def block_gates(radii, times, anchors, cfg, mask):
+    """DLA's (B, L, D, T) gate block, as its forward broadcasts ``_window``:
+    (D,) radii, (B, T) times, (L,) anchors and a (B, 1, D or 1, T) mask."""
+    return _window(times[:, None, None], radii[:, None], anchors[:, None, None], mask, cfg)
+
+
+def observation_gates(radii, times, obs, anchors, cfg):
+    """DLA's (B, L, N_max) gates, one per observation of ``obs`` and zero at
+    padding, as its forward broadcasts ``_window``: (D,) radii, (B * T_max,)
+    step times and (L,) anchors."""
+    return _window(times[obs.step][:, None], radii[obs.feat][:, None], anchors[:, None],
+                   obs.live[:, None], cfg)
 
 
 # a shard worker runs only where fork and an affinity call exist

@@ -19,6 +19,7 @@ import tada.cli
 import tada.shards
 from helpers import WORKER_POSSIBLE, allow_worker
 from tada.cli import main
+from tada.config import RunConfig, parse_overrides
 from tada.data import load_dataset, read_data_manifest
 from tada.dla import anchor_times
 from tada.errors import (ConfigError, DataError, DimensionError, EvaluationError, TadaError,
@@ -332,6 +333,18 @@ def test_non_finite_float_settings_exit_2(tmp_path, data_dir, command, setting, 
     assert capsys.readouterr().err == f"error: config: {name} must be {rule}\n"
 
 
+@pytest.mark.parametrize("temperature", ["5.5e-309", "1e-310", "1e-320"])
+def test_a_gate_temperature_whose_reciprocal_overflows_exits_2(tmp_path, data_dir, temperature,
+                                                               capsys):
+    # each trained into "non-finite gradient for parameter 'te.embed'", exit 3
+    args = ["--data", data_dir, "--out", str(tmp_path / "run")] + set_args(TINY)
+    assert main(["train", "--set", f"gate_temperature={temperature}"] + args) == 2
+    assert capsys.readouterr().err == ("error: config: gate_temperature must exceed 1 / float "
+                                       "max (5.5627e-309), or its reciprocal overflows\n")
+    assert not (tmp_path / "run").exists()
+    RunConfig(gate_temperature=5.6e-309).validate()
+
+
 @pytest.mark.parametrize("command, message", [
     ("train --set seed=-1", "config: seed must be >= 0"),
     ("train --seeds=-2", "config: seed must be >= 0"),
@@ -602,10 +615,21 @@ def test_gradcheck_passes_and_reports_modules(capsys):
     assert "end-to-end: max rel err" in out and "gradcheck OK" in out
 
 
-def test_gradcheck_passes_in_hard_window_mode(capsys):
-    # window edges drawn off the anchor lattice stay clear of the step times
-    assert main(["gradcheck", "--set", "window_mode=hard"]) == 0
-    assert "gradcheck OK" in capsys.readouterr().out
+@pytest.mark.parametrize("setting", [
+    "window_mode=hard", "keyvalue_variant=setting1", "keyvalue_variant=setting2",
+    "te_mode=literal", "no_dla=true", "fusion_mode=concat", "no_learnable_range=true"],
+    ids=["hard", "setting1", "setting2", "literal", "no_dla", "concat", "no_learnable_range"])
+def test_gradcheck_passes_in_each_mode(setting, capsys):
+    # hard-window edges drawn off the anchor lattice stay clear of the step
+    # times; the check covers exactly the weights that train, so not the
+    # hard or frozen radii the forward detaches (those read error 1)
+    assert main(["gradcheck", "--set", setting]) == 0
+    out = capsys.readouterr().out
+    assert "gradcheck OK" in out
+    model, _ = tada.cli.gradcheck_setup(
+        tada.cli.small_gradcheck_config(**parse_overrides([setting])))
+    n = sum(p.data.size for p in model.trainable().values())
+    assert f" over {n} elements at seed 0 " in out
 
 
 def test_gradcheck_threshold_failure(capsys):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import reference
 import tada.dla
-from helpers import (DLA_KERNELS, build_series, force_dla_kernel, graph_nodes,
-                     mask_observations, observed_pairs, random_series, redraw_params,
-                     tiny_model, tsum)
+from helpers import (DLA_KERNELS, block_gates, build_series, force_dla_kernel, graph_nodes,
+                     mask_observations, observation_gates, observed_pairs, random_series,
+                     redraw_params, tiny_model, tsum)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import (_gates, _observation_gates, anchor_times, attention_maps, dla_forward,
-                      pools_by_observation)
+from tada.dla import anchor_times, attention_maps, dla_forward, pools_by_observation
 from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
@@ -41,8 +40,8 @@ def gate_row(anchor, times, radius, mode, tau):
     """The model's gate for one (anchor, radius) pair, all steps observed."""
     times = np.asarray(times, dtype=np.float64)
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
-    gates = _gates(np.array([radius]), times[None], np.array([anchor]), cfg,
-                   np.ones((1, 1, 1, len(times)), dtype=bool))
+    gates = block_gates(np.array([radius]), times[None], np.array([anchor]), cfg,
+                        np.ones((1, 1, 1, len(times)), dtype=bool))
     return gates[0, 0, 0]
 
 
@@ -145,14 +144,14 @@ def test_gates_are_the_chain_gates_at_observed_entries(inputs, mode, tau):
     # dense chain that evaluated every entry and multiplied by the mask
     times, radii, mask, anchors = inputs
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
-    got = _gates(radii, times, anchors, cfg, mask)
+    got = block_gates(radii, times, anchors, cfg, mask)
     want = reference.chain_gates(Tensor(radii), times, anchors, cfg, mask).data
     assert got.dtype == np.float64 and np.array_equal(got, want)
     if mask.shape[2] == len(radii):
         # one gate per observation, the same bits, and zero at padding slots
         (B, T), D = times.shape, len(radii)
         obs = mask_observations(mask[:, 0].transpose(0, 2, 1), np.zeros((B, T, D)))
-        per_obs = _observation_gates(radii, times.reshape(-1), obs, anchors, cfg)
+        per_obs = observation_gates(radii, times.reshape(-1), obs, anchors, cfg)
         for b in range(B):
             live = obs.live[b]
             assert np.array_equal(per_obs[b][:, live],
@@ -170,13 +169,13 @@ def test_gates_are_the_earlier_window_expression(inputs, mode, tau):
     times, radii, mask, anchors = inputs
     cfg = SimpleNamespace(window_mode=mode, gate_temperature=tau)
     want = reference.window(times[:, None, None], radii[:, None], anchors[:, None, None], cfg)
-    assert np.array_equal(_gates(radii, times, anchors, cfg, mask), want * mask)
+    assert np.array_equal(block_gates(radii, times, anchors, cfg, mask), want * mask)
     (B, T), D = times.shape, len(radii)
     obs = mask_observations(np.broadcast_to(mask[:, 0], (B, D, T)).transpose(0, 2, 1),
                             np.zeros((B, T, D)))
     want = reference.window(times.reshape(-1)[obs.step][:, None], radii[obs.feat][:, None],
                             anchors[:, None], cfg) * obs.live[:, None]
-    assert np.array_equal(_observation_gates(radii, times.reshape(-1), obs, anchors, cfg), want)
+    assert np.array_equal(observation_gates(radii, times.reshape(-1), obs, anchors, cfg), want)
 
 
 # grid construction -------------------------------------------------------------

@@ -41,15 +41,19 @@ def test_parameter_set_matches_architecture():
     {}, {"window_mode": "hard"}, {"keyvalue_variant": "setting1"},
     {"keyvalue_variant": "setting2"}, {"te_mode": "literal"}, {"no_dla": True},
     {"no_mixer": True}, {"fusion_mode": "concat"}, {"fusion_mode": "add"},
-    {"no_learnable_range": True}, {"n_layers": 1}, {"n_layers": 3, "n_queries": 16},
+    {"no_learnable_range": True}, {"window_mode": "hard", "no_learnable_range": True},
+    {"n_layers": 1}, {"n_layers": 3, "n_queries": 16},
 ], ids=["default", "hard", "setting1", "setting2", "literal", "no_dla", "no_mixer",
-        "concat", "add", "no_learnable_range", "one-layer", "three-layers"])
+        "concat", "add", "no_learnable_range", "hard-frozen", "one-layer", "three-layers"])
 def test_no_weight_is_dead(overrides):
     # every weight the optimizer may move is one the forward reads and
-    # differentiates: no mode exempts one
+    # differentiates: no mode exempts one; and the forward differentiates
+    # no other weight
     model, preps = gradcheck_setup(small_gradcheck_config(**overrides))
     model.batch_loss(preps).backward()
     assert [name for name, p in model.trainable().items() if p.grad is None] == []
+    assert [name for name, p in model.params.items() if p.grad is not None] \
+        == list(model.trainable())
 
 
 def test_default_layout_is_pinned_to_the_format():

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_nodes, mask_observations, tmean, tsum
+from helpers import (block_gates, graph_nodes, mask_observations, observation_gates, tmean,
+                     tsum)
 from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
                        weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
-from tada.dla import _gates, _observation_gates, anchor_times, attention_maps
+from tada.dla import anchor_times, attention_maps
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
@@ -631,15 +632,21 @@ def pool_inputs(rng, learn_radii=True, value_grad=True, B=2, H=2, L=3, D=4, T=6)
     return scores, values, radii, times, mask
 
 
+def pooled_radii(radii, cfg):
+    """The radii as DLA hands them to a pool: hard ones detached, since a
+    hard window's edge has no derivative in its radius."""
+    return radii if cfg.window_mode == "soft" else radii.detach()
+
+
 def window_pools(scores, values, radii, times, mask, cfg):
     """The pool under the window gates of ``radii``, and the dense reference
     under the same gates built as a graph chain from the radii."""
     anchors = anchor_times(scores.shape[2])
-    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
 
     def pool():
-        gates = _gates(radii.data, times, anchors, cfg, mask)
-        return gated_attention_pool(scores, gates, values, radii, tau)
+        gates = block_gates(radii.data, times, anchors, cfg, mask)
+        return gated_attention_pool(scores, gates, values, pooled_radii(radii, cfg),
+                                    cfg.gate_temperature)
 
     def reference():
         return dense_pool(scores, chain_gates(radii, times, anchors, cfg, mask), values)
@@ -670,7 +677,7 @@ def maps_at_scores(s, radii, times, mask, cfg):
     X = SimpleNamespace(times=times[0], step_of=step_of, feat_idx=feat_idx,
                         lengths=np.array([T]), t_max=T)
     maps = attention_maps(params, X, cfg, Tensor(x_hat))[0]
-    gates = _gates(np.logaddexp(0.0, raw), times, anchor_times(L), cfg, mask)
+    gates = block_gates(np.logaddexp(0.0, raw), times, anchor_times(L), cfg, mask)
     ref = weighted_masked_softmax(Tensor(s[:, :, :, None, :]), Tensor(gates[:, None])).data
     return np.transpose(maps, (0, 1, 3, 2))[None], ref
 
@@ -729,6 +736,18 @@ def test_gated_attention_pool_rejects_mismatched_shapes():
             gated_attention_pool(*bad)
 
 
+def test_pools_refuse_radii_that_learn_without_a_temperature():
+    # a pool differentiates radii that require a gradient, which needs the
+    # soft windows' temperature; DLA hands it hard or frozen radii detached
+    radii = Tensor(np.ones(4), requires_grad=True)
+    s = Tensor(np.ones((1, 2, 3, 5)))
+    with pytest.raises(DimensionError, match="gated_attention_pool: radii that learn"):
+        gated_attention_pool(s, np.ones((1, 3, 4, 5)), Tensor(np.ones((1, 1, 4, 5))), radii)
+    with pytest.raises(DimensionError, match="observation_pool: radii that learn"):
+        observation_pool(s, np.ones((1, 3, 5)), np.zeros((1, 5), dtype=np.int64),
+                         np.ones((1, 5)), 4, radii)
+
+
 def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
     # Feature 0 lives only at step 0, whose score sets the shift of every
     # (h, l).  Features 1 and 2 live only at steps scoring `gap` lower, where
@@ -754,7 +773,7 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         scores = Tensor(s, requires_grad=True)
         values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=True)
         radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
-        gates = _gates(radii.data, times, anchor_times(L), cfg, mask)
+        gates = block_gates(radii.data, times, anchor_times(L), cfg, mask)
         assert _pool_exponents(s, gates)[2][3].tolist() == [1, 2] * (H * L)
         maps, ref = maps_at_scores(s, radii.data, times, mask, cfg)
         assert max_rel_diff(maps, ref) <= 1e-12, gap
@@ -812,14 +831,14 @@ def observation_window_pool(scores, values, radii, times, mask, cfg):
     D = mask.shape[2]
     obs = mask_observations(mask[:, 0].transpose(0, 2, 1), values.data[:, 0].transpose(0, 2, 1))
     N = obs.feat.shape[1]
-    tau = None if cfg.window_mode == "hard" else cfg.gate_temperature
 
     def pool():
         rows = reshape(transpose(scores, (0, 3, 1, 2)), (B * T, H * L))
         at_obs = transpose(reshape(gather(rows, obs.step.reshape(-1)), (B, N, H, L)),
                            (0, 2, 3, 1))
-        gates = _observation_gates(radii.data, times.reshape(-1), obs, anchor_times(L), cfg)
-        return observation_pool(at_obs, gates, obs.feat, obs.values, D, radii, tau)
+        gates = observation_gates(radii.data, times.reshape(-1), obs, anchor_times(L), cfg)
+        return observation_pool(at_obs, gates, obs.feat, obs.values, D,
+                                pooled_radii(radii, cfg), cfg.gate_temperature)
 
     return pool, obs
 

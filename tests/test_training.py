@@ -330,6 +330,32 @@ def test_non_finite_gradient_names_its_epoch(where, monkeypatch):
         train(cfg, train_samples, val_samples, 2, 2, "sequence")
 
 
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_non_finite_loss_names_its_epoch(where, monkeypatch):
+    # from epoch 1 on, each poisoned shard's loss is NaN; the shard refuses
+    # it before its backward, in the parent or in the worker
+    if where == "worker" and not WORKER_POSSIBLE:
+        pytest.skip("no fork or no affinity call on this platform")
+    train_samples, val_samples = small_data()
+    allow_worker(monkeypatch, where == "worker")
+    parent = os.getpid()
+    first_poisoned = 2 if where == "worker" else 4
+    calls = []
+    batch_loss = TadaModel.batch_loss
+
+    def poisoned(self, preps):
+        loss = batch_loss(self, preps)
+        if (os.getpid() != parent) != (where == "worker"):
+            return loss
+        calls.append(None)
+        return loss if len(calls) <= first_poisoned else add(loss, np.nan)
+
+    monkeypatch.setattr(TadaModel, "batch_loss", poisoned)
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=8)
+    with pytest.raises(TrainingError, match="^non-finite loss at epoch 1$"):
+        train(cfg, train_samples, val_samples, 2, 2, "sequence")
+
+
 def overflowing_logits(self, preps):
     # what finite parameters give once a logit overflows float64
     return np.tile([np.inf, 0.0], (len(preps), 1))
