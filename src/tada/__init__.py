@@ -15,7 +15,7 @@ del _var
 from .config import RunConfig, load_config
 from .data import (IrregularSeries, Observation, SynthConfig, TimeStep,
                    load_dataset, normalize_times, parse_events, serialize_events,
-                   split_dataset, synth_generate, write_dataset)
+                   series_from_events, split_dataset, synth_generate, write_dataset)
 from .gradcheck import GradCheckReport, grad_check
 from .metrics import accuracy, auprc, auroc
 from .model import TadaModel
@@ -31,5 +31,5 @@ __all__ = [
     "TimeStep", "TrainResult", "accuracy", "auprc", "auroc",
     "evaluate", "grad_check", "load_config",
     "load_dataset", "normalize_times", "parse_events", "serialize_events",
-    "split_dataset", "synth_generate", "train", "write_dataset",
+    "series_from_events", "split_dataset", "synth_generate", "train", "write_dataset",
 ]

@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from .config import RunConfig, load_config, parse_overrides
-from .data import (MAX_SYNTH_RATE, IrregularSeries, Observation, SynthConfig, TimeStep,
-                   load_dataset, read_data_manifest, split_dataset,
-                   synth_generate, write_data_manifest, write_dataset)
+from .data import (MAX_SYNTH_RATE, SynthConfig, load_dataset, read_data_manifest,
+                   series_from_events, split_dataset, synth_generate, write_data_manifest,
+                   write_dataset)
 from .dla import anchor_times
 from .errors import ConfigError, DataError, EvaluationError, TadaError
 from .gradcheck import grad_check
@@ -173,8 +173,19 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
     return report.as_dict()
 
 
+def _require_scorable_test_split(samples) -> None:
+    """Refuse, before any training, a test split whose labels hold fewer than
+    two classes: AUROC needs both outcomes of some class."""
+    classes = {y for s in samples
+               for y in (s.label if isinstance(s.label, tuple) else (s.label,))}
+    if len(classes) < 2:
+        held = f"holds only class {classes.pop()}" if classes else "is empty"
+        raise DataError(f"test split {held}; scoring it needs labels of two classes")
+
+
 def cmd_train(args) -> int:
     manifest, splits = _load_splits(args.data)
+    _require_scorable_test_split(splits["test"])
     cfg = load_config(args.config, args.set)
     if args.seeds is not None:
         seeds = _ints(args.seeds)
@@ -232,14 +243,11 @@ def gradcheck_setup(cfg: RunConfig, n_features: int = 3, n_samples: int = 3):
     for i in range(n_samples):
         n_steps = int(rng.integers(8, 13))
         times = np.sort(rng.uniform(0.02, 0.98, size=n_steps))
-        steps = []
-        for t in times:
+        events = []
+        for t in times.tolist():
             feats = sorted(rng.permutation(n_features)[:int(rng.integers(1, n_features + 1))])
-            steps.append(TimeStep(time=float(t), observations=tuple(
-                Observation(feature=int(f), value=float(rng.normal(0.0, 1.0)))
-                for f in feats)))
-        samples.append(IrregularSeries(sample_id=f"gc-{i:02d}", steps=tuple(steps),
-                                       label=i % 2))
+            events += [(t, int(f), float(rng.normal(0.0, 1.0))) for f in feats]
+        samples.append(series_from_events(f"gc-{i:02d}", events, i % 2, n_features))
     model = TadaModel(cfg, n_features, 2, "sequence")
 
     # Redraw weights at a generic full-scale point.  The training init keeps

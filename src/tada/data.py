@@ -5,6 +5,14 @@ On-disk sample format is JSON Lines, one object per sample:
 A dataset directory holds ``train.jsonl`` / ``val.jsonl`` / ``test.jsonl``
 plus ``manifest.json`` with ``{"D": int, "task": "sequence"|"step",
 "n_classes": int}``.
+
+A loaded sample is arrays (``IrregularSeries``): its step times, and each
+observation's step, feature and value, in step order and in feature order
+within a step.  ``series_from_events`` is the one place events become a
+series: it checks every event and groups them into steps with numpy, with
+no Python work per event unless an event is bad, where a walk over the
+events finds the first one to name.  ``TimeStep`` and ``Observation``
+objects exist only as the read-only ``IrregularSeries.steps`` view.
 """
 
 from __future__ import annotations
@@ -33,20 +41,39 @@ class TimeStep:
     observations: tuple[Observation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrregularSeries:
+    """One sample as arrays.  ``times`` (T,) holds the step times, increasing;
+    ``step_of``, ``feat`` and ``values`` (N,) hold each observation's step,
+    feature index and value, in step order and in feature order within a
+    step.  Build one from events with ``series_from_events``."""
     sample_id: str
-    steps: tuple[TimeStep, ...]
+    times: np.ndarray       # (T,) float64
+    step_of: np.ndarray     # (N,) int64
+    feat: np.ndarray        # (N,) int64
+    values: np.ndarray      # (N,) float64
     # int for a sequence-level label, tuple[int, ...] (one per step) for a
     # step-level task
     label: int | tuple[int, ...]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.steps], dtype=np.float64)
-
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.times)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IrregularSeries):
+            return NotImplemented
+        return (self.sample_id == other.sample_id and self.label == other.label
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("times", "step_of", "feat", "values")))
+
+    @property
+    def steps(self) -> tuple[TimeStep, ...]:
+        """The series as ``TimeStep`` objects, built anew on each call: a view
+        for reading, which nothing on the load or prepare path calls."""
+        bounds = np.searchsorted(self.step_of, np.arange(len(self.times) + 1)).tolist()
+        feats, vals = self.feat.tolist(), self.values.tolist()
+        return tuple(TimeStep(t, tuple(map(Observation, feats[a:b], vals[a:b])))
+                     for t, a, b in zip(self.times.tolist(), bounds, bounds[1:]))
 
 
 def _is_finite_number(x) -> bool:
@@ -59,12 +86,103 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def parse_events(line: str, n_features: int, line_no: int = 0) -> IrregularSeries:
-    """Parse one JSON line into an IrregularSeries.
+def _event_problem(k: int, ev, n_features: int) -> str | None:
+    """What is wrong with event ``k``, or None."""
+    if (not isinstance(ev, (list, tuple))) or len(ev) != 3:
+        return f"event {k} must be [time, feature, value]"
+    t, f, v = ev
+    if not _is_finite_number(t):
+        return f"event {k} has non-finite time"
+    if isinstance(f, bool) or not isinstance(f, int) or not (0 <= f < n_features):
+        return f"event {k} feature index {f!r} outside [0, {n_features})"
+    if not _is_finite_number(v):
+        return f"event {k} has non-finite value"
+    return None
 
-    Duplicate (time, feature) pairs resolve last-wins.  Events sharing an
-    identical time value are grouped into one step.
+
+_NUMBER = {int, float}
+
+
+def _event_columns(events: list, n_features: int):
+    """The (time, feature, value) columns of ``events`` as float64, int64
+    and float64 arrays, or None where an event is not exactly a 3-list or
+    3-tuple of an int or float time, an int feature in [0, n_features) and
+    an int or float value, all finite.  Types are checked before any
+    conversion, which would turn bools and numeric strings into numbers."""
+    if not set(map(type, events)) <= {list, tuple} or set(map(len, events)) != {3}:
+        return None
+    ts, fs, vs = zip(*events)
+    if not (set(map(type, ts)) <= _NUMBER and set(map(type, fs)) == {int}
+            and set(map(type, vs)) <= _NUMBER):
+        return None
+    try:
+        t = np.array(ts, dtype=np.float64)
+        f = np.array(fs, dtype=np.int64)
+        v = np.array(vs, dtype=np.float64)
+    except OverflowError:       # an int beyond float64 or int64
+        return None
+    if not (np.isfinite(t).all() and np.isfinite(v).all()
+            and f.min() >= 0 and f.max() < n_features):
+        return None
+    return t, f, v
+
+
+def series_from_events(sample_id: str, events, label, n_features: int,
+                       where: str | None = None) -> IrregularSeries:
+    """The series of a non-empty list of [time, feature, value] events.
+
+    Events at equal times (int 5 and float 5.0 included) form one step,
+    which keeps the time of its first event; steps are sorted by time and
+    observations by feature within a step; a repeated (time, feature) pair
+    resolves last-wins.  ``label`` is an int, or a list or tuple of ints with
+    one per step once grouped.  A bad event or label raises DataError
+    prefixed with ``where`` (default ``sample <id>``), naming the first bad
+    event by its index.
     """
+    where = where or f"sample {sample_id}"
+    if not isinstance(events, list) or not events:
+        raise DataError(f"{where}: events must be a non-empty list")
+    columns = _event_columns(events, n_features)
+    if columns is None:     # the error path: name the first bad event
+        for k, ev in enumerate(events):
+            problem = _event_problem(k, ev, n_features)
+            if problem:
+                raise DataError(f"{where}: {problem}")
+        # every event is valid, some through a subclass of int, float or list
+        columns = _event_columns([(float(t), int(f), float(v)) for t, f, v in events],
+                                 n_features)
+    t, f, v = columns
+    # by time, then feature; the sort is stable, so the last event of a
+    # (time, feature) pair ends its run
+    order = np.lexsort((f, t))
+    t_s, f_s = t[order], f[order]
+    new_step = np.ones(len(t), dtype=bool)
+    new_step[1:] = t_s[1:] != t_s[:-1]
+    last = np.ones(len(t), dtype=bool)
+    last[:-1] = new_step[1:] | (f_s[1:] != f_s[:-1])
+    starts = np.flatnonzero(new_step)
+    # the time of each step's first event, which keeps the sign of a zero
+    times = t[np.minimum.reduceat(order, starts)]
+    step_of = np.cumsum(new_step)[last] - 1
+    kept = order[last]
+
+    if isinstance(label, bool):
+        raise DataError(f"{where}: label must be an integer or list of integers")
+    if isinstance(label, int):
+        parsed_label: int | tuple[int, ...] = label
+    elif isinstance(label, (list, tuple)) and label and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in label):
+        if len(label) != len(times):
+            raise DataError(
+                f"{where}: {len(label)} step labels for {len(times)} grouped steps")
+        parsed_label = tuple(label)
+    else:
+        raise DataError(f"{where}: label must be an integer or list of integers")
+    return IrregularSeries(sample_id, times, step_of, f[kept], v[kept], parsed_label)
+
+
+def parse_events(line: str, n_features: int, line_no: int = 0) -> IrregularSeries:
+    """Parse one JSON line into an IrregularSeries by ``series_from_events``."""
     where = f"line {line_no}" if line_no else "line"
     try:
         obj = json.loads(line)
@@ -77,52 +195,13 @@ def parse_events(line: str, n_features: int, line_no: int = 0) -> IrregularSerie
     sid = obj["id"]
     if not isinstance(sid, str) or not sid:
         raise DataError(f"{where}: id must be a non-empty string")
-    events = obj["events"]
-    if not isinstance(events, list) or not events:
-        raise DataError(f"{where}: events must be a non-empty list")
-
-    merged: dict[tuple[float, int], float] = {}
-    for k, ev in enumerate(events):
-        if (not isinstance(ev, (list, tuple))) or len(ev) != 3:
-            raise DataError(f"{where}: event {k} must be [time, feature, value]")
-        t, f, v = ev
-        if not _is_finite_number(t):
-            raise DataError(f"{where}: event {k} has non-finite time")
-        if isinstance(f, bool) or not isinstance(f, int) or not (0 <= f < n_features):
-            raise DataError(
-                f"{where}: event {k} feature index {f!r} outside [0, {n_features})")
-        if not _is_finite_number(v):
-            raise DataError(f"{where}: event {k} has non-finite value")
-        merged[(float(t), f)] = float(v)
-
-    by_time: dict[float, dict[int, float]] = {}
-    for (t, f), v in merged.items():
-        by_time.setdefault(t, {})[f] = v
-    steps = tuple(
-        TimeStep(time=t, observations=tuple(
-            Observation(feature=f, value=v) for f, v in sorted(by_time[t].items())))
-        for t in sorted(by_time)
-    )
-
-    label = obj["label"]
-    if isinstance(label, bool):
-        raise DataError(f"{where}: label must be an integer or list of integers")
-    if isinstance(label, int):
-        parsed_label: int | tuple[int, ...] = label
-    elif isinstance(label, list) and label and all(
-            isinstance(x, int) and not isinstance(x, bool) for x in label):
-        if len(label) != len(steps):
-            raise DataError(
-                f"{where}: {len(label)} step labels for {len(steps)} grouped steps")
-        parsed_label = tuple(label)
-    else:
-        raise DataError(f"{where}: label must be an integer or list of integers")
-    return IrregularSeries(sample_id=sid, steps=steps, label=parsed_label)
+    return series_from_events(sid, obj["events"], obj["label"], n_features, where)
 
 
 def serialize_events(series: IrregularSeries) -> str:
     """Inverse of parse_events for well-formed series (no duplicates)."""
-    events = [[s.time, o.feature, o.value] for s in series.steps for o in s.observations]
+    events = list(zip(series.times[series.step_of].tolist(), series.feat.tolist(),
+                      series.values.tolist()))
     label = list(series.label) if isinstance(series.label, tuple) else series.label
     return json.dumps({"id": series.sample_id, "label": label, "events": events},
                       sort_keys=True)
@@ -204,39 +283,40 @@ def unit_times(series: IrregularSeries) -> np.ndarray:
 
 def normalize_times(series: IrregularSeries) -> IrregularSeries:
     """The series with its step times mapped onto [0, 1] by ``unit_times``."""
-    steps = tuple(TimeStep(time=float(t), observations=s.observations)
-                  for t, s in zip(unit_times(series), series.steps))
-    return IrregularSeries(series.sample_id, steps, series.label)
+    return dataclasses.replace(series, times=unit_times(series))
 
 
 def observation_arrays(series: IrregularSeries, n_features: int):
-    """Every observation in step order as (step_of, feat_idx, values) (N,)
-    arrays, plus the dense (T, D) value matrix with zeros at unobserved
-    slots.
+    """The series' (step_of, feat_idx, values) (N,) arrays, plus the dense
+    (T, D) value matrix with zeros at unobserved slots.
 
-    A feature index that is not an integer, lies outside [0, n_features)
-    or repeats within a step raises DataError.
+    Observations whose steps are not numbered in order within [0, T), a
+    feature index that is not an integer, lies outside [0, n_features) or
+    repeats within a step raise DataError.
     """
-    obs = [o for step in series.steps for o in step.observations]
-    step_of = np.repeat(np.arange(len(series.steps), dtype=np.int64),
-                        [len(step.observations) for step in series.steps])
-    feat_idx = np.array([o.feature for o in obs])
-    if obs and feat_idx.dtype.kind not in "iu":
+    step_of, feat_idx = series.step_of, series.feat
+    vals = series.values.astype(np.float64, copy=False)
+    T, N = len(series.times), len(step_of)
+    if not (len(feat_idx) == len(vals) == N and step_of.dtype.kind in "iu"
+            and (N == 0 or (step_of[0] >= 0 and step_of[-1] < T
+                            and (step_of[1:] >= step_of[:-1]).all()))):
+        raise DataError(f"sample {series.sample_id}: observations must number their "
+                        f"steps in order within [0, {T})")
+    if N and feat_idx.dtype.kind not in "iu":
         raise DataError(f"sample {series.sample_id}: feature indices must be integers "
                         f"in [0, {n_features})")
     feat_idx = feat_idx.astype(np.int64, copy=False)
-    vals = np.fromiter((o.value for o in obs), dtype=np.float64, count=len(obs))
     outside = (feat_idx < 0) | (feat_idx >= n_features)
     if outside.any():
         raise DataError(f"sample {series.sample_id}: feature index "
-                        f"{obs[int(outside.argmax())].feature} outside [0, {n_features})")
-    T = len(series.steps)
+                        f"{feat_idx[outside.argmax()]} outside [0, {n_features})")
     values = np.zeros((T, n_features))
     values[step_of, feat_idx] = vals
-    if obs and np.bincount(step_of * n_features + feat_idx).max() > 1:
-        k = next(k for k, step in enumerate(series.steps)
-                 if len({o.feature for o in step.observations}) < len(step.observations))
-        raise DataError(f"sample {series.sample_id}: step {k} repeats a feature")
+    if N:
+        repeats = np.bincount(step_of * n_features + feat_idx) > 1
+        if repeats.any():
+            raise DataError(f"sample {series.sample_id}: step "
+                            f"{repeats.argmax() // n_features} repeats a feature")
     return step_of, feat_idx, vals, values
 
 
@@ -384,13 +464,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[IrregularSeries], dict]:
         else:
             raise ConfigError(f"synth: no events in [0, 1) after {MAX_SYNTH_REDRAWS} draws; "
                               f"rates {cfg.rates} are too low")
-        events.sort(key=lambda e: e[0])
-        by_time: dict[float, list[Observation]] = {}
-        for t, d, v in events:
-            by_time.setdefault(t, []).append(Observation(feature=d, value=v))
-        steps = tuple(TimeStep(time=t, observations=tuple(by_time[t]))
-                      for t in sorted(by_time))
         sid = f"synth-{i:05d}"
-        samples.append(IrregularSeries(sample_id=sid, steps=steps, label=label))
+        samples.append(series_from_events(sid, events, label, cfg.n_features))
         meta["per_sample"][sid] = {"label": label, "freq": f}
     return samples, meta

@@ -15,7 +15,11 @@ tag reading.  Each of the 4 body tags contributes its 3 coordinates, giving
 
 from __future__ import annotations
 
-from .data import IrregularSeries, Observation, TimeStep, text_lines
+import math
+
+import numpy as np
+
+from .data import IrregularSeries, series_from_events, text_lines
 from .errors import ConfigError, DataError
 
 TAG_FEATURES = {
@@ -48,7 +52,7 @@ def convert_uci_activity(path: str, window: int = WINDOW) -> tuple[list[Irregula
     """Parse the raw CSV into windowed step-labelled samples."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    per_seq: dict[str, dict[int, tuple[dict[int, float], int]]] = {}
+    rows: dict[str, list[tuple[int, int, tuple[float, ...], int]]] = {}
     for line_no, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -66,31 +70,32 @@ def convert_uci_activity(path: str, window: int = WINDOW) -> tuple[list[Irregula
             coords = (float(x), float(y), float(z))
         except ValueError:
             raise DataError(f"line {line_no}: bad numeric field") from None
-        base = TAG_FEATURES[tag] * 3
-        steps = per_seq.setdefault(seq, {})
-        values, _old_label = steps.get(ts, ({}, 0))
-        for axis, v in enumerate(coords):
-            values[base + axis] = v
-        steps[ts] = (values, ACTIVITY_CLASSES[activity])
+        if not all(map(math.isfinite, coords)):
+            raise DataError(f"line {line_no}: non-finite coordinate")
+        rows.setdefault(seq, []).append(
+            (ts, TAG_FEATURES[tag] * 3, coords, ACTIVITY_CLASSES[activity]))
 
     samples: list[IrregularSeries] = []
-    for seq in sorted(per_seq):
-        steps_by_ts = per_seq[seq]
-        ordered = [
-            (ts, values, label)
-            for ts, (values, label) in sorted(steps_by_ts.items())
-            if values
-        ]
-        for w_start in range(0, len(ordered) - window + 1, window):
-            chunk = ordered[w_start:w_start + window]
-            steps = tuple(
-                TimeStep(time=float(ts), observations=tuple(
-                    Observation(feature=f, value=v) for f, v in sorted(values.items())))
-                for ts, values, _ in chunk
-            )
-            labels = tuple(label for _, _, label in chunk)
-            sid = f"{seq}-w{w_start // window:03d}"
-            samples.append(IrregularSeries(sample_id=sid, steps=steps, label=labels))
+    for seq in sorted(rows):
+        # stamps as offsets from the first, which floats hold exactly, so
+        # readings at distinct stamps stay distinct steps
+        t0 = min(r[0] for r in rows[seq])
+        if max(r[0] for r in rows[seq]) - t0 >= 2 ** 53:
+            raise DataError(f"sequence {seq}: stamps span 2**53 or more")
+        events = [(ts - t0, base + axis, v) for ts, base, coords, _ in rows[seq]
+                  for axis, v in enumerate(coords)]
+        # the whole sequence as one series; its windows take step labels below
+        whole = series_from_events(seq, events, 0, N_FEATURES, f"sequence {seq}")
+        offsets = whole.times.astype(np.int64).tolist()
+        label_at = {ts - t0: label for ts, _, _, label in rows[seq]}   # the last row wins
+        labels = tuple(label_at[k] for k in offsets)
+        times = np.array([float(t0 + k) for k in offsets])
+        bounds = np.searchsorted(whole.step_of, np.arange(0, len(offsets) + 1, window))
+        for w, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            steps = slice(w * window, (w + 1) * window)
+            samples.append(IrregularSeries(
+                f"{seq}-w{w:03d}", times[steps], whole.step_of[a:b] - w * window,
+                whole.feat[a:b], whole.values[a:b], labels[steps]))
     if not samples:
         raise DataError(f"{path}: no complete {window}-step windows found")
     manifest = {"D": N_FEATURES, "task": "step", "n_classes": N_CLASSES}

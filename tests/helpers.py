@@ -9,7 +9,7 @@ import numpy as np
 import tada.dla
 import tada.shards
 from tada.config import RunConfig
-from tada.data import IrregularSeries, Observation, TimeStep
+from tada.data import IrregularSeries
 from tada.dla import _window, observation_slots
 from tada.model import TadaModel
 from tada.tensor import _lift, _node
@@ -47,12 +47,14 @@ def tmean(x, axis=None, keepdims: bool = False):
 
 
 def build_series(steps_spec, sid="s", label=0):
-    """steps_spec: [(time, [(feature, value), ...]), ...]."""
-    steps = tuple(
-        TimeStep(time=float(t), observations=tuple(
-            Observation(int(f), float(v)) for f, v in obs))
-        for t, obs in steps_spec)
-    return IrregularSeries(sample_id=sid, steps=steps, label=label)
+    """steps_spec: [(time, [(feature, value), ...]), ...], held as given:
+    nothing is sorted, merged or checked, so a test can also build a series
+    that ``series_from_events`` would never give."""
+    obs = [(k, int(f), float(v)) for k, (_, pairs) in enumerate(steps_spec) for f, v in pairs]
+    return IrregularSeries(sid, np.array([float(t) for t, _ in steps_spec]),
+                           np.array([k for k, _, _ in obs], dtype=np.int64),
+                           np.array([f for _, f, _ in obs], dtype=np.int64),
+                           np.array([v for _, _, v in obs], dtype=np.float64), label)
 
 
 def random_series(rng, n_steps, n_features, sid="s", label=0):
@@ -68,11 +70,9 @@ def random_series(rng, n_steps, n_features, sid="s", label=0):
 
 def observed_pairs(series, n_features):
     """(T, D) bool mask of the (step, feature) pairs a series observes, read
-    from its own steps."""
+    from its own arrays."""
     mask = np.zeros((len(series), n_features), dtype=bool)
-    for k, step in enumerate(series.steps):
-        for o in step.observations:
-            mask[k, o.feature] = True
+    mask[series.step_of, series.feat] = True
     return mask
 
 

@@ -15,19 +15,24 @@ expression.  ``chain_gates`` and
 through the ``sigmoid`` op and the batched pool that gave such gates a
 gradient, on its own copy of the pool's exponents (``pool_exponents``).
 ``prepare_by_steps`` is ``TadaModel.prepare`` as it was, one ``TimeStep``
-and one observation at a time, into a ``Batch`` of one.  All of it is slow
-and exists only so tests can compare the model against it.
+and one observation at a time, into a ``Batch`` of one.  ``parse_events``,
+``serialize_steps`` and ``observation_arrays`` are the loader as it was,
+one event and one observation at a time, on a ``StepSeries``: a sample
+held as ``TimeStep`` objects.  All of it is slow and exists only so tests
+can compare the model against it.
 """
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from helpers import tmean, tsum
-from tada.data import IrregularSeries, TimeStep
+from tada.data import Observation, TimeStep
 from tada.dla import anchor_times
 from tada.embedding import encode_observations, te_forward
-from tada.errors import DimensionError
+from tada.errors import DataError, DimensionError
 from tada.mixer import adaptive_pool_matrix, run_mixer
 from tada.model import Batch
 from tada.tensor import (Tensor, _lift, _node, _sigmoid, _unbroadcast, add, concat,
@@ -457,18 +462,125 @@ def one_graph_gradients(model, preps):
     return loss.item(), {k: p.grad for k, p in params.items()}
 
 
+@dataclass(frozen=True)
+class StepSeries:
+    """A sample as ``TimeStep`` objects, the form the loader built before a
+    loaded sample became arrays."""
+    sample_id: str
+    steps: tuple
+    label: object
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([s.time for s in self.steps], dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def parse_events(line: str, n_features: int, line_no: int = 0) -> StepSeries:
+    """``tada.data.parse_events`` as it was: every event checked in a Python
+    loop, merged last-wins in a dict and grouped by time in another."""
+    where = f"line {line_no}" if line_no else "line"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{where}: invalid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:
+        raise DataError(f"{where}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict) or set(obj) != {"id", "label", "events"}:
+        raise DataError(f"{where}: expected keys id/label/events")
+    sid = obj["id"]
+    if not isinstance(sid, str) or not sid:
+        raise DataError(f"{where}: id must be a non-empty string")
+    events = obj["events"]
+    if not isinstance(events, list) or not events:
+        raise DataError(f"{where}: events must be a non-empty list")
+
+    merged = {}
+    for k, ev in enumerate(events):
+        if (not isinstance(ev, (list, tuple))) or len(ev) != 3:
+            raise DataError(f"{where}: event {k} must be [time, feature, value]")
+        t, f, v = ev
+        if not _is_finite_number(t):
+            raise DataError(f"{where}: event {k} has non-finite time")
+        if isinstance(f, bool) or not isinstance(f, int) or not (0 <= f < n_features):
+            raise DataError(
+                f"{where}: event {k} feature index {f!r} outside [0, {n_features})")
+        if not _is_finite_number(v):
+            raise DataError(f"{where}: event {k} has non-finite value")
+        merged[(float(t), f)] = float(v)
+
+    by_time = {}
+    for (t, f), v in merged.items():
+        by_time.setdefault(t, {})[f] = v
+    steps = tuple(
+        TimeStep(time=t, observations=tuple(
+            Observation(feature=f, value=v) for f, v in sorted(by_time[t].items())))
+        for t in sorted(by_time)
+    )
+
+    label = obj["label"]
+    if isinstance(label, bool):
+        raise DataError(f"{where}: label must be an integer or list of integers")
+    if isinstance(label, int):
+        parsed_label = label
+    elif isinstance(label, list) and label and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in label):
+        if len(label) != len(steps):
+            raise DataError(
+                f"{where}: {len(label)} step labels for {len(steps)} grouped steps")
+        parsed_label = tuple(label)
+    else:
+        raise DataError(f"{where}: label must be an integer or list of integers")
+    return StepSeries(sample_id=sid, steps=steps, label=parsed_label)
+
+
+def serialize_steps(series) -> str:
+    """``tada.data.serialize_events`` as it was, over a series' steps."""
+    events = [[s.time, o.feature, o.value] for s in series.steps for o in s.observations]
+    label = list(series.label) if isinstance(series.label, tuple) else series.label
+    return json.dumps({"id": series.sample_id, "label": label, "events": events},
+                      sort_keys=True)
+
+
+def observation_arrays(series, n_features: int):
+    """``tada.data.observation_arrays`` as it was, for a well-formed series:
+    (step_of, feat_idx, values) (N,) arrays gathered one observation at a
+    time, plus the dense (T, D) value matrix."""
+    obs = [o for step in series.steps for o in step.observations]
+    step_of = np.repeat(np.arange(len(series.steps), dtype=np.int64),
+                        [len(step.observations) for step in series.steps])
+    feat_idx = np.array([o.feature for o in obs]).astype(np.int64, copy=False)
+    vals = np.fromiter((o.value for o in obs), dtype=np.float64, count=len(obs))
+    values = np.zeros((len(series.steps), n_features))
+    values[step_of, feat_idx] = vals
+    return step_of, feat_idx, vals, values
+
+
 def prepare_by_steps(model, series):
-    """``TadaModel.prepare`` as it was, for a well-formed series: new
+    """``TadaModel.prepare`` as it was, for a well-formed series (an
+    ``IrregularSeries``, through its ``steps``, or a ``StepSeries``): new
     normalized ``TimeStep`` objects, then the observation arrays and the
     dense value matrix filled one observation at a time."""
-    if len(series.steps) == 1:
-        steps = (TimeStep(time=0.0, observations=series.steps[0].observations),)
+    steps = series.steps
+    if len(steps) == 1:
+        steps = (TimeStep(time=0.0, observations=steps[0].observations),)
     else:
-        t0 = series.steps[0].time
-        span = series.steps[-1].time - t0
+        t0 = steps[0].time
+        span = steps[-1].time - t0
         steps = tuple(TimeStep(time=(s.time - t0) / span, observations=s.observations)
-                      for s in series.steps)
-    series = IrregularSeries(series.sample_id, steps, series.label)
+                      for s in steps)
+    series = StepSeries(series.sample_id, steps, series.label)
     obs = [(k, o.feature, o.value) for k, step in enumerate(series.steps)
            for o in step.observations]
     values = np.zeros((len(steps), model.n_features))

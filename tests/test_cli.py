@@ -297,10 +297,10 @@ def test_train_multi_seed_aggregates(tmp_path, data_dir, capsys):
     assert np.isclose(agg["auroc"]["mean"], np.mean(seen))
 
 
-@pytest.mark.parametrize("keep", ["one-class", "empty"])
-def test_train_keeps_the_model_when_the_test_split_cannot_be_scored(tmp_path, data_dir,
-                                                                   run_dir, keep, capsys):
-    import shutil
+@pytest.mark.parametrize("keep,held", [("one-class", "holds only class 0"),
+                                       ("empty", "is empty")], ids=["one-class", "empty"])
+def test_train_refuses_a_test_split_it_cannot_score_before_training(tmp_path, data_dir,
+                                                                   keep, held, capsys):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     lines = (data / "test.jsonl").read_text().splitlines()
@@ -309,10 +309,37 @@ def test_train_keeps_the_model_when_the_test_split_cannot_be_scored(tmp_path, da
     out = tmp_path / "run"
     rc = main(["train", "--data", str(data), "--out", str(out)] + set_args(TINY))
     assert rc == 2
-    assert "test split" in capsys.readouterr().err
-    # the trained model is saved, and it is the one a scorable run saves
-    with open(os.path.join(run_dir, "model.bin"), "rb") as fh:
-        assert (out / "model.bin").read_bytes() == fh.read()
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: test split {held}; scoring it needs labels "
+                            f"of two classes\n")
+    # refused before any training: no epoch ran and no run directory exists
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("synth,held", [(["--n", "12"], "is empty"),
+                                        (["--counts", "10,2,1"], "holds only class 0")],
+                         ids=["n12", "counts-10-2-1"])
+@pytest.mark.parametrize("seeds", [[], ["--seeds", "0,1"]], ids=["one-seed", "seeds"])
+def test_train_refuses_the_unscorable_test_split_synth_can_write(tmp_path, synth, held,
+                                                                  seeds, capsys):
+    # --n 12 splits 10/2/0 by the default ratios; --counts 10,2,1 leaves one class
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--out", str(data), "--seed", "1"] + synth) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out)] + seeds) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: test split {held}; scoring it needs labels "
+                            f"of two classes\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_train_runs_on_an_empty_validation_split(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--out", str(data), "--counts", "10,0,2", "--seed", "1"]) == 0
+    assert n_lines(data / "val.jsonl") == 0
+    assert main(["train", "--data", str(data), "--out", str(out)]
+                + set_args(TINY) + ["--set", "max_epochs=1"]) == 0
+    assert (out / "model.bin").exists() and (out / "metrics.csv").exists()
 
 
 def test_train_unknown_override(tmp_path, data_dir, capsys):

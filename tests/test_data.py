@@ -1,26 +1,30 @@
 """Event parsing, masking, splitting, and the synthetic frequency task."""
 
+import gc
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from helpers import build_series
 from tada.config import RunConfig
 from tada.data import (
     IrregularSeries,
-    Observation,
     SynthConfig,
-    TimeStep,
     load_dataset,
     normalize_times,
     observation_arrays,
     parse_events,
     read_data_manifest,
     serialize_events,
+    series_from_events,
     split_dataset,
     synth_generate,
     write_data_manifest,
@@ -31,9 +35,7 @@ from tada.model import TadaModel
 
 
 def make_series(sid, label, times):
-    steps = tuple(TimeStep(time=t, observations=(Observation(0, 1.0),))
-                  for t in times)
-    return IrregularSeries(sample_id=sid, steps=steps, label=label)
+    return build_series([(t, [(0, 1.0)]) for t in times], sid=sid, label=label)
 
 
 EXAMPLE_LINE = '{"id":"a","label":1,"events":[[0.0,0,1.5],[0.0,2,3.0],[5.0,0,1.6]]}'
@@ -101,11 +103,20 @@ events_like = st.lists(st.lists(json_values, min_size=3, max_size=3) | json_valu
 
 
 def parses_or_data_error(line):
+    """The line loads as the per-event parser loads it, or raises the
+    DataError it raises."""
     try:
-        series = parse_events(line, n_features=3)
-    except DataError:
+        old = reference.parse_events(line, n_features=3, line_no=9)
+    except DataError as e:
+        with pytest.raises(DataError, match=f"^{re.escape(str(e))}$"):
+            parse_events(line, n_features=3, line_no=9)
         return
+    series = parse_events(line, n_features=3, line_no=9)
     assert isinstance(series, IrregularSeries) and len(series) >= 1
+    assert (series.sample_id, series.steps, series.label) == \
+        (old.sample_id, old.steps, old.label)
+    # the bytes as well, which tell a -0.0 step time from 0.0
+    assert serialize_events(series) == reference.serialize_steps(old)
 
 
 @settings(deadline=None, max_examples=300)
@@ -123,6 +134,46 @@ def test_parse_fuzzed_text_loads_or_raises_data_error(data):
         cut = data.draw(st.integers(0, 3))
         line = line[:i] + data.draw(st.text(max_size=3)) + line[i + cut:]
     parses_or_data_error(line)
+
+
+# times that events share, int and float, and zeros of both signs
+shared_times = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, -3, 1e-300, 2 ** 53, 2 ** 53 + 1])
+numbers = shared_times | st.integers(-2 ** 70, 2 ** 70) | st.floats(allow_nan=False,
+                                                                    allow_infinity=False)
+# what JSON can hold but no event may: bools, strings, ints beyond float64 or
+# int64, NaN and Infinity (json.dumps writes them as the bare tokens)
+refused = st.sampled_from([True, False, "1", None, [0], 10 ** 400, -(10 ** 400), 2 ** 70,
+                           math.nan, math.inf, -math.inf])
+good_event = st.tuples(shared_times | numbers, st.integers(0, 2), numbers).map(list)
+bad_event = (st.tuples(numbers | refused, st.integers(-1, 3) | refused,
+                       numbers | refused).map(list)
+             | st.lists(numbers, max_size=4).filter(lambda ev: len(ev) != 3)
+             | numbers | refused)
+labels = (st.integers(0, 1) | st.booleans() | st.just("1")
+          | st.lists(st.integers(0, 1) | refused, max_size=5))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.one_of(good_event, good_event, good_event, bad_event), max_size=12),
+       labels)
+# a step at 0.0 and -0.0 keeps the sign of its first event, whatever its feature
+@example(events=[[-0.0, 2, 1.0], [0.0, 1, 2.0]], label=0)
+@example(events=[[0, 2, 1.0], [-0.0, 1, 2.0], [-0.0, 2, 3.0]], label=[1])
+def test_parse_matches_the_per_event_parser(events, label):
+    # out of order, shared times, repeated (time, feature) pairs, and one bad
+    # event among good ones: the same steps or the same message
+    parses_or_data_error(json.dumps({"id": "p", "label": label, "events": events}))
+
+
+def test_events_built_in_code_may_hold_subclasses_of_int_float_and_list():
+    # numpy's float64 is a float, as the per-event checks always accepted
+    class Event(list):
+        pass
+    odd = [Event([np.float64(1.0), 0, np.float64(2.0)]), (0.5, 1, 3)]
+    plain = [[1.0, 0, 2.0], [0.5, 1, 3.0]]
+    assert series_from_events("s", odd, 0, 2) == series_from_events("s", plain, 0, 2)
+    with pytest.raises(DataError, match=r"^sample s: event 1 feature index True outside"):
+        series_from_events("s", [[np.float64(1.0), 0, 2.0], [0.5, True, 3.0]], 0, 2)
 
 
 def test_parse_error_carries_line_number():
@@ -278,17 +329,16 @@ def test_build_value_mask_counts_match_observations():
     total = 0
     for k in range(6):
         feats = rng.choice(5, size=rng.integers(1, 5), replace=False)
-        steps.append(TimeStep(time=float(k), observations=tuple(
-            Observation(int(f), float(rng.normal())) for f in sorted(feats))))
+        steps.append((float(k), [(int(f), float(rng.normal())) for f in sorted(feats)]))
         total += len(feats)
-    s = IrregularSeries("x", tuple(steps), 0)
+    s = build_series(steps, sid="x")
     step_of, feat_idx, vals, V = observation_arrays(s, 5)
     np.testing.assert_array_equal(V[step_of, feat_idx], vals)
     M = np.zeros(V.shape, dtype=bool)
     M[step_of, feat_idx] = True
     assert M.sum() == total
     np.testing.assert_array_equal(V[~M], 0.0)
-    want = sum(o.value for st_ in steps for o in st_.observations)
+    want = sum(v for _, obs in steps for _, v in obs)
     assert abs(V[M].sum() - want) < 1e-12
 
 
@@ -338,7 +388,7 @@ def test_split_errors():
     rare = samples + [make_series("rare", 2, [0.0, 1.0])]
     with pytest.raises(DataError, match="class 2"):
         split_dataset(rare, (0.8, 0.1, 0.1), seed=0)
-    stepwise = [IrregularSeries("s", (TimeStep(0.0, (Observation(0, 1.0),)),), (0,))]
+    stepwise = [build_series([(0.0, [(0, 1.0)])], label=(0,))]
     with pytest.raises(DataError, match="sequence-level"):
         split_dataset(stepwise * 4, (0.8, 0.1, 0.1), seed=0)
     # numpy's generators refuse a negative seed with a ValueError
@@ -430,3 +480,62 @@ def test_synth_config_validation_refuses_what_the_generator_cannot_finish(change
 
 def test_synth_default_freqs_scale_with_classes():
     assert SynthConfig(n_classes=4).resolved_freqs() == (3.0, 5.0, 7.0, 9.0)
+
+
+# the benchmark's inputs ----------------------------------------------------------
+
+# sha256 of 64 synth samples at the default rates times 1 and 8 (perfbench's
+# train_short and train_long), as the per-step generator wrote them
+SYNTH_SHA256 = {
+    (1, 0): "de60fd0459c259f427c4fa775f7f52f2d4e72d849bcc161178a3195017a1c117",
+    (1, 1): "26d3da8349639ffc9dabb52014f4544b72baba50f6c17354dc2c12dba32caf60",
+    (8, 0): "c7cc74d618a51b00d864871288613e7eeafccc312dc62b9fd7d4b8d74c4a9920",
+    (8, 1): "6f866cd9334e748d29e4c82914eef2605045f3cfed12aee0ae20994b57858365",
+}
+
+
+@pytest.mark.parametrize("scale,seed", sorted(SYNTH_SHA256))
+def test_synth_bytes_and_prepared_arrays_are_pinned(tmp_path, scale, seed):
+    cfg = SynthConfig(n_samples=64, rates=tuple(r * scale for r in (2.0, 4.0, 8.0, 16.0)),
+                      seed=seed)
+    path = tmp_path / "synth.jsonl"
+    write_dataset(str(path), synth_generate(cfg)[0])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_SHA256[scale, seed]
+    # prepared from the loaded arrays as from the per-event parser's steps
+    model = TadaModel(RunConfig(), 4, 2, "sequence")
+    lines = path.read_text().splitlines()
+    for series, line in zip(load_dataset(str(path), 4), lines, strict=True):
+        got = model.prepare(series)
+        want = reference.prepare_by_steps(model, reference.parse_events(line, 4))
+        for name, a in vars(want).items():
+            b = getattr(got, name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, name
+
+
+def test_load_and_prepare_never_build_step_objects(tmp_path, monkeypatch):
+    path = tmp_path / "synth.jsonl"
+    write_dataset(str(path), synth_generate(SynthConfig(n_samples=8, seed=0))[0])
+
+    def refuse(self):
+        raise AssertionError("steps built on the load or prepare path")
+    monkeypatch.setattr(IrregularSeries, "steps", property(refuse))
+    model = TadaModel(RunConfig(), 4, 2, "sequence")
+    assert len([model.prepare(s) for s in load_dataset(str(path), 4)]) == 8
+
+
+def test_a_loaded_event_holds_at_most_64_bytes():
+    rng = np.random.default_rng(0)
+    n = 10_000
+    events = zip(rng.uniform(0.0, 1.0, n).tolist(), rng.integers(0, 4, n).tolist(),
+                 rng.normal(size=n).tolist())
+    line = json.dumps({"id": "m", "label": 0, "events": list(events)})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = parse_events(line, 4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series.values) == n
+    assert held / n <= 64, f"{held / n:.0f} B per event"

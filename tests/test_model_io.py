@@ -14,8 +14,7 @@ import reference
 from helpers import build_series, random_series, tiny_config, tiny_model
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.config import RunConfig
-from tada.data import (IrregularSeries, Observation, SynthConfig, TimeStep, parse_events,
-                       synth_generate)
+from tada.data import IrregularSeries, SynthConfig, parse_events, synth_generate
 from tada.errors import ConfigError, DataError
 from tada.model import FORMAT, MAGIC, TadaModel, collate
 
@@ -107,8 +106,7 @@ def test_prepare_validates_labels():
     with pytest.raises(DataError, match="label outside"):
         model.prepare(build_series([(0.0, [(0, 1.0)])], label=5))
     with pytest.raises(DataError, match="step labels"):
-        model.prepare(IrregularSeries("s", (
-            TimeStep(0.0, (Observation(0, 1.0),)),), (0,)))
+        model.prepare(build_series([(0.0, [(0, 1.0)])], label=(0,)))
     step_model = tiny_model(task="step")
     with pytest.raises(DataError, match="step"):
         step_model.prepare(build_series([(0.0, [(0, 1.0)])], label=0))
@@ -146,9 +144,22 @@ def test_prepare_rejects_a_step_that_repeats_a_feature(steps):
 
 @pytest.mark.parametrize("feature", [1.5, True, 2 ** 70], ids=["float", "bool", "beyond-int64"])
 def test_prepare_rejects_a_feature_index_that_is_not_an_int64(feature):
-    series = IrregularSeries("odd", (TimeStep(0.0, (Observation(feature, 1.0),)),), 0)
+    series = IrregularSeries("odd", np.zeros(1), np.zeros(1, dtype=np.int64),
+                             np.array([feature]), np.ones(1), 0)
     with pytest.raises(DataError,
                        match=r"^sample odd: feature indices must be integers in \[0, 3\)$"):
+        tiny_model(n_features=3).prepare(series)
+
+
+@pytest.mark.parametrize("step_of,feat", [([1, 0], [0, 1]), ([0, 2], [0, 1]), ([-1, 0], [0, 1]),
+                                          ([0, 1], [0]), ([0.0, 1.0], [0, 1])],
+                         ids=["out-of-order", "beyond-T", "negative", "short-feat", "float"])
+def test_prepare_rejects_observations_that_misnumber_their_steps(step_of, feat):
+    # a series built in code can hold arrays series_from_events never gives
+    series = IrregularSeries("odd", np.array([0.0, 1.0]), np.array(step_of), np.array(feat),
+                             np.ones(2), 0)
+    with pytest.raises(DataError, match=r"^sample odd: observations must number their "
+                                        r"steps in order within \[0, 2\)$"):
         tiny_model(n_features=3).prepare(series)
 
 
@@ -173,11 +184,12 @@ def test_prepare_is_bit_identical_to_the_per_step_build(evs, task):
     # every series parse_events can produce: repeated (time, feature) pairs,
     # shared times, -0.0 and one-step series included
     line = json.dumps({"id": "h", "label": 1, "events": [list(e) for e in evs]})
-    series = parse_events(line, 4)
+    series, old = parse_events(line, 4), reference.parse_events(line, 4)
     if task == "step":
-        series = dataclasses.replace(series, label=tuple(k % 2 for k in range(len(series))))
+        labels = tuple(k % 2 for k in range(len(series)))
+        series, old = (dataclasses.replace(s, label=labels) for s in (series, old))
     model = tiny_model(n_features=4, task=task)
-    assert_same_prep(model.prepare(series), reference.prepare_by_steps(model, series))
+    assert_same_prep(model.prepare(series), reference.prepare_by_steps(model, old))
 
 
 def test_prepare_is_bit_identical_on_synth_data():

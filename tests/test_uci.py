@@ -120,6 +120,13 @@ def test_converter_errors(tmp_path):
     csv.write_text("A01,too,few\n")
     with pytest.raises(DataError, match="8 CSV fields"):
         convert_uci_activity(str(csv))
+    # a coordinate no sample may hold, and stamps that floats cannot tell apart
+    csv.write_text(f"A01,{TAGS[0]},1,d,1,nan,3,walking\n")
+    with pytest.raises(DataError, match="^line 1: non-finite coordinate$"):
+        convert_uci_activity(str(csv))
+    csv.write_text(f"A01,{TAGS[0]},0,d,1,2,3,walking\nA01,{TAGS[0]},{2 ** 53},d,1,2,3,walking\n")
+    with pytest.raises(DataError, match="^sequence A01: stamps span 2\\*\\*53 or more$"):
+        convert_uci_activity(str(csv))
     # fewer steps than one window
     csv.write_text(f"A01,{TAGS[0]},1,d,1,2,3,walking\n")
     with pytest.raises(DataError, match="windows"):
