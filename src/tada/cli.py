@@ -24,7 +24,7 @@ from .data import (MAX_SYNTH_RATE, SynthConfig, load_dataset, read_data_manifest
 from .dla import anchor_times
 from .errors import ConfigError, DataError, EvaluationError, TadaError
 from .gradcheck import grad_check
-from .model import TadaModel
+from .model import TadaModel, label_rows
 from .training import evaluate, run_manifest, train
 from .uci import convert_uci_activity
 
@@ -173,11 +173,12 @@ def _train_single(cfg: RunConfig, manifest, splits, out_dir: str, verbose: bool)
     return report.as_dict()
 
 
-def _require_scorable_test_split(samples) -> None:
-    """Refuse, before any training, a test split whose labels hold fewer than
-    two classes: AUROC needs both outcomes of some class."""
+def _require_scorable_test_split(samples, manifest) -> None:
+    """Refuse, before any training, a test split the trained model could not
+    score: a sample whose labels ``prepare`` refuses, or labels of fewer than
+    two classes (AUROC needs both outcomes of some class)."""
     classes = {y for s in samples
-               for y in (s.label if isinstance(s.label, tuple) else (s.label,))}
+               for y in label_rows(s, manifest["task"], manifest["n_classes"])}
     if len(classes) < 2:
         held = f"holds only class {classes.pop()}" if classes else "is empty"
         raise DataError(f"test split {held}; scoring it needs labels of two classes")
@@ -185,7 +186,7 @@ def _require_scorable_test_split(samples) -> None:
 
 def cmd_train(args) -> int:
     manifest, splits = _load_splits(args.data)
-    _require_scorable_test_split(splits["test"])
+    _require_scorable_test_split(splits["test"], manifest)
     cfg = load_config(args.config, args.set)
     if args.seeds is not None:
         seeds = _ints(args.seeds)

@@ -12,11 +12,18 @@ gradient themselves, so the forward builds no gate gradient and no
 (``learns_radii``) enter detached and get none.  ``attention_maps`` forms
 those weights apart from the forward, for attention export.
 
+A step's key is linear in its key input z = [t, u], the step's time and
+te's pooled row (the raw values under setting1), and every map from z to
+the scores is linear: te's value matrix, the key projection and each head's
+queries.  ``_projections`` folds them into one (heads * L, k_in) weight F
+per forward, so each sample's scores are one product F @ z_b^T on rows of
+width k_in = 1 + enc, and no key row is formed.
+
 A batch pools in one of two layouts, chosen per batch from its sizes by
 ``pools_by_observation``:
 
 - over its observations: each sample's observations, in step order,
-  padded to the batch's N_max.  Key rows are gathered by each
+  padded to the batch's N_max.  Key input rows are gathered by each
   observation's step, the scores are (B, heads, L, N_max) and the gates
   (B, L, N_max), one per observation and zero at padding slots.
   ``observation_pool`` takes every normalizer and numerator from one
@@ -38,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, _masked_exp, _sigmoid, add, gated_attention_pool, gather,
-                     matmul, mul, observation_pool, reshape, softplus, transpose)
+from .tensor import (Tensor, _masked_exp, _sigmoid, add, concat, gated_attention_pool,
+                     gather, matmul, mul, observation_pool, reshape, softplus, transpose)
 
 
 def anchor_times(n_queries: int) -> np.ndarray:
@@ -112,79 +119,100 @@ def pools_by_observation(n_heads: int, n_max: int, d_eff: int, t_max: int) -> bo
     return n_heads * n_max < d_eff * t_max
 
 
-def _projections(params: dict, X, cfg, x_hat: Tensor | None):
-    """The scaled (H, L, attn_dim) queries, the (B * T_max, H * attn_dim) key
-    rows of every step and the (D_eff,) radii as a Tensor.  dla.q.w and
-    dla.k.w hold one column block of width attn_dim per head."""
+def _projections(params: dict, X, cfg, z: Tensor | None):
+    """DLA's key input rows z, its score weight F, setting2's value map P and
+    the (D_eff,) radii as a Tensor.
+
+    z (B * T_max, k_in) is the raw values under setting1, else each step's
+    time followed by te's row ``u``, and P is blockdiag(1, te.value.w), which
+    maps z to [t, u @ te.value.w].  F (H * L, k_in) folds P, dla.k.w and
+    each head's scaled queries into one matrix: head h's score at anchor l
+    on row z_t is F[h * L + l] . z_t.  dla.q.w and dla.k.w hold one column
+    block of width attn_dim per head.
+    """
     L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
-    keys = Tensor(X.values) if cfg.keyvalue_variant == "setting1" else x_hat
     range_raw = params["dla.range_raw"]
     if not learns_radii(cfg):
         range_raw = range_raw.detach()
+    if cfg.keyvalue_variant == "setting1":
+        z, P, keys_w = Tensor(X.values), None, params["dla.k.w"]
+    else:
+        value_w = params["te.value.w"]
+        enc, E = value_w.shape
+        P = concat([Tensor(np.eye(1, 1 + E)),
+                    concat([Tensor(np.zeros((enc, 1))), value_w], axis=1)], axis=0)
+        keys_w = matmul(P, params["dla.k.w"])
+    k_in = keys_w.shape[0]
     q = transpose(reshape(matmul(params["dla.queries"], params["dla.q.w"]), (L, H, A)),
                   (1, 0, 2))
-    q = mul(q, 1.0 / math.sqrt(A))
-    return q, matmul(keys, params["dla.k.w"]), softplus(range_raw)
+    k = transpose(reshape(keys_w, (k_in, H, A)), (1, 2, 0))          # (H, A, k_in)
+    F = reshape(matmul(mul(q, 1.0 / math.sqrt(A)), k), (H * L, k_in))
+    return z, F, P, softplus(range_raw)
 
 
-def _step_scores_and_gates(q: Tensor, key_rows: Tensor, radii: np.ndarray, X, cfg):
+def _scores(F: Tensor, rows: Tensor, B: int, n: int, cfg) -> Tensor:
+    """(B, H, L, n) scores of (B * n, k_in) key input rows: one contiguous
+    (B, H * L, n) product F @ z_b^T per sample."""
+    rows_t = transpose(reshape(rows, (B, n, F.shape[1])), (0, 2, 1))
+    return reshape(matmul(F, rows_t), (B, cfg.n_heads, cfg.n_queries, n))
+
+
+def _step_scores_and_gates(F: Tensor, z: Tensor, radii: np.ndarray, X, cfg):
     """(B, H, L, T_max) scores and the (B, L, D_eff, T_max) gate block on the
     padded step layout, zero at unobserved entries and padded steps; setting2
     observes every step of a sample, any other mode the (step, feature)
     pairs of its observations."""
-    H, A = cfg.n_heads, cfg.attn_dim
     B, T = len(X.lengths), X.t_max
     if cfg.keyvalue_variant == "setting2":
         obs_mask = (np.arange(T) < X.lengths[:, None])[:, None, None]     # (B, 1, 1, T)
     else:
         obs_mask = np.zeros((B, 1, len(radii), T), dtype=bool)         # (B, 1, D, T)
         obs_mask[X.step_of // T, 0, X.feat_idx, X.step_of % T] = True
-    k = transpose(reshape(key_rows, (B, T, H, A)), (0, 2, 3, 1))        # (B, H, A, T)
     gates = _window(X.times.reshape(B, T)[:, None, None], radii[:, None],
                     anchor_times(cfg.n_queries)[:, None, None], obs_mask, cfg)
-    return matmul(q, k), gates
+    return _scores(F, z, B, T, cfg), gates
 
 
-def dla_forward(params: dict, X, cfg, x_hat: Tensor | None) -> Tensor:
+def dla_forward(params: dict, X, cfg, z: Tensor | None) -> Tensor:
     """Aggregate a batch onto the anchor grid: the (B, L, patch_channels) grid.
 
-    ``X`` is a ``Batch`` and ``x_hat`` the (B * T_max, embed_dim + 1) rows
-    of its padded layout: each step's time, then te's row for the step.
-    Key rows are projected per step; all heads run at once.  A batch
+    ``X`` is a ``Batch`` and ``z`` the (B * T_max, 1 + enc) key input rows
+    of its padded layout: each step's time, then te's row ``u`` for the
+    step (None under setting1, which keys on the raw values).  All heads
+    score at once through the folded weight of ``_projections``.  A batch
     sparse enough for ``pools_by_observation`` gathers each observation's
-    key row by its step and pools over (B, H, L, N_max) scores with one
-    gate per observation; any other batch, and setting2 (whose values are
-    the step embeddings themselves), pools over (B, H, L, T_max) scores and
-    the (B, L, D_eff, T_max) gate block.
+    key input row by its step and pools over (B, H, L, N_max) scores with
+    one gate per observation; any other batch, and setting2 (whose values
+    are the step embeddings [t, u @ te.value.w]), pools over (B, H, L, T_max)
+    scores and the (B, L, D_eff, T_max) gate block.
     Padding slots and padded steps get a zero gate in every mode, so each
     sample pools over its own observations or steps only.
     """
-    L, H, A = cfg.n_queries, cfg.n_heads, cfg.attn_dim
+    L = cfg.n_queries
     B, T = len(X.lengths), X.t_max
     setting2 = cfg.keyvalue_variant == "setting2"
-    q, key_rows, radii = _projections(params, X, cfg, x_hat)
+    z, F, P, radii = _projections(params, X, cfg, z)
     d_eff = radii.shape[0]
     obs = None if setting2 else observation_slots(X)
-    if obs is not None and pools_by_observation(H, obs.feat.shape[1], d_eff, T):
+    if obs is not None and pools_by_observation(cfg.n_heads, obs.feat.shape[1], d_eff, T):
         N = obs.feat.shape[1]
-        k = transpose(reshape(gather(key_rows, obs.step.reshape(-1)), (B, N, H, A)),
-                      (0, 2, 3, 1))                                   # (B, H, A, N_max)
         gates = _window(X.times[obs.step][:, None], radii.data[obs.feat][:, None],
                         anchor_times(L)[:, None], obs.live[:, None], cfg)  # (B, L, N_max)
-        head_outs = observation_pool(matmul(q, k), gates, obs.feat, obs.values, d_eff,
+        scores = _scores(F, gather(z, obs.step.reshape(-1)), B, N, cfg)  # (B, H, L, N_max)
+        head_outs = observation_pool(scores, gates, obs.feat, obs.values, d_eff,
                                      radii, cfg.gate_temperature)
     else:
-        values = reshape(x_hat, (B, T, -1)) if setting2 \
-            else Tensor(X.values.reshape(B, T, -1))
+        values = reshape(matmul(z, P), (B, T, d_eff)) if setting2 \
+            else Tensor(X.values.reshape(B, T, d_eff))
         values4 = transpose(values, (0, 2, 1))
         values4 = reshape(values4, (B, 1) + values4.shape[1:])        # (B, 1, D_eff, T)
-        scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
+        scores, gates = _step_scores_and_gates(F, z, radii.data, X, cfg)
         head_outs = gated_attention_pool(scores, gates, values4, radii, cfg.gate_temperature)
     stacked = reshape(transpose(head_outs, (0, 2, 1, 3)), (B, L, -1))  # (B, L, H * D_eff)
     return add(matmul(stacked, params["dla.out.w"]), params["dla.out.b"])
 
 
-def attention_maps(params: dict, X, cfg, x_hat: Tensor | None) -> list[np.ndarray]:
+def attention_maps(params: dict, X, cfg, z: Tensor | None) -> list[np.ndarray]:
     """Each sample's (H, L, T_b, D_eff) attention weights, on ``dla_forward``'s
     inputs: the weight of step t in the (h, l, d) row, whose weighted sum of
     feature d's values is that head's pooled output at anchor l.
@@ -194,10 +222,10 @@ def attention_maps(params: dict, X, cfg, x_hat: Tensor | None) -> list[np.ndarra
     scores, so no row underflows.  Builds the dense (B, H, L, D_eff, T_max)
     array, which the forward never does.
     """
-    q, key_rows, radii = _projections(params, X, cfg, x_hat)
-    scores, gates = _step_scores_and_gates(q, key_rows, radii.data, X, cfg)
+    z, F, _, radii = _projections(params, X, cfg, z)
+    scores, gates = _step_scores_and_gates(F, z, radii.data, X, cfg)
     G = gates[:, None]                                                # (B, 1, L, D, T)
     u = _masked_exp(scores.data[:, :, :, None], G > 0.0) * G         # (B, H, L, D, T)
-    z = u.sum(axis=-1, keepdims=True)
-    w = np.divide(u, z, out=np.zeros_like(u), where=z > 0.0)
+    den = u.sum(axis=-1, keepdims=True)
+    w = np.divide(u, den, out=np.zeros_like(u), where=den > 0.0)
     return [np.transpose(w_b[..., :n], (0, 1, 3, 2)) for w_b, n in zip(w, X.lengths)]

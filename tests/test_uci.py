@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tada.data import normalize_times, observation_arrays
+from tada.data import load_dataset, normalize_times, observation_arrays, write_dataset
 from tada.errors import ConfigError, DataError
 from tada.uci import (
     ACTIVITY_CLASSES,
@@ -87,6 +87,14 @@ def test_same_stamp_readings_merge_into_one_step(tmp_path):
     base1 = TAG_FEATURES[TAGS[1]] * 3
     assert first[base0] == 9.0 and first[base1] == 4.0
     assert s.label == (ACTIVITY_CLASSES["walking"], ACTIVITY_CLASSES["falling"])
+    # step times are offsets from the first stamp, so the two stamps 5 apart
+    # stay distinct in the written file, which loads back as the same sample
+    np.testing.assert_array_equal(s.times, [0.0, 5.0])
+    write_dataset(str(tmp_path / "converted.jsonl"), samples)
+    (back,) = load_dataset(str(tmp_path / "converted.jsonl"), N_FEATURES)
+    assert (back.sample_id, back.label) == (s.sample_id, s.label)
+    for name in ("times", "step_of", "feat", "values"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(s, name))
 
 
 def test_posture_merging_covers_seven_classes():
