@@ -1,11 +1,15 @@
 """Dynamic local attention: irregular steps onto a regular anchor grid.
 
 Sample times lie in [0, 1]; L anchor queries sit at i / L (i = 1..L).
-Each feature d attends only inside a window of learnable radius
+Each feature d attends through a window of learnable radius
 softplus(range_raw[d]) around every anchor, so sparsely observed features
-can learn wider windows.  Scaled dot-product scores are shared across
-features; the window gate and the observed (step, feature) pairs select
-which recordings a given (anchor, feature) pair may attend to.  The gates
+can learn wider windows.  A hard window attends only inside its radius.  A
+soft window's sigmoid gate is never zero, so an anchor whose window holds
+none of a feature's observations still pools them, under gates that decay
+as exp(-|t - anchor| / tau) beyond the window.  Scaled dot-product scores
+are shared across features; the window gate and the observed (step,
+feature) pairs select which recordings a given (anchor, feature) pair may
+attend to.  The gates
 are plain arrays outside the autodiff graph, and the pools form the radii's
 gradient themselves, so the forward builds no gate gradient and no
 (B, heads, L, D, T) attention weights.  Radii that do not learn

@@ -404,42 +404,49 @@ def _pool_radii(radii, temperature, D: int, op: str) -> Tensor | None:
     return r if r is not None and r.requires_grad else None
 
 
-def _pool_grad_coefs(g: Array, den: Array, out: Array, redo):
-    """A pool's backward coefficients ga = g / den (0 where den is 0) and
-    gb = ga out, with the redone rows' entries moved out into (R, 1)
-    columns (None when no row was redone)."""
+def _pool_rows(S: Array, sums: Array, row_live: Array, rows):
+    """A pool's outputs from its (B, H, L, 2D) sums [normalizer | numerator]
+    of w = exp(S - c) G over each (b, h, l, d) row, with one shift c per
+    anchor (b, h, l).  A live row (``row_live``, broadcast against the
+    normalizers) whose normalizer falls under ``_POOL_UNDERFLOW`` underflowed
+    c, so it is redone in ``sums`` with its own shift, from the (R, n) gates
+    and values that ``rows(b, l, d)`` gives along S's last axis.  Returns
+    numerator / normalizer (0 where the normalizer is 0), the redo index and
+    the redone rows' (R, n) w, both None when no row underflows.
+    """
+    D = sums.shape[-1] // 2
+    redo = np.nonzero((sums[..., :D] < _POOL_UNDERFLOW) & row_live)
+    w = None
+    if redo[0].size:
+        b, h, l, d = redo
+        G_r, V_r = rows(b, l, d)
+        w = _masked_exp(S[b, h, l], G_r > 0.0)
+        w *= G_r
+        sums[redo] = w.sum(axis=-1)
+        sums[b, h, l, D + d] = (w * V_r).sum(axis=-1)
+    else:
+        redo = None
+    den = sums[..., :D]
+    return np.divide(sums[..., D:], den, out=np.zeros_like(den), where=den > 0.0), redo, w
+
+
+def _pool_coefs(g: Array, sums: Array, out: Array, redo):
+    """A pool's backward coefficients [-ga out | ga] (B, H, L, 2D) on its
+    sums, with ga = g / den (0 where den is 0).  The redone rows' a = ga and
+    b = ga out are set aside as (R, 1) columns and zeroed in the
+    coefficients; a = b = None when no row was redone.  A redone row's score
+    gradient is then w (a v - b) on its gated exponents w and values v."""
+    D = out.shape[-1]
+    den = sums[..., :D]
     ga = np.divide(g, den, out=np.zeros_like(g), where=den > 0.0)
     gb = ga * out
-    if redo is None:
-        return ga, gb, None, None
-    a_redo, b_redo = ga[redo][:, None], gb[redo][:, None]
-    ga[redo] = 0.0
-    gb[redo] = 0.0
-    return ga, gb, a_redo, b_redo
-
-
-def _pool_exponents(S: Array, G: Array):
-    """Shifted exponents and normalizers of a gated attention pool.
-
-    e = exp(S - c) with one shift c per (b, h, l): the maximum score over
-    the steps any of the anchor's gates leaves live.  The normalizers are
-    den[b, h, l, d] = sum_t e[b, h, l, t] G[b, l, d, t].  A row whose own
-    live scores all sit far below c underflows there, so every row with a
-    live gate and a normalizer under ``_POOL_UNDERFLOW`` is redone with its
-    own shift: ``redo`` indexes those (b, h, l, d) rows, ``e_redo`` (R, T)
-    holds their exponents, and ``den`` their normalizers; both are None
-    when no row underflows.
-    """
-    live = G > 0.0                                               # (B, L, D, T)
-    e = _masked_exp(S, live.any(axis=2)[:, None])               # (B, H, L, T)
-    den = np.matmul(e.transpose(0, 2, 1, 3), G.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
-    redo = np.nonzero((den < _POOL_UNDERFLOW) & live.any(axis=-1)[:, None])
-    if not redo[0].size:
-        return e, den, None, None
-    b, h, l, d = redo
-    e_redo = _masked_exp(S[b, h, l], live[b, l, d])              # (R, T)
-    den[redo] = (e_redo * G[b, l, d]).sum(axis=-1)
-    return e, den, redo, e_redo
+    a = b = None
+    if redo is not None:
+        a, b = ga[redo][:, None], gb[redo][:, None]
+        ga[redo] = 0.0
+        gb[redo] = 0.0
+    np.negative(gb, out=gb)
+    return np.concatenate([gb, ga], axis=-1), a, b
 
 
 def gated_attention_pool(scores, gates: Array, values, radii=None,
@@ -452,7 +459,9 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
     row's gates, applied to that feature's values.  Rows whose gates are all
     zero give 0, and zero gates act as masks, so a padded step with zero
     gates adds nothing.  Both sums are batched contractions over t, so no
-    (B, H, L, D, T) array exists in forward or backward.
+    (B, H, L, D, T) array exists in forward or backward.  e shares one shift
+    per (b, h, l): the maximum score over the steps any of the anchor's
+    gates leaves live; rows that underflow it are redone by ``_pool_rows``.
 
     Soft windows pass the (D,) ``radii`` the gates were built from and their
     ``temperature`` tau: G = sigmoid((r_d - |t - a_l|) / tau) m with a 0/1
@@ -476,20 +485,25 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
                              f"(B, 1, D, T)")
     D = G.shape[2]
     r = _pool_radii(radii, temperature, D, "gated_attention_pool")
-    e, den, redo, e_redo = _pool_exponents(S, G)
+    live = G > 0.0                                                # (B, L, D, T)
+    e = _masked_exp(S, live.any(axis=2)[:, None])                # (B, H, L, T)
     GV = G * V
     eL = e.transpose(0, 2, 1, 3)                                  # (B, L, H, T)
-    num = np.matmul(eL, GV.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3)
-    if redo is not None:
-        b, h, l, d = redo
-        num[redo] = (e_redo * GV[b, l, d]).sum(axis=-1)
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    den = np.matmul(eL, G.transpose(0, 1, 3, 2))                  # (B, L, H, D)
+    num = np.matmul(eL, GV.transpose(0, 1, 3, 2))
+    sums = np.concatenate([den, num], axis=-1).transpose(0, 2, 1, 3)
+
+    def rows(b, l, d):
+        return G[b, l, d], V[b, 0, d]
+
+    out, redo, w = _pool_rows(S, sums, live.any(axis=-1)[:, None], rows)
 
     def backward(g):
         # d out / d e[b, h, l, t] G[b, l, d, t] = (V[b, d, t] - out[b, h, l, d]) / den
-        ga, gb, a_redo, b_redo = _pool_grad_coefs(g, den, out, redo)
-        aL, bL = ga.transpose(0, 2, 1, 3), gb.transpose(0, 2, 1, 3)   # (B, L, H, D)
-        g_s = eL * (np.matmul(aL, GV) - np.matmul(bL, G))             # (B, L, H, T)
+        coef, a_r, b_r = _pool_coefs(g, sums, out, redo)
+        coef = coef.transpose(0, 2, 1, 3)                         # (B, L, H, 2D)
+        nbL, aL = coef[..., :D], coef[..., D:]
+        g_s = eL * (np.matmul(aL, GV) + np.matmul(nbL, G))        # (B, L, H, T)
         g_s = g_s.transpose(0, 2, 1, 3)
         g_v = g_r = None
         if v.requires_grad:
@@ -501,47 +515,19 @@ def gated_attention_pool(scores, gates: Array, values, radii=None,
             den_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))    # (B, L, H, D)
             slope *= V
             num_r = np.matmul(eL, slope.transpose(0, 1, 3, 2))
-            g_r = (aL * num_r).sum(axis=(0, 1, 2)) - (bL * den_r).sum(axis=(0, 1, 2))
+            g_r = (aL * num_r).sum(axis=(0, 1, 2)) + (nbL * den_r).sum(axis=(0, 1, 2))
         if redo is not None:        # the redone rows, from their own exponents
             b, h, l, d = redo
-            G_r = G[b, l, d]
-            np.add.at(g_s, (b, h, l), e_redo * (a_redo * GV[b, l, d] - b_redo * G_r))
+            G_r, V_r = rows(b, l, d)
+            g_w = w * (a_r * V_r - b_r)
+            np.add.at(g_s, (b, h, l), g_w)
             if g_v is not None:
-                np.add.at(g_v, (b, 0, d), a_redo * e_redo * G_r)
+                np.add.at(g_v, (b, 0, d), a_r * w)
             if g_r is not None:
-                rows = e_redo * ((1.0 - G_r) * G_r) * (a_redo * V[b, 0, d] - b_redo)
-                g_r += np.bincount(d, weights=rows.sum(axis=-1), minlength=D)
+                g_r += np.bincount(d, weights=(g_w * (1.0 - G_r)).sum(axis=-1), minlength=D)
         return (g_s, g_v) if r is None else (g_s, g_v, g_r * (1.0 / temperature))
 
     return _node(out, (s, v) if r is None else (s, v, r), backward)
-
-
-def _observation_exponents(S: Array, G: Array, M: Array, D: int):
-    """Gated exponents and column sums of an observation pool.
-
-    W = e G (B, H, L, N) with e = exp(S - c) at the observations the
-    anchor's gates leave live, 0 elsewhere, and one shift c per (b, h, l):
-    the maximum live score.  ``sums`` (B, H, L, 2D) = W @ M for the
-    per-sample (N, 2D) matrix M of ``_observation_matrix``: its first D
-    columns are the normalizers, its last D the numerators.  Rows that
-    underflow are redone as in ``_pool_exponents``: ``redo`` indexes them,
-    ``w_redo`` (R, N) holds their gated exponents, zero off feature d, and
-    ``sums`` their two column sums; both are None when no row underflows.
-    """
-    B, H, L, N = S.shape
-    live = G > 0.0                                               # (B, L, N)
-    W = _masked_exp(S, live[:, None])
-    W *= G[:, None]
-    sums = np.matmul(W.reshape(B, H * L, N), M).reshape(B, H, L, -1)
-    row_live = np.matmul(G, M[..., :D]) > 0.0                    # (B, L, D)
-    redo = np.nonzero((sums[..., :D] < _POOL_UNDERFLOW) & row_live[:, None])
-    if not redo[0].size:
-        return W, sums, None, None
-    b, h, l, d = redo
-    w_redo = _masked_exp(S[b, h, l], live[b, l] & (M[b, :, d] > 0.0)) * G[b, l]
-    sums[b, h, l, d] = (w_redo * M[b, :, d]).sum(axis=-1)
-    sums[b, h, l, D + d] = (w_redo * M[b, :, D + d]).sum(axis=-1)
-    return W, sums, redo, w_redo
 
 
 def _observation_matrix(feat: Array, values: Array, D: int) -> Array:
@@ -568,7 +554,8 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
     (B, H L, N), with the per-sample (N, 2D) matrix
     M = [one-hot(feature) | one-hot(feature) * value], and the backward is
     one product the other way.  The cost follows the observations, not
-    features x steps.
+    features x steps.  W shares one shift per (b, h, l), the maximum live
+    score, and rows that underflow it are redone by ``_pool_rows``.
 
     Soft windows pass the (D,) ``radii`` the gates were built from and their
     ``temperature`` tau: dG / dr = G (1 - G) / tau at an observation of
@@ -591,20 +578,23 @@ def observation_pool(scores, gates: Array, feat: Array, values: Array, n_feature
     r = _pool_radii(radii, temperature, D, "observation_pool")
     B, H, L, N = S.shape
     M = _observation_matrix(feat, V, D)
-    W, sums, redo, w_redo = _observation_exponents(S, G, M, D)
-    den = sums[..., :D]
-    out = np.divide(sums[..., D:], den, out=np.zeros_like(den), where=den > 0.0)
+    W = _masked_exp(S, G[:, None] > 0.0)
+    W *= G[:, None]                                               # (B, H, L, N)
+    sums = np.matmul(W.reshape(B, H * L, N), M).reshape(B, H, L, 2 * D)
+
+    def rows(b, l, d):
+        return G[b, l] * M[b, :, d], M[b, :, D + d]
+
+    out, redo, w = _pool_rows(S, sums, (np.matmul(G, M[..., :D]) > 0.0)[:, None], rows)
 
     def backward(g):
         # d out[d] / d W[n] = onehot[n, d] (V[n] - out[d]) / den[d]
-        ga, gb, a_redo, b_redo = _pool_grad_coefs(g, den, out, redo)
-        np.negative(gb, out=gb)
-        coef = np.concatenate([gb, ga], axis=-1).reshape(B, H * L, 2 * D)
-        g_s = np.matmul(coef, M.transpose(0, 2, 1)).reshape(B, H, L, N)
+        coef, a_r, b_r = _pool_coefs(g, sums, out, redo)
+        g_s = np.matmul(coef.reshape(B, H * L, 2 * D), M.transpose(0, 2, 1)).reshape(B, H, L, N)
         g_s *= W
         if redo is not None:
             b, h, l, d = redo
-            np.add.at(g_s, (b, h, l), w_redo * (a_redo * M[b, :, D + d] - b_redo))
+            np.add.at(g_s, (b, h, l), w * (a_r * rows(b, l, d)[1] - b_r))
         if r is None:
             return (g_s,)
         per_obs = g_s.sum(axis=1)                                   # (B, L, N)

@@ -246,27 +246,39 @@ def test_uniform_scores_average_the_window():
 
 def test_hard_window_locality_and_weight_sums():
     # smaller version of the acceptance sweep: exact zeros outside R(i,d),
-    # in-window weight sums exactly 0 or 1
+    # in-window weight sums exactly 0 or 1.  A soft gate is never zero, so
+    # under soft windows every row of an observed feature sums to 1, also at
+    # anchors whose window holds none of its observations
     rng = np.random.default_rng(10)
+    soft_empty_rows = 0
     for trial in range(10):
-        model = tiny_model(n_features=3, window_mode="hard")
-        redraw_params(model, seed=trial)
-        model.params["dla.range_raw"].data = rng.uniform(-3.0, 0.5, size=3)
+        hard = tiny_model(n_features=3, window_mode="hard")
+        soft = tiny_model(n_features=3)
+        raw = rng.uniform(-3.0, 0.5, size=3)
+        for model in (hard, soft):
+            redraw_params(model, seed=trial)
+            model.params["dla.range_raw"].data = raw
         s = random_series(rng, n_steps=int(rng.integers(2, 12)), n_features=3,
                           sid=f"loc-{trial}")
-        prep = model.prepare(s)
-        w = forward_maps(model, s)             # (heads, L, T, D)
-        radii = model.radii()
-        for i, anchor in enumerate(anchor_times(model.cfg.n_queries)):
+        prep = hard.prepare(s)
+        w, w_soft = forward_maps(hard, s), forward_maps(soft, s)    # (heads, L, T, D)
+        radii = hard.radii()
+        observed = observed_pairs(s, 3)
+        for i, anchor in enumerate(anchor_times(hard.cfg.n_queries)):
             lo = np.maximum(0.0, anchor - radii)
             hi = np.minimum(1.0, anchor + radii)
-            inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) \
-                & observed_pairs(s, 3)
+            inside = (prep.times[:, None] >= lo) & (prep.times[:, None] <= hi) & observed
             assert np.all(w[:, i][:, ~inside] == 0.0)
             sums = w[:, i].sum(axis=1)         # (heads, D)
             empty = ~inside.any(axis=0)
             assert np.all(sums[:, empty] == 0.0)
             np.testing.assert_allclose(sums[:, ~empty], 1.0, atol=1e-12)
+            seen = observed.any(axis=0)
+            soft_sums = w_soft[:, i].sum(axis=1)
+            np.testing.assert_allclose(soft_sums[:, seen], 1.0, atol=1e-12)
+            assert np.all(soft_sums[:, ~seen] == 0.0)
+            soft_empty_rows += np.count_nonzero(empty & seen)
+    assert soft_empty_rows > 0
 
 
 def test_fully_masked_insertion_leaves_other_features_alone():

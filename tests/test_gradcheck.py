@@ -8,6 +8,7 @@ import pytest
 import tada.dla
 import tada.tensor
 from helpers import tsum
+from reference import pool_exponents
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.errors import VerificationError
 from tada.gradcheck import grad_check
@@ -169,7 +170,7 @@ def _pool_normalizer_dropped(inner, g, args, out):
     # the backward of sum_t e G V / sum_t e G with the normalizer held
     # constant: add back the terms its gradient contributes
     S, G = args[0].data, args[1]
-    e, den, _, _ = tada.tensor._pool_exponents(S, G)
+    e, den, _, _ = pool_exponents(S, G)
     b = np.divide(g * out.data, den, out=np.zeros_like(den), where=den > 0.0)
     grads = list(inner(g))
     grads[0] = grads[0] + e * np.einsum("bhld,bldt->bhlt", b, G)
@@ -182,7 +183,7 @@ def _gate_slope_wrong(inner, g, args, out):
     # the radius gradient with G in place of its slope G (1 - G) = tau dG / dr:
     # add the difference G^2, outside the underflow-redo rows
     S, G, V = args[0].data, args[1], args[2].data
-    e, den, _, _ = tada.tensor._pool_exponents(S, G)
+    e, den, _, _ = pool_exponents(S, G)
     a = np.divide(g, den, out=np.zeros_like(den), where=den > 0.0)
     grads = list(inner(g))
     if len(grads) == 3:
@@ -197,11 +198,13 @@ def _observation_radius_gradient_dropped(inner, g, args, out):
 
 
 def _observation_terms(args):
-    """W = e G and the one-hot features of an observation pool's inputs."""
+    """W = e G, the normalizers and the (B, N, D) one-hot features of an
+    observation pool's inputs, from the reference exponents of the block
+    layout whose feature-d row gates only d's observations."""
     S, G, feat, D = args[0].data, args[1], args[2], args[4]
-    M = tada.tensor._observation_matrix(feat, args[3], D)
-    W, sums, _, _ = tada.tensor._observation_exponents(S, G, M, D)
-    return W, sums[..., :D], M[..., :D]
+    P = (feat[..., None] == np.arange(D)).astype(np.float64)
+    e, den, _, _ = pool_exponents(S, G[:, :, None] * P.transpose(0, 2, 1)[:, None])
+    return e * G[:, None], den, P
 
 
 def _per_feature(g_s, factor, feat, D):

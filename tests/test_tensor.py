@@ -5,22 +5,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import tada.tensor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (block_gates, graph_nodes, mask_observations, observation_gates, tmean,
                      tsum)
-from reference import (chain_gates, dense_pool, reference_backward, reference_sigmoid,
-                       weighted_masked_softmax)
+from reference import (chain_gated_attention_pool, chain_gates, dense_pool, reference_backward,
+                       reference_sigmoid, weighted_masked_softmax)
 from tada.cli import gradcheck_setup, small_gradcheck_config
 from tada.dla import anchor_times, attention_maps
 from tada.errors import DimensionError
 from tada.gradcheck import grad_check
 from tada.tensor import (
     Tensor,
-    _observation_exponents,
-    _observation_matrix,
-    _pool_exponents,
     _sigmoid,
     add,
     concat,
@@ -749,7 +748,22 @@ def test_pools_refuse_radii_that_learn_without_a_temperature():
                          np.ones((1, 5)), 4, radii)
 
 
-def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
+def redone_features(monkeypatch, pool):
+    """The feature index of every row ``_pool_rows`` redoes while ``pool()`` runs."""
+    shared, redone = tada.tensor._pool_rows, []
+
+    def spy(*args):
+        result = shared(*args)
+        redone.append(result[1][3].tolist())
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(tada.tensor, "_pool_rows", spy)
+        pool()
+    return redone[0]
+
+
+def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift(monkeypatch):
     # Feature 0 lives only at step 0, whose score sets the shift of every
     # (h, l).  Features 1 and 2 live only at steps scoring `gap` lower, where
     # that shift underflows their normalizers to zero (gap 1000) or to
@@ -775,7 +789,9 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         values = Tensor(rng.normal(size=(B, 1, D, T)), requires_grad=True)
         radii = Tensor(rng.uniform(0.2, 0.5, size=D), requires_grad=True)
         gates = block_gates(radii.data, times, anchor_times(L), cfg, mask)
-        assert _pool_exponents(s, gates)[2][3].tolist() == [1, 2] * (H * L)
+        assert redone_features(
+            monkeypatch, lambda: gated_attention_pool(Tensor(s), gates, values)) \
+            == [1, 2] * (H * L)
         maps, ref = maps_at_scores(s, radii.data, times, mask, cfg)
         assert max_rel_diff(maps, ref) <= 1e-12, gap
         pool, reference = window_pools(scores, values, radii, times, mask, cfg)
@@ -786,6 +802,14 @@ def test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift():
         assert np.all(want_grads[2][1:] != 0.0)
         for k, (a, b) in enumerate(zip(grads, want_grads)):
             assert max_rel_diff(a, b) <= 1e-12, (gap, k)
+        # the redone rows' numerators are (e G) V where the old pool formed
+        # e (G V), and their gradients reassociate alike
+        old, old_grads = pool_results(
+            lambda: chain_gated_attention_pool(scores, Tensor(gates), values), (scores, values),
+            coeff)
+        assert max_rel_diff(got, old) <= 1e-15, gap
+        for k, (a, b) in enumerate(zip(grads[:2], old_grads)):
+            assert max_rel_diff(a, b) <= 1e-15, (gap, k)
 
 
 def _held_arrays(fn):
@@ -900,7 +924,7 @@ def test_observation_pool_without_observations_gives_zero_rows():
     assert radii.grad.dtype == np.float64 and np.all(radii.grad == 0.0)
 
 
-def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
+def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift(monkeypatch):
     # The observation-layout twin of the block pool's underflow test: feature
     # 0 is observed only at step 0, whose score sets the shift of every
     # (h, l); features 1 and 2 only at steps scoring `gap` lower, where that
@@ -924,8 +948,9 @@ def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
         s_obs, g_obs = s[..., step[0]], g[:, :, feat[0], step[0]]
         out = observation_pool(Tensor(s_obs), g_obs, feat, obs.values, D).data
         np.testing.assert_allclose(out, 2.0, rtol=1e-15)
-        M = _observation_matrix(feat, obs.values, D)
-        assert _observation_exponents(s_obs, g_obs, M, D)[2][3].tolist() == [1, 2] * (H * L)
+        assert redone_features(
+            monkeypatch, lambda: observation_pool(Tensor(s_obs), g_obs, feat, obs.values, D)) \
+            == [1, 2] * (H * L)
         # window gates with the same live entries
         times = np.linspace(0.1, 0.9, T)[None]
         scores = Tensor(s, requires_grad=True)
@@ -943,3 +968,35 @@ def test_observation_pool_redoes_rows_that_underflow_the_anchor_shift():
         assert np.all(want_grads[1][1:] != 0.0)
         for k, (a, b) in enumerate(zip(grads, want_grads)):
             assert max_rel_diff(a, b) <= 1e-12, (gap, k)
+
+
+def _redo_gradient_scaled(monkeypatch):
+    # the redone rows' gated exponents, scaled once their sums are taken:
+    # each redone row's gradient term w (a v - b) grows by 1e-3
+    shared = tada.tensor._pool_rows
+
+    def mutant(*args):
+        out, redo, w = shared(*args)
+        return out, redo, None if w is None else w * (1 + 1e-3)
+
+    monkeypatch.setattr(tada.tensor, "_pool_rows", mutant)
+
+
+def _redo_keeps_the_anchor_shift(monkeypatch):
+    # each row shifted by its largest score, live or not.  Every step of the
+    # underflow tests is live for some feature, so the pools' shared shifts
+    # stay the anchors' own, and a redone row keeps its anchor's shift
+    def mutant(S, live):
+        return np.exp(np.where(live, S - S.max(axis=-1, keepdims=True), -np.inf))
+
+    monkeypatch.setattr(tada.tensor, "_masked_exp", mutant)
+
+
+@pytest.mark.parametrize("mutate", [_redo_gradient_scaled, _redo_keeps_the_anchor_shift])
+@pytest.mark.parametrize("underflow_test", [
+    test_gated_attention_pool_redoes_rows_that_underflow_the_anchor_shift,
+    test_observation_pool_redoes_rows_that_underflow_the_anchor_shift])
+def test_one_mutation_of_the_shared_redo_fails_both_pools(mutate, underflow_test, monkeypatch):
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError):
+        underflow_test(monkeypatch)
