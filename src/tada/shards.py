@@ -40,11 +40,12 @@ halves, the parent's and the worker's.  ``_may_fork`` asks for fork, all
 three BLAS thread variables at ``"1"`` (two processes with multi-threaded
 BLAS on two cores run slower than one) and a process of one thread (numpy
 imported before the variables were set starts a pool anyway, and a process
-with threads is not safe to fork).  Unpinned, the kernel wakes the worker
-on the CPU of the parent that wrote to the pipe, and the two share it for
-much of a short step: train_short's step ran slower on two processes than
-on one.  So without an affinity call or a second CPU a run uses one
-process, with the same bytes.
+with threads is not safe to fork).  Unpinned, a process asleep on the pipe
+wakes, when its own CPU runs another task just then, on the writer's CPU,
+and the two share it until the scheduler moves one: on 2 vCPUs, beside one
+light task (busy 2 ms in every 10), that slowed train_long's p90 step from
+about 9.5 ms to 11-13 ms in half the runs.  So without an affinity call or
+a second CPU a run uses one process, with the same bytes.
 """
 
 from __future__ import annotations

@@ -169,21 +169,33 @@ def test_no_worker_without_one_thread_blas(processes, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs and an affinity call")
 def test_parent_and_worker_run_on_disjoint_cpus(processes, monkeypatch):
+    # at every Adam step of a two-process train, and at every chunk the
+    # parent computes in an evaluation past the fork rule
     processes(2)
     before = os.sched_getaffinity(0)
     seen = []
-    adam_step = Adam.step
 
-    def recording_step(opt):
+    def record():
         (worker,) = multiprocessing.active_children()
         seen.append((os.sched_getaffinity(0), os.sched_getaffinity(worker.pid)))
-        adam_step(opt)
 
-    monkeypatch.setattr(Adam, "step", recording_step)
+    adam_step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda opt: record() or adam_step(opt))
     train_samples, val_samples = small_data()
     train(tiny_config(max_epochs=1, batch_size=8), train_samples, val_samples,
           2, 2, "sequence")
-    assert seen
+    assert os.sched_getaffinity(0) == before
+    steps = len(seen)
+    parent, batch_logits = os.getpid(), TadaModel.batch_logits
+
+    def recording_logits(self, preps):
+        if os.getpid() == parent:
+            record()
+        return batch_logits(self, preps)
+
+    monkeypatch.setattr(TadaModel, "batch_logits", recording_logits)
+    evaluate_past_the_rule(monkeypatch)
+    assert 0 < steps < len(seen)
     for parent_cpus, worker_cpus in seen:
         assert parent_cpus and worker_cpus and not parent_cpus & worker_cpus
         assert parent_cpus | worker_cpus == before
