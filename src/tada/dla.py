@@ -229,7 +229,9 @@ def attention_maps(params: dict, X, cfg, z: Tensor | None) -> list[np.ndarray]:
     z, F, _, radii = _projections(params, X, cfg, z)
     scores, gates = _step_scores_and_gates(F, z, radii.data, X, cfg)
     G = gates[:, None]                                                # (B, 1, L, D, T)
-    u = _masked_exp(scores.data[:, :, :, None], G > 0.0) * G         # (B, H, L, D, T)
+    S = scores.data[:, :, :, None]
+    S = np.broadcast_to(S, np.broadcast_shapes(S.shape, G.shape))    # (B, H, L, D, T)
+    u = _masked_exp(S, G > 0.0) * G
     den = u.sum(axis=-1, keepdims=True)
     w = np.divide(u, den, out=np.zeros_like(u), where=den > 0.0)
     return [np.transpose(w_b[..., :n], (0, 1, 3, 2)) for w_b, n in zip(w, X.lengths)]

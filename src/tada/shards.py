@@ -12,20 +12,24 @@ the parent computes shard 0; the gradient reduction keeps a fixed order as
 in PyTorch's DDP (Li et al. 2020, arXiv:2006.15704).
 
 The worker also holds the validation preps, and computes about half of each
-epoch's validation chunks.  ``_chunks`` cuts every evaluated list into
-chunks from the samples and the model's shape alone, never from the
-training batch size, and ``split_chunks`` assigns them from their padded
-steps; the worker returns only logit rows, every chunk's rows come from the
-same ``batch_logits`` call on the same inputs wherever it runs, and the
-parent puts them back in chunk order, so validation is byte-identical on
-one or two processes too.  ``chunk_logits`` finds the worker through the
-step entered now (``_entered``): inside ``train()`` only a call on the very
-list the worker holds uses it.  An evaluation outside any step enters a
-step of its own for that one call, whose worker holds the evaluated list,
-when the worker's share holds at least two full chunks (``2 * CHUNK_STEPS``,
-8192 padded steps): forking, one round trip and closing cost about two
-chunks' compute, so every smaller evaluation runs in this process and
-starts nothing.
+epoch's validation chunks.  A step plans its ``val_preps`` once, before it
+forks: ``_length_order`` sorts them by padded steps, ``_chunks`` cuts the
+sorted list into chunks from the samples and the model's shape alone, never
+from the training batch size, and ``split_chunks`` assigns the chunks from
+their padded steps.  Each process collates its own chunks the first time it
+uses them and keeps them while the step lives; a request to the worker
+names chunk indices, and the worker returns only logit rows.  Every chunk's
+rows come from the same ``batch_logits`` call on the same inputs wherever
+it runs, and the parent puts them back in chunk order, so validation is
+byte-identical on one or two processes too.  ``chunk_logits`` finds the
+plan through the step entered now (``_entered``): inside ``train()`` only a
+call on the very list the step holds uses it.  Any other list keeps its
+own order, cut by ``_chunks`` at each call.  An evaluation outside any step
+enters a step of its own for that one call, whose worker holds the
+evaluated list, when the worker's share holds at least two full chunks
+(``2 * CHUNK_STEPS``, 8192 padded steps): forking, one round trip and
+closing cost about two chunks' compute, so every smaller evaluation runs in
+this process and starts nothing.
 
 A training step allocates and frees tens of MB of temporaries.  With
 glibc's default thresholds the freed heap top goes back to the kernel and
@@ -62,7 +66,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS
 from .errors import TadaError, TrainingError
-from .model import Batch, TadaModel
+from .model import Batch, TadaModel, collate
 from .tensor import Tensor
 
 Grads = dict[str, np.ndarray]
@@ -177,31 +181,34 @@ def _chunks(preps: list[Batch], n_queries: int) -> tuple[list[list[Batch]], list
     return chunks, [len(c) * w for c, w in zip(chunks, widest)]
 
 
+def _length_order(preps: list[Batch], n_queries: int) -> list[Batch]:
+    """``preps`` sorted stably by padded steps, max(steps, ``n_queries``),
+    then by observation count, so each chunk pads its samples little."""
+    return sorted(preps, key=lambda p: (max(len(p.times), n_queries), len(p.feat_idx)))
+
+
 def chunk_logits(model: TadaModel,
                  preps: list[Batch]) -> list[tuple[list[Batch], np.ndarray]]:
-    """Each chunk of ``preps`` (``_chunks``) with its ``batch_logits`` rows,
-    in chunk order.
+    """Each chunk of ``preps`` with its ``batch_logits`` rows, in chunk order.
 
-    The chunks, their padded steps and ``split_chunks``'s split are computed
-    once.  Inside a step, the entered step's worker computes the split's
-    second set where it holds this very ``preps`` list for this model.
+    On the very list the entered step holds, for its model, the chunks are
+    the step's plan, in length order (``ShardedStep.chunk_logits``), with or
+    without a worker.  Any other list is cut in list order (``_chunks``).
     Outside any step, a step is entered for this one call, which forks a
-    worker holding ``preps``, where that set comes to at least
-    ``2 * CHUNK_STEPS`` padded steps and the host allows a worker: below
-    that the fork costs more than the share saves.  Otherwise every chunk
-    runs here, in order.
+    worker holding ``preps``, where ``split_chunks``'s second set comes to
+    at least ``2 * CHUNK_STEPS`` padded steps and the host allows a worker:
+    below that the fork costs more than the share saves.  Otherwise every
+    chunk runs here, in order.
     """
-    chunks, steps = _chunks(preps, model.cfg.n_queries)
-    split = split_chunks(steps)
     step = _entered
-    if step is None:
-        if sum(steps[i] for i in split[1]) >= 2 * CHUNK_STEPS:
-            own = ShardedStep(model, [], preps)
-            if own.cpus is not None:
-                with own:
-                    return list(zip(chunks, own.chunk_logits(chunks, split)))
-    elif step._proc is not None and preps is step.val_preps and model is step.model:
-        return list(zip(chunks, step.chunk_logits(chunks, split)))
+    if step is not None and preps is step.val_preps and model is step.model:
+        return step.chunk_logits()
+    chunks, steps = _chunks(preps, model.cfg.n_queries)
+    if step is None and sum(steps[i] for i in split_chunks(steps)[1]) >= 2 * CHUNK_STEPS:
+        own = ShardedStep(model, [], preps, plan=False)
+        if own.cpus is not None:
+            with own:
+                return own.chunk_logits()
     return [(c, model.batch_logits(c)) for c in chunks]
 
 
@@ -240,23 +247,20 @@ def _load(params: dict[str, Tensor], flat: np.ndarray) -> None:
         off += size
 
 
-def _work(model: TadaModel, params: dict[str, Tensor], preps: list[Batch],
-          val_preps: list[Batch] | None, request: tuple):
+def _work(step: "ShardedStep", request: tuple):
     """One request: ("step", parameters, shard indices) gives the shard's
-    (loss, gradients); ("chunks", parameters, [(start, stop), ...]) gives
-    the ``batch_logits`` rows of each validation chunk
-    ``val_preps[start:stop]``."""
+    (loss, gradients); ("chunks", parameters, chunk indices) gives the
+    ``batch_logits`` rows of each of those validation chunks."""
     kind, flat, arg = request
-    _load(params, flat)
+    _load(step.params, flat)
     if kind == "step":
-        return shard_gradients(model, params, [preps[i] for i in arg])
-    return [model.batch_logits(val_preps[a:b]) for a, b in arg]
+        return shard_gradients(step.model, step.params, step._take(arg))
+    return [step._chunk_rows(i) for i in arg]
 
 
-def _serve(conn, parent_end, model: TadaModel, preps: list[Batch],
-           val_preps: list[Batch] | None, cpus: set[int] | None) -> None:
-    """The worker's loop: a request in (``_work``), its result out, until
-    the parent closes the pipe.
+def _serve(conn, parent_end, step: "ShardedStep", cpus: set[int] | None) -> None:
+    """The worker's loop on its copy of ``step``: a request in (``_work``),
+    its result out, until the parent closes the pipe.
 
     Ctrl-C reaches the whole process group; the parent handles it and
     closes the worker, so the worker ignores it.  Errors go back to the
@@ -265,14 +269,13 @@ def _serve(conn, parent_end, model: TadaModel, preps: list[Batch],
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _pin(cpus)
-    params = model.trainable()
     while True:
         try:
             request = conn.recv()
         except (EOFError, OSError):
             return
         try:
-            reply = ("ok", _work(model, params, preps, val_preps, request))
+            reply = ("ok", _work(step, request))
         except TadaError as e:
             reply = ("tada", type(e), str(e))
         except Exception:           # a bug: the parent raises it with this traceback
@@ -287,20 +290,33 @@ class ShardedStep:
     """Computes a batch's combined loss and gradients from its two shards,
     and evaluation chunks' logits over ``val_preps`` (``chunk_logits``).
 
+    ``val_preps`` is planned once, here: cut into ``val_chunks``, which
+    ``split_chunks`` splits into ``val_split`` by their padded steps.
+    With ``plan`` (validation, every epoch) the chunks are cut in length
+    order (``_length_order``) and each process collates a chunk the first
+    time it computes it and keeps it while the step lives; without, they
+    are cut in list order and each chunk's ``batch_logits`` call collates it
+    (one evaluation).
+
     ``cpus`` holds the parent's and the worker's CPUs where the host allows a
     worker, else None.  A context manager: entering forks the shard-1 worker
-    onto its half (it holds the model, ``preps`` and ``val_preps``
-    copy-on-write) and pins this process to the other; leaving closes and
-    joins it and gives this process the whole set back, on return, on any
-    exception and on Ctrl-C.  Without a worker the shards and chunks run in
-    order here, with the same result.
+    onto its half (it holds a copy of this step, its model, ``preps`` and
+    ``val_chunks``, copy-on-write) and pins this process to the other;
+    leaving closes and joins it and gives this process the whole set back,
+    on return, on any exception and on Ctrl-C.  Without a worker the shards
+    and chunks run in order here, with the same result.
     """
 
     def __init__(self, model: TadaModel, preps: list[Batch],
-                 val_preps: list[Batch] | None = None):
+                 val_preps: list[Batch] | None = None, plan: bool = True):
         self.model = model
         self.preps = preps
         self.val_preps = val_preps
+        held, n_queries = val_preps or [], model.cfg.n_queries
+        self.val_chunks, steps = _chunks(_length_order(held, n_queries) if plan else held,
+                                         n_queries)
+        self.val_split = split_chunks(steps)
+        self._collated: dict[int, Batch] | None = {} if plan else None
         self.params = model.trainable()
         self.cpus = _cpu_halves() if _may_fork() else None
         self._conn = None
@@ -314,8 +330,7 @@ class ShardedStep:
             ctx = multiprocessing.get_context("fork")
             parent_end, child_end = ctx.Pipe()
             proc = ctx.Process(target=_serve, name="tada-shard-1", daemon=True,
-                               args=(child_end, parent_end, self.model, self.preps,
-                                     self.val_preps, there))
+                               args=(child_end, parent_end, self, there))
             proc.start()
             child_end.close()
             self._conn, self._proc = parent_end, proc
@@ -351,27 +366,37 @@ class ShardedStep:
             p.grad = grads[k]
         return loss
 
-    def chunk_logits(self, chunks: list[list[Batch]],
-                     split: list[list[int]]) -> list[np.ndarray]:
-        """``batch_logits`` of each chunk of ``val_preps``, in chunk order: the
-        worker computes ``split``'s second set (``split_chunks``) while this
-        process computes the first."""
-        here, there = split
+    def chunk_logits(self) -> list[tuple[list[Batch], np.ndarray]]:
+        """Each of ``val_chunks`` with its ``batch_logits`` rows, in chunk
+        order: the worker computes ``val_split``'s second set while this
+        process computes the first; without a worker, this process computes
+        every chunk."""
+        here, there = self.val_split if self._proc is not None else (
+            range(len(self.val_chunks)), [])
         if there:
-            starts = np.cumsum([0] + [len(c) for c in chunks]).tolist()
-            self._send("chunks", [(starts[i], starts[i + 1]) for i in there])
-        rows = [None] * len(chunks)
+            self._send("chunks", there)
+        rows = [None] * len(self.val_chunks)
         for i in here:
-            rows[i] = self.model.batch_logits(chunks[i])
+            rows[i] = self._chunk_rows(i)
         if there:
             for i, z in zip(there, self._receive()):
                 rows[i] = z
-        return rows
+        return list(zip(self.val_chunks, rows))
+
+    def _chunk_rows(self, i: int) -> np.ndarray:
+        """``batch_logits`` rows of ``val_chunks[i]``; with a plan, of its
+        collated batch, which ``collate`` passes through as a batch of its
+        own."""
+        if self._collated is None:
+            return self.model.batch_logits(self.val_chunks[i])
+        if i not in self._collated:
+            self._collated[i] = collate(self.val_chunks[i])
+        return self.model.batch_logits([self._collated[i]])
 
     def _take(self, indices: np.ndarray) -> list[Batch]:
         return [self.preps[i] for i in indices]
 
-    def _send(self, kind: str, arg: "np.ndarray | list[tuple[int, int]]") -> None:
+    def _send(self, kind: str, arg: "np.ndarray | list[int]") -> None:
         """A request to the worker, with the current parameters as one flat buffer."""
         flat = np.concatenate([p.data.ravel() for p in self.params.values()])
         try:

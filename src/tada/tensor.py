@@ -383,14 +383,26 @@ _POOL_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _masked_exp(S: Array, live: Array) -> Array:
-    """exp(S - c) where ``live`` (broadcast against S), 0 elsewhere, with one
-    shift c per row along the last axis: the row's largest live score, or 0
-    for a row with none."""
-    E = np.where(live, S, -np.inf)
-    c = E.max(axis=-1, keepdims=True, initial=-np.inf)
+    """exp(S - c) where ``live`` (which broadcasts into S's shape), 0
+    elsewhere, with one shift c per row along the last axis: the row's
+    largest live score, or 0 for a row with none.
+
+    No -inf is exponentiated: numpy's exp takes a slow path on it.  Where
+    most entries are dead, as under hard windows, only the live ones are
+    exponentiated; else all are, the dead ones at 0, since a masked exp
+    costs about 1.7 times a full one per entry.
+    """
+    c = np.max(S, axis=-1, keepdims=True, where=live, initial=-np.inf)
     c[~np.isfinite(c)] = 0.0
-    E -= c
-    return np.exp(E, out=E)
+    E = np.subtract(S, c)
+    dead = ~live
+    if 2 * np.count_nonzero(live) < live.size:
+        np.exp(E, out=E, where=live)
+    else:
+        np.copyto(E, 0.0, where=dead)
+        np.exp(E, out=E)
+    np.copyto(E, 0.0, where=dead)
+    return E
 
 
 def _pool_radii(radii, temperature, D: int, op: str) -> Tensor | None:

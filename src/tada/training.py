@@ -12,7 +12,7 @@ from .data import IrregularSeries
 from .errors import EvaluationError, TrainingError
 from .metrics import (accuracy, auprc, auroc, macro_auprc, macro_auroc,
                       softmax_rows)
-from .model import Batch, TadaModel, collate
+from .model import Batch, TadaModel
 from .optim import Adam
 from .shards import ShardedStep, chunk_logits
 from .tensor import cross_entropy_with_logits
@@ -44,17 +44,20 @@ def _binary_sequence(model: TadaModel) -> bool:
 
 
 def _mean_loss(model: TadaModel, preps: list[Batch]) -> float:
-    """Mean per-sample loss over ``preps``, one chunk at a time: each
-    chunk's logit rows (``chunk_logits``) go back into the (B, R_max, C)
-    layout of the chunk's ``collate``, and their loss is ``batch_loss``'s on
-    that chunk, with no graph built anywhere."""
+    """Mean per-sample loss over ``preps``, one chunk at a time, summed in
+    the chunk order ``chunk_logits`` gives: each chunk's logit rows and its
+    samples' labels go into the (B, R_max) layout of the chunk's label
+    counts, and their loss is ``batch_loss``'s on that chunk, with no graph
+    built anywhere."""
     total = 0.0
     for chunk, rows in chunk_logits(model, preps):
-        X = collate(chunk)
-        live = np.arange(X.label_counts.max()) < X.label_counts[:, None]
+        counts = np.concatenate([p.label_counts for p in chunk])
+        live = np.arange(counts.max()) < counts[:, None]
         logits = np.zeros(live.shape + rows.shape[1:])
         logits[live] = rows
-        total += cross_entropy_with_logits(logits, X.labels, X.label_counts).item() * len(chunk)
+        labels = np.zeros(live.shape, dtype=np.int64)
+        labels[live] = np.concatenate([p.labels for p in chunk])
+        total += cross_entropy_with_logits(logits, labels, counts).item() * len(chunk)
     return total / len(preps)
 
 
@@ -66,16 +69,20 @@ def evaluate_preps(model: TadaModel, preps: list[Batch]) -> MetricsReport:
     accuracy plus macro one-vs-rest AUROC/AUPRC over flattened predictions.
 
     The chunks and their logits come from ``shards.chunk_logits``, and
-    ``softmax_rows`` runs once per chunk: inside ``train`` the step's worker
-    computes about half of the validation chunks; outside it, a worker is
-    forked for this call when its share would hold at least two full chunks
-    (``2 * CHUNK_STEPS`` padded steps) and the host allows one.  The report
-    is the same bytes on one process or two.
+    ``softmax_rows`` runs once per chunk; the labels come from the samples
+    of each chunk, so the rows need no reordering.  Inside ``train`` the
+    validation chunks are the step's plan, in length order, and its worker
+    computes about half of them; any other list keeps its order, and
+    outside ``train`` a worker is forked for this call when its share would
+    hold at least two full chunks (``2 * CHUNK_STEPS`` padded steps) and
+    the host allows one.  No metric depends on the order of the samples,
+    and the report is the same bytes on one process or two.
     """
     if not preps:
         raise EvaluationError("evaluate: empty evaluation set")
-    probs = np.concatenate([softmax_rows(z) for _, z in chunk_logits(model, preps)], axis=0)
-    y = np.concatenate([p.labels for p in preps])
+    chunks = chunk_logits(model, preps)
+    probs = np.concatenate([softmax_rows(z) for _, z in chunks], axis=0)
+    y = np.concatenate([p.labels for chunk, _ in chunks for p in chunk])
     preds = probs.argmax(axis=1)
     acc = accuracy(preds, y)
     if _binary_sequence(model):
@@ -112,13 +119,15 @@ def train(cfg: RunConfig, train_samples: list[IrregularSeries],
 
     Each step's loss and gradient combine the batch's two shards
     (``ShardedStep``), with a forked worker computing the second where the
-    host allows; the same worker computes about half of each epoch's
-    validation chunks, found by ``evaluate_preps`` and ``_mean_loss``
-    because ``val_preps`` is the list it holds.  Fully deterministic for a
-    fixed config, and byte-identical on one or two processes: one seeded
-    generator drives init and batch order, the shards combine in a fixed
-    order, and every validation chunk comes from the same call wherever it
-    runs, back in chunk order.  A numerical failure raises TrainingError
+    host allows.  The step plans ``val_preps`` once, in length order, and
+    each process collates its validation chunks once; the same worker
+    computes about half of each epoch's validation chunks, found by
+    ``evaluate_preps`` and ``_mean_loss`` because ``val_preps`` is the list
+    the step holds.  Fully deterministic for a fixed config, and
+    byte-identical on one or two processes: one seeded generator drives
+    init and batch order, the shards combine in a fixed order, and every
+    validation chunk comes from the same call wherever it runs, back in
+    chunk order.  A numerical failure raises TrainingError
     naming the epoch, and numpy prints no warnings on the way.
     """
     if not train_samples:

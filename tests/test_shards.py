@@ -11,6 +11,7 @@ one CPU included.
 """
 
 import dataclasses
+import json
 import multiprocessing
 import os
 
@@ -19,15 +20,20 @@ import pytest
 
 import reference
 import tada.shards
-from helpers import (WORKER_POSSIBLE, allow_worker, random_series, redraw_params, tiny_config,
-                     tiny_model)
+import tada.training
+from helpers import (WORKER_POSSIBLE, allow_worker, build_series, random_series, redraw_params,
+                     tiny_config, tiny_model)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tada.cli import _train_single
+from tada.config import RunConfig
+from tada.data import SynthConfig, synth_generate
 from tada.errors import DataError, TrainingError
 from tada.metrics import softmax_rows
 from tada.model import TadaModel
 from tada.optim import Adam
-from tada.shards import ShardedStep, _chunks, _cpu_halves, split_batch, split_chunks
+from tada.shards import (ShardedStep, _chunks, _cpu_halves, _length_order, split_batch,
+                         split_chunks)
 from tada.training import evaluate_preps, train
 from test_training import small_data
 
@@ -305,17 +311,46 @@ def recording(path, method):
 
 
 def computed_by(path):
-    """{pid: [first sample id of each chunk it computed]} from ``recording``."""
+    """{pid: [what it recorded of each chunk it computed]} from ``recording``
+    or ``chunk_recording``."""
     by_pid = {}
     with open(path) as fh:
         for line in fh:
-            pid, sid = line.split()
-            by_pid.setdefault(int(pid), []).append(sid)
+            pid, chunk = line.split()
+            by_pid.setdefault(int(pid), []).append(chunk)
     return by_pid
 
 
 def one_class(samples):
     return [dataclasses.replace(s, label=0) for s in samples]
+
+
+def test_length_order_sorts_by_padded_steps_then_observations():
+    # padded steps max(T, n_queries = 4) first, then observation count; the
+    # tie of b and e keeps list order
+    model = tiny_model(n_features=2)
+    per_step = {"a": (6, 1), "b": (2, 2), "c": (3, 1), "d": (6, 2), "e": (4, 1), "f": (5, 1)}
+    preps = [model.prepare(build_series([(k / T, [(f, 1.0) for f in range(n)]) for k in range(T)],
+                                        sid=sid))
+             for sid, (T, n) in per_step.items()]
+    assert [p.sample_id for p in _length_order(preps, 4)] == list("cbefad")
+
+
+def chunk_recording(path):
+    """``ShardedStep._chunk_rows`` that first appends the calling pid and the
+    chunk's index to ``path``, from either process."""
+    chunk_rows = ShardedStep._chunk_rows
+
+    def patched(self, i):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {i}\n")
+        return chunk_rows(self, i)
+    return patched
+
+
+def planned_chunks(preps, n_queries):
+    """The chunks and padded steps ``train`` plans for ``preps``."""
+    return _chunks(_length_order(preps, n_queries), n_queries)
 
 
 @needs_worker
@@ -329,54 +364,158 @@ def test_validation_is_byte_identical_on_one_or_two_processes(selection, process
     # 8 validation samples in chunks of 3: chunks of 3, 3 and 2
     cfg = tiny_config(max_epochs=3, patience=0, batch_size=3, n_queries=Q)
     probe = tmp_path / "calls"
-    monkeypatch.setattr(TadaModel, "batch_logits", recording(probe, TadaModel.batch_logits))
+    monkeypatch.setattr(ShardedStep, "_chunk_rows", chunk_recording(probe))
     runs, workers = {}, {}
     for n in (1, 2):
         processes(n)
         probe.write_text("")
         runs[n] = train(cfg, train_samples, val_samples, 2, 2, "sequence")
-        workers[n] = {pid: sids for pid, sids in computed_by(probe).items()
+        workers[n] = {pid: chunks for pid, chunks in computed_by(probe).items()
                       if pid != os.getpid()}
     assert [r["selection"] for r in runs[1].history] == [selection] * 3
     assert repr(runs[1].history) == repr(runs[2].history)
     for k, p in runs[1].model.params.items():
         assert p.data.tobytes() == runs[2].model.params[k].data.tobytes(), k
     assert workers[1] == {}
-    # each epoch the worker computed split_chunks's second set; only calls
-    # on validation samples count
-    chunks, steps = _chunks(val_samples, Q)
+    # each epoch the worker computed split_chunks's second set of the plan
+    model = runs[1].model
+    chunks, steps = planned_chunks([model.prepare(s) for s in val_samples], Q)
     assert [len(c) for c in chunks] == [3, 3, 2] and steps == [3 * Q, 3 * Q, 2 * Q]
     there = split_chunks(steps)[1]
     assert there
-    (worker_sids,) = workers[2].values()
-    val_ids = {s.sample_id for s in val_samples}
-    assert [s for s in worker_sids if s in val_ids] == [chunks[i][0].sample_id
-                                                       for i in there] * 3
+    (worker_chunks,) = workers[2].values()
+    assert worker_chunks == [str(i) for i in there] * 3
 
 
 @needs_worker
 def test_validation_metric_keeps_its_arithmetic(processes, chunks_of_three):
     # one epoch keeps its own parameters, so the recorded metrics are those
-    # of the final model, computed chunk by chunk in this process
+    # of the final model, computed over the plan's chunks in this process
     processes(2)
     train_samples, val_samples = small_data()
     cfg = tiny_config(max_epochs=1, batch_size=3, n_queries=Q)
     result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     model = result.model
     preps = [model.prepare(s) for s in val_samples]
-    chunks, _ = _chunks(preps, Q)
+    chunks, _ = planned_chunks(preps, Q)
     assert len(chunks) == 3
     rows = np.concatenate([softmax_rows(model.batch_logits(c)) for c in chunks])
     report = evaluate_preps(model, preps)
     assert result.history[0]["val_metric"] == report.auprc
     assert result.history[0]["val_accuracy"] == report.accuracy
-    assert report.accuracy == np.mean(rows.argmax(axis=1) == [s.label for s in val_samples])
+    assert report.accuracy == np.mean(rows.argmax(axis=1) == [p.labels[0] for c in chunks
+                                                             for p in c])
 
     val_samples = one_class(val_samples)
     result = train(cfg, train_samples, val_samples, 2, 2, "sequence")
     preps = [result.model.prepare(s) for s in val_samples]
-    total = sum(result.model.batch_loss(c).item() * len(c) for c in _chunks(preps, Q)[0])
+    total = sum(result.model.batch_loss(c).item() * len(c) for c in planned_chunks(preps, Q)[0])
     assert result.history[0]["val_metric"] == -(total / len(preps))
+
+
+@pytest.mark.parametrize("n_procs", [1, pytest.param(2, marks=needs_worker)])
+def test_each_validation_chunk_is_collated_once_per_process(n_procs, processes,
+                                                            chunks_of_three, monkeypatch,
+                                                            tmp_path):
+    # three epochs: each process collates each chunk it computes at its
+    # first use, and never again
+    processes(n_procs)
+    train_samples, val_samples = small_data()
+    probe = tmp_path / "collated"
+    probe.write_text("")
+    collate = tada.shards.collate
+
+    def counting(preps):
+        with open(probe, "a") as fh:
+            fh.write(f"{os.getpid()} {preps[0].sample_id}\n")
+        return collate(preps)
+
+    monkeypatch.setattr(tada.shards, "collate", counting)
+    result = train(tiny_config(max_epochs=3, patience=0, batch_size=3, n_queries=Q),
+                   train_samples, val_samples, 2, 2, "sequence")
+    assert len(result.history) == 3
+    chunks, steps = planned_chunks([result.model.prepare(s) for s in val_samples], Q)
+    here, there = split_chunks(steps) if n_procs == 2 else (range(len(chunks)), [])
+    assert len(chunks) == 3 and (there or n_procs == 1)
+    by_pid = computed_by(probe)
+    assert by_pid.pop(os.getpid()) == [chunks[i][0].sample_id for i in here]
+    assert list(by_pid.values()) == ([[chunks[i][0].sample_id for i in there]] if there else [])
+
+
+def step_labels(samples):
+    """The samples with one label per step, so label counts differ."""
+    return [dataclasses.replace(s, label=tuple((k + s.label) % 2 for k in range(len(s))))
+            for s in samples]
+
+
+@pytest.mark.parametrize("n_procs", [1, pytest.param(2, marks=needs_worker)])
+@pytest.mark.parametrize("task", ["sequence", "step"])
+def test_shuffled_validation_leaves_the_run_byte_identical(task, n_procs, processes,
+                                                           monkeypatch, tmp_path):
+    # the plan sorts the validation samples, and no metric depends on their
+    # order: history, model.bin and manifest.json keep their bytes
+    processes(n_procs)
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", 48)
+    train_samples, val_samples = small_data()
+    if task == "step":
+        train_samples, val_samples = step_labels(train_samples), step_labels(val_samples)
+    cfg = tiny_config(max_epochs=3, patience=0, batch_size=4, n_queries=8)
+    model = tiny_model(n_features=2, task=task, n_queries=8)
+    chunks, _ = planned_chunks([model.prepare(s) for s in val_samples], 8)
+    assert len({len(c) for c in chunks}) > 1
+    shuffled = [val_samples[i] for i in np.random.default_rng(5).permutation(len(val_samples))]
+    assert shuffled != val_samples
+    manifest = {"D": 2, "n_classes": 2, "task": task}
+    files = {}
+    for name, val in (("listed", val_samples), ("shuffled", shuffled)):
+        splits = {"train": train_samples, "val": val, "test": val_samples}
+        _train_single(cfg, manifest, splits, str(tmp_path / name), verbose=False)
+        files[name] = [(tmp_path / name / f).read_bytes() for f in ("model.bin", "manifest.json")]
+    assert files["listed"] == files["shuffled"]
+    assert json.loads(files["listed"][1])["history"][0]["selection"] == (
+        "auprc" if task == "sequence" else "accuracy")
+
+
+def synth_preps(model, n, scale, seed):
+    samples, _ = synth_generate(SynthConfig(n_samples=n, seed=seed,
+                                            rates=tuple(r * scale for r in (2.0, 4.0, 8.0, 16.0))))
+    return [model.prepare(s) for s in samples]
+
+
+def rows_by_sample(chunked):
+    return {p.sample_id: z for chunk, rows in chunked for p, z in zip(chunk, rows)}
+
+
+@pytest.mark.parametrize("scale, chunk_steps, tol", [(1.0, 1024, 0.0), (8.0, 4096, 1e-14)])
+def test_plan_rows_match_list_order_rows(scale, chunk_steps, tol, processes, monkeypatch):
+    # the plan's chunks hold other samples than list-order chunks.  At T~30
+    # each sample's rows keep their bits; at T~240 a chunk's padded
+    # observation count moves the GEMM blocking, and the rows move within
+    # ``tol`` of the largest logit (8.6e-16 of it here).  The chunk-order
+    # loss sum moves with the chunks, by 2.1e-16 of the loss here at T~30.
+    processes(1)
+    monkeypatch.setattr(tada.shards, "CHUNK_STEPS", chunk_steps)
+    model = TadaModel(RunConfig(), 4, 2, "sequence")
+    redraw_params(model, seed=6)
+    preps = synth_preps(model, 96 if scale == 1.0 else 40, scale, seed=6)
+    listed = tada.shards.chunk_logits(model, preps)
+    listed_loss = tada.training._mean_loss(model, preps)
+    listed_report = evaluate_preps(model, preps)
+    with ShardedStep(model, [], preps) as step:
+        planned = tada.shards.chunk_logits(model, preps)
+        assert [c for c, _ in planned] == step.val_chunks
+        planned_loss = tada.training._mean_loss(model, preps)
+        planned_report = evaluate_preps(model, preps)
+    assert len(listed) > 2
+    assert [[p.sample_id for p in c] for c, _ in listed] != \
+        [[p.sample_id for p in c] for c, _ in planned]
+    want, got = rows_by_sample(listed), rows_by_sample(planned)
+    assert got.keys() == want.keys()
+    largest = max(np.abs(z).max() for z in want.values())
+    assert max(np.abs(got[k] - want[k]).max() for k in want) <= tol * largest
+    if tol == 0.0:
+        assert planned_report == listed_report
+    assert abs(planned_loss - listed_loss) <= max(tol, 1e-15) * abs(listed_loss)
 
 
 def no_process(*args, **kwargs):

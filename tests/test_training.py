@@ -357,8 +357,9 @@ def test_non_finite_loss_names_its_epoch(where, monkeypatch):
 
 
 def overflowing_logits(self, preps):
-    # what finite parameters give once a logit overflows float64
-    return np.tile([np.inf, 0.0], (len(preps), 1))
+    # what finite parameters give once a logit overflows float64: one row
+    # per sample, of prepared samples or of one collated validation chunk
+    return np.tile([np.inf, 0.0], (sum(len(p.lengths) for p in preps), 1))
 
 
 def test_validation_overflow_raises_training_error_with_epoch(monkeypatch):
